@@ -6,10 +6,8 @@
 // Each (design point, allocator kind) latency curve is one CurveSpec for
 // the warm-fork sweep engine: the design point is warmed once at the lowest
 // rate, and every load point forks from that snapshot instead of paying a
-// cold warmup. The forked load points of a curve run as replica lanes of
-// one ReplicaSim batch (bit-identical to scalar runs; the serial saturated
-// tail of each curve stays scalar). Simulations are pure functions of their
-// SimConfig, so the parallel run reproduces the serial output byte for byte.
+// cold warmup. Simulations are pure functions of their SimConfig, so the
+// parallel run reproduces the serial output byte for byte.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -72,7 +70,7 @@ int main() {
     const Config& c = kConfigs[t / kinds];
     specs.push_back(make_spec(c.topo, c.c, kKinds[t % kinds], c.max_rate));
   }
-  const auto curves = sweep::run_warm_curves_replicated(bench::pool(), specs);
+  const auto curves = sweep::run_warm_curves(bench::pool(), specs);
 
   std::vector<bench::CurveSummary> results(curves.size());
   for (std::size_t t = 0; t < curves.size(); ++t) {

@@ -3,9 +3,8 @@
 // spec_req), using a separable input-first switch allocator (Sec. 5.3.3).
 //
 // Each (design point, speculation mode) latency curve is one warm-fork
-// CurveSpec, run through the lane-parallel replicated sweep (bit-identical
-// to the scalar entry point by ReplicaSim's contract); see fig13 for the
-// sharding and determinism argument.
+// CurveSpec on the sweep engine; see fig13 for the sharding and determinism
+// argument.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -67,7 +66,7 @@ int main() {
     const Config& c = kConfigs[t / modes];
     specs.push_back(make_spec(c.topo, c.c, kModes[t % modes], c.max_rate));
   }
-  const auto curves = sweep::run_warm_curves_replicated(bench::pool(), specs);
+  const auto curves = sweep::run_warm_curves(bench::pool(), specs);
 
   std::vector<bench::CurveSummary> results(curves.size());
   for (std::size_t t = 0; t < curves.size(); ++t) {

@@ -1,20 +1,28 @@
-// End-to-end simulator throughput (cycles per wall-clock second) for the
-// zero-allocation data path: packet arena, ring-buffer flit queues, and
-// active-set router scheduling.
+// End-to-end simulator throughput (cycles per wall-clock second) of one
+// simulation, for the zero-allocation data path (packet arena, ring-buffer
+// flit queues, active-set router scheduling) and the single-word allocator
+// kernels every router stage runs.
 //
 // Two things are measured per design point:
 //
-//   1. cycles/s over a full warmup + measurement + drain run, comparable to
-//      the pre-optimization baseline recorded in bench_results/ and in the
-//      README performance table.
+//   1. cycles/s over a full warmup + measurement + drain run, against a
+//      recorded baseline (see Point::baseline_cycles_per_sec).
 //
 //   2. heap traffic in the steady-state window (after warmup, before drain),
 //      via a global operator new/delete counter. The cycle loop must be
-//      allocation-free at every load: sub-saturation points reach their
-//      high-water capacities during warmup, and saturated points -- where
-//      source backlog grows without bound -- are pre-sized for the whole
-//      measured window via Network::reserve_steady_state (offered load x
-//      window length bounds everything the window can put into play).
+//      allocation-free at every load and for every allocator family (the
+//      kernels' request/grant scratch, wavefront cells included, is sized
+//      up front): sub-saturation points reach their high-water capacities
+//      during warmup, and saturated points -- where source backlog grows
+//      without bound -- are pre-sized for the whole measured window via
+//      Network::reserve_steady_state (offered load x window length bounds
+//      everything the window can put into play).
+//
+// The first six points use the default separable input-first allocators at
+// C = 1 across load; the per-family points run one simulation per allocator
+// family (separable output-first, wavefront, matrix arbiters) at C > 1,
+// ending with the wavefront torus at C = 8, where V = 64 fills the request
+// word and the dense allocator stage was slowest.
 //
 // Honors NOCALLOC_BENCH_FAST=1 (run_benches.sh BENCH_FAST): shorter
 // measurement window, same warmup, zero-allocation assertion still enforced.
@@ -30,8 +38,6 @@
 #include <new>
 #include <string>
 
-#include "noc/network.hpp"
-#include "noc/routing.hpp"
 #include "noc/sim.hpp"
 
 // ---- Global allocation counter ---------------------------------------------
@@ -85,14 +91,19 @@ double wall_now() {
 }
 
 struct Point {
-  TopologyKind topo;
-  double load;
   const char* label;
-  bool saturated;  // beyond saturation throughput (backlog grows unboundedly)
-  // cycles/s of the pre-optimization simulator (shared_ptr packets,
-  // std::deque buffers, every router stepped every cycle) at this design
-  // point, recorded on the reference host with the same phase lengths.
-  // Speedups printed against it are indicative when run elsewhere.
+  TopologyKind topo;
+  std::size_t vcs_per_class;
+  AllocatorKind alloc;  // both VC and switch allocation
+  ArbiterKind arb;      // both VC and switch arbiters
+  double load;
+  // cycles/s of an earlier simulator at this design point, recorded on the
+  // reference host with the same phase lengths. For the C = 1 load points:
+  // the pre-optimization simulator (shared_ptr packets, std::deque buffers,
+  // every router stepped every cycle). For the per-family points: the dense
+  // scalar allocator stage (per-VC byte requests, PV x PV wavefront sweep)
+  // the sparse kernels replaced. Speedups printed against it are
+  // indicative when run elsewhere.
   double baseline_cycles_per_sec;
 };
 
@@ -104,55 +115,34 @@ struct RunOutcome {
   std::size_t arena_high_water = 0;
 };
 
-// Builds the network directly (rather than through run_simulation) so the
-// allocation counter can be bracketed around the steady-state window only:
-// construction and warmup are allowed to allocate, the measured cycles are
-// not.
+// Drives the SimInstance's network cycle by cycle (rather than through
+// run_simulation) so the allocation counter can be bracketed around the
+// steady-state window only: construction and warmup are allowed to
+// allocate, the measured cycles are not.
 RunOutcome run_point(const Point& pt, std::size_t warmup, std::size_t measure,
                      std::size_t drain) {
-  MeshTopology mesh(8);
-  FlattenedButterflyTopology fbfly(4, 4);
-  const Topology& topology =
-      pt.topo == TopologyKind::kMesh8x8 ? static_cast<const Topology&>(mesh)
-                                        : fbfly;
-
-  NetworkConfig cfg;
-  cfg.router.ports = topology.ports();
-  cfg.router.partition = partition_for(pt.topo, 1);
-  cfg.request_rate = pt.load / 6.0;
+  SimConfig cfg;
+  cfg.topology = pt.topo;
+  cfg.vcs_per_class = pt.vcs_per_class;
+  cfg.vc_alloc = pt.alloc;
+  cfg.sw_alloc = pt.alloc;
+  cfg.vc_arb = pt.arb;
+  cfg.sw_arb = pt.arb;
+  cfg.injection_rate = pt.load;
   cfg.seed = 1;
 
-  Network::RoutingFactory factory =
-      [&](const CongestionOracle& oracle) -> std::unique_ptr<RoutingFunction> {
-    if (pt.topo == TopologyKind::kMesh8x8) {
-      return std::make_unique<DorMeshRouting>(mesh);
-    }
-    return std::make_unique<UgalFbflyRouting>(fbfly, oracle,
-                                              Rng(1 ^ 0xCAFEF00Dull));
-  };
-
-  Network* net_ptr = nullptr;
-  std::uint64_t reply_id = 1ull << 62;
-  Terminal::EjectCallback on_eject = [&](const Packet& pkt, Cycle now) {
-    if (is_request(pkt.type)) {
-      net_ptr->terminal(pkt.dst_terminal)
-          .enqueue_reply(make_reply(pkt, now, reply_id++));
-    }
-  };
-
   const double t0 = wall_now();
-  Network net(topology, cfg, factory, on_eject);
-  net_ptr = &net;
-
-  for (std::size_t i = 0; i < warmup; ++i) net.step();
+  SimInstance sim(cfg);
+  Network& net = sim.network();
+  sim.run_cycles(warmup);
 
   // Saturated points accumulate backlog without bound, so the steady-state
   // containers would otherwise keep doubling; bound them for the window.
-  net.reserve_steady_state(cfg.request_rate, measure + drain);
+  net.reserve_steady_state(pt.load / 6.0, measure + drain);
 
   const std::uint64_t allocs_before =
       g_heap_allocs.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < measure; ++i) net.step();
+  sim.run_cycles(measure);
   const std::uint64_t allocs_after =
       g_heap_allocs.load(std::memory_order_relaxed);
 
@@ -190,13 +180,29 @@ int run_all() {
       "%-18s %12s %12s %8s %14s %10s %8s\n", "point", "cycles/s",
       "baseline", "speedup", "steady allocs", "skipped", "arena");
 
+  using AK = AllocatorKind;
+  using TK = TopologyKind;
+  const ArbiterKind rr = ArbiterKind::kRoundRobin;
   const Point points[] = {
-      {TopologyKind::kMesh8x8, 0.02, "mesh/low", false, 27771},
-      {TopologyKind::kMesh8x8, 0.15, "mesh/medium", false, 17541},
-      {TopologyKind::kMesh8x8, 0.90, "mesh/saturation", true, 12067},
-      {TopologyKind::kFbfly4x4, 0.02, "fbfly/low", false, 50020},
-      {TopologyKind::kFbfly4x4, 0.20, "fbfly/medium", false, 27155},
-      {TopologyKind::kFbfly4x4, 0.90, "fbfly/saturation", true, 16650},
+      {"mesh/low", TK::kMesh8x8, 1, AK::kSeparableInputFirst, rr, 0.02, 27771},
+      {"mesh/medium", TK::kMesh8x8, 1, AK::kSeparableInputFirst, rr, 0.15,
+       17541},
+      {"mesh/saturation", TK::kMesh8x8, 1, AK::kSeparableInputFirst, rr, 0.90,
+       12067},
+      {"fbfly/low", TK::kFbfly4x4, 1, AK::kSeparableInputFirst, rr, 0.02,
+       50020},
+      {"fbfly/medium", TK::kFbfly4x4, 1, AK::kSeparableInputFirst, rr, 0.20,
+       27155},
+      {"fbfly/saturation", TK::kFbfly4x4, 1, AK::kSeparableInputFirst, rr,
+       0.90, 16650},
+      {"mesh/C=2/matrix", TK::kMesh8x8, 2, AK::kSeparableInputFirst,
+       ArbiterKind::kMatrix, 0.15, 26510},
+      {"fbfly/C=4/sep_of", TK::kFbfly4x4, 4, AK::kSeparableOutputFirst, rr,
+       0.20, 23096},
+      {"fbfly/C=4/wf", TK::kFbfly4x4, 4, AK::kWavefront, rr, 0.40,
+       639},
+      {"torus/C=8/wf", TK::kTorus8x8, 8, AK::kWavefront, rr, 0.15,
+       68},
   };
 
   bool ok = true;

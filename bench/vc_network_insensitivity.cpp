@@ -5,9 +5,7 @@
 // differences would be largest if they existed.
 //
 // Each (design point, VC allocator kind) curve is one warm-fork CurveSpec
-// on the sweep engine (warm once at the lowest rate, fork per load point);
-// the forked load points run as replica lanes of one ReplicaSim batch,
-// bit-identical to the scalar sweep.
+// on the sweep engine (warm once at the lowest rate, fork per load point).
 #include <algorithm>
 #include <cstdio>
 
@@ -63,7 +61,7 @@ int main() {
   for (std::size_t t = 0; t < configs * kinds; ++t) {
     specs.push_back(make_spec(kConfigs[t / kinds], kKinds[t % kinds]));
   }
-  const auto curves = sweep::run_warm_curves_replicated(bench::pool(), specs);
+  const auto curves = sweep::run_warm_curves(bench::pool(), specs);
 
   for (std::size_t ci = 0; ci < configs; ++ci) {
     bench::subheading(kConfigs[ci].label);

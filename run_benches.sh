@@ -4,7 +4,7 @@
 # to bench_results/progress.log, which always ends with FULL_BENCH_DONE.
 # Each bench's wall-clock seconds are recorded next to its completion line.
 # The microbenches additionally write machine-readable summaries
-# (bench_results/BENCH_{alloc,sim,replica,sweep,netlist}.json) so the perf
+# (bench_results/BENCH_{alloc,sim,sweep,netlist}.json) so the perf
 # trajectory across commits can be diffed without parsing the tables.
 #
 # Environment knobs:
@@ -52,7 +52,7 @@ is_net_bench() {
   case "$1" in
     fig13_sa_network|fig14_speculation|vc_network_insensitivity|\
     ablation_ugal_threshold|ablation_buffer_depth|ablation_multi_iteration|\
-    microbench_sim|microbench_sweep|microbench_replica) return 0 ;;
+    microbench_sim|microbench_sweep) return 0 ;;
     *) return 1 ;;
   esac
 }
@@ -63,7 +63,6 @@ json_for() {
   case "$1" in
     microbench_allocators) echo "bench_results/BENCH_alloc.json" ;;
     microbench_sim) echo "bench_results/BENCH_sim.json" ;;
-    microbench_replica) echo "bench_results/BENCH_replica.json" ;;
     microbench_sweep) echo "bench_results/BENCH_sweep.json" ;;
     microbench_netlist) echo "bench_results/BENCH_netlist.json" ;;
     *) echo "" ;;

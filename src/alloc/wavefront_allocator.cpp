@@ -110,6 +110,10 @@ void WavefrontAllocator::allocate(const BitMatrix& req, BitMatrix& gnt) {
   diagonal_ = (diagonal_ + 1) % n_;
 }
 
+void WavefrontAllocator::reserve_sparse(std::size_t cells) {
+  if (sorted_.size() < cells) sorted_.resize(cells);
+}
+
 void WavefrontAllocator::allocate_sparse(const SparseCell* cells,
                                          std::size_t m,
                                          std::vector<SparseCell>& granted) {

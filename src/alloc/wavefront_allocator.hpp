@@ -72,6 +72,11 @@ class WavefrontAllocator final : public Allocator {
   void allocate_sparse(const SparseCell* cells, std::size_t m,
                        std::vector<SparseCell>& granted);
 
+  /// Pre-sizes the sparse-path scratch for calls of up to `cells` cells, so
+  /// a caller that knows its bound keeps allocate_sparse() allocation-free
+  /// from the first cycle on.
+  void reserve_sparse(std::size_t cells);
+
  private:
   std::size_t n_;  // padded square dimension
   std::size_t diagonal_ = 0;

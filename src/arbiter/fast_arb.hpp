@@ -1,4 +1,4 @@
-// Devirtualized arbiter handle for the replica engine's sparse kernels.
+// Devirtualized arbiter handle for the allocators' sparse kernels.
 //
 // The single-word fast paths used to hard-code RoundRobinArbiter; FastArb
 // widens them to every arbiter kind with a packed single-word pick (today:

@@ -34,8 +34,8 @@ class MatrixArbiter final : public Arbiter {
 
   /// Single-word pick with pick_words() semantics for arbiters of width
   /// <= 64: candidate i wins iff no other requester holds priority over it,
-  /// i.e. (req & ~prio_row(i)) has no bit besides i itself. The replica
-  /// engine's sparse kernels use this as the packed least-recently-served
+  /// i.e. (req & ~prio_row(i)) has no bit besides i itself. The sparse
+  /// allocator kernels use this as the packed least-recently-served
   /// selection, skipping virtual dispatch and the multi-word row scan.
   int pick_word(bits::Word req) const {
     NOCALLOC_DCHECK(wpr_ == 1);

@@ -24,8 +24,8 @@ class RoundRobinArbiter final : public Arbiter {
     NOCALLOC_CHECK(pointer_ <= size_);
   }
 
-  /// Current priority pointer (exposed for tests and the replica engine's
-  /// devirtualized fast paths).
+  /// Current priority pointer (exposed for tests and the allocators'
+  /// devirtualized sparse kernels).
   std::size_t pointer() const { return pointer_; }
 
  private:
@@ -35,8 +35,8 @@ class RoundRobinArbiter final : public Arbiter {
 
 /// Single-word round-robin pick with pick_words() semantics for arbiters of
 /// width <= 64: first set bit at or after `ptr`, wrapping to the lowest set
-/// bit when nothing at or above the pointer requests. The replica engine's
-/// sparse allocator kernels use this to skip the virtual dispatch and the
+/// bit when nothing at or above the pointer requests. The sparse allocator
+/// kernels use this to skip the virtual dispatch and the
 /// multi-word scan of the generic path.
 inline int rr_pick_word(bits::Word req, std::size_t ptr) {
   const bits::Word at_or_after = req & ~(bits::bit(ptr) - 1);

@@ -38,7 +38,7 @@ class TreeArbiter final : public Arbiter {
   std::size_t groups() const { return groups_; }
   std::size_t group_size() const { return group_size_; }
 
-  /// The two arbitration levels, exposed so the replica engine's sparse
+  /// The two arbitration levels, exposed so the allocators' sparse
   /// kernels can drive the exact same priority state without the generic
   /// extract/scan loop of pick_words().
   Arbiter& top() { return *top_; }

@@ -15,11 +15,20 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 namespace nocalloc {
 
 [[noreturn]] inline void check_fail(const char* expr, const char* file, int line) {
   std::fprintf(stderr, "nocalloc: check failed: %s (%s:%d)\n", expr, file, line);
+  std::abort();
+}
+
+/// Aborts with a message saying what was wrong. For bad input (configs,
+/// unsupported shapes), where the reader needs the offending key or value
+/// rather than the failed expression.
+[[noreturn]] inline void fail(const std::string& message) {
+  std::fprintf(stderr, "nocalloc: %s\n", message.c_str());
   std::abort();
 }
 

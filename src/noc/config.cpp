@@ -15,105 +15,117 @@ std::string trim(const std::string& s) {
   return s.substr(first, last - first + 1);
 }
 
-TopologyKind parse_topology(const std::string& v) {
+/// Aborts naming the key, the offending value, and what was expected.
+[[noreturn]] void bad_value(const std::string& key, const std::string& value,
+                            const std::string& expected) {
+  fail("bad value '" + value + "' for config key '" + key + "' (expected " +
+       expected + ")");
+}
+
+TopologyKind parse_topology(const std::string& key, const std::string& v) {
   if (v == "mesh") return TopologyKind::kMesh8x8;
   if (v == "fbfly") return TopologyKind::kFbfly4x4;
   if (v == "ring") return TopologyKind::kRing16;
   if (v == "torus") return TopologyKind::kTorus8x8;
-  NOCALLOC_CHECK(false);
+  bad_value(key, v, "mesh, fbfly, ring or torus");
 }
 
-AllocatorKind parse_allocator(const std::string& v) {
+AllocatorKind parse_allocator(const std::string& key, const std::string& v) {
   if (v == "sep_if") return AllocatorKind::kSeparableInputFirst;
   if (v == "sep_of") return AllocatorKind::kSeparableOutputFirst;
   if (v == "wf") return AllocatorKind::kWavefront;
-  NOCALLOC_CHECK(false);
+  bad_value(key, v, "sep_if, sep_of or wf");
 }
 
-ArbiterKind parse_arbiter(const std::string& v) {
+ArbiterKind parse_arbiter(const std::string& key, const std::string& v) {
   if (v == "rr") return ArbiterKind::kRoundRobin;
   if (v == "m") return ArbiterKind::kMatrix;
-  NOCALLOC_CHECK(false);
+  bad_value(key, v, "rr or m");
 }
 
-SpecMode parse_spec(const std::string& v) {
+SpecMode parse_spec(const std::string& key, const std::string& v) {
   if (v == "nonspec") return SpecMode::kNonSpeculative;
   if (v == "spec_gnt") return SpecMode::kConservative;
   if (v == "spec_req") return SpecMode::kPessimistic;
-  NOCALLOC_CHECK(false);
+  bad_value(key, v, "nonspec, spec_gnt or spec_req");
 }
 
-TrafficPattern parse_pattern(const std::string& v) {
+TrafficPattern parse_pattern(const std::string& key, const std::string& v) {
   if (v == "uniform") return TrafficPattern::kUniform;
   if (v == "bitcomp") return TrafficPattern::kBitComplement;
   if (v == "transpose") return TrafficPattern::kTranspose;
   if (v == "shuffle") return TrafficPattern::kShuffle;
   if (v == "tornado") return TrafficPattern::kTornado;
-  NOCALLOC_CHECK(false);
+  bad_value(key, v, "uniform, bitcomp, transpose, shuffle or tornado");
 }
 
-std::size_t parse_size(const std::string& v) {
+/// Parses a whole-string unsigned integer no smaller than `min`.
+std::size_t parse_size(const std::string& key, const std::string& v,
+                       std::size_t min = 0) {
   std::istringstream in(v);
   std::size_t out = 0;
   in >> out;
-  NOCALLOC_CHECK(!in.fail() && in.eof());
+  if (in.fail() || !in.eof() || v.find('-') != std::string::npos ||
+      out < min) {
+    bad_value(key, v, "an integer >= " + std::to_string(min));
+  }
   return out;
 }
 
-bool parse_bool(const std::string& v) {
+bool parse_bool(const std::string& key, const std::string& v) {
   if (v == "true" || v == "1" || v == "on") return true;
   if (v == "false" || v == "0" || v == "off") return false;
-  NOCALLOC_CHECK(false);
+  bad_value(key, v, "true/false, 1/0 or on/off");
 }
 
-double parse_double(const std::string& v) {
+/// Parses a whole-string non-negative number.
+double parse_rate(const std::string& key, const std::string& v) {
   std::istringstream in(v);
   double out = 0;
   in >> out;
-  NOCALLOC_CHECK(!in.fail() && in.eof());
+  if (in.fail() || !in.eof() || !(out >= 0.0)) {
+    bad_value(key, v, "a number >= 0");
+  }
   return out;
 }
 
 void apply(SimConfig& cfg, const std::string& key, const std::string& value) {
   if (key == "topology") {
-    cfg.topology = parse_topology(value);
+    cfg.topology = parse_topology(key, value);
   } else if (key == "vcs_per_class") {
-    cfg.vcs_per_class = parse_size(value);
-    NOCALLOC_CHECK(cfg.vcs_per_class >= 1);
+    cfg.vcs_per_class = parse_size(key, value, 1);
   } else if (key == "vc_alloc") {
-    cfg.vc_alloc = parse_allocator(value);
+    cfg.vc_alloc = parse_allocator(key, value);
   } else if (key == "vc_arb") {
-    cfg.vc_arb = parse_arbiter(value);
+    cfg.vc_arb = parse_arbiter(key, value);
   } else if (key == "sw_alloc") {
-    cfg.sw_alloc = parse_allocator(value);
+    cfg.sw_alloc = parse_allocator(key, value);
   } else if (key == "sw_arb") {
-    cfg.sw_arb = parse_arbiter(value);
+    cfg.sw_arb = parse_arbiter(key, value);
   } else if (key == "spec") {
-    cfg.spec = parse_spec(value);
+    cfg.spec = parse_spec(key, value);
   } else if (key == "buffer_depth") {
-    cfg.buffer_depth = parse_size(value);
-    NOCALLOC_CHECK(cfg.buffer_depth >= 1);
+    cfg.buffer_depth = parse_size(key, value, 1);
   } else if (key == "pattern") {
-    cfg.pattern = parse_pattern(value);
+    cfg.pattern = parse_pattern(key, value);
   } else if (key == "injection_rate") {
-    cfg.injection_rate = parse_double(value);
-    NOCALLOC_CHECK(cfg.injection_rate >= 0.0);
+    cfg.injection_rate = parse_rate(key, value);
   } else if (key == "ugal_threshold") {
-    cfg.ugal_threshold = parse_size(value);
+    cfg.ugal_threshold = parse_size(key, value);
   } else if (key == "warmup_cycles") {
-    cfg.warmup_cycles = parse_size(value);
+    cfg.warmup_cycles = parse_size(key, value);
   } else if (key == "measure_cycles") {
-    cfg.measure_cycles = parse_size(value);
+    cfg.measure_cycles = parse_size(key, value);
   } else if (key == "drain_cycles") {
-    cfg.drain_cycles = parse_size(value);
+    cfg.drain_cycles = parse_size(key, value);
   } else if (key == "seed") {
-    cfg.seed = parse_size(value);
+    cfg.seed = parse_size(key, value);
   } else if (key == "check_invariants") {
-    cfg.check_invariants = parse_bool(value);
+    cfg.check_invariants = parse_bool(key, value);
   } else if (key == "disable_datelines") {
-    cfg.disable_datelines = parse_bool(value);
+    cfg.disable_datelines = parse_bool(key, value);
   } else {
-    NOCALLOC_CHECK(false);  // unknown key
+    fail("unknown config key '" + key + "'");
   }
 }
 
@@ -121,7 +133,9 @@ void apply(SimConfig& cfg, const std::string& key, const std::string& value) {
 
 void apply_override(SimConfig& cfg, const std::string& assignment) {
   const auto eq = assignment.find('=');
-  NOCALLOC_CHECK(eq != std::string::npos);
+  if (eq == std::string::npos) {
+    fail("config entry '" + assignment + "' is not of the form key=value");
+  }
   apply(cfg, trim(assignment.substr(0, eq)), trim(assignment.substr(eq + 1)));
 }
 

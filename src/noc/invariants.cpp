@@ -1,5 +1,6 @@
 #include "noc/invariants.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -50,7 +51,7 @@ void InvariantChecker::report(InvariantViolation violation) {
 // ---- Allocation-result hooks ------------------------------------------------
 
 void InvariantChecker::on_vc_alloc(const Router& router, Cycle now,
-                                   const std::vector<VcRequest>& req,
+                                   const FastVcRequest* req, std::size_t n,
                                    const std::vector<int>& grant) {
   if (!cfg_.check_allocations) return;
   ++checks_;
@@ -63,18 +64,24 @@ void InvariantChecker::on_vc_alloc(const Router& router, Cycle now,
                               static_cast<int>(input % vcs), "vc-alloc", msg});
   };
 
-  if (grant.size() != total || req.size() != total) {
+  if (grant.size() != total) {
     report(InvariantViolation{now, router.id(), -1, -1, "vc-alloc",
                               "result size does not match P*V"});
     return;
   }
 
+  // Requests are ascending by input VC, so each grant finds its request by
+  // binary search; every grant entry is scanned, so a grant to an input VC
+  // that made no request is caught whatever produced it.
   std::unordered_set<int> granted_out;
   for (std::size_t i = 0; i < total; ++i) {
     const int g = grant[i];
     if (g < 0) continue;
-    const VcRequest& r = req[i];
-    if (!r.valid) {
+    const FastVcRequest* r = std::lower_bound(
+        req, req + n, i, [](const FastVcRequest& q, std::size_t input) {
+          return q.input < input;
+        });
+    if (r == req + n || r->input != i) {
       violation(i, "grant to an input VC that made no request");
       continue;
     }
@@ -82,13 +89,13 @@ void InvariantChecker::on_vc_alloc(const Router& router, Cycle now,
       violation(i, "granted output VC index out of range");
       continue;
     }
-    const int out_port = g / static_cast<int>(vcs);
+    const auto out_port = static_cast<std::size_t>(g) / vcs;
     const auto out_vc = static_cast<std::size_t>(g) % vcs;
-    if (out_port != r.out_port) {
+    if (out_port != r->out_port) {
       violation(i, "granted VC lives at a different output port than "
                    "the one routing selected");
     }
-    if (out_vc >= r.vc_mask.size() || r.vc_mask[out_vc] == 0) {
+    if ((r->vc_mask & bits::bit(out_vc)) == 0) {
       violation(i, "granted VC is outside the request's candidate mask");
     }
     // Called pre-commit, so a legally granted output VC is still free.
@@ -102,14 +109,15 @@ void InvariantChecker::on_vc_alloc(const Router& router, Cycle now,
 }
 
 void InvariantChecker::on_sw_alloc(const Router& router, Cycle now,
-                                   const std::vector<SwitchRequest>& req,
+                                   const bits::Word* vc_words,
+                                   const std::uint8_t* out_ports,
                                    const std::vector<SwitchGrant>& grant) {
   if (!cfg_.check_allocations) return;
   ++checks_;
   const std::size_t ports = router.cfg_.ports;
   const std::size_t vcs = router.vcs_;
 
-  if (grant.size() != ports || req.size() != ports * vcs) {
+  if (grant.size() != ports) {
     report(InvariantViolation{now, router.id(), -1, -1, "sw-alloc",
                               "result size does not match port/VC counts"});
     return;
@@ -131,9 +139,10 @@ void InvariantChecker::on_sw_alloc(const Router& router, Cycle now,
       violation("granted output port out of range");
       continue;
     }
-    const SwitchRequest& r = req[p * vcs + static_cast<std::size_t>(g.vc)];
-    if (!r.valid) violation("grant to a VC that made no switch request");
-    if (r.valid && r.out_port != g.out_port) {
+    const auto v = static_cast<std::size_t>(g.vc);
+    if ((vc_words[p] & bits::bit(v)) == 0) {
+      violation("grant to a VC that made no switch request");
+    } else if (static_cast<int>(out_ports[p * vcs + v]) != g.out_port) {
       violation("grant targets a different output port than requested");
     }
     if (!granted_out.insert(g.out_port).second) {
@@ -143,27 +152,26 @@ void InvariantChecker::on_sw_alloc(const Router& router, Cycle now,
 }
 
 void InvariantChecker::on_spec_sw_alloc(
-    const Router& router, Cycle now,
-    const std::vector<SwitchRequest>& nonspec_req,
-    const std::vector<SwitchRequest>& spec_req,
-    const std::vector<SpecSwitchGrant>& grant, SpecMode mode) {
+    const Router& router, Cycle now, const bits::Word* ns_words,
+    const std::uint8_t* ns_out, const bits::Word* sp_words,
+    const std::uint8_t* sp_out, const std::vector<SpecSwitchGrant>& grant,
+    SpecMode mode) {
   if (!cfg_.check_allocations) return;
   ++checks_;
   const std::size_t ports = router.cfg_.ports;
   const std::size_t vcs = router.vcs_;
 
-  if (grant.size() != ports || nonspec_req.size() != ports * vcs ||
-      spec_req.size() != ports * vcs) {
+  if (grant.size() != ports) {
     report(InvariantViolation{now, router.id(), -1, -1, "spec-sw-alloc",
                               "result size does not match port/VC counts"});
     return;
   }
 
-  // Validate each half against its own request vector and check that the
-  // union of surviving grants is still a matching.
+  // Validate each half against its own requests and check that the union of
+  // surviving grants is still a matching.
   std::unordered_set<int> granted_out;
   auto check_half = [&](std::size_t p, const SwitchGrant& g,
-                        const std::vector<SwitchRequest>& req,
+                        const bits::Word* words, const std::uint8_t* outs,
                         const char* label) {
     auto violation = [&](const std::string& msg) {
       report(InvariantViolation{now, router.id(), static_cast<int>(p), g.vc,
@@ -178,9 +186,10 @@ void InvariantChecker::on_spec_sw_alloc(
       violation("granted output port out of range");
       return;
     }
-    const SwitchRequest& r = req[p * vcs + static_cast<std::size_t>(g.vc)];
-    if (!r.valid) violation("grant to a VC that made no request");
-    if (r.valid && r.out_port != g.out_port) {
+    const auto v = static_cast<std::size_t>(g.vc);
+    if ((words[p] & bits::bit(v)) == 0) {
+      violation("grant to a VC that made no request");
+    } else if (static_cast<int>(outs[p * vcs + v]) != g.out_port) {
       violation("grant targets a different output port than requested");
     }
     if (!granted_out.insert(g.out_port).second) {
@@ -196,8 +205,10 @@ void InvariantChecker::on_spec_sw_alloc(
                                 "both speculative and non-speculative grants "
                                 "survived at one input port"});
     }
-    if (g.nonspec.granted()) check_half(p, g.nonspec, nonspec_req, "nonspec");
-    if (g.spec.granted()) check_half(p, g.spec, spec_req, "spec");
+    if (g.nonspec.granted()) {
+      check_half(p, g.nonspec, ns_words, ns_out, "nonspec");
+    }
+    if (g.spec.granted()) check_half(p, g.spec, sp_words, sp_out, "spec");
   }
 
   // Masking rules of Sec. 5.2. With pessimistic (spec_req) masking, a
@@ -211,11 +222,11 @@ void InvariantChecker::on_spec_sw_alloc(
     const SwitchGrant& g = grant[p].spec;
     if (!g.granted()) continue;
     for (std::size_t q = 0; q < ports; ++q) {
-      for (std::size_t v = 0; v < vcs; ++v) {
-        const SwitchRequest& r = nonspec_req[q * vcs + v];
-        if (!r.valid) continue;
+      bits::Word w = ns_words[q];
+      bits::for_each_set(&w, 1, [&](std::size_t v) {
         const bool same_input = q == p;
-        const bool same_output = r.out_port == g.out_port;
+        const bool same_output =
+            static_cast<int>(ns_out[q * vcs + v]) == g.out_port;
         if (same_input || same_output) {
           report(InvariantViolation{
               now, router.id(), static_cast<int>(p), g.vc, "spec-sw-alloc",
@@ -223,7 +234,7 @@ void InvariantChecker::on_spec_sw_alloc(
               "conflicting non-speculative request at port " +
                   std::to_string(q)});
         }
-      }
+      });
     }
   }
 }

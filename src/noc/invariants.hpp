@@ -7,12 +7,16 @@
 // run (SimConfig::check_invariants, `nocsim --check-invariants`); it hooks
 // two kinds of boundaries:
 //
-//   - allocation results, validated inside Router::allocate() every cycle:
+//   - allocation results, validated inside Router::allocate() every cycle
+//     in the same sparse request/grant form the allocator kernels consume
+//     and produce, so checked runs audit the code production runs take:
 //     VC grants must match valid requests from their candidate masks with
 //     no output VC granted twice; switch grants must form a port matching;
 //     speculative grants must obey the spec_req/spec_gnt masking rules of
 //     Sec. 5.2 (a surviving speculative grant never conflicts with
-//     non-speculative traffic on either side of the crossbar).
+//     non-speculative traffic on either side of the crossbar). With a
+//     checker attached the router calls the allocators on every cycle,
+//     requests or not, so a grant without a request is caught.
 //
 //   - step boundaries, validated after every Network::step(): per-VC input
 //     state-machine legality, per-channel credit conservation (upstream
@@ -115,17 +119,19 @@ class InvariantChecker {
   // ---- Hooks ---------------------------------------------------------------
   // Called by Router::allocate() with each cycle's allocation results
   // *before* they are committed, and by Network::step() after the receive
-  // phase. Wiring happens via Network::attach_invariant_checker().
+  // phase. Wiring happens via Network::attach_invariant_checker(). The
+  // allocation hooks take the arguments of VcAllocator::allocate_sparse /
+  // SwitchAllocator::allocate_sparse / SpeculativeSwitchAllocator::
+  // allocate_sparse plus the grants those calls produced.
 
-  void on_vc_alloc(const Router& router, Cycle now,
-                   const std::vector<VcRequest>& req,
-                   const std::vector<int>& grant);
-  void on_sw_alloc(const Router& router, Cycle now,
-                   const std::vector<SwitchRequest>& req,
+  void on_vc_alloc(const Router& router, Cycle now, const FastVcRequest* req,
+                   std::size_t n, const std::vector<int>& grant);
+  void on_sw_alloc(const Router& router, Cycle now, const bits::Word* vc_words,
+                   const std::uint8_t* out_ports,
                    const std::vector<SwitchGrant>& grant);
   void on_spec_sw_alloc(const Router& router, Cycle now,
-                        const std::vector<SwitchRequest>& nonspec_req,
-                        const std::vector<SwitchRequest>& spec_req,
+                        const bits::Word* ns_words, const std::uint8_t* ns_out,
+                        const bits::Word* sp_words, const std::uint8_t* sp_out,
                         const std::vector<SpecSwitchGrant>& grant,
                         SpecMode mode);
   /// Called for every committed lookahead routing decision: a packet in

@@ -139,6 +139,10 @@ void Network::attach_invariant_checker(InvariantChecker* checker) {
   for (auto& r : routers_) r->set_invariant_checker(checker);
 }
 
+void Network::set_reference_path(bool ref) {
+  for (auto& r : routers_) r->set_reference_path(ref);
+}
+
 void Network::set_measuring(bool measuring) {
   for (auto& term : terminals_) term->set_measuring(measuring);
 }

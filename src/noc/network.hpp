@@ -121,6 +121,11 @@ class Network final : public CongestionOracle {
   /// Null detaches. The checker must outlive the network (or be detached).
   void attach_invariant_checker(InvariantChecker* checker);
 
+  /// Routes every router's allocators through their byte-loop reference
+  /// implementations (the differential oracle) instead of the single-word
+  /// kernels; results are bit-identical either way.
+  void set_reference_path(bool ref);
+
   /// Flits still inside routers or source queues (drain check).
   std::size_t in_flight() const;
 
@@ -129,7 +134,6 @@ class Network final : public CongestionOracle {
 
  private:
   friend class InvariantChecker;  // walks wiring records for conservation
-  friend class ReplicaSim;        // replays step()'s phases across lanes
 
   /// One inter-router link with the channels that realise it, kept so the
   /// invariant checker can audit the credit loop end to end.

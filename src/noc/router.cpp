@@ -22,23 +22,22 @@ Router::Router(int id, const RouterConfig& cfg, RoutingFunction& routing,
       flits_out_(cfg.ports, nullptr),
       credits_in_(cfg.ports, nullptr),
       downstream_(cfg.ports, -1),
-      vreq_(cfg.ports * vcs_),
-      nonspec_req_(cfg.ports * vcs_),
-      spec_req_(cfg.ports * vcs_) {
+      va_req_(cfg.ports * vcs_),
+      vgrant_(cfg.ports * vcs_, -1),
+      ns_words_(cfg.ports, 0),
+      sp_words_(cfg.ports, 0),
+      req_out_port_(cfg.ports * vcs_, 0),
+      out_alloc_words_(cfg.ports, 0),
+      // All credits start at buffer_depth > 0.
+      out_credit_words_(cfg.ports, bits::low_mask(vcs_)) {
   NOCALLOC_CHECK(cfg.ports > 0 && cfg.buffer_depth > 0);
+  // The sparse request form packs a port's VCs, and the ports, into one
+  // word each (SimInstance rejects larger shapes with a message).
+  NOCALLOC_CHECK(vcs_ <= bits::kWordBits && cfg.ports <= bits::kWordBits);
   for (auto& ivc : input_vcs_) ivc.buffer.reset_capacity(cfg.buffer_depth);
   for (auto& ovc : output_vcs_) ovc.credits = cfg.buffer_depth;
-
-  const std::size_t total = cfg.ports * vcs_;
-  // Pre-size every scratch request's candidate mask so the per-cycle
-  // vc_mask.assign() only rewrites bytes and never allocates, even for input
-  // VCs first touched long after warmup.
-  for (auto& r : vreq_) r.vc_mask.assign(vcs_, 0);
-  vgrant_.reserve(total);
   sw_grants_.reserve(cfg.ports);
   spec_grants_.reserve(cfg.ports);
-  touched_wait_.reserve(total);
-  touched_nonspec_.reserve(total);
 
   VcAllocatorConfig va{cfg.ports, cfg.partition, cfg.vc_alloc_kind, cfg.vc_arb,
                        /*sparse=*/true};
@@ -54,27 +53,14 @@ Router::Router(int id, const RouterConfig& cfg, RoutingFunction& routing,
   } else {
     spec_alloc_ = std::make_unique<SpeculativeSwitchAllocator>(sa, cfg.spec);
   }
-
-  // Replica fast path: available when every allocator stage reports a
-  // single-word sparse kernel (separable input-/output-first and wavefront
-  // families over round-robin or matrix arbiters).
-  fast_ok_ = vcs_ <= bits::kWordBits && cfg_.ports <= bits::kWordBits &&
-             vc_alloc_->fast_ready() &&
-             (cfg_.spec == SpecMode::kNonSpeculative
-                  ? sw_alloc_->fast_ready()
-                  : spec_alloc_->fast_ready());
   va_rotates_ = cfg_.vc_alloc_kind == AllocatorKind::kWavefront;
   sa_rotates_ = cfg_.sw_alloc_kind == AllocatorKind::kWavefront;
-  if (fast_ok_) {
-    fast_vreq_.resize(total);
-    fast_ns_words_.assign(cfg_.ports, 0);
-    fast_sp_words_.assign(cfg_.ports, 0);
-    fast_out_port_.assign(total, 0);
-    vgrant_.assign(total, -1);
-    out_alloc_words_.assign(cfg_.ports, 0);
-    // All credits start at buffer_depth > 0.
-    out_credit_words_.assign(cfg_.ports, bits::low_mask(vcs_));
-  }
+}
+
+void Router::set_reference_path(bool ref) {
+  vc_alloc_->set_reference_path(ref);
+  if (sw_alloc_ != nullptr) sw_alloc_->set_reference_path(ref);
+  if (spec_alloc_ != nullptr) spec_alloc_->set_reference_path(ref);
 }
 
 void Router::attach_input(int port, Channel<Flit>* flits_in,
@@ -169,9 +155,7 @@ void Router::receive(Cycle now) {
       OutputVc& ovc = output_vc(p, static_cast<std::size_t>(credit->vc));
       NOCALLOC_DCHECK(ovc.credits < cfg_.buffer_depth);
       ++ovc.credits;
-      if (fast_ok_) {
-        out_credit_words_[p] |= bits::bit(static_cast<std::size_t>(credit->vc));
-      }
+      out_credit_words_[p] |= bits::bit(static_cast<std::size_t>(credit->vc));
       ch->pop();
     }
     if (ch->empty()) rx_credit_pending_ &= ~bits::bit(p);
@@ -179,16 +163,17 @@ void Router::receive(Cycle now) {
 }
 
 void Router::allocate(Cycle now) {
-  // No input VC holds a packet, so this cycle cannot produce any request.
-  // Skip the allocator calls entirely; next_alloc_cycle_ stays behind so the
-  // catch-up below accounts for this cycle once there is work again. (An
-  // all-empty allocate() is equivalent to advance_priority(1) for every
-  // allocator architecture: wavefront diagonals rotate unconditionally,
-  // separable arbiters and pre-selects update only on grants.) With a
-  // checker attached the allocators still run on empty cycles, so broken
-  // allocators that grant without requests are caught even in idle networks.
-  if (checker_ == nullptr &&
-      !bits::any(wait_mask_.data(), wait_mask_.size()) &&
+  // With a checker attached the allocators run on every cycle, requests or
+  // not, so a broken allocator that grants without a request is caught even
+  // in an idle network. Otherwise a cycle without packets cannot produce
+  // any request and is skipped entirely; next_alloc_cycle_ stays behind so
+  // the catch-up below accounts for it once there is work again. (An
+  // all-empty allocation cycle is equivalent to advance_priority(1) for
+  // every allocator architecture: wavefront diagonals rotate
+  // unconditionally, separable arbiters and pre-selects update only on
+  // grants.)
+  const bool audit = checker_ != nullptr;
+  if (!audit && !bits::any(wait_mask_.data(), wait_mask_.size()) &&
       !bits::any(active_mask_.data(), active_mask_.size())) {
     return;
   }
@@ -204,155 +189,13 @@ void Router::allocate(Cycle now) {
   }
   next_alloc_cycle_ = now + 1;
 
-  // --- VC allocation requests (heads still waiting for an output VC) -------
-  // Waiting heads also bid speculatively for the switch in the same cycle.
-  bits::for_each_set(wait_mask_.data(), wait_mask_.size(), [&](std::size_t i) {
-    InputVc& ivc = input_vcs_[i];
-    NOCALLOC_DCHECK(!ivc.buffer.empty() && ivc.buffer.front().head);
-    const Packet& pkt = arena_->get(ivc.buffer.front().packet);
-    VcRequest& r = vreq_[i];
-    r.valid = true;
-    r.out_port = ivc.route.out_port;
-    r.vc_mask.assign(vcs_, 0);
-    const std::size_t m = message_class_of(pkt.type);
-    const std::size_t base =
-        cfg_.partition.class_base(m, ivc.route.resource_class);
-    for (std::size_t c = 0; c < cfg_.partition.vcs_per_class(); ++c) {
-      const std::size_t w = base + c;
-      if (!output_vc(static_cast<std::size_t>(r.out_port), w).allocated) {
-        r.vc_mask[w] = 1;
-      }
-    }
-    if (cfg_.spec != SpecMode::kNonSpeculative) {
-      spec_req_[i] = {true, ivc.route.out_port};
-    }
-    touched_wait_.push_back(i);
-  });
-
-  vc_alloc_->allocate(vreq_, vgrant_);
-  vgrant_dirty_ = true;  // full rewrite leaves granted entries >= 0 behind
-  if (checker_ != nullptr) checker_->on_vc_alloc(*this, now, vreq_, vgrant_);
-
-  // --- Switch allocation requests (from pre-VA state) ----------------------
-  bits::for_each_set(
-      active_mask_.data(), active_mask_.size(), [&](std::size_t i) {
-        InputVc& ivc = input_vcs_[i];
-        if (ivc.buffer.empty()) return;
-        const OutputVc& ovc =
-            output_vc(static_cast<std::size_t>(ivc.route.out_port),
-                      static_cast<std::size_t>(ivc.out_vc));
-        if (ovc.credits == 0) return;  // no downstream slot: do not bid
-        nonspec_req_[i] = {true, ivc.route.out_port};
-        touched_nonspec_.push_back(i);
-      });
-
-  // --- Commit VC grants (heads acquire their output VC this cycle) ---------
-  for (const std::size_t i : touched_wait_) {
-    if (vgrant_[i] < 0) continue;
-    InputVc& ivc = input_vcs_[i];
-    const std::size_t out_vc = static_cast<std::size_t>(vgrant_[i]) % vcs_;
-    OutputVc& ovc =
-        output_vc(static_cast<std::size_t>(ivc.route.out_port), out_vc);
-    NOCALLOC_DCHECK(!ovc.allocated);
-    ovc.allocated = true;
-    if (fast_ok_) {
-      out_alloc_words_[static_cast<std::size_t>(ivc.route.out_port)] |=
-          bits::bit(out_vc);
-    }
-    ivc.out_vc = static_cast<int>(out_vc);
-    set_vc_state(i, VcState::kActive);
-    ++stats_.vc_allocs;
-  }
-
-  // --- Switch allocation and commit ----------------------------------------
-  if (cfg_.spec == SpecMode::kNonSpeculative) {
-    sw_alloc_->allocate(nonspec_req_, sw_grants_);
-    if (checker_ != nullptr) {
-      checker_->on_sw_alloc(*this, now, nonspec_req_, sw_grants_);
-    }
-    for (std::size_t p = 0; p < cfg_.ports; ++p) {
-      if (sw_grants_[p].granted()) {
-        commit_grant(p, static_cast<std::size_t>(sw_grants_[p].vc), now);
-      }
-    }
-  } else {
-    spec_alloc_->allocate(nonspec_req_, spec_req_, spec_grants_);
-    if (checker_ != nullptr) {
-      checker_->on_spec_sw_alloc(*this, now, nonspec_req_, spec_req_,
-                                 spec_grants_, cfg_.spec);
-    }
-    for (std::size_t p = 0; p < cfg_.ports; ++p) {
-      const SpecSwitchGrant& g = spec_grants_[p];
-      if (g.nonspec.granted()) {
-        commit_grant(p, static_cast<std::size_t>(g.nonspec.vc), now);
-      } else if (g.spec.granted()) {
-        // A speculative grant only holds if the head also won VC allocation
-        // this cycle and the fresh output VC has a credit available.
-        const std::size_t v = static_cast<std::size_t>(g.spec.vc);
-        InputVc& ivc = input_vc(p, v);
-        const bool va_won = ivc.state == VcState::kActive && ivc.out_vc >= 0;
-        if (va_won &&
-            output_vc(static_cast<std::size_t>(ivc.route.out_port),
-                      static_cast<std::size_t>(ivc.out_vc))
-                    .credits > 0) {
-          commit_grant(p, v, now);
-          ++stats_.spec_grants_used;
-        } else {
-          ++stats_.misspeculations;
-        }
-      }
-    }
-  }
-
-  // Clear only the request entries this cycle touched, so cleanup cost
-  // tracks traffic rather than ports * vcs.
-  for (const std::size_t i : touched_wait_) {
-    vreq_[i].valid = false;
-    spec_req_[i].valid = false;
-  }
-  for (const std::size_t i : touched_nonspec_) nonspec_req_[i].valid = false;
-  touched_wait_.clear();
-  touched_nonspec_.clear();
-}
-
-void Router::allocate_fast(Cycle now) {
-  // Configurations without a single-word kernel, checker-attached routers
-  // (which must run allocators on empty cycles and report every result), and
-  // reference-path oracles all take the scalar path; its results are
-  // bit-identical by contract, so lanes can mix freely.
-  if (!fast_ok_ || checker_ != nullptr || vc_alloc_->reference_path()) {
-    allocate(now);
-    return;
-  }
-  if (!bits::any(wait_mask_.data(), wait_mask_.size()) &&
-      !bits::any(active_mask_.data(), active_mask_.size())) {
-    return;
-  }
-
-  if (now > next_alloc_cycle_) {
-    const std::uint64_t gap = now - next_alloc_cycle_;
-    vc_alloc_->advance_priority(gap);
-    if (sw_alloc_ != nullptr) sw_alloc_->advance_priority(gap);
-    if (spec_alloc_ != nullptr) spec_alloc_->advance_priority(gap);
-  }
-  next_alloc_cycle_ = now + 1;
-
   const bool speculative = cfg_.spec != SpecMode::kNonSpeculative;
   const bits::Word class_span = bits::low_mask(cfg_.partition.vcs_per_class());
 
-  // Restore the kernels' all--1 vgrant_ contract if a scalar cycle (fallback
-  // or direct allocate() call) rewrote the vector; fast cycles maintain the
-  // invariant per granted entry in the commit scan below, so the bulk wipe
-  // runs only when something actually dirtied it.
-  if (vgrant_dirty_) {
-    std::fill(vgrant_.begin(), vgrant_.end(), -1);
-    vgrant_dirty_ = false;
-  }
-
-  // --- VC allocation requests, packed into single-word candidate masks -----
+  // --- VC allocation requests (heads still waiting for an output VC) -------
   // The candidate set (free VCs of the packet's class at the requested
-  // output) is one word op against the derived allocated-mask instead of a
-  // C-wide scan over the OutputVc structs.
+  // output) is one word op against the derived allocated-mask. Waiting
+  // heads also bid speculatively for the switch in the same cycle.
   std::size_t n_vreq = 0;
   bits::for_each_set(wait_mask_.data(), wait_mask_.size(), [&](std::size_t i) {
     InputVc& ivc = input_vcs_[i];
@@ -363,20 +206,20 @@ void Router::allocate_fast(Cycle now) {
     const std::size_t base =
         cfg_.partition.class_base(m, ivc.route.resource_class);
     const bits::Word mask = (class_span << base) & ~out_alloc_words_[out_port];
-    fast_vreq_[n_vreq++] = {static_cast<std::uint32_t>(i),
-                            static_cast<std::uint32_t>(out_port), mask};
+    va_req_[n_vreq++] = {static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(out_port), mask};
     if (speculative) {
-      fast_sp_words_[i / vcs_] |= bits::bit(i % vcs_);
-      fast_out_port_[i] = static_cast<std::uint8_t>(out_port);
+      sp_words_[i / vcs_] |= bits::bit(i % vcs_);
+      req_out_port_[i] = static_cast<std::uint8_t>(out_port);
     }
   });
 
-  if (n_vreq != 0) {
-    vc_alloc_->allocate_fast(fast_vreq_.data(), n_vreq, vgrant_);
+  if (n_vreq != 0 || audit) {
+    vc_alloc_->allocate_sparse(va_req_.data(), n_vreq, vgrant_);
+    if (audit) {
+      checker_->on_vc_alloc(*this, now, va_req_.data(), n_vreq, vgrant_);
+    }
   } else if (va_rotates_) {
-    // The scalar path calls the VC allocator every non-empty cycle; a
-    // wavefront VA rotates its diagonals even with zero requests, so the
-    // skipped kernel call is replayed as a pure priority rotation.
     vc_alloc_->advance_priority(1);
   }
 
@@ -386,20 +229,19 @@ void Router::allocate_fast(Cycle now) {
       active_mask_.data(), active_mask_.size(), [&](std::size_t i) {
         InputVc& ivc = input_vcs_[i];
         if (ivc.buffer.empty()) return;
-        // No downstream slot: do not bid (credit-mask bit test, same
-        // predicate as the scalar path's ovc.credits == 0 check).
+        // No downstream slot: do not bid.
         if ((out_credit_words_[static_cast<std::size_t>(ivc.route.out_port)] &
              bits::bit(static_cast<std::size_t>(ivc.out_vc))) == 0) {
           return;
         }
-        fast_ns_words_[i / vcs_] |= bits::bit(i % vcs_);
+        ns_words_[i / vcs_] |= bits::bit(i % vcs_);
         ns_any |= bits::bit(i / vcs_);
-        fast_out_port_[i] = static_cast<std::uint8_t>(ivc.route.out_port);
+        req_out_port_[i] = static_cast<std::uint8_t>(ivc.route.out_port);
       });
 
-  // --- Commit VC grants ----------------------------------------------------
+  // --- Commit VC grants (heads acquire their output VC this cycle) ---------
   for (std::size_t k = 0; k < n_vreq; ++k) {
-    const std::size_t i = fast_vreq_[k].input;
+    const std::size_t i = va_req_[k].input;
     if (vgrant_[i] < 0) continue;
     InputVc& ivc = input_vcs_[i];
     const std::size_t out_vc = static_cast<std::size_t>(vgrant_[i]) % vcs_;
@@ -415,32 +257,43 @@ void Router::allocate_fast(Cycle now) {
   }
 
   // --- Switch allocation and commit ----------------------------------------
-  // With no requests reaching a stage, its kernel and commit scan are no-ops
-  // on every piece of state they touch (separable arbiters update only on
-  // grants), so the stage is skipped -- except for wavefront cores, whose
-  // unconditional diagonal rotation is replayed via advance_priority(1).
+  // With no request reaching a stage (and no checker), its allocator call
+  // and commit scan are no-ops on every piece of state they touch, so the
+  // stage is skipped -- except for wavefront cores, whose unconditional
+  // diagonal rotation is replayed via advance_priority(1).
   if (!speculative) {
-    if (ns_any != 0) {
-      sw_alloc_->allocate_fast(fast_ns_words_.data(), fast_out_port_.data(),
-                               sw_grants_);
+    if (ns_any != 0 || audit) {
+      sw_alloc_->allocate_sparse(ns_words_.data(), req_out_port_.data(),
+                                 sw_grants_);
+      if (audit) {
+        checker_->on_sw_alloc(*this, now, ns_words_.data(),
+                              req_out_port_.data(), sw_grants_);
+      }
       for (std::size_t p = 0; p < cfg_.ports; ++p) {
         if (sw_grants_[p].granted()) {
           commit_grant(p, static_cast<std::size_t>(sw_grants_[p].vc), now);
         }
       }
-      std::fill(fast_ns_words_.begin(), fast_ns_words_.end(), bits::Word{0});
+      std::fill(ns_words_.begin(), ns_words_.end(), bits::Word{0});
     } else if (sa_rotates_) {
       sw_alloc_->advance_priority(1);
     }
-  } else if (ns_any != 0 || n_vreq != 0) {
-    spec_alloc_->allocate_fast(fast_ns_words_.data(), fast_out_port_.data(),
-                               fast_sp_words_.data(), fast_out_port_.data(),
-                               spec_grants_);
+  } else if (ns_any != 0 || n_vreq != 0 || audit) {
+    spec_alloc_->allocate_sparse(ns_words_.data(), req_out_port_.data(),
+                                 sp_words_.data(), req_out_port_.data(),
+                                 spec_grants_);
+    if (audit) {
+      checker_->on_spec_sw_alloc(*this, now, ns_words_.data(),
+                                 req_out_port_.data(), sp_words_.data(),
+                                 req_out_port_.data(), spec_grants_, cfg_.spec);
+    }
     for (std::size_t p = 0; p < cfg_.ports; ++p) {
       const SpecSwitchGrant& g = spec_grants_[p];
       if (g.nonspec.granted()) {
         commit_grant(p, static_cast<std::size_t>(g.nonspec.vc), now);
       } else if (g.spec.granted()) {
+        // A speculative grant only holds if the head also won VC allocation
+        // this cycle and the fresh output VC has a credit available.
         const std::size_t v = static_cast<std::size_t>(g.spec.vc);
         InputVc& ivc = input_vc(p, v);
         const bool va_won = ivc.state == VcState::kActive && ivc.out_vc >= 0;
@@ -454,11 +307,11 @@ void Router::allocate_fast(Cycle now) {
         }
       }
     }
-    std::fill(fast_ns_words_.begin(), fast_ns_words_.end(), bits::Word{0});
-    std::fill(fast_sp_words_.begin(), fast_sp_words_.end(), bits::Word{0});
+    std::fill(ns_words_.begin(), ns_words_.end(), bits::Word{0});
+    std::fill(sp_words_.begin(), sp_words_.end(), bits::Word{0});
   } else if (sa_rotates_) {
-    // Credit-blocked cycle with no bids on either side: the scalar path
-    // still runs both inner allocators, rotating wavefront cores.
+    // Credit-blocked cycle with no bids on either side: both inner
+    // allocators would still have run, rotating wavefront cores.
     spec_alloc_->advance_priority(1);
   }
 }
@@ -476,9 +329,7 @@ void Router::commit_grant(std::size_t port, std::size_t vc, Cycle now) {
   OutputVc& ovc = output_vc(out_port, out_vc);
   NOCALLOC_DCHECK(ovc.credits > 0);
   --ovc.credits;
-  if (fast_ok_ && ovc.credits == 0) {
-    out_credit_words_[out_port] &= ~bits::bit(out_vc);
-  }
+  if (ovc.credits == 0) out_credit_words_[out_port] &= ~bits::bit(out_vc);
 
   flit.vc = static_cast<int>(out_vc);
   if (flit.head) {
@@ -515,7 +366,7 @@ void Router::commit_grant(std::size_t port, std::size_t vc, Cycle now) {
 
   if (tail) {
     ovc.allocated = false;
-    if (fast_ok_) out_alloc_words_[out_port] &= ~bits::bit(out_vc);
+    out_alloc_words_[out_port] &= ~bits::bit(out_vc);
     ivc.out_vc = -1;
     if (!ivc.buffer.empty()) {
       start_packet(idx, ivc.buffer.front());
@@ -611,24 +462,19 @@ void Router::load_state(StateReader& r) {
     ovc.credits = static_cast<std::size_t>(r.u64());
     NOCALLOC_CHECK(ovc.credits <= cfg_.buffer_depth);
   }
-  if (fast_ok_) {
-    // Rebuild the derived per-port words from the restored OutputVc structs,
-    // and conservatively mark every attached port pending (the masks
-    // self-heal as receive() finds the channels empty).
-    for (std::size_t p = 0; p < cfg_.ports; ++p) {
-      bits::Word alloc = 0;
-      bits::Word credit = 0;
-      for (std::size_t v = 0; v < vcs_; ++v) {
-        const OutputVc& ovc = output_vc(p, v);
-        if (ovc.allocated) alloc |= bits::bit(v);
-        if (ovc.credits > 0) credit |= bits::bit(v);
-      }
-      out_alloc_words_[p] = alloc;
-      out_credit_words_[p] = credit;
+  // Rebuild the derived per-port words from the restored OutputVc structs,
+  // and conservatively mark every attached port pending (the masks
+  // self-heal as receive() finds the channels empty).
+  for (std::size_t p = 0; p < cfg_.ports; ++p) {
+    bits::Word alloc = 0;
+    bits::Word credit = 0;
+    for (std::size_t v = 0; v < vcs_; ++v) {
+      const OutputVc& ovc = output_vc(p, v);
+      if (ovc.allocated) alloc |= bits::bit(v);
+      if (ovc.credits > 0) credit |= bits::bit(v);
     }
-    // The restored stream says nothing about vgrant_ (pure scratch); treat
-    // it as dirtied so the next fast cycle re-establishes the all--1 state.
-    vgrant_dirty_ = true;
+    out_alloc_words_[p] = alloc;
+    out_credit_words_[p] = credit;
   }
   rx_flit_pending_ = 0;
   rx_credit_pending_ = 0;

@@ -19,10 +19,14 @@
 // the flit is sent at t, arriving on the exact same cycle with two fewer
 // copies and no per-port staging state.
 //
-// The per-cycle path is allocation-free in steady state: input VC buffers
-// are fixed-capacity rings, the crossbar and credit-return registers are
-// one-deep slots, and the allocator request/grant vectors are reused member
-// scratch. Occupied input VCs are tracked in packed bitmasks (wait_mask_ /
+// The allocator stage issues its requests in sparse single-word form (one
+// FastVcRequest per waiting head; per-port VC words plus a requested-output
+// byte per VC for SA), which the allocators' allocate_sparse() entry points
+// feed to their family kernels -- or, for families without one, adapt to
+// the dense allocate(). Hence V = M*R*C and P must each fit one 64-bit
+// word. The per-cycle path is allocation-free in steady state: input VC
+// buffers are fixed-capacity rings and the request/grant scratch is sized
+// once. Occupied input VCs are tracked in packed bitmasks (wait_mask_ /
 // active_mask_) so allocate() touches only VCs that actually hold packets,
 // and the Network's active-set scheduler can skip the router entirely while
 // it is quiescent. Allocators with cycle-rotating priority state (wavefront
@@ -100,20 +104,6 @@ class Router {
 
   void allocate(Cycle now);
 
-  /// Devirtualized allocate() for the replica engine: the same stage
-  /// sequence, stats, and priority-state evolution, but the VC-request
-  /// build, VA, SA, and speculation masks run as single-word sparse kernels
-  /// against the allocators' own priority state (separable input-/output-
-  /// first, wavefront; round-robin or matrix arbiters). Falls back to
-  /// allocate() whenever the configuration has no fast path (maximum-size
-  /// allocators, over-word dimensions, attached checker, or reference-path
-  /// mode), so results are bit-identical either way.
-  void allocate_fast(Cycle now);
-
-  /// True when allocate_fast() takes its devirtualized path rather than
-  /// falling back (exposed for tests and benches).
-  bool fast_path_active() const { return fast_ok_ && checker_ == nullptr; }
-
   void receive(Cycle now);
 
   /// True while the router can still make progress on its own: buffered
@@ -131,8 +121,23 @@ class Router {
   std::size_t buffered_flits() const;
 
   /// Attaches a protocol checker; allocate() reports every allocation result
-  /// to it before committing. Null detaches.
+  /// to it before committing, and runs the allocators even on cycles without
+  /// requests so a grant without a request is caught. Null detaches.
   void set_invariant_checker(InvariantChecker* checker) { checker_ = checker; }
+
+  /// Routes every allocator through its byte-loop reference implementation
+  /// (the differential oracle) instead of its single-word kernel; results
+  /// are bit-identical either way.
+  void set_reference_path(bool ref);
+
+  /// The allocators behind the VA and SA stages (exposed so tests can check
+  /// which families run a kernel). switch_allocator() is null on
+  /// speculative routers, speculative_allocator() on non-speculative ones.
+  const VcAllocator& vc_allocator() const { return *vc_alloc_; }
+  const SwitchAllocator* switch_allocator() const { return sw_alloc_.get(); }
+  const SpeculativeSwitchAllocator* speculative_allocator() const {
+    return spec_alloc_.get();
+  }
 
   /// Serializes / restores the router's mutable state: input VC buffers and
   /// state machines, output VC credit counters, allocator priorities, the
@@ -195,17 +200,16 @@ class Router {
   std::vector<Channel<Credit>*> credits_in_;
   std::vector<int> downstream_;
 
-  // Member scratch for allocate(): request/grant vectors sized once and
-  // reused every cycle. Entries are cleared via the touched-index lists so
-  // cleanup is proportional to the cycle's traffic, not to ports * vcs.
-  std::vector<VcRequest> vreq_;
-  std::vector<int> vgrant_;
-  std::vector<SwitchRequest> nonspec_req_;
-  std::vector<SwitchRequest> spec_req_;
+  // Member scratch for allocate(), sized once. vgrant_ holds -1 everywhere
+  // between cycles (allocate_sparse's contract); the commit scan resets
+  // each entry it reads.
+  std::vector<FastVcRequest> va_req_;  // waiting heads, ascending by input
+  std::vector<int> vgrant_;            // [p * V + v]: granted output VC
+  std::vector<bits::Word> ns_words_;   // [p]: SA-requesting VCs
+  std::vector<bits::Word> sp_words_;   // [p]: speculative bids
+  std::vector<std::uint8_t> req_out_port_;  // [p * V + v]: requested output
   std::vector<SwitchGrant> sw_grants_;
   std::vector<SpecSwitchGrant> spec_grants_;
-  std::vector<std::size_t> touched_wait_;
-  std::vector<std::size_t> touched_nonspec_;
 
   // The cycle the next allocate() call is expected at. When the active-set
   // scheduler skipped cycles, allocate() first advances the allocators'
@@ -224,32 +228,17 @@ class Router {
   bits::Word rx_flit_pending_ = 0;
   bits::Word rx_credit_pending_ = 0;
 
-  // Replica fast path: single-word request scratch (per-port VC masks and
-  // the per-input-VC requested output port). The kernels themselves are the
-  // allocators' own allocate_fast overrides, gated by fast_ready().
-  bool fast_ok_ = false;
   // Allocators with cycle-rotating priority state (wavefront diagonals)
-  // rotate on every allocate() call, requested or not; when the fast path
-  // skips a stage's kernel because no request reached it, it compensates
-  // with advance_priority(1) so the rotation matches the scalar path.
+  // rotate on every allocation cycle, requested or not; when allocate()
+  // skips a stage because no request reached it, it replays the call as
+  // advance_priority(1).
   bool va_rotates_ = false;
   bool sa_rotates_ = false;
-  // True whenever vgrant_ may hold stale (>= 0) entries: scalar allocate()
-  // rewrites the whole vector and leaves grants behind, and load_state
-  // restores unrelated content. The fast path's kernels require the all--1
-  // contract on entry, restore it per granted entry on commit, and bulk-wipe
-  // only when this flag says a scalar cycle actually dirtied the vector.
-  bool vgrant_dirty_ = false;
-  std::vector<FastVcRequest> fast_vreq_;
-  std::vector<bits::Word> fast_ns_words_;     // [p]: SA-requesting VCs
-  std::vector<bits::Word> fast_sp_words_;     // [p]: speculative bids
-  std::vector<std::uint8_t> fast_out_port_;   // [p * V + v]
-  // Derived per-output-port words mirroring the OutputVc structs
-  // (maintained only when fast_ok_; rebuilt on load_state): bit v of
-  // out_alloc_words_[p] mirrors output_vc(p, v).allocated, bit v of
-  // out_credit_words_[p] mirrors credits > 0. They turn the fast path's
-  // per-head candidate scan (C scattered struct loads) and per-bid credit
-  // check into single word ops.
+  // Derived per-output-port words mirroring the OutputVc structs (rebuilt
+  // on load_state): bit v of out_alloc_words_[p] mirrors
+  // output_vc(p, v).allocated, bit v of out_credit_words_[p] mirrors
+  // credits > 0. They turn the per-head candidate scan and the per-bid
+  // credit check into single word ops.
   std::vector<bits::Word> out_alloc_words_;
   std::vector<bits::Word> out_credit_words_;
 

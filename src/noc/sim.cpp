@@ -84,6 +84,17 @@ SimInstance::SimInstance(const SimConfig& cfg) : cfg_(cfg) {
   NetworkConfig net_cfg;
   net_cfg.router.ports = topo_->ports();
   net_cfg.router.partition = partition_for(cfg_.topology, cfg_.vcs_per_class);
+  const VcPartition& part = net_cfg.router.partition;
+  if (part.total_vcs() > bits::kWordBits ||
+      net_cfg.router.ports > bits::kWordBits) {
+    fail("unsupported design point: " + to_string(cfg_.topology) +
+         " with V = " + std::to_string(part.message_classes()) + "*" +
+         std::to_string(part.resource_classes()) + "*" +
+         std::to_string(part.vcs_per_class()) + " = " +
+         std::to_string(part.total_vcs()) + " VCs per port and P = " +
+         std::to_string(net_cfg.router.ports) +
+         " ports; the allocators need V <= 64 and P <= 64");
+  }
   net_cfg.router.buffer_depth = cfg_.buffer_depth;
   net_cfg.router.vc_alloc_kind = cfg_.vc_alloc;
   net_cfg.router.vc_arb = cfg_.vc_arb;
@@ -129,7 +140,7 @@ void SimInstance::set_injection_rate(double rate) {
   net_->set_request_rate(rate / 6.0);
 }
 
-std::uint64_t SimInstance::measure_begin() {
+SimResult SimInstance::measure_and_drain() {
   packet_latency_.reset();
   network_latency_.reset();
   latency_hist_.reset();
@@ -138,29 +149,16 @@ std::uint64_t SimInstance::measure_begin() {
   // accepted throughput is the flit injection rate the terminals sustain.
   net_->set_measuring(true);
   measuring_ = true;
-  return net_->flits_injected();
-}
-
-std::uint64_t SimInstance::measure_end() {
+  const std::uint64_t flits_before = net_->flits_injected();
+  run_cycles(cfg_.measure_cycles);
   const std::uint64_t flits_after = net_->flits_injected();
   net_->set_measuring(false);
   measuring_ = false;
-  return flits_after;
-}
-
-SimResult SimInstance::measure_and_drain() {
-  const std::uint64_t flits_before = measure_begin();
-  run_cycles(cfg_.measure_cycles);
-  const std::uint64_t flits_after = measure_end();
 
   // Drain: unmeasured traffic keeps flowing so measured packets finish
   // under steady-state conditions.
   run_cycles(cfg_.drain_cycles);
-  return collect_result(flits_before, flits_after);
-}
 
-SimResult SimInstance::collect_result(std::uint64_t flits_before,
-                                      std::uint64_t flits_after) {
   // Every drained packet must have returned its arena slot; a leak here
   // would eventually exhaust the arena in long sweeps.
   if (net_->in_flight() == 0) NOCALLOC_DCHECK(net_->arena().live() == 0);

@@ -122,6 +122,8 @@ struct SimSnapshot {
 /// latency accumulators; non-copyable (the network holds pointers into it).
 class SimInstance {
  public:
+  /// Aborts with a message naming V and P when the design point exceeds the
+  /// one-word sparse allocator form (V = M*R*C > 64 VCs or P > 64 ports).
   explicit SimInstance(const SimConfig& cfg);
   SimInstance(const SimInstance&) = delete;
   SimInstance& operator=(const SimInstance&) = delete;
@@ -156,19 +158,6 @@ class SimInstance {
   void restore(const SimSnapshot& snap);
 
  private:
-  friend class ReplicaSim;  // drives the phases below in lock-step
-
-  /// measure_and_drain() split into its non-stepping pieces so the replica
-  /// engine can interleave lane stepping: begin (reset accumulators, start
-  /// measuring, returns flits injected so far), end (returns the counter
-  /// again, stops measuring), collect (assembles the SimResult after the
-  /// drain). measure_and_drain() == begin + measure cycles + end + drain
-  /// cycles + collect, so results are bit-identical by construction.
-  std::uint64_t measure_begin();
-  std::uint64_t measure_end();
-  SimResult collect_result(std::uint64_t flits_before,
-                           std::uint64_t flits_after);
-
   SimConfig cfg_;
   std::unique_ptr<Topology> topo_;
   InvariantChecker checker_;

@@ -20,15 +20,9 @@ class SaSeparableInputFirst final : public SwitchAllocator {
  public:
   SaSeparableInputFirst(std::size_t ports, std::size_t vcs, ArbiterKind arb);
 
-  /// True when allocate_fast() is available: round-robin or matrix arbiters
-  /// with V and P each fitting one lane word.
+  /// True when the single-word kernel is available: round-robin or
+  /// matrix arbiters with V and P each fitting one lane word.
   bool fast_ready() const override { return fast_ok_; }
-
-  /// Sparse single-word variant of the word-parallel fast path, bit-identical
-  /// to allocate() in grants and arbiter state; see
-  /// SwitchAllocator::allocate_fast for the contract.
-  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
-                     std::vector<SwitchGrant>& grant) override;
 
   void allocate(const std::vector<SwitchRequest>& req,
                 std::vector<SwitchGrant>& grant) override;
@@ -43,6 +37,12 @@ class SaSeparableInputFirst final : public SwitchAllocator {
   }
 
  private:
+  /// Sparse single-word variant of the word-parallel fast path, bit-identical
+  /// to allocate() in grants and arbiter state; see
+  /// SwitchAllocator::allocate_sparse for the contract.
+  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
+                     std::vector<SwitchGrant>& grant) override;
+
   void allocate_mask(const std::vector<SwitchRequest>& req,
                      std::vector<SwitchGrant>& grant);
   void allocate_ref(const std::vector<SwitchRequest>& req,
@@ -69,16 +69,9 @@ class SaSeparableOutputFirst final : public SwitchAllocator {
  public:
   SaSeparableOutputFirst(std::size_t ports, std::size_t vcs, ArbiterKind arb);
 
-  /// True when allocate_fast() is available: round-robin or matrix arbiters
-  /// with V and P each fitting one lane word.
+  /// True when the single-word kernel is available: round-robin or
+  /// matrix arbiters with V and P each fitting one lane word.
   bool fast_ready() const override { return fast_ok_; }
-
-  /// Sparse single-word sep_of kernel: per-output union columns arbitrate
-  /// first (all picks pure), then each winning input port's V:1 arbiter
-  /// chooses among VCs whose output chose it, updating priorities exactly as
-  /// allocate_mask does. See SwitchAllocator::allocate_fast for the contract.
-  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
-                     std::vector<SwitchGrant>& grant) override;
 
   void allocate(const std::vector<SwitchRequest>& req,
                 std::vector<SwitchGrant>& grant) override;
@@ -93,6 +86,13 @@ class SaSeparableOutputFirst final : public SwitchAllocator {
   }
 
  private:
+  /// Sparse single-word sep_of kernel: per-output union columns arbitrate
+  /// first (all picks pure), then each winning input port's V:1 arbiter
+  /// chooses among VCs whose output chose it, updating priorities exactly as
+  /// allocate_mask does. See SwitchAllocator::allocate_sparse for the contract.
+  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
+                     std::vector<SwitchGrant>& grant) override;
+
   void allocate_mask(const std::vector<SwitchRequest>& req,
                      std::vector<SwitchGrant>& grant);
   void allocate_ref(const std::vector<SwitchRequest>& req,

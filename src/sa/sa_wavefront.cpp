@@ -21,6 +21,8 @@ void SaWavefront::init_fast() {
     presel_fa_.push_back(fa);
   }
   fast_cells_.reserve(ports() * ports());
+  fast_granted_.reserve(ports());
+  core_.reserve_sparse(ports() * ports());
   fast_ok_ = true;
 }
 

@@ -18,16 +18,9 @@ class SaWavefront final : public SwitchAllocator {
  public:
   SaWavefront(std::size_t ports, std::size_t vcs, ArbiterKind presel_arb);
 
-  /// True when allocate_fast() is available: V and P each fit one lane word
-  /// and the pre-selection arbiters are round-robin or matrix.
+  /// True when the single-word kernel is available: V and P each fit one
+  /// lane word and the pre-selection arbiters are round-robin or matrix.
   bool fast_ready() const override { return fast_ok_; }
-
-  /// Sparse kernel: per-port union output sets become (port, output) cells
-  /// for one WavefrontAllocator::allocate_sparse pass; granted pairs then run
-  /// their pre-selection arbiter over the rebuilt VC candidates. Bit-identical
-  /// to allocate(); see SwitchAllocator::allocate_fast for the contract.
-  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
-                     std::vector<SwitchGrant>& grant) override;
 
   void allocate(const std::vector<SwitchRequest>& req,
                 std::vector<SwitchGrant>& grant) override;
@@ -49,6 +42,13 @@ class SaWavefront final : public SwitchAllocator {
   }
 
  private:
+  /// Sparse kernel: per-port union output sets become (port, output) cells
+  /// for one WavefrontAllocator::allocate_sparse pass; granted pairs then run
+  /// their pre-selection arbiter over the rebuilt VC candidates. Bit-identical
+  /// to allocate(); see SwitchAllocator::allocate_sparse for the contract.
+  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
+                     std::vector<SwitchGrant>& grant) override;
+
   void init_fast();
 
   WavefrontAllocator core_;

@@ -28,7 +28,7 @@ bool SpeculativeSwitchAllocator::fast_ready() const {
   return nonspec_->fast_ready() && spec_->fast_ready();
 }
 
-void SpeculativeSwitchAllocator::allocate_fast(
+void SpeculativeSwitchAllocator::allocate_sparse(
     const bits::Word* ns_words, const std::uint8_t* ns_out,
     const bits::Word* sp_words, const std::uint8_t* sp_out,
     std::vector<SpecSwitchGrant>& grant) {
@@ -36,8 +36,8 @@ void SpeculativeSwitchAllocator::allocate_fast(
   const std::size_t v_count = vcs();
   grant.assign(p_count, SpecSwitchGrant{});
 
-  nonspec_->allocate_fast(ns_words, ns_out, ns_gnt_);
-  spec_->allocate_fast(sp_words, sp_out, sp_gnt_);
+  nonspec_->allocate_sparse(ns_words, ns_out, ns_gnt_);
+  spec_->allocate_sparse(sp_words, sp_out, sp_gnt_);
 
   // Row/column conflict summaries as single words; same content as the
   // per-port byte flags of the generic path.

@@ -66,17 +66,19 @@ class SpeculativeSwitchAllocator {
                 const std::vector<SwitchRequest>& spec_req,
                 std::vector<SpecSwitchGrant>& grant);
 
-  /// True when allocate_fast() is available: both internal allocators expose
-  /// a single-word fast path (any separable or wavefront family).
+  /// True when both internal allocators run a single-word kernel (any
+  /// separable or wavefront family); otherwise allocate_sparse() adapts.
   bool fast_ready() const;
 
-  /// Sparse single-word variant of allocate(), bit-identical in grants,
-  /// arbiter state, and the masked-grant counter. The word/out_port pairs
-  /// use the layout of SwitchAllocator::allocate_fast; the conflict-masking
-  /// policy is independent of the underlying allocator kind.
-  void allocate_fast(const bits::Word* ns_words, const std::uint8_t* ns_out,
-                     const bits::Word* sp_words, const std::uint8_t* sp_out,
-                     std::vector<SpecSwitchGrant>& grant);
+  /// Sparse form of allocate(), the entry point the router uses:
+  /// bit-identical in grants, arbiter state, and the masked-grant counter.
+  /// The word/out_port pairs use the layout of
+  /// SwitchAllocator::allocate_sparse, through which both internal
+  /// allocators run; the conflict-masking policy is independent of the
+  /// underlying allocator kind.
+  void allocate_sparse(const bits::Word* ns_words, const std::uint8_t* ns_out,
+                       const bits::Word* sp_words, const std::uint8_t* sp_out,
+                       std::vector<SpecSwitchGrant>& grant);
 
   void reset();
 

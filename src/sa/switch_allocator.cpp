@@ -6,6 +6,29 @@
 
 namespace nocalloc {
 
+void SwitchAllocator::allocate_sparse(const bits::Word* vc_words,
+                                      const std::uint8_t* out_ports,
+                                      std::vector<SwitchGrant>& grant) {
+  if (fast_ready() && !reference_path_) {
+    allocate_fast(vc_words, out_ports, grant);
+    return;
+  }
+  // Adapter: expand into dense requests, run allocate(), then invalidate
+  // exactly the entries set here.
+  if (dense_req_.size() != total()) dense_req_.assign(total(), SwitchRequest{});
+  for (std::size_t p = 0; p < ports_; ++p) {
+    bits::for_each_set(&vc_words[p], 1, [&](std::size_t v) {
+      dense_req_[p * vcs_ + v] = {true, out_ports[p * vcs_ + v]};
+    });
+  }
+  allocate(dense_req_, grant);
+  for (std::size_t p = 0; p < ports_; ++p) {
+    bits::for_each_set(&vc_words[p], 1, [&](std::size_t v) {
+      dense_req_[p * vcs_ + v].valid = false;
+    });
+  }
+}
+
 void SwitchAllocator::allocate_fast(const bits::Word* vc_words,
                                     const std::uint8_t* out_ports,
                                     std::vector<SwitchGrant>& grant) {

@@ -47,20 +47,24 @@ class SwitchAllocator {
   virtual void allocate(const std::vector<SwitchRequest>& req,
                         std::vector<SwitchGrant>& grant) = 0;
 
-  /// True when allocate_fast() is available for this instance: the
-  /// architecture has a sparse single-word kernel and the configured
-  /// dimensions/arbiters admit it. Default: no fast path.
-  virtual bool fast_ready() const { return false; }
-
-  /// Sparse single-word variant of one allocate() call, bit-identical to it
-  /// in grants and priority-state evolution (including rotating-priority
-  /// architectures). `vc_words[p]` holds input port p's requesting-VC mask;
+  /// One cycle of switch allocation in sparse form, the entry point the
+  /// router uses: bit-identical to allocate() over the equivalent dense
+  /// requests in grants and priority-state evolution (including
+  /// rotating-priority architectures, even with no request set).
+  /// `vc_words[p]` holds input port p's requesting-VC mask (V <= 64);
   /// `out_ports[p * V + v]` the requested output port of every set bit.
-  /// `grant` is fully rewritten (one entry per port). Must only be called
-  /// when fast_ready() is true.
-  virtual void allocate_fast(const bits::Word* vc_words,
-                             const std::uint8_t* out_ports,
-                             std::vector<SwitchGrant>& grant);
+  /// `grant` is fully rewritten (one entry per port). Runs the family's
+  /// single-word kernel when fast_ready() and not reference_path();
+  /// otherwise expands the requests into member scratch and calls
+  /// allocate().
+  void allocate_sparse(const bits::Word* vc_words,
+                       const std::uint8_t* out_ports,
+                       std::vector<SwitchGrant>& grant);
+
+  /// True when this instance has a single-word sparse kernel: the
+  /// architecture has one and the configured dimensions/arbiters admit it.
+  /// Default: no kernel (allocate_sparse adapts to allocate()).
+  virtual bool fast_ready() const { return false; }
 
   virtual void reset() = 0;
 
@@ -83,6 +87,12 @@ class SwitchAllocator {
   virtual void load_state(StateReader& r) { static_cast<void>(r); }
 
  protected:
+  /// The family kernel behind allocate_sparse(); only called when
+  /// fast_ready() is true and the reference path is off.
+  virtual void allocate_fast(const bits::Word* vc_words,
+                             const std::uint8_t* out_ports,
+                             std::vector<SwitchGrant>& grant);
+
   void prepare(const std::vector<SwitchRequest>& req,
                std::vector<SwitchGrant>& grant) const;
 
@@ -96,6 +106,9 @@ class SwitchAllocator {
  private:
   std::size_t ports_;
   std::size_t vcs_;
+  // Dense scratch for the allocate_sparse() adapter; sized on first use, so
+  // allocators with a kernel never pay for it.
+  std::vector<SwitchRequest> dense_req_;
 };
 
 struct SwitchAllocatorConfig {

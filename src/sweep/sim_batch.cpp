@@ -1,11 +1,9 @@
 #include "sweep/sim_batch.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
 #include "common/check.hpp"
-#include "noc/replica_sim.hpp"
 #include "sweep/sweep_cache.hpp"
 
 namespace nocalloc::sweep {
@@ -57,63 +55,6 @@ std::vector<noc::SimResult> run_sim_batch_seeded(
     cfgs[i].seed = task_seed(base_seed, i);
   }
   return run_sim_batch(pool, cfgs);
-}
-
-std::vector<noc::SimResult> run_sim_batch_replicated(
-    ThreadPool& pool, const std::vector<noc::SimConfig>& cfgs) {
-  const std::unique_ptr<SweepCache> cache = SweepCache::from_env();
-  std::vector<noc::SimResult> results(cfgs.size());
-  std::vector<std::uint64_t> keys;
-  const std::vector<std::size_t> todo =
-      resolve_batch(cache.get(), cfgs, keys, results);
-
-  // Group maximal runs of consecutive same-shape MISSES, 64 lanes max.
-  // With the cache off this is exactly the old consecutive-config grouping;
-  // with hits punched out, survivors still batch (each lane's result is
-  // independent of its lane-mates, so any grouping is bit-identical).
-  // Grouping only consecutive entries keeps results trivially in input
-  // order and matches how sweep drivers emit configs (seed-major within a
-  // design point).
-  struct Group {
-    std::size_t begin = 0;
-    std::size_t end = 0;  // half-open range into `todo`
-  };
-  std::vector<Group> groups;
-  for (std::size_t i = 0; i < todo.size();) {
-    std::size_t j = i + 1;
-    while (j < todo.size() && j - i < noc::ReplicaSim::kMaxLanes &&
-           noc::ReplicaSim::same_shape(cfgs[todo[j]], cfgs[todo[i]])) {
-      ++j;
-    }
-    groups.push_back(Group{i, j});
-    i = j;
-  }
-
-  pool.run_indexed(groups.size(), [&](std::size_t g) {
-    std::vector<noc::SimConfig> lane_cfgs;
-    lane_cfgs.reserve(groups[g].end - groups[g].begin);
-    for (std::size_t t = groups[g].begin; t < groups[g].end; ++t) {
-      lane_cfgs.push_back(cfgs[todo[t]]);
-    }
-    noc::ReplicaSim sim(lane_cfgs);
-    sim.warmup();
-    std::vector<noc::SimResult> lane_results = sim.measure_and_drain();
-    for (std::size_t l = 0; l < lane_results.size(); ++l) {
-      const std::size_t i = todo[groups[g].begin + l];
-      results[i] = lane_results[l];
-      if (cache != nullptr) cache->store_result(keys[i], results[i]);
-    }
-  });
-  return results;
-}
-
-std::vector<noc::SimResult> run_sim_batch_replicated_seeded(
-    ThreadPool& pool, std::vector<noc::SimConfig> cfgs,
-    std::uint64_t base_seed) {
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    cfgs[i].seed = task_seed(base_seed, i);
-  }
-  return run_sim_batch_replicated(pool, cfgs);
 }
 
 namespace {
@@ -198,26 +139,25 @@ Curve run_curve_serial(const SweepCache* cache, const CurveSpec& spec) {
   return curve;
 }
 
-/// Shared scaffolding of the two run_warm_curves variants: validates rate
-/// ordering, splits specs into serial (saturation-stopped) and sharded,
-/// resolves sharded points against the cache, and produces warm snapshots
-/// for exactly the sharded specs with at least one miss. Returns the
-/// (spec, point, key) shards still to simulate.
+/// One outstanding (sharded spec, rate) point and its cache key.
 struct PointTask {
   std::size_t spec = 0;
   std::size_t point = 0;
   std::uint64_t key = 0;
 };
 
-std::vector<PointTask> prepare_curves(ThreadPool& pool, const SweepCache* cache,
-                                      const std::vector<CurveSpec>& specs,
-                                      std::vector<Curve>& curves,
-                                      std::vector<noc::SimSnapshot>& warm) {
+}  // namespace
+
+std::vector<Curve> run_warm_curves(ThreadPool& pool,
+                                   const std::vector<CurveSpec>& specs) {
   for (const CurveSpec& spec : specs) {
     for (std::size_t p = 1; p < spec.rates.size(); ++p) {
       NOCALLOC_CHECK(spec.rates[p - 1] <= spec.rates[p]);
     }
   }
+  const std::unique_ptr<SweepCache> cache = SweepCache::from_env();
+  std::vector<Curve> curves(specs.size());
+  std::vector<noc::SimSnapshot> warm(specs.size());
 
   // Saturation-stopped curves run whole (the early exit is inherently
   // sequential); the rest shard per (spec, rate). Resolve sharded points
@@ -244,30 +184,18 @@ std::vector<PointTask> prepare_curves(ThreadPool& pool, const SweepCache* cache,
     }
   }
 
-  // One task per spec: a full serial curve, or (for sharded specs with
-  // outstanding points) the warmup + snapshot.
+  // Phase 1, one task per spec: a full serial curve, or (for sharded specs
+  // with outstanding points) the warmup + snapshot.
   pool.run_indexed(specs.size(), [&](std::size_t s) {
     if (!specs[s].stop_at_saturation && !specs[s].rates.empty()) {
-      if (needs_warm[s] != 0) ensure_warm(cache, specs[s], warm[s]);
+      if (needs_warm[s] != 0) ensure_warm(cache.get(), specs[s], warm[s]);
     } else {
-      curves[s] = run_curve_serial(cache, specs[s]);
+      curves[s] = run_curve_serial(cache.get(), specs[s]);
     }
   });
-  return tasks;
-}
 
-}  // namespace
-
-std::vector<Curve> run_warm_curves(ThreadPool& pool,
-                                   const std::vector<CurveSpec>& specs) {
-  const std::unique_ptr<SweepCache> cache = SweepCache::from_env();
-  std::vector<Curve> curves(specs.size());
-  std::vector<noc::SimSnapshot> warm(specs.size());
-  const std::vector<PointTask> tasks =
-      prepare_curves(pool, cache.get(), specs, curves, warm);
-
-  // Every outstanding (sharded spec, rate) pair is its own task with a
-  // fresh SimInstance restored from the spec's warm snapshot.
+  // Phase 2: every outstanding (sharded spec, rate) pair is its own task
+  // with a fresh SimInstance restored from the spec's warm snapshot.
   pool.run_indexed(tasks.size(), [&](std::size_t i) {
     const CurveSpec& spec = specs[tasks[i].spec];
     noc::SimInstance sim(warm_config(spec));
@@ -276,57 +204,6 @@ std::vector<Curve> run_warm_curves(ThreadPool& pool,
         fork_point(sim, warm[tasks[i].spec], spec, spec.rates[tasks[i].point]);
     point.run = true;
     if (cache != nullptr) cache->store_result(tasks[i].key, point.result);
-  });
-  return curves;
-}
-
-std::vector<Curve> run_warm_curves_replicated(
-    ThreadPool& pool, const std::vector<CurveSpec>& specs) {
-  const std::unique_ptr<SweepCache> cache = SweepCache::from_env();
-  std::vector<Curve> curves(specs.size());
-  std::vector<noc::SimSnapshot> warm(specs.size());
-  const std::vector<PointTask> tasks =
-      prepare_curves(pool, cache.get(), specs, curves, warm);
-
-  // Each sharded curve forks its warm state into the lanes of one
-  // ReplicaSim -- one lane per outstanding load point (chunked at 64) --
-  // and runs the fork warmup + measurement in lock-step. Every lane
-  // replays fork_point() exactly (restore, set rate, fork warmup,
-  // measure), so each point is bit-identical to its run_warm_curves shard
-  // whatever the chunking.
-  struct ChunkTask {
-    std::size_t begin = 0;
-    std::size_t end = 0;  // half-open range into `tasks`, one spec
-  };
-  std::vector<ChunkTask> chunks;
-  for (std::size_t i = 0; i < tasks.size();) {
-    std::size_t j = i + 1;
-    while (j < tasks.size() && j - i < noc::ReplicaSim::kMaxLanes &&
-           tasks[j].spec == tasks[i].spec) {
-      ++j;
-    }
-    chunks.push_back(ChunkTask{i, j});
-    i = j;
-  }
-  pool.run_indexed(chunks.size(), [&](std::size_t c) {
-    const std::size_t s = tasks[chunks[c].begin].spec;
-    const CurveSpec& spec = specs[s];
-    const std::size_t n = chunks[c].end - chunks[c].begin;
-    noc::ReplicaSim sim(std::vector<noc::SimConfig>(n, warm_config(spec)));
-    for (std::size_t l = 0; l < n; ++l) {
-      sim.restore(l, warm[s]);
-      sim.set_injection_rate(l,
-                             spec.rates[tasks[chunks[c].begin + l].point]);
-    }
-    sim.run_cycles(spec.fork_warmup_cycles);
-    std::vector<noc::SimResult> lane_results = sim.measure_and_drain();
-    for (std::size_t l = 0; l < n; ++l) {
-      const PointTask& task = tasks[chunks[c].begin + l];
-      CurvePoint& point = curves[task.spec].points[task.point];
-      point.result = lane_results[l];
-      point.run = true;
-      if (cache != nullptr) cache->store_result(task.key, point.result);
-    }
   });
   return curves;
 }

@@ -44,21 +44,6 @@ std::vector<noc::SimResult> run_sim_batch_seeded(
     ThreadPool& pool, std::vector<noc::SimConfig> cfgs,
     std::uint64_t base_seed);
 
-/// Replica-batched run_sim_batch: runs of CONSECUTIVE configs that share a
-/// design-point structure (ReplicaSim::same_shape -- everything but seed,
-/// injection rate, and invariant checking) become one lock-step ReplicaSim
-/// task of up to 64 lanes, so a 64-seed shard costs one task whose router
-/// code and metadata stay hot across all lanes. Results are in input order
-/// and bit-identical to run_sim_batch for every grouping and thread count.
-std::vector<noc::SimResult> run_sim_batch_replicated(
-    ThreadPool& pool, const std::vector<noc::SimConfig>& cfgs);
-
-/// Seeded variant of run_sim_batch_replicated (seeds differ per lane, so a
-/// whole multi-seed shard still collapses into one replica batch).
-std::vector<noc::SimResult> run_sim_batch_replicated_seeded(
-    ThreadPool& pool, std::vector<noc::SimConfig> cfgs,
-    std::uint64_t base_seed);
-
 /// One latency-vs-load curve over a fixed design point.
 struct CurveSpec {
   /// Design point; its injection_rate is ignored (rates[] drives it) and
@@ -94,14 +79,5 @@ struct Curve {
 /// granularity. Results are bit-identical across thread counts.
 std::vector<Curve> run_warm_curves(ThreadPool& pool,
                                    const std::vector<CurveSpec>& specs);
-
-/// Replica-batched run_warm_curves: sharded specs (stop_at_saturation ==
-/// false) fork their warm snapshot into the lanes of one ReplicaSim per
-/// curve -- one lane per load point, restored from the same warm state and
-/// re-pointed at its rate -- then run the fork warmup and measurement in
-/// lock-step. Saturation-stopped curves keep their serial early-exit path.
-/// Bit-identical to run_warm_curves point for point.
-std::vector<Curve> run_warm_curves_replicated(
-    ThreadPool& pool, const std::vector<CurveSpec>& specs);
 
 }  // namespace nocalloc::sweep

@@ -6,6 +6,31 @@
 
 namespace nocalloc {
 
+void VcAllocator::allocate_sparse(const FastVcRequest* req, std::size_t n,
+                                  std::vector<int>& grant) {
+  NOCALLOC_DCHECK(grant.size() == total());
+  if (fast_ready() && !reference_path_) {
+    allocate_fast(req, n, grant);
+    return;
+  }
+  // Adapter: expand into dense requests, run allocate() (which rewrites the
+  // whole grant vector), then invalidate exactly the entries set here.
+  if (dense_req_.size() != total()) {
+    dense_req_.assign(total(), VcRequest{});
+    for (VcRequest& r : dense_req_) r.vc_mask.assign(vcs_, 0);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    VcRequest& r = dense_req_[req[k].input];
+    r.valid = true;
+    r.out_port = static_cast<int>(req[k].out_port);
+    for (std::size_t v = 0; v < vcs_; ++v) {
+      r.vc_mask[v] = static_cast<std::uint8_t>((req[k].vc_mask >> v) & 1);
+    }
+  }
+  allocate(dense_req_, grant);
+  for (std::size_t k = 0; k < n; ++k) dense_req_[req[k].input].valid = false;
+}
+
 void VcAllocator::allocate_fast(const FastVcRequest* req, std::size_t n,
                                 std::vector<int>& grant) {
   static_cast<void>(req);

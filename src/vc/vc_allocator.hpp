@@ -29,11 +29,11 @@ struct VcRequest {
   ReqVector vc_mask;    // V-wide candidate mask over out_port's VCs
 };
 
-/// One waiting head's request on the replica engine's sparse fast path:
-/// input VC index, destination port, and the candidate mask packed into a
-/// single word (V <= 64). A zero mask is a valid entry (all candidate VCs
-/// taken) and grants nothing, exactly like a valid VcRequest with an empty
-/// mask.
+/// One waiting head's request in the sparse form the router's VA stage
+/// issues: input VC index, destination port, and the candidate mask packed
+/// into a single word (V <= 64). A zero mask is a valid entry (all candidate
+/// VCs taken) and grants nothing, exactly like a valid VcRequest with an
+/// empty mask.
 struct FastVcRequest {
   std::uint32_t input = 0;
   std::uint32_t out_port = 0;
@@ -58,19 +58,23 @@ class VcAllocator {
   virtual void allocate(const std::vector<VcRequest>& req,
                         std::vector<int>& grant) = 0;
 
-  /// True when allocate_fast() is available for this instance: the
-  /// architecture has a sparse single-word kernel and the configured
-  /// dimensions/arbiters admit it. Default: no fast path.
-  virtual bool fast_ready() const { return false; }
+  /// One cycle of VC allocation in sparse form, the entry point the router
+  /// uses: bit-identical to allocate() over the equivalent dense requests in
+  /// grants and priority-state evolution (rotating-priority architectures
+  /// advance exactly as one allocate() would, even for n == 0). Runs the
+  /// family's single-word kernel when fast_ready() and not reference_path();
+  /// otherwise expands the requests into member scratch and calls
+  /// allocate() (maximum-size, test doubles, and the byte-loop oracle).
+  /// Contract: `grant` has total() entries, all -1 on entry (the caller
+  /// resets the entries it reads back), requests are ascending by input
+  /// index, and grants land at grant[input].
+  void allocate_sparse(const FastVcRequest* req, std::size_t n,
+                       std::vector<int>& grant);
 
-  /// Sparse single-word variant of one allocate() call, bit-identical in
-  /// grants and priority-state evolution (including rotating-priority
-  /// architectures, which advance exactly as one allocate() would).
-  /// Contract: `grant` is all -1 on entry (the caller clears the entries it
-  /// reads back), requests are ascending by input index, and only granted
-  /// entries are written. Must only be called when fast_ready() is true.
-  virtual void allocate_fast(const FastVcRequest* req, std::size_t n,
-                             std::vector<int>& grant);
+  /// True when this instance has a single-word sparse kernel: the
+  /// architecture has one and the configured dimensions/arbiters admit it.
+  /// Default: no kernel (allocate_sparse adapts to allocate()).
+  virtual bool fast_ready() const { return false; }
 
   /// Resets priority state.
   virtual void reset() = 0;
@@ -94,6 +98,11 @@ class VcAllocator {
   virtual void load_state(StateReader& r) { static_cast<void>(r); }
 
  protected:
+  /// The family kernel behind allocate_sparse(); only called when
+  /// fast_ready() is true and the reference path is off.
+  virtual void allocate_fast(const FastVcRequest* req, std::size_t n,
+                             std::vector<int>& grant);
+
   /// Validates request shape and clears the grant vector.
   void prepare(const std::vector<VcRequest>& req, std::vector<int>& grant) const;
 
@@ -105,6 +114,9 @@ class VcAllocator {
  private:
   std::size_t ports_;
   std::size_t vcs_;
+  // Dense scratch for the allocate_sparse() adapter; sized on first use, so
+  // allocators with a kernel never pay for it.
+  std::vector<VcRequest> dense_req_;
 };
 
 /// Configuration for a VC allocator instance. The partition is carried along

@@ -22,19 +22,9 @@ class VcSeparableInputFirstAllocator final : public VcAllocator {
   VcSeparableInputFirstAllocator(std::size_t ports, std::size_t vcs,
                                  ArbiterKind arb);
 
-  /// Historical name of the sparse fast-path request, now shared by every
-  /// VC-allocator family at namespace scope.
-  using FastRequest = FastVcRequest;
-
-  /// True when allocate_fast() is available: round-robin or matrix arbiters
-  /// with V and P each fitting one lane word.
+  /// True when the single-word kernel is available: round-robin or
+  /// matrix arbiters with V and P each fitting one lane word.
   bool fast_ready() const override { return fast_ok_; }
-
-  /// Sparse single-word variant of the word-parallel fast path, bit-identical
-  /// to allocate() in grants and arbiter state evolution; see
-  /// VcAllocator::allocate_fast for the contract.
-  void allocate_fast(const FastVcRequest* req, std::size_t n,
-                     std::vector<int>& grant) override;
 
   void allocate(const std::vector<VcRequest>& req,
                 std::vector<int>& grant) override;
@@ -49,6 +39,12 @@ class VcSeparableInputFirstAllocator final : public VcAllocator {
   }
 
  private:
+  /// Sparse single-word variant of the word-parallel fast path, bit-identical
+  /// to allocate() in grants and arbiter state evolution; see
+  /// VcAllocator::allocate_sparse for the contract.
+  void allocate_fast(const FastVcRequest* req, std::size_t n,
+                     std::vector<int>& grant) override;
+
   void allocate_mask(const std::vector<VcRequest>& req, std::vector<int>& grant);
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
   void init_fast(ArbiterKind arb);
@@ -78,17 +74,9 @@ class VcSeparableOutputFirstAllocator final : public VcAllocator {
   VcSeparableOutputFirstAllocator(std::size_t ports, std::size_t vcs,
                                   ArbiterKind arb);
 
-  /// True when allocate_fast() is available: round-robin or matrix arbiters
-  /// with V and P each fitting one lane word.
+  /// True when the single-word kernel is available: round-robin or
+  /// matrix arbiters with V and P each fitting one lane word.
   bool fast_ready() const override { return fast_ok_; }
-
-  /// Sparse single-word sep_of kernel: all stage-1 output-side tree picks
-  /// run first (pure), then each input VC that won arbitrates among its
-  /// offered output VCs and only then are priorities updated -- the exact
-  /// structure (and state evolution) of allocate_mask. See
-  /// VcAllocator::allocate_fast for the contract.
-  void allocate_fast(const FastVcRequest* req, std::size_t n,
-                     std::vector<int>& grant) override;
 
   void allocate(const std::vector<VcRequest>& req,
                 std::vector<int>& grant) override;
@@ -103,6 +91,14 @@ class VcSeparableOutputFirstAllocator final : public VcAllocator {
   }
 
  private:
+  /// Sparse single-word sep_of kernel: all stage-1 output-side tree picks
+  /// run first (pure), then each input VC that won arbitrates among its
+  /// offered output VCs and only then are priorities updated -- the exact
+  /// structure (and state evolution) of allocate_mask. See
+  /// VcAllocator::allocate_sparse for the contract.
+  void allocate_fast(const FastVcRequest* req, std::size_t n,
+                     std::vector<int>& grant) override;
+
   void allocate_mask(const std::vector<VcRequest>& req, std::vector<int>& grant);
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
   void init_fast();

@@ -8,16 +8,24 @@ VcWavefrontAllocator::VcWavefrontAllocator(std::size_t ports,
     : VcAllocator(ports, partition.total_vcs()),
       partition_(partition),
       sparse_(sparse) {
-  if (sparse_) {
-    const std::size_t block =
-        ports * partition_.resource_classes() * partition_.vcs_per_class();
-    for (std::size_t m = 0; m < partition_.message_classes(); ++m) {
-      cores_.push_back(std::make_unique<WavefrontAllocator>(block, block));
-    }
-  } else {
-    cores_.push_back(std::make_unique<WavefrontAllocator>(total(), total()));
+  const std::size_t block =
+      sparse_ ? ports * partition_.resource_classes() *
+                    partition_.vcs_per_class()
+              : total();
+  for (std::size_t m = 0; m < (sparse_ ? partition_.message_classes() : 1);
+       ++m) {
+    cores_.push_back(std::make_unique<WavefrontAllocator>(block, block));
   }
+  // A router request offers at most one class's C candidate VCs, so a
+  // block sees at most rows x C cells per cycle; reserving that bound keeps
+  // the kernel allocation-free from the first cycle on.
+  const std::size_t max_cells = block * partition_.vcs_per_class();
   fast_cells_.resize(cores_.size());
+  for (std::size_t m = 0; m < cores_.size(); ++m) {
+    fast_cells_[m].reserve(max_cells);
+    cores_[m]->reserve_sparse(max_cells);
+  }
+  fast_granted_.reserve(block);
 }
 
 void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,

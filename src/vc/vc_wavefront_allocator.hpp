@@ -22,17 +22,9 @@ class VcWavefrontAllocator final : public VcAllocator {
   VcWavefrontAllocator(std::size_t ports, const VcPartition& partition,
                        bool sparse);
 
-  /// True when allocate_fast() is available: the per-request candidate mask
-  /// must fit one lane word.
+  /// True when the single-word kernel is available: the per-request
+  /// candidate mask must fit one lane word.
   bool fast_ready() const override { return vcs() <= bits::kWordBits; }
-
-  /// Sparse single-call kernel: requests become (row, column) cells of their
-  /// message class's block and each core runs one wave-bucketed
-  /// WavefrontAllocator::allocate_sparse pass -- every core exactly once per
-  /// call, so all diagonals rotate as one dense allocate() would. See
-  /// VcAllocator::allocate_fast for the contract.
-  void allocate_fast(const FastVcRequest* req, std::size_t n,
-                     std::vector<int>& grant) override;
 
   void allocate(const std::vector<VcRequest>& req,
                 std::vector<int>& grant) override;
@@ -56,6 +48,14 @@ class VcWavefrontAllocator final : public VcAllocator {
   bool sparse() const { return sparse_; }
 
  private:
+  /// Sparse single-call kernel: requests become (row, column) cells of their
+  /// message class's block and each core runs one wave-bucketed
+  /// WavefrontAllocator::allocate_sparse pass -- every core exactly once per
+  /// call, so all diagonals rotate as one dense allocate() would. See
+  /// VcAllocator::allocate_sparse for the contract.
+  void allocate_fast(const FastVcRequest* req, std::size_t n,
+                     std::vector<int>& grant) override;
+
   /// Runs one wavefront block over the subset of VCs belonging to message
   /// class m (all of them when sparse_ is false and m == 0).
   void allocate_block(const std::vector<VcRequest>& req, std::size_t vc_lo,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 namespace nocalloc::noc {
 namespace {
@@ -70,16 +71,60 @@ TEST(SimConfigParse, RoundTripsThroughToConfigString) {
 
 TEST(SimConfigParse, RejectsUnknownKey) {
   std::istringstream in("frobnicate = 3\n");
-  EXPECT_DEATH(parse_sim_config(in), "check failed");
+  EXPECT_DEATH(parse_sim_config(in), "unknown config key 'frobnicate'");
+  // A plausible-looking misspelling names itself instead of a source line.
+  std::istringstream misspelt("num_cycles_warmup = 100\n");
+  EXPECT_DEATH(parse_sim_config(misspelt),
+               "unknown config key 'num_cycles_warmup'");
 }
 
-TEST(SimConfigParse, RejectsBadValues) {
-  std::istringstream bad_topo("topology = hypercube\n");
-  EXPECT_DEATH(parse_sim_config(bad_topo), "check failed");
-  std::istringstream bad_num("buffer_depth = eight\n");
-  EXPECT_DEATH(parse_sim_config(bad_num), "check failed");
-  std::istringstream zero_depth("buffer_depth = 0\n");
-  EXPECT_DEATH(parse_sim_config(zero_depth), "check failed");
+TEST(SimConfigParse, RejectsBadValuesNamingKeyAndValue) {
+  // Each bad value names its key, the value, and what was expected.
+  const std::pair<const char*, const char*> cases[] = {
+      {"topology = hypercube\n",
+       "bad value 'hypercube' for config key 'topology' \\(expected mesh"},
+      {"vc_alloc = islip\n", "bad value 'islip' for config key 'vc_alloc'"},
+      {"sw_alloc = max\n", "bad value 'max' for config key 'sw_alloc'"},
+      {"vc_arb = lottery\n", "bad value 'lottery' for config key 'vc_arb'"},
+      {"spec = maybe\n", "bad value 'maybe' for config key 'spec'"},
+      {"pattern = hotspot\n",
+       "bad value 'hotspot' for config key 'pattern'"},
+      {"buffer_depth = eight\n",
+       "bad value 'eight' for config key 'buffer_depth' \\(expected an "
+       "integer >= 1\\)"},
+      {"buffer_depth = 0\n", "bad value '0' for config key 'buffer_depth'"},
+      {"vcs_per_class = 0\n",
+       "bad value '0' for config key 'vcs_per_class'"},
+      {"seed = -1\n", "bad value '-1' for config key 'seed'"},
+      {"warmup_cycles = 1e3\n",
+       "bad value '1e3' for config key 'warmup_cycles'"},
+      {"check_invariants = yes\n",
+       "bad value 'yes' for config key 'check_invariants'"},
+      {"injection_rate = fast\n",
+       "bad value 'fast' for config key 'injection_rate' \\(expected a "
+       "number >= 0\\)"},
+      {"injection_rate = -0.1\n",
+       "bad value '-0.1' for config key 'injection_rate'"},
+  };
+  for (const auto& [text, message] : cases) {
+    SCOPED_TRACE(text);
+    std::istringstream in(text);
+    EXPECT_DEATH(parse_sim_config(in), message);
+  }
+}
+
+TEST(SimConfig, RejectsShapesBeyondOneWord) {
+  // The torus partition is M=2 x R=4 x C, so C=9 gives V = 72 > 64; the
+  // abort names V and P instead of running on a hidden fallback.
+  SimConfig cfg;
+  cfg.topology = TopologyKind::kTorus8x8;
+  cfg.vcs_per_class = 9;
+  EXPECT_DEATH(SimInstance{cfg},
+               "V = 2\\*4\\*9 = 72 VCs per port and P = 5 ports");
+  // The largest representable torus shape (V = 64) still builds.
+  cfg.vcs_per_class = 8;
+  SimInstance ok(cfg);
+  EXPECT_EQ(ok.network().router(0).vcs(), 64u);
 }
 
 TEST(ApplyOverride, OverridesSingleKey) {
@@ -90,7 +135,9 @@ TEST(ApplyOverride, OverridesSingleKey) {
 
 TEST(ApplyOverride, RejectsMissingEquals) {
   SimConfig cfg;
-  EXPECT_DEATH(apply_override(cfg, "injection_rate 0.42"), "check failed");
+  EXPECT_DEATH(apply_override(cfg, "injection_rate 0.42"),
+               "config entry 'injection_rate 0.42' is not of the form "
+               "key=value");
 }
 
 TEST(SimConfigParse, BaseConfigIsLayered) {

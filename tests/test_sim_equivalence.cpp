@@ -10,6 +10,12 @@
 // additionally proves that checked and unchecked runs agree and that the
 // active-set audit holds on every step.
 //
+// The same rows also pin the allocator stage's two implementations to each
+// other: the single-word kernels every run takes by default, and the
+// byte-loop reference allocators behind Network::set_reference_path(true),
+// reached through the sparse-to-dense adapter. Maximum-size allocators have
+// no kernel and always take the adapter.
+//
 // If a deliberate semantic change ever invalidates these goldens, re-record
 // them with the dump program documented in DESIGN.md (simulator memory
 // model), and justify the diff in the commit message.
@@ -125,7 +131,7 @@ const GoldenPoint kGoldens[] = {
      425u, 19.503529411764696, 18.821176470588217,
      35, 0.100859375, 6208ull, 39ull,
      0},
-    // Per-family rows covering the replica fast path's allocator matrix:
+    // Per-family rows covering the allocator kernels:
     // matrix arbiters under sep_if, sep_of on the torus (conservative
     // speculation), and wavefront on the torus (non-speculative).
     {TopologyKind::kMesh8x8, 2u, AllocatorKind::kSeparableInputFirst,
@@ -146,7 +152,39 @@ const GoldenPoint kGoldens[] = {
      1689u, 24.750148016577853, 24.062759029011243,
      42, 0.1006640625, 0ull, 0ull,
      0},
+    // Maximum-size VA and SA: no kernel, so both stages run through the
+    // sparse-to-dense adapter (recorded from the dense scalar router stage).
+    {TopologyKind::kMesh8x8, 2u, AllocatorKind::kMaximumSize,
+     AllocatorKind::kMaximumSize, SpecMode::kPessimistic,
+     0.14999999999999999, 9ull,
+     2509u, 25.759665205261125, 24.926265444400169,
+     57, 0.14955078124999999, 42808ull, 9ull,
+     0},
 };
+
+void expect_same_result(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
+  EXPECT_EQ(a.avg_network_latency, b.avg_network_latency);
+  EXPECT_EQ(a.p99_packet_latency, b.p99_packet_latency);
+  EXPECT_EQ(a.packets_measured, b.packets_measured);
+  EXPECT_EQ(a.offered_flit_rate, b.offered_flit_rate);
+  EXPECT_EQ(a.accepted_flit_rate, b.accepted_flit_rate);
+  EXPECT_EQ(a.saturated, b.saturated);
+  EXPECT_EQ(a.spec_grants_used, b.spec_grants_used);
+  EXPECT_EQ(a.misspeculations, b.misspeculations);
+  EXPECT_EQ(a.ugal_nonminimal_fraction, b.ugal_nonminimal_fraction);
+  EXPECT_EQ(a.cycles_simulated, b.cycles_simulated);
+  EXPECT_EQ(a.router_steps_total, b.router_steps_total);
+  EXPECT_EQ(a.router_steps_skipped, b.router_steps_skipped);
+  EXPECT_EQ(a.arena_high_water, b.arena_high_water);
+}
+
+SimResult run_with_reference_path(const SimConfig& cfg, bool ref) {
+  SimInstance sim(cfg);
+  sim.network().set_reference_path(ref);
+  sim.warmup();
+  return sim.measure_and_drain();
+}
 
 std::string describe(const GoldenPoint& pt) {
   return to_string(pt.topo) + " C=" + std::to_string(pt.vcs_per_class) +
@@ -188,6 +226,112 @@ TEST(SimEquivalence, CheckerOnAndOffAgree) {
     EXPECT_EQ(r.accepted_flit_rate, pt.accepted_flit_rate);
     EXPECT_EQ(r.spec_grants_used, pt.spec_grants_used);
     EXPECT_EQ(r.misspeculations, pt.misspeculations);
+  }
+}
+
+TEST(SimEquivalence, KernelsMatchReferenceOracle) {
+  // Every row with the allocators on their byte-loop reference path (the
+  // differential oracle) against the default kernel path, every SimResult
+  // field exactly equal. Unchecked runs, so the kernels also skip the
+  // empty stages they would run under a checker.
+  for (const GoldenPoint& pt : kGoldens) {
+    SCOPED_TRACE(describe(pt));
+    SimConfig cfg = config_for(pt);
+    cfg.check_invariants = false;
+    expect_same_result(run_with_reference_path(cfg, false),
+                       run_with_reference_path(cfg, true));
+  }
+}
+
+TEST(SimEquivalence, WarmSnapshotForksFromOracleOntoKernels) {
+  // A warm state captured on the oracle path and restored onto the kernel
+  // path must evolve exactly as the oracle would: restored priority state
+  // (round-robin pointers, matrix rows, wavefront diagonals) means the same
+  // thing to both implementations.
+  SimConfig sep_if;
+  sep_if.topology = TopologyKind::kMesh8x8;
+  sep_if.vcs_per_class = 2;
+  sep_if.injection_rate = 0.1;
+  sep_if.warmup_cycles = 300;
+  sep_if.measure_cycles = 600;
+  sep_if.drain_cycles = 900;
+
+  SimConfig sep_of = sep_if;
+  sep_of.vc_alloc = AllocatorKind::kSeparableOutputFirst;
+  sep_of.sw_alloc = AllocatorKind::kSeparableOutputFirst;
+  sep_of.vc_arb = ArbiterKind::kMatrix;
+  sep_of.sw_arb = ArbiterKind::kMatrix;
+
+  SimConfig wf = sep_if;
+  wf.topology = TopologyKind::kFbfly4x4;
+  wf.vc_alloc = AllocatorKind::kWavefront;
+  wf.sw_alloc = AllocatorKind::kWavefront;
+
+  for (const SimConfig& pt : {sep_if, sep_of, wf}) {
+    SCOPED_TRACE(to_string(pt.topology) + " va=" + to_string(pt.vc_alloc));
+    SimInstance warm_sim(pt);
+    warm_sim.network().set_reference_path(true);
+    warm_sim.warmup();
+    SimSnapshot warm;
+    warm_sim.snapshot(warm);
+
+    for (const double rate : {0.1, 0.2}) {
+      SCOPED_TRACE("rate " + std::to_string(rate));
+      SimResult forks[2];
+      for (const bool ref : {false, true}) {
+        SimInstance sim(pt);
+        sim.network().set_reference_path(ref);
+        sim.restore(warm);
+        sim.set_injection_rate(rate);
+        sim.run_cycles(200);
+        forks[ref ? 1 : 0] = sim.measure_and_drain();
+      }
+      expect_same_result(forks[0], forks[1]);
+    }
+  }
+}
+
+TEST(SimEquivalence, EveryFamilyButMaximumSizeRunsAKernel) {
+  // A family that silently dropped to the adapter would still be
+  // bit-identical but void the performance contract; pin which allocators
+  // run a single-word kernel.
+  struct Family {
+    AllocatorKind kind;
+    ArbiterKind arb;
+    bool kernel;
+  };
+  const Family families[] = {
+      {AllocatorKind::kSeparableInputFirst, ArbiterKind::kRoundRobin, true},
+      {AllocatorKind::kSeparableInputFirst, ArbiterKind::kMatrix, true},
+      {AllocatorKind::kSeparableOutputFirst, ArbiterKind::kRoundRobin, true},
+      {AllocatorKind::kSeparableOutputFirst, ArbiterKind::kMatrix, true},
+      {AllocatorKind::kWavefront, ArbiterKind::kRoundRobin, true},
+      {AllocatorKind::kMaximumSize, ArbiterKind::kRoundRobin, false},
+  };
+  for (const Family& f : families) {
+    for (const SpecMode spec :
+         {SpecMode::kNonSpeculative, SpecMode::kPessimistic}) {
+      SCOPED_TRACE(to_string(f.kind) + " arb=" + to_string(f.arb) +
+                   " spec=" + to_string(spec));
+      SimConfig cfg;
+      cfg.topology = TopologyKind::kTorus8x8;
+      cfg.vcs_per_class = 8;  // V = 64, the widest one-word shape
+      cfg.vc_alloc = f.kind;
+      cfg.sw_alloc = f.kind;
+      cfg.vc_arb = f.arb;
+      cfg.sw_arb = f.arb;
+      cfg.spec = spec;
+      SimInstance sim(cfg);
+      const Router& router = sim.network().router(0);
+      EXPECT_EQ(router.vc_allocator().fast_ready(), f.kernel);
+      if (spec == SpecMode::kNonSpeculative) {
+        ASSERT_NE(router.switch_allocator(), nullptr);
+        EXPECT_EQ(router.switch_allocator()->fast_ready(), f.kernel);
+      } else {
+        ASSERT_NE(router.speculative_allocator(), nullptr);
+        EXPECT_EQ(router.speculative_allocator()->fast_ready(), f.kernel);
+      }
+    }
   }
 }
 

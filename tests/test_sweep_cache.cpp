@@ -188,14 +188,6 @@ TEST_F(SweepCacheTest, BatchColdWarmDisabledIdentity) {
     expect_identical(cold[i], plain[i]);
     expect_identical(hot[i], plain[i]);
   }
-
-  // The replicated engine shares the same cache entries and stays
-  // identical too (it would hit everything the scalar path stored).
-  const std::vector<noc::SimResult> replicated =
-      run_sim_batch_replicated(pool, cfgs);
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    expect_identical(replicated[i], plain[i]);
-  }
 }
 
 // Full warm-fork curves: cold, warm, and disabled runs agree point for
@@ -234,12 +226,6 @@ TEST_F(SweepCacheTest, CurveColdWarmDisabledIdentity) {
       expect_identical(cold[c].points[p].result, plain[c].points[p].result);
       expect_identical(hot[c].points[p].result, plain[c].points[p].result);
     }
-  }
-
-  // The replicated curve engine serves from the same entries.
-  const std::vector<Curve> rep = run_warm_curves_replicated(pool, {spec});
-  for (std::size_t p = 0; p < plain[0].points.size(); ++p) {
-    expect_identical(rep[0].points[p].result, plain[0].points[p].result);
   }
 }
 
