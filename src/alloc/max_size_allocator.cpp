@@ -1,79 +1,82 @@
 #include "alloc/max_size_allocator.hpp"
 
 #include <limits>
-#include <queue>
 
 namespace nocalloc {
 namespace {
 
-// Hopcroft-Karp over adjacency lists built from the request matrix.
-// O(E * sqrt(V)); the matrices here are tiny (<= 40x40), so this is
-// effectively instant but still asymptotically clean for larger harness use.
+constexpr int kFree = -1;
+constexpr int kInf = std::numeric_limits<int>::max();
+
+// Hopcroft-Karp over a flat (CSR) adjacency built from the request matrix,
+// run entirely in caller-owned scratch so a warm call allocates nothing.
+// O(E * sqrt(V)); the matrices here are small (<= 160x160).
 class HopcroftKarp {
  public:
-  // The adjacency lists are in ascending column order either way, so the
+  // The adjacency is in ascending column order either way, so the
   // algorithm's execution -- and hence the resulting matching -- is identical
   // for both construction paths; `reference` exists only so the differential
   // tests can pin the mask iteration against the byte scan.
-  explicit HopcroftKarp(const BitMatrix& req, bool reference = false)
-      : n_(req.rows()),
-        m_(req.cols()),
-        adj_(req.rows()),
-        match_l_(req.rows(), kFree),
-        match_r_(req.cols(), kFree),
-        dist_(req.rows(), 0) {
-    if (reference) {
-      for (std::size_t i = 0; i < n_; ++i) {
-        for (std::size_t j = 0; j < m_; ++j) {
-          if (req.get(i, j)) adj_[i].push_back(static_cast<int>(j));
+  HopcroftKarp(const BitMatrix& req, bool reference,
+               MaxSizeAllocator::Scratch& s)
+      : n_(req.rows()), s_(s) {
+    s_.adj_off.resize(n_ + 1);
+    s_.adj.clear();
+    for (std::size_t i = 0; i < n_; ++i) {
+      s_.adj_off[i] = static_cast<int>(s_.adj.size());
+      if (reference) {
+        for (std::size_t j = 0; j < req.cols(); ++j) {
+          if (req.get(i, j)) s_.adj.push_back(static_cast<int>(j));
         }
-      }
-    } else {
-      for (std::size_t i = 0; i < n_; ++i) {
+      } else {
         bits::for_each_set(req.row(i), req.words_per_row(), [&](std::size_t j) {
-          adj_[i].push_back(static_cast<int>(j));
+          s_.adj.push_back(static_cast<int>(j));
         });
       }
     }
+    s_.adj_off[n_] = static_cast<int>(s_.adj.size());
+    s_.match_l.assign(n_, kFree);
+    s_.match_r.assign(req.cols(), kFree);
+    s_.dist.resize(n_);
+    s_.queue.resize(n_);
   }
 
   std::size_t run() {
     std::size_t matching = 0;
     while (bfs()) {
       for (std::size_t i = 0; i < n_; ++i) {
-        if (match_l_[i] == kFree && dfs(static_cast<int>(i))) ++matching;
+        if (s_.match_l[i] == kFree && dfs(static_cast<int>(i))) ++matching;
       }
     }
     return matching;
   }
 
-  int left_match(std::size_t i) const { return match_l_[i]; }
+  int left_match(std::size_t i) const { return s_.match_l[i]; }
 
  private:
-  static constexpr int kFree = -1;
-  static constexpr int kInf = std::numeric_limits<int>::max();
-
+  // Each left vertex is enqueued at most once per phase, so an n-entry
+  // array with head/tail cursors is the whole queue.
   bool bfs() {
-    std::queue<int> q;
+    std::size_t tail = 0;
     for (std::size_t i = 0; i < n_; ++i) {
-      if (match_l_[i] == kFree) {
-        dist_[i] = 0;
-        q.push(static_cast<int>(i));
+      if (s_.match_l[i] == kFree) {
+        s_.dist[i] = 0;
+        s_.queue[tail++] = static_cast<int>(i);
       } else {
-        dist_[i] = kInf;
+        s_.dist[i] = kInf;
       }
     }
     bool found_augmenting = false;
-    while (!q.empty()) {
-      const int u = q.front();
-      q.pop();
-      for (int v : adj_[static_cast<std::size_t>(u)]) {
-        const int w = match_r_[static_cast<std::size_t>(v)];
+    for (std::size_t head = 0; head < tail; ++head) {
+      const auto u = static_cast<std::size_t>(s_.queue[head]);
+      for (int e = s_.adj_off[u]; e < s_.adj_off[u + 1]; ++e) {
+        const int v = s_.adj[static_cast<std::size_t>(e)];
+        const int w = s_.match_r[static_cast<std::size_t>(v)];
         if (w == kFree) {
           found_augmenting = true;
-        } else if (dist_[static_cast<std::size_t>(w)] == kInf) {
-          dist_[static_cast<std::size_t>(w)] = dist_[static_cast<std::size_t>(u)] + 1;
-          q.push(w);
+        } else if (s_.dist[static_cast<std::size_t>(w)] == kInf) {
+          s_.dist[static_cast<std::size_t>(w)] = s_.dist[u] + 1;
+          s_.queue[tail++] = w;
         }
       }
     }
@@ -81,31 +84,37 @@ class HopcroftKarp {
   }
 
   bool dfs(int u) {
-    for (int v : adj_[static_cast<std::size_t>(u)]) {
-      const int w = match_r_[static_cast<std::size_t>(v)];
+    const auto ui = static_cast<std::size_t>(u);
+    for (int e = s_.adj_off[ui]; e < s_.adj_off[ui + 1]; ++e) {
+      const int v = s_.adj[static_cast<std::size_t>(e)];
+      const int w = s_.match_r[static_cast<std::size_t>(v)];
       if (w == kFree ||
-          (dist_[static_cast<std::size_t>(w)] == dist_[static_cast<std::size_t>(u)] + 1 &&
-           dfs(w))) {
-        match_l_[static_cast<std::size_t>(u)] = v;
-        match_r_[static_cast<std::size_t>(v)] = u;
+          (s_.dist[static_cast<std::size_t>(w)] == s_.dist[ui] + 1 && dfs(w))) {
+        s_.match_l[ui] = v;
+        s_.match_r[static_cast<std::size_t>(v)] = u;
         return true;
       }
     }
-    dist_[static_cast<std::size_t>(u)] = kInf;
+    s_.dist[ui] = kInf;
     return false;
   }
 
-  std::size_t n_, m_;
-  std::vector<std::vector<int>> adj_;
-  std::vector<int> match_l_, match_r_;
-  std::vector<int> dist_;
+  std::size_t n_;
+  MaxSizeAllocator::Scratch& s_;
 };
+
+// Scratch for the static entry points: one per thread, since the quality
+// sweeps call them from every pool worker.
+MaxSizeAllocator::Scratch& thread_scratch() {
+  thread_local MaxSizeAllocator::Scratch scratch;
+  return scratch;
+}
 
 }  // namespace
 
 void MaxSizeAllocator::max_matching(const BitMatrix& req, BitMatrix& gnt,
                                     bool reference) {
-  HopcroftKarp hk(req, reference);
+  HopcroftKarp hk(req, reference, thread_scratch());
   hk.run();
   gnt.resize(req.rows(), req.cols());
   for (std::size_t i = 0; i < req.rows(); ++i) {
@@ -116,13 +125,13 @@ void MaxSizeAllocator::max_matching(const BitMatrix& req, BitMatrix& gnt,
 
 std::size_t MaxSizeAllocator::max_matching_size(const BitMatrix& req,
                                                 bool reference) {
-  HopcroftKarp hk(req, reference);
+  HopcroftKarp hk(req, reference, thread_scratch());
   return hk.run();
 }
 
 void MaxSizeAllocator::allocate(const BitMatrix& req, BitMatrix& gnt) {
   prepare(req, gnt);
-  HopcroftKarp hk(req, reference_path_);
+  HopcroftKarp hk(req, reference_path_, scratch_);
   hk.run();
   for (std::size_t i = 0; i < req.rows(); ++i) {
     const int j = hk.left_match(i);

@@ -27,6 +27,18 @@ class MaxSizeAllocator final : public Allocator {
   /// Computes a maximum matching into `gnt` (resized to req's shape).
   static void max_matching(const BitMatrix& req, BitMatrix& gnt,
                            bool reference = false);
+
+  /// Hopcroft-Karp working storage, reused across calls so a warm matching
+  /// allocates nothing: flat adjacency (row i's columns are
+  /// adj[adj_off[i] .. adj_off[i + 1]), ascending), both sides' matches,
+  /// BFS layers and the BFS queue. The static entry points use one per
+  /// thread.
+  struct Scratch {
+    std::vector<int> adj_off, adj, match_l, match_r, dist, queue;
+  };
+
+ private:
+  Scratch scratch_;
 };
 
 }  // namespace nocalloc

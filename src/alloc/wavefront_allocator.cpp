@@ -37,42 +37,6 @@ void WavefrontAllocator::allocate_from_diagonal(const BitMatrix& req,
   }
 }
 
-void WavefrontAllocator::allocate_from_diagonal_mask(const BitMatrix& req,
-                                                     std::size_t start,
-                                                     BitMatrix& gnt) {
-  const std::size_t rows = req.rows();
-  const std::size_t cols = req.cols();
-  const std::size_t n = std::max(rows, cols);
-  gnt.resize(rows, cols);
-
-  // Free rows / columns as packed masks. A wave visits each row at most
-  // once, so iterating only the still-free rows and testing the request and
-  // column bits directly replaces the reference path's per-cell byte loop.
-  std::vector<bits::Word> row_free(bits::word_count(rows), 0);
-  std::vector<bits::Word> col_free(bits::word_count(cols), 0);
-  for (std::size_t i = 0; i < rows; ++i)
-    row_free[bits::word_of(i)] |= bits::bit(i);
-  for (std::size_t j = 0; j < cols; ++j)
-    col_free[bits::word_of(j)] |= bits::bit(j);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t d = (start + k) % n;
-    // Cells of one wrapped diagonal share neither row nor column, so grants
-    // within the wave are independent; clearing bits mid-iteration only
-    // affects later waves.
-    bits::for_each_set(row_free.data(), row_free.size(), [&](std::size_t i) {
-      const std::size_t j = (d + n - (i % n)) % n;
-      if (j >= cols) return;
-      if ((req.row(i)[bits::word_of(j)] & bits::bit(j)) != 0 &&
-          (col_free[bits::word_of(j)] & bits::bit(j)) != 0) {
-        gnt.row(i)[bits::word_of(j)] |= bits::bit(j);
-        row_free[bits::word_of(i)] &= ~bits::bit(i);
-        col_free[bits::word_of(j)] &= ~bits::bit(j);
-      }
-    });
-  }
-}
-
 void WavefrontAllocator::allocate(const BitMatrix& req, BitMatrix& gnt) {
   prepare(req, gnt);
   if (reference_path_) {
@@ -81,9 +45,9 @@ void WavefrontAllocator::allocate(const BitMatrix& req, BitMatrix& gnt) {
     return;
   }
 
-  // Same matching as allocate_from_diagonal_mask, but with the free-row /
-  // free-column masks kept as members so the per-cycle fast path performs no
-  // heap allocations (resize is a no-op once warm).
+  // Same matching as allocate_from_diagonal, with free rows and columns
+  // tracked as packed masks (kept as members, so the per-cycle path performs
+  // no heap allocations) and each wave only touching rows still free.
   const std::size_t rows = req.rows();
   const std::size_t cols = req.cols();
   const std::size_t n = std::max(rows, cols);

@@ -39,16 +39,10 @@ class WavefrontAllocator final : public Allocator {
   std::size_t diagonal() const { return diagonal_; }
 
   /// Computes the wavefront matching for a fixed starting diagonal without
-  /// touching state (byte-loop reference). Used by tests and by the
-  /// multi-iteration wrapper.
+  /// touching state: the byte-loop reference allocate() runs when the
+  /// reference path is selected.
   static void allocate_from_diagonal(const BitMatrix& req, std::size_t start,
                                      BitMatrix& gnt);
-
-  /// Word-parallel equivalent: free rows and columns are tracked as packed
-  /// masks and each wave only touches rows still free. Produces exactly the
-  /// matching of allocate_from_diagonal.
-  static void allocate_from_diagonal_mask(const BitMatrix& req,
-                                          std::size_t start, BitMatrix& gnt);
 
   /// One requested (row, column) cell on the sparse fast path.
   struct SparseCell {

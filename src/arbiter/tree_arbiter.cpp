@@ -13,28 +13,6 @@ TreeArbiter::TreeArbiter(ArbiterKind kind, std::size_t groups,
     local_.push_back(make_arbiter(kind, group_size));
   }
   top_ = make_arbiter(kind, groups);
-  group_scratch_.resize(bits::word_count(groups_));
-  slice_scratch_.resize(bits::word_count(group_size_));
-}
-
-int TreeArbiter::pick_words(const bits::Word* req) const {
-  const std::size_t total_words = bits::word_count(size());
-  for (bits::Word& w : group_scratch_) w = 0;
-  for (std::size_t g = 0; g < groups_; ++g) {
-    bits::extract(req, total_words, g * group_size_, group_size_,
-                  slice_scratch_.data());
-    if (bits::any(slice_scratch_.data(), slice_scratch_.size())) {
-      group_scratch_[bits::word_of(g)] |= bits::bit(g);
-    }
-  }
-  const int g = top_->pick_words(group_scratch_.data());
-  if (g < 0) return -1;
-  bits::extract(req, total_words, static_cast<std::size_t>(g) * group_size_,
-                group_size_, slice_scratch_.data());
-  const int l = local_[static_cast<std::size_t>(g)]->pick_words(
-      slice_scratch_.data());
-  NOCALLOC_CHECK(l >= 0);
-  return g * static_cast<int>(group_size_) + l;
 }
 
 int TreeArbiter::pick(const ReqVector& req) const {

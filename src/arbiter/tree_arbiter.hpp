@@ -23,7 +23,6 @@ class TreeArbiter final : public Arbiter {
 
   std::size_t size() const override { return groups_ * group_size_; }
   int pick(const ReqVector& req) const override;
-  int pick_words(const bits::Word* req) const override;
   void update(int winner) override;
   void reset() override;
   void save_state(StateWriter& w) const override {
@@ -39,8 +38,7 @@ class TreeArbiter final : public Arbiter {
   std::size_t group_size() const { return group_size_; }
 
   /// The two arbitration levels, exposed so the allocators' sparse
-  /// kernels can drive the exact same priority state without the generic
-  /// extract/scan loop of pick_words().
+  /// kernels can drive the exact same priority state one level at a time.
   Arbiter& top() { return *top_; }
   Arbiter& local(std::size_t g) { return *local_[g]; }
 
@@ -49,11 +47,6 @@ class TreeArbiter final : public Arbiter {
   std::size_t group_size_;
   std::vector<std::unique_ptr<Arbiter>> local_;  // one per group
   std::unique_ptr<Arbiter> top_;                 // selects among groups
-  // Scratch masks for pick_words (group summary + extracted group slice).
-  // Arbiters are owned by a single allocator and never shared across
-  // threads, so reusing the buffers from const pick_words is safe.
-  mutable std::vector<bits::Word> group_scratch_;
-  mutable std::vector<bits::Word> slice_scratch_;
 };
 
 }  // namespace nocalloc

@@ -30,6 +30,14 @@ QualityResult measure_vc_quality(VcAllocator& alloc,
   std::vector<VcRequest> req(total);
   std::vector<int> grant;
   BitMatrix full;
+  // Legal successor classes per resource class, hoisted out of the request
+  // loop because successors() returns a fresh vector.
+  std::vector<std::vector<std::size_t>> successors(
+      partition.resource_classes());
+  for (std::size_t r = 0; r < successors.size(); ++r) {
+    successors[r] = partition.successors(r);
+    NOCALLOC_CHECK(!successors[r].empty());
+  }
 
   for (std::size_t t = 0; t < trials; ++t) {
     for (std::size_t i = 0; i < total; ++i) {
@@ -42,8 +50,7 @@ QualityResult measure_vc_quality(VcAllocator& alloc,
       // function having fixed one class for the next hop).
       const std::size_t vc = i % vcs;
       const std::size_t m = partition.message_class_of(vc);
-      const auto succ = partition.successors(partition.resource_class_of(vc));
-      NOCALLOC_CHECK(!succ.empty());
+      const auto& succ = successors[partition.resource_class_of(vc)];
       const std::size_t r2 = succ[rng.next_below(succ.size())];
       r.vc_mask.assign(vcs, 0);
       const std::size_t base = partition.class_base(m, r2);

@@ -1,7 +1,5 @@
 #include "sa/sa_separable.hpp"
 
-#include <algorithm>
-
 namespace nocalloc {
 
 namespace {
@@ -35,17 +33,13 @@ SaSeparableInputFirst::SaSeparableInputFirst(std::size_t ports,
     vc_arb_.push_back(make_arbiter(arb, vcs));
   for (std::size_t o = 0; o < ports; ++o)
     out_arb_.push_back(make_arbiter(arb, ports));
-  vc_req_.resize(bits::word_count(vcs));
-  out_bids_.resize(ports * bits::word_count(ports));
-  out_any_.resize(bits::word_count(ports));
-  port_vc_.resize(ports);
-  init_fast(arb);
+  init_fast();
 }
 
-void SaSeparableInputFirst::init_fast(ArbiterKind arb) {
-  static_cast<void>(arb);
+void SaSeparableInputFirst::init_fast() {
   if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
   if (!resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_)) return;
+  port_vc_.assign(ports(), -1);
   fast_bids_.assign(ports(), 0);
   fast_ok_ = true;
 }
@@ -73,7 +67,7 @@ void SaSeparableInputFirst::allocate_fast(const bits::Word* vc_words,
     out_any |= bits::bit(o);
   }
 
-  // Stage 2: per requested output port (ascending, as for_each_set visits
+  // Stage 2: per requested output port (ascending, as allocate_ref visits
   // them), arbitrate among forwarded bids.
   while (out_any != 0) {
     const auto o = static_cast<std::size_t>(std::countr_zero(out_any));
@@ -91,44 +85,7 @@ void SaSeparableInputFirst::allocate_fast(const bits::Word* vc_words,
 void SaSeparableInputFirst::allocate(const std::vector<SwitchRequest>& req,
                                      std::vector<SwitchGrant>& grant) {
   prepare(req, grant);
-  if (reference_path_) {
-    allocate_ref(req, grant);
-  } else {
-    allocate_mask(req, grant);
-  }
-}
-
-void SaSeparableInputFirst::allocate_mask(const std::vector<SwitchRequest>& req,
-                                          std::vector<SwitchGrant>& grant) {
-  const std::size_t pw = bits::word_count(ports());
-
-  std::fill(out_bids_.begin(), out_bids_.end(), bits::Word{0});
-  std::fill(out_any_.begin(), out_any_.end(), bits::Word{0});
-
-  // Stage 1: per input port, pick one requesting VC and bid for its output.
-  for (std::size_t p = 0; p < ports(); ++p) {
-    std::fill(vc_req_.begin(), vc_req_.end(), bits::Word{0});
-    for (std::size_t v = 0; v < vcs(); ++v) {
-      if (req[p * vcs() + v].valid) vc_req_[bits::word_of(v)] |= bits::bit(v);
-    }
-    port_vc_[p] = vc_arb_[p]->pick_words(vc_req_.data());
-    if (port_vc_[p] < 0) continue;
-    const std::size_t o = static_cast<std::size_t>(
-        req[p * vcs() + static_cast<std::size_t>(port_vc_[p])].out_port);
-    out_bids_[o * pw + bits::word_of(p)] |= bits::bit(p);
-    out_any_[bits::word_of(o)] |= bits::bit(o);
-  }
-
-  // Stage 2: per requested output port, arbitrate among forwarded bids.
-  bits::for_each_set(out_any_.data(), pw, [&](std::size_t o) {
-    const int p = out_arb_[o]->pick_words(&out_bids_[o * pw]);
-    NOCALLOC_CHECK(p >= 0);
-    grant[static_cast<std::size_t>(p)] = {port_vc_[static_cast<std::size_t>(p)],
-                                          static_cast<int>(o)};
-    out_arb_[o]->update(p);
-    vc_arb_[static_cast<std::size_t>(p)]->update(
-        port_vc_[static_cast<std::size_t>(p)]);
-  });
+  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
 }
 
 void SaSeparableInputFirst::allocate_ref(const std::vector<SwitchRequest>& req,
@@ -179,11 +136,6 @@ SaSeparableOutputFirst::SaSeparableOutputFirst(std::size_t ports,
     out_arb_.push_back(make_arbiter(arb, ports));
   for (std::size_t p = 0; p < ports; ++p)
     vc_arb_.push_back(make_arbiter(arb, vcs));
-  cols_.resize(ports * bits::word_count(ports));
-  out_any_.resize(bits::word_count(ports));
-  port_won_.resize(bits::word_count(ports));
-  vc_cand_.resize(bits::word_count(vcs));
-  out_choice_.resize(ports);
   init_fast();
 }
 
@@ -191,6 +143,7 @@ void SaSeparableOutputFirst::init_fast() {
   if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
   if (!resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_)) return;
   fast_cols_.assign(ports(), 0);
+  out_choice_.assign(ports(), -1);
   fast_ok_ = true;
 }
 
@@ -217,8 +170,8 @@ void SaSeparableOutputFirst::allocate_fast(const bits::Word* vc_words,
   }
 
   // Stage 1: per requested output port, pick a winning input port. Picks are
-  // pure (updates deferred to stage 2, as in allocate_mask), so the ascending
-  // scan matches the mask path's for_each_set order.
+  // pure (updates deferred to stage 2, as in allocate_ref), so only the
+  // winners matter, not the scan order.
   bits::Word port_won = 0;
   bits::Word scan = out_any;
   while (scan != 0) {
@@ -232,7 +185,7 @@ void SaSeparableOutputFirst::allocate_fast(const bits::Word* vc_words,
 
   // Stage 2: per input port that won at least one output, arbitrate among
   // VCs whose requested output chose this port; only then update priorities
-  // (VC arbiter, then the chosen output's arbiter -- the mask path's order).
+  // (VC arbiter, then the chosen output's arbiter -- allocate_ref's order).
   while (port_won != 0) {
     const auto p = static_cast<std::size_t>(std::countr_zero(port_won));
     port_won &= port_won - 1;
@@ -257,58 +210,7 @@ void SaSeparableOutputFirst::allocate_fast(const bits::Word* vc_words,
 void SaSeparableOutputFirst::allocate(const std::vector<SwitchRequest>& req,
                                       std::vector<SwitchGrant>& grant) {
   prepare(req, grant);
-  if (reference_path_) {
-    allocate_ref(req, grant);
-  } else {
-    allocate_mask(req, grant);
-  }
-}
-
-void SaSeparableOutputFirst::allocate_mask(
-    const std::vector<SwitchRequest>& req, std::vector<SwitchGrant>& grant) {
-  const std::size_t pw = bits::word_count(ports());
-
-  // Union request columns: bit p of column o set iff any VC at input port p
-  // requests output o (same content as port_requests, built transposed).
-  std::fill(cols_.begin(), cols_.end(), bits::Word{0});
-  std::fill(out_any_.begin(), out_any_.end(), bits::Word{0});
-  for (std::size_t p = 0; p < ports(); ++p) {
-    for (std::size_t v = 0; v < vcs(); ++v) {
-      const SwitchRequest& r = req[p * vcs() + v];
-      if (!r.valid) continue;
-      const std::size_t o = static_cast<std::size_t>(r.out_port);
-      cols_[o * pw + bits::word_of(p)] |= bits::bit(p);
-      out_any_[bits::word_of(o)] |= bits::bit(o);
-    }
-  }
-
-  // Stage 1: per requested output port, pick a winning input port.
-  std::fill(out_choice_.begin(), out_choice_.end(), -1);
-  std::fill(port_won_.begin(), port_won_.end(), bits::Word{0});
-  bits::for_each_set(out_any_.data(), pw, [&](std::size_t o) {
-    const int p = out_arb_[o]->pick_words(&cols_[o * pw]);
-    out_choice_[o] = p;
-    if (p >= 0) port_won_[bits::word_of(p)] |= bits::bit(p);
-  });
-
-  // Stage 2: per input port that won at least one output, arbitrate among
-  // VCs that can use a won output; the winning VC fixes the output used.
-  bits::for_each_set(port_won_.data(), pw, [&](std::size_t p) {
-    std::fill(vc_cand_.begin(), vc_cand_.end(), bits::Word{0});
-    for (std::size_t v = 0; v < vcs(); ++v) {
-      const SwitchRequest& r = req[p * vcs() + v];
-      if (r.valid && out_choice_[static_cast<std::size_t>(r.out_port)] ==
-                         static_cast<int>(p)) {
-        vc_cand_[bits::word_of(v)] |= bits::bit(v);
-      }
-    }
-    const int v = vc_arb_[p]->pick_words(vc_cand_.data());
-    NOCALLOC_CHECK(v >= 0);
-    const int o = req[p * vcs() + static_cast<std::size_t>(v)].out_port;
-    grant[p] = {v, o};
-    vc_arb_[p]->update(v);
-    out_arb_[static_cast<std::size_t>(o)]->update(static_cast<int>(p));
-  });
+  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
 }
 
 void SaSeparableOutputFirst::allocate_ref(const std::vector<SwitchRequest>& req,

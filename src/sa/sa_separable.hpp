@@ -37,31 +37,24 @@ class SaSeparableInputFirst final : public SwitchAllocator {
   }
 
  private:
-  /// Sparse single-word variant of the word-parallel fast path, bit-identical
-  /// to allocate() in grants and arbiter state; see
-  /// SwitchAllocator::allocate_sparse for the contract.
+  /// Sparse single-word kernel, bit-identical to allocate_ref() in grants
+  /// and arbiter state; see SwitchAllocator::allocate_sparse for the
+  /// contract.
   void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
                      std::vector<SwitchGrant>& grant) override;
 
-  void allocate_mask(const std::vector<SwitchRequest>& req,
-                     std::vector<SwitchGrant>& grant);
   void allocate_ref(const std::vector<SwitchRequest>& req,
                     std::vector<SwitchGrant>& grant);
-  void init_fast(ArbiterKind arb);
+  void init_fast();
 
   std::vector<std::unique_ptr<Arbiter>> vc_arb_;   // per input port, width V
   std::vector<std::unique_ptr<Arbiter>> out_arb_;  // per output port, width P
-  // Mask-path scratch: per-port VC request masks, per-output bid masks over
-  // input ports, stage-1 winners and the requested-output summary mask.
-  std::vector<bits::Word> vc_req_;
-  std::vector<bits::Word> out_bids_;
-  std::vector<bits::Word> out_any_;
-  std::vector<int> port_vc_;
-  // Fast-path caches: devirtualized arbiter handles and single-word bid
-  // masks per output port.
+  // Fast-path caches: devirtualized arbiter handles, stage-1 winning VC per
+  // input port and single-word bid masks per output port.
   bool fast_ok_ = false;
   std::vector<FastArb> vc_fa_;         // [p]
   std::vector<FastArb> out_fa_;        // [o]
+  std::vector<int> port_vc_;           // [p]
   std::vector<bits::Word> fast_bids_;  // [o], P-wide
 };
 
@@ -89,31 +82,23 @@ class SaSeparableOutputFirst final : public SwitchAllocator {
   /// Sparse single-word sep_of kernel: per-output union columns arbitrate
   /// first (all picks pure), then each winning input port's V:1 arbiter
   /// chooses among VCs whose output chose it, updating priorities exactly as
-  /// allocate_mask does. See SwitchAllocator::allocate_sparse for the contract.
+  /// allocate_ref does. See SwitchAllocator::allocate_sparse for the contract.
   void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
                      std::vector<SwitchGrant>& grant) override;
 
-  void allocate_mask(const std::vector<SwitchRequest>& req,
-                     std::vector<SwitchGrant>& grant);
   void allocate_ref(const std::vector<SwitchRequest>& req,
                     std::vector<SwitchGrant>& grant);
   void init_fast();
 
   std::vector<std::unique_ptr<Arbiter>> out_arb_;  // per output port, width P
   std::vector<std::unique_ptr<Arbiter>> vc_arb_;   // per input port, width V
-  // Mask-path scratch: per-output request columns over input ports, the
-  // requested-output summary, per-output winners and per-port VC candidates.
-  std::vector<bits::Word> cols_;
-  std::vector<bits::Word> out_any_;
-  std::vector<bits::Word> port_won_;
-  std::vector<bits::Word> vc_cand_;
-  std::vector<int> out_choice_;
-  // Fast-path caches: devirtualized arbiter handles and single-word union
-  // columns per output port.
+  // Fast-path caches: devirtualized arbiter handles, single-word union
+  // columns and the stage-1 winning input port per output port.
   bool fast_ok_ = false;
   std::vector<FastArb> out_fa_;        // [o]
   std::vector<FastArb> vc_fa_;         // [p]
   std::vector<bits::Word> fast_cols_;  // [o], P-wide
+  std::vector<int> out_choice_;        // [o]
 };
 
 }  // namespace nocalloc

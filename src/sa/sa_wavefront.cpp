@@ -1,7 +1,5 @@
 #include "sa/sa_wavefront.hpp"
 
-#include <algorithm>
-
 namespace nocalloc {
 
 SaWavefront::SaWavefront(std::size_t ports, std::size_t vcs,
@@ -9,7 +7,6 @@ SaWavefront::SaWavefront(std::size_t ports, std::size_t vcs,
     : SwitchAllocator(ports, vcs), core_(ports, ports) {
   for (std::size_t i = 0; i < ports * ports; ++i)
     presel_.push_back(make_arbiter(presel_arb, vcs));
-  vc_req_.resize(bits::word_count(vcs));
   init_fast();
 }
 
@@ -78,46 +75,32 @@ void SaWavefront::allocate_fast(const bits::Word* vc_words,
 void SaWavefront::allocate(const std::vector<SwitchRequest>& req,
                            std::vector<SwitchGrant>& grant) {
   prepare(req, grant);
+  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
+}
 
+void SaWavefront::allocate_ref(const std::vector<SwitchRequest>& req,
+                               std::vector<SwitchGrant>& grant) {
   BitMatrix ports_req;
   port_requests(req, ports_req);
 
   BitMatrix ports_gnt;
   core_.allocate(ports_req, ports_gnt);
 
-  if (reference_path_) {
-    ReqVector vc_req(vcs(), 0);
-    for (std::size_t p = 0; p < ports(); ++p) {
-      const int o = ports_gnt.row_single(p);
-      if (o < 0) continue;
-      bool any = false;
-      for (std::size_t v = 0; v < vcs(); ++v) {
-        const SwitchRequest& r = req[p * vcs() + v];
-        const bool cand = r.valid && r.out_port == o;
-        vc_req[v] = cand ? 1 : 0;
-        any = any || cand;
-      }
-      NOCALLOC_CHECK(any);  // the core only grants requested pairs
-      Arbiter& presel = *presel_[p * ports() + static_cast<std::size_t>(o)];
-      const int v = presel.pick(vc_req);
-      NOCALLOC_CHECK(v >= 0);
-      grant[p] = {v, o};
-      presel.update(v);
-    }
-    return;
-  }
-
+  ReqVector vc_req(vcs(), 0);
   for (std::size_t p = 0; p < ports(); ++p) {
     const int o = ports_gnt.row_single(p);
     if (o < 0) continue;
-    std::fill(vc_req_.begin(), vc_req_.end(), bits::Word{0});
+    bool any = false;
     for (std::size_t v = 0; v < vcs(); ++v) {
       const SwitchRequest& r = req[p * vcs() + v];
-      if (r.valid && r.out_port == o) vc_req_[bits::word_of(v)] |= bits::bit(v);
+      const bool cand = r.valid && r.out_port == o;
+      vc_req[v] = cand ? 1 : 0;
+      any = any || cand;
     }
+    NOCALLOC_CHECK(any);  // the core only grants requested pairs
     Arbiter& presel = *presel_[p * ports() + static_cast<std::size_t>(o)];
-    const int v = presel.pick_words(vc_req_.data());
-    NOCALLOC_CHECK(v >= 0);  // the core only grants requested pairs
+    const int v = presel.pick(vc_req);
+    NOCALLOC_CHECK(v >= 0);
     grant[p] = {v, o};
     presel.update(v);
   }

@@ -45,14 +45,19 @@ class SaWavefront final : public SwitchAllocator {
   /// Sparse kernel: per-port union output sets become (port, output) cells
   /// for one WavefrontAllocator::allocate_sparse pass; granted pairs then run
   /// their pre-selection arbiter over the rebuilt VC candidates. Bit-identical
-  /// to allocate(); see SwitchAllocator::allocate_sparse for the contract.
+  /// to allocate_ref(); see SwitchAllocator::allocate_sparse for the
+  /// contract.
   void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
                      std::vector<SwitchGrant>& grant) override;
 
+  /// The oracle: the P x P union matrix through the dense core (its byte
+  /// loop whenever the reference path is selected), then byte-vector
+  /// pre-selection.
+  void allocate_ref(const std::vector<SwitchRequest>& req,
+                    std::vector<SwitchGrant>& grant);
   void init_fast();
 
   WavefrontAllocator core_;
-  std::vector<bits::Word> vc_req_;  // mask-path scratch
   // presel_[p * P + o]: V:1 arbiter pre-selecting the VC used when input
   // port p is granted output port o.
   std::vector<std::unique_ptr<Arbiter>> presel_;

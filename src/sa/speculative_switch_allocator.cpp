@@ -22,6 +22,8 @@ SpeculativeSwitchAllocator::SpeculativeSwitchAllocator(
       nonspec_(make_switch_allocator(cfg)),
       spec_(make_switch_allocator(cfg)) {
   NOCALLOC_CHECK(mode != SpecMode::kNonSpeculative);
+  // The conflict summaries and the packed request form are single words.
+  NOCALLOC_CHECK(cfg.ports <= bits::kWordBits && cfg.vcs <= bits::kWordBits);
 }
 
 bool SpeculativeSwitchAllocator::fast_ready() const {
@@ -39,8 +41,9 @@ void SpeculativeSwitchAllocator::allocate_sparse(
   nonspec_->allocate_sparse(ns_words, ns_out, ns_gnt_);
   spec_->allocate_sparse(sp_words, sp_out, sp_gnt_);
 
-  // Row/column conflict summaries as single words; same content as the
-  // per-port byte flags of the generic path.
+  // Row/column conflict summaries. For spec_gnt these are reduction-ORs over
+  // the non-speculative grant matrix; for spec_req they are ORs over the
+  // request matrix, available without waiting for allocation.
   bits::Word row_busy = 0;
   bits::Word col_busy = 0;
   if (mode_ == SpecMode::kConservative) {
@@ -78,45 +81,17 @@ void SpeculativeSwitchAllocator::allocate(
     const std::vector<SwitchRequest>& spec_req,
     std::vector<SpecSwitchGrant>& grant) {
   const std::size_t p_count = ports();
-  grant.assign(p_count, SpecSwitchGrant{});
-
-  nonspec_->allocate(nonspec_req, ns_gnt_);
-  spec_->allocate(spec_req, sp_gnt_);
-
-  // Row/column conflict summaries. For spec_gnt these are reduction-ORs over
-  // the non-speculative grant matrix; for spec_req they are ORs over the
-  // request matrix, available without waiting for allocation.
-  row_busy_.assign(p_count, 0);
-  col_busy_.assign(p_count, 0);
-  if (mode_ == SpecMode::kConservative) {
-    for (std::size_t p = 0; p < p_count; ++p) {
-      if (ns_gnt_[p].granted()) {
-        row_busy_[p] = 1;
-        col_busy_[static_cast<std::size_t>(ns_gnt_[p].out_port)] = 1;
-      }
-    }
-  } else {
-    for (std::size_t p = 0; p < p_count; ++p) {
-      for (std::size_t v = 0; v < vcs(); ++v) {
-        const SwitchRequest& r = nonspec_req[p * vcs() + v];
-        if (r.valid) {
-          row_busy_[p] = 1;
-          col_busy_[static_cast<std::size_t>(r.out_port)] = 1;
-        }
-      }
-    }
-  }
-
-  for (std::size_t p = 0; p < p_count; ++p) {
-    grant[p].nonspec = ns_gnt_[p];
-    if (!sp_gnt_[p].granted()) continue;
-    const std::size_t o = static_cast<std::size_t>(sp_gnt_[p].out_port);
-    if (row_busy_[p] || col_busy_[o]) {
-      ++masked_;
-      continue;
-    }
-    grant[p].spec = sp_gnt_[p];
-  }
+  const std::size_t total = p_count * vcs();
+  ns_words_.resize(p_count);
+  sp_words_.resize(p_count);
+  ns_out_.resize(total);
+  sp_out_.resize(total);
+  pack_switch_requests(nonspec_req, p_count, vcs(), ns_words_.data(),
+                       ns_out_.data());
+  pack_switch_requests(spec_req, p_count, vcs(), sp_words_.data(),
+                       sp_out_.data());
+  allocate_sparse(ns_words_.data(), ns_out_.data(), sp_words_.data(),
+                  sp_out_.data(), grant);
 }
 
 void SpeculativeSwitchAllocator::reset() {

@@ -52,7 +52,7 @@ class SpeculativeSwitchAllocator {
  public:
   /// Both internal allocators use the same architecture and arbiter kind.
   /// `mode` must be kConservative or kPessimistic (a non-speculative router
-  /// simply uses a bare SwitchAllocator).
+  /// simply uses a bare SwitchAllocator); P and V must each fit one word.
   SpeculativeSwitchAllocator(const SwitchAllocatorConfig& cfg, SpecMode mode);
 
   std::size_t ports() const { return nonspec_->ports(); }
@@ -61,7 +61,8 @@ class SpeculativeSwitchAllocator {
 
   /// One allocation cycle. `nonspec_req` and `spec_req` each have one entry
   /// per input VC. `grant` receives one entry per input port with speculative
-  /// grants already masked per the configured policy.
+  /// grants already masked per the configured policy. Packs both request
+  /// sets and runs allocate_sparse().
   void allocate(const std::vector<SwitchRequest>& nonspec_req,
                 const std::vector<SwitchRequest>& spec_req,
                 std::vector<SpecSwitchGrant>& grant);
@@ -70,9 +71,8 @@ class SpeculativeSwitchAllocator {
   /// separable or wavefront family); otherwise allocate_sparse() adapts.
   bool fast_ready() const;
 
-  /// Sparse form of allocate(), the entry point the router uses:
-  /// bit-identical in grants, arbiter state, and the masked-grant counter.
-  /// The word/out_port pairs use the layout of
+  /// Sparse form of allocate(), the entry point the router uses. The
+  /// word/out_port pairs use the layout of
   /// SwitchAllocator::allocate_sparse, through which both internal
   /// allocators run; the conflict-masking policy is independent of the
   /// underlying allocator kind.
@@ -118,11 +118,13 @@ class SpeculativeSwitchAllocator {
   std::unique_ptr<SwitchAllocator> spec_;
   std::uint64_t masked_ = 0;
   // Per-call scratch, kept as members so the per-cycle path is allocation
-  // free once warm.
+  // free once warm: both inner grants, and allocate()'s packed requests.
   std::vector<SwitchGrant> ns_gnt_;
   std::vector<SwitchGrant> sp_gnt_;
-  std::vector<std::uint8_t> row_busy_;
-  std::vector<std::uint8_t> col_busy_;
+  std::vector<bits::Word> ns_words_;
+  std::vector<bits::Word> sp_words_;
+  std::vector<std::uint8_t> ns_out_;
+  std::vector<std::uint8_t> sp_out_;
 };
 
 }  // namespace nocalloc

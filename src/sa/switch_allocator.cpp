@@ -29,6 +29,36 @@ void SwitchAllocator::allocate_sparse(const bits::Word* vc_words,
   }
 }
 
+bool SwitchAllocator::allocate_packed(const std::vector<SwitchRequest>& req,
+                                      std::vector<SwitchGrant>& grant) {
+  if (reference_path_ || !fast_ready()) return false;
+  packed_words_.resize(ports_);
+  packed_out_.resize(total());
+  pack_switch_requests(req, ports_, vcs_, packed_words_.data(),
+                       packed_out_.data());
+  allocate_fast(packed_words_.data(), packed_out_.data(), grant);
+  return true;
+}
+
+void pack_switch_requests(const std::vector<SwitchRequest>& req,
+                          std::size_t ports, std::size_t vcs,
+                          bits::Word* vc_words, std::uint8_t* out_ports) {
+  NOCALLOC_CHECK(req.size() == ports * vcs);
+  NOCALLOC_CHECK(ports <= bits::kWordBits && vcs <= bits::kWordBits);
+  for (std::size_t p = 0; p < ports; ++p) {
+    bits::Word w = 0;
+    for (std::size_t v = 0; v < vcs; ++v) {
+      const SwitchRequest& r = req[p * vcs + v];
+      if (!r.valid) continue;
+      NOCALLOC_CHECK(r.out_port >= 0 &&
+                     static_cast<std::size_t>(r.out_port) < ports);
+      w |= bits::bit(v);
+      out_ports[p * vcs + v] = static_cast<std::uint8_t>(r.out_port);
+    }
+    vc_words[p] = w;
+  }
+}
+
 void SwitchAllocator::allocate_fast(const bits::Word* vc_words,
                                     const std::uint8_t* out_ports,
                                     std::vector<SwitchGrant>& grant) {

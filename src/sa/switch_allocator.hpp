@@ -75,8 +75,9 @@ class SwitchAllocator {
     static_cast<void>(cycles);
   }
 
-  /// Selects the byte-loop reference implementation over the word-parallel
-  /// fast path; see Allocator::set_reference_path for the contract.
+  /// Selects the byte-loop reference implementation over the family kernel,
+  /// for allocate() and allocate_sparse() alike; see
+  /// Allocator::set_reference_path for the contract.
   virtual void set_reference_path(bool ref) { reference_path_ = ref; }
   bool reference_path() const { return reference_path_; }
 
@@ -92,6 +93,14 @@ class SwitchAllocator {
   virtual void allocate_fast(const bits::Word* vc_words,
                              const std::uint8_t* out_ports,
                              std::vector<SwitchGrant>& grant);
+
+  /// The dense-to-sparse adapter kernel-backed allocate() overrides run
+  /// after prepare(): packs the requests into member scratch with
+  /// pack_switch_requests and runs allocate_fast. Returns false, touching
+  /// nothing, when reference_path() is set or !fast_ready(); the caller then
+  /// runs its byte-loop oracle.
+  bool allocate_packed(const std::vector<SwitchRequest>& req,
+                       std::vector<SwitchGrant>& grant);
 
   void prepare(const std::vector<SwitchRequest>& req,
                std::vector<SwitchGrant>& grant) const;
@@ -109,7 +118,19 @@ class SwitchAllocator {
   // Dense scratch for the allocate_sparse() adapter; sized on first use, so
   // allocators with a kernel never pay for it.
   std::vector<SwitchRequest> dense_req_;
+  // Sparse scratch for the allocate_packed() adapter.
+  std::vector<bits::Word> packed_words_;
+  std::vector<std::uint8_t> packed_out_;
 };
+
+/// Packs `ports` x `vcs` dense requests into allocate_sparse's layout:
+/// `vc_words[p]` receives input port p's requesting-VC mask and
+/// `out_ports[p * vcs + v]` the output port of each requesting VC (entries
+/// of idle VCs are left as they were). Requires vcs <= 64 and ports <= 64;
+/// `vc_words` holds `ports` entries and `out_ports` ports * vcs.
+void pack_switch_requests(const std::vector<SwitchRequest>& req,
+                          std::size_t ports, std::size_t vcs,
+                          bits::Word* vc_words, std::uint8_t* out_ports);
 
 struct SwitchAllocatorConfig {
   std::size_t ports = 0;

@@ -31,6 +31,24 @@ void VcAllocator::allocate_sparse(const FastVcRequest* req, std::size_t n,
   for (std::size_t k = 0; k < n; ++k) dense_req_[req[k].input].valid = false;
 }
 
+bool VcAllocator::allocate_packed(const std::vector<VcRequest>& req,
+                                  std::vector<int>& grant) {
+  if (reference_path_ || !fast_ready()) return false;
+  packed_req_.clear();
+  for (std::size_t i = 0; i < req.size(); ++i) {
+    const VcRequest& r = req[i];
+    if (!r.valid) continue;
+    bits::Word mask = 0;
+    for (std::size_t v = 0; v < vcs_; ++v) {
+      if (r.vc_mask[v]) mask |= bits::bit(v);
+    }
+    packed_req_.push_back({static_cast<std::uint32_t>(i),
+                           static_cast<std::uint32_t>(r.out_port), mask});
+  }
+  allocate_fast(packed_req_.data(), packed_req_.size(), grant);
+  return true;
+}
+
 void VcAllocator::allocate_fast(const FastVcRequest* req, std::size_t n,
                                 std::vector<int>& grant) {
   static_cast<void>(req);

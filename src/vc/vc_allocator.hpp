@@ -86,8 +86,9 @@ class VcAllocator {
     static_cast<void>(cycles);
   }
 
-  /// Selects the byte-loop reference implementation over the word-parallel
-  /// fast path; see Allocator::set_reference_path for the contract.
+  /// Selects the byte-loop reference implementation over the family kernel,
+  /// for allocate() and allocate_sparse() alike; see
+  /// Allocator::set_reference_path for the contract.
   virtual void set_reference_path(bool ref) { reference_path_ = ref; }
   bool reference_path() const { return reference_path_; }
 
@@ -103,6 +104,14 @@ class VcAllocator {
   virtual void allocate_fast(const FastVcRequest* req, std::size_t n,
                              std::vector<int>& grant);
 
+  /// The dense-to-sparse adapter kernel-backed allocate() overrides run
+  /// after prepare(): packs the valid requests into FastVcRequests in member
+  /// scratch and runs allocate_fast. Returns false, touching nothing, when
+  /// reference_path() is set or !fast_ready(); the caller then runs its
+  /// byte-loop oracle.
+  bool allocate_packed(const std::vector<VcRequest>& req,
+                       std::vector<int>& grant);
+
   /// Validates request shape and clears the grant vector.
   void prepare(const std::vector<VcRequest>& req, std::vector<int>& grant) const;
 
@@ -117,6 +126,8 @@ class VcAllocator {
   // Dense scratch for the allocate_sparse() adapter; sized on first use, so
   // allocators with a kernel never pay for it.
   std::vector<VcRequest> dense_req_;
+  // Sparse scratch for the allocate_packed() adapter.
+  std::vector<FastVcRequest> packed_req_;
 };
 
 /// Configuration for a VC allocator instance. The partition is carried along

@@ -1,7 +1,5 @@
 #include "vc/vc_separable_allocator.hpp"
 
-#include <algorithm>
-
 #include "arbiter/tree_arbiter.hpp"
 
 namespace nocalloc {
@@ -45,14 +43,10 @@ VcSeparableInputFirstAllocator::VcSeparableInputFirstAllocator(
     input_arb_.push_back(make_arbiter(arb, vcs));
   for (std::size_t o = 0; o < total(); ++o)
     output_arb_.push_back(std::make_unique<TreeArbiter>(arb, ports, vcs));
-  in_mask_.resize(bits::word_count(vcs));
-  bids_.resize(total() * bits::word_count(total()));
-  out_any_.resize(bits::word_count(total()));
-  init_fast(arb);
+  init_fast();
 }
 
-void VcSeparableInputFirstAllocator::init_fast(ArbiterKind arb) {
-  static_cast<void>(arb);
+void VcSeparableInputFirstAllocator::init_fast() {
   if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
   if (!resolve_fast_arbiters(input_arb_, output_arb_, ports(), in_fa_,
                              out_top_fa_, out_local_fa_)) {
@@ -71,7 +65,7 @@ void VcSeparableInputFirstAllocator::allocate_fast(const FastVcRequest* req,
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
 
-  // Stage 1, as in allocate_mask: each input VC's arbiter picks one
+  // Stage 1, as in allocate_ref: each input VC's arbiter picks one
   // candidate output VC; the bid lands in the per-port slice of that output
   // VC's tree arbiter.
   for (std::size_t k = 0; k < n; ++k) {
@@ -113,44 +107,7 @@ void VcSeparableInputFirstAllocator::allocate_fast(const FastVcRequest* req,
 void VcSeparableInputFirstAllocator::allocate(const std::vector<VcRequest>& req,
                                               std::vector<int>& grant) {
   prepare(req, grant);
-  if (reference_path_) {
-    allocate_ref(req, grant);
-  } else {
-    allocate_mask(req, grant);
-  }
-}
-
-void VcSeparableInputFirstAllocator::allocate_mask(
-    const std::vector<VcRequest>& req, std::vector<int>& grant) {
-  const std::size_t tw = bits::word_count(total());
-
-  std::fill(bids_.begin(), bids_.end(), bits::Word{0});
-  std::fill(out_any_.begin(), out_any_.end(), bits::Word{0});
-
-  // Stage 1: each input VC selects one candidate output VC at its port and
-  // bids for it.
-  for (std::size_t i = 0; i < total(); ++i) {
-    const VcRequest& r = req[i];
-    if (!r.valid) continue;
-    pack_req(r.vc_mask, in_mask_.data());
-    const int v = input_arb_[i]->pick_words(in_mask_.data());
-    if (v < 0) continue;  // empty candidate mask
-    const std::size_t o =
-        static_cast<std::size_t>(r.out_port) * vcs() + static_cast<std::size_t>(v);
-    bids_[o * tw + bits::word_of(i)] |= bits::bit(i);
-    out_any_[bits::word_of(o)] |= bits::bit(o);
-  }
-
-  // Stage 2: each bid-for output VC arbitrates among its bidders.
-  bits::for_each_set(out_any_.data(), tw, [&](std::size_t o) {
-    const int winner = output_arb_[o]->pick_words(&bids_[o * tw]);
-    NOCALLOC_CHECK(winner >= 0);
-    grant[static_cast<std::size_t>(winner)] = static_cast<int>(o);
-    output_arb_[o]->update(winner);
-    // The winning input VC's stage-1 choice succeeded: advance its priority.
-    input_arb_[static_cast<std::size_t>(winner)]->update(
-        static_cast<int>(o % vcs()));
-  });
+  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
 }
 
 void VcSeparableInputFirstAllocator::allocate_ref(
@@ -198,11 +155,6 @@ VcSeparableOutputFirstAllocator::VcSeparableOutputFirstAllocator(
     output_arb_.push_back(std::make_unique<TreeArbiter>(arb, ports, vcs));
   for (std::size_t i = 0; i < total(); ++i)
     input_arb_.push_back(make_arbiter(arb, vcs));
-  cols_.resize(total() * bits::word_count(total()));
-  out_any_.resize(bits::word_count(total()));
-  in_won_.resize(bits::word_count(total()));
-  offered_.resize(bits::word_count(vcs));
-  output_choice_.resize(total());
   init_fast();
 }
 
@@ -227,9 +179,9 @@ void VcSeparableOutputFirstAllocator::allocate_fast(const FastVcRequest* req,
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
 
-  // Bid build, as in allocate_mask's column transpose: every candidate bit
-  // of every request reaches its output VC's tree arbiter eagerly, landing
-  // in the per-port group slice for input i's port.
+  // Bid build: every candidate bit of every request reaches its output VC's
+  // tree arbiter eagerly, landing in the per-port group slice for input i's
+  // port.
   for (std::size_t k = 0; k < n; ++k) {
     bits::Word mask = req[k].vc_mask;
     if (mask == 0) continue;
@@ -247,8 +199,8 @@ void VcSeparableOutputFirstAllocator::allocate_fast(const FastVcRequest* req,
 
   // Stage 1: every requested output VC picks a winning input VC through its
   // tree arbiter. Picks are pure (no updates until stage 2, as in
-  // allocate_mask), so visiting touched outputs in insertion order selects
-  // the same winners as the mask path's ascending scan. Each winner's
+  // allocate_ref), so visiting touched outputs in insertion order selects
+  // the same winners as the reference's ascending scan. Each winner's
   // offered set collects the output VC at its single destination port.
   for (const std::size_t o : fast_touched_) {
     const auto g = static_cast<std::size_t>(
@@ -290,59 +242,7 @@ void VcSeparableOutputFirstAllocator::allocate_fast(const FastVcRequest* req,
 void VcSeparableOutputFirstAllocator::allocate(
     const std::vector<VcRequest>& req, std::vector<int>& grant) {
   prepare(req, grant);
-  if (reference_path_) {
-    allocate_ref(req, grant);
-  } else {
-    allocate_mask(req, grant);
-  }
-}
-
-void VcSeparableOutputFirstAllocator::allocate_mask(
-    const std::vector<VcRequest>& req, std::vector<int>& grant) {
-  const std::size_t tw = bits::word_count(total());
-
-  // Request columns: bit i of column o set iff input VC i requests output
-  // VC o (same content as expand_requests, built transposed).
-  std::fill(cols_.begin(), cols_.end(), bits::Word{0});
-  std::fill(out_any_.begin(), out_any_.end(), bits::Word{0});
-  for (std::size_t i = 0; i < total(); ++i) {
-    const VcRequest& r = req[i];
-    if (!r.valid) continue;
-    const std::size_t base = static_cast<std::size_t>(r.out_port) * vcs();
-    for (std::size_t v = 0; v < vcs(); ++v) {
-      if (!r.vc_mask[v]) continue;
-      const std::size_t o = base + v;
-      cols_[o * tw + bits::word_of(i)] |= bits::bit(i);
-      out_any_[bits::word_of(o)] |= bits::bit(o);
-    }
-  }
-
-  // Stage 1: every requested output VC picks among the input VCs bidding.
-  std::fill(output_choice_.begin(), output_choice_.end(), -1);
-  std::fill(in_won_.begin(), in_won_.end(), bits::Word{0});
-  bits::for_each_set(out_any_.data(), tw, [&](std::size_t o) {
-    const int winner = output_arb_[o]->pick_words(&cols_[o * tw]);
-    output_choice_[o] = winner;
-    if (winner >= 0) in_won_[bits::word_of(winner)] |= bits::bit(winner);
-  });
-
-  // Stage 2: each input VC that won output VCs picks the one actually taken
-  // (all candidates live at its single destination port).
-  bits::for_each_set(in_won_.data(), tw, [&](std::size_t i) {
-    const VcRequest& r = req[i];
-    const std::size_t base = static_cast<std::size_t>(r.out_port) * vcs();
-    std::fill(offered_.begin(), offered_.end(), bits::Word{0});
-    for (std::size_t v = 0; v < vcs(); ++v) {
-      if (output_choice_[base + v] == static_cast<int>(i))
-        offered_[bits::word_of(v)] |= bits::bit(v);
-    }
-    const int v = input_arb_[i]->pick_words(offered_.data());
-    NOCALLOC_CHECK(v >= 0);
-    const std::size_t o = base + static_cast<std::size_t>(v);
-    grant[i] = static_cast<int>(o);
-    input_arb_[i]->update(v);
-    output_arb_[o]->update(static_cast<int>(i));
-  });
+  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
 }
 
 void VcSeparableOutputFirstAllocator::allocate_ref(

@@ -39,23 +39,17 @@ class VcSeparableInputFirstAllocator final : public VcAllocator {
   }
 
  private:
-  /// Sparse single-word variant of the word-parallel fast path, bit-identical
-  /// to allocate() in grants and arbiter state evolution; see
-  /// VcAllocator::allocate_sparse for the contract.
+  /// Sparse single-word kernel, bit-identical to allocate_ref() in grants
+  /// and arbiter state evolution; see VcAllocator::allocate_sparse for the
+  /// contract.
   void allocate_fast(const FastVcRequest* req, std::size_t n,
                      std::vector<int>& grant) override;
 
-  void allocate_mask(const std::vector<VcRequest>& req, std::vector<int>& grant);
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
-  void init_fast(ArbiterKind arb);
+  void init_fast();
 
   std::vector<std::unique_ptr<Arbiter>> input_arb_;   // per input VC, width V
   std::vector<std::unique_ptr<Arbiter>> output_arb_;  // per output VC, width P*V
-  // Mask-path scratch: packed per-input candidate mask, per-output-VC bid
-  // masks over input VCs, and the bid-for summary over output VCs.
-  std::vector<bits::Word> in_mask_;
-  std::vector<bits::Word> bids_;
-  std::vector<bits::Word> out_any_;
   // Fast-path caches: devirtualized handles for the arbiters behind
   // input_arb_ and both levels of each output tree arbiter, plus
   // per-output-VC bid state kept as one V-wide word per input port (the
@@ -94,25 +88,16 @@ class VcSeparableOutputFirstAllocator final : public VcAllocator {
   /// Sparse single-word sep_of kernel: all stage-1 output-side tree picks
   /// run first (pure), then each input VC that won arbitrates among its
   /// offered output VCs and only then are priorities updated -- the exact
-  /// structure (and state evolution) of allocate_mask. See
+  /// structure (and state evolution) of allocate_ref. See
   /// VcAllocator::allocate_sparse for the contract.
   void allocate_fast(const FastVcRequest* req, std::size_t n,
                      std::vector<int>& grant) override;
 
-  void allocate_mask(const std::vector<VcRequest>& req, std::vector<int>& grant);
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
   void init_fast();
 
   std::vector<std::unique_ptr<Arbiter>> output_arb_;  // per output VC, width P*V
   std::vector<std::unique_ptr<Arbiter>> input_arb_;   // per input VC, width V
-  // Mask-path scratch: per-output-VC request columns over input VCs, the
-  // requested-output summary, winners per output VC, the won-something
-  // summary over input VCs, and the packed per-input offer mask.
-  std::vector<bits::Word> cols_;
-  std::vector<bits::Word> out_any_;
-  std::vector<bits::Word> in_won_;
-  std::vector<bits::Word> offered_;
-  std::vector<int> output_choice_;
   // Fast-path caches: devirtualized arbiter handles, per-output-VC bid words
   // (tree group slices), the per-input offered-VC word, and the stage-1
   // winner list carrying each winning input's destination port.

@@ -41,7 +41,7 @@ void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,
   // Scatter requests into their message class's block as (row, column)
   // cells. A request only ever appears as a row of the block holding its
   // input VC, and candidate bits outside that block are ignored -- exactly
-  // the dense path's per-block matrix build.
+  // allocate_ref's per-block matrix build.
   for (std::size_t k = 0; k < n; ++k) {
     bits::Word mask = req[k].vc_mask;
     if (mask == 0) continue;
@@ -64,7 +64,7 @@ void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,
   }
 
   // Every core runs every cycle (empty or not), so all diagonals rotate in
-  // lock-step with the dense path.
+  // lock-step with allocate_ref.
   for (std::size_t m = 0; m < cores_.size(); ++m) {
     const std::size_t vc_lo = m * span;
     fast_granted_.clear();
@@ -81,57 +81,48 @@ void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,
   }
 }
 
-void VcWavefrontAllocator::allocate_block(const std::vector<VcRequest>& req,
-                                          std::size_t vc_lo, std::size_t vc_hi,
-                                          WavefrontAllocator& core,
-                                          std::vector<int>& grant) {
-  const std::size_t width = vc_hi - vc_lo;  // VCs per port in this block
-  const std::size_t n = ports() * width;
+void VcWavefrontAllocator::allocate(const std::vector<VcRequest>& req,
+                                    std::vector<int>& grant) {
+  prepare(req, grant);
+  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
+}
 
-  // Build the block-local request matrix. Block-local index of (port, vc)
-  // is port * width + (vc - vc_lo).
-  BitMatrix block_req(n, n);
-  for (std::size_t p = 0; p < ports(); ++p) {
-    for (std::size_t v = vc_lo; v < vc_hi; ++v) {
-      const VcRequest& r = req[p * vcs() + v];
-      if (!r.valid) continue;
-      const std::size_t row = p * width + (v - vc_lo);
-      const std::size_t out_base =
-          static_cast<std::size_t>(r.out_port) * width;
-      for (std::size_t w = vc_lo; w < vc_hi; ++w) {
-        if (r.vc_mask[w]) block_req.set(row, out_base + (w - vc_lo));
+void VcWavefrontAllocator::allocate_ref(const std::vector<VcRequest>& req,
+                                        std::vector<int>& grant) {
+  // One block per core: core m owns VCs [m * width, (m + 1) * width) of
+  // every port. Requests of message class m only target that range, which
+  // is validated implicitly because out-of-block mask bits are ignored.
+  const std::size_t width = vcs() / cores_.size();  // VCs per port per block
+  const std::size_t n = ports() * width;
+  for (std::size_t m = 0; m < cores_.size(); ++m) {
+    const std::size_t vc_lo = m * width;
+
+    // Block-local index of (port, vc) is port * width + (vc - vc_lo).
+    BitMatrix block_req(n, n);
+    for (std::size_t p = 0; p < ports(); ++p) {
+      for (std::size_t v = vc_lo; v < vc_lo + width; ++v) {
+        const VcRequest& r = req[p * vcs() + v];
+        if (!r.valid) continue;
+        const std::size_t row = p * width + (v - vc_lo);
+        const std::size_t out_base =
+            static_cast<std::size_t>(r.out_port) * width;
+        for (std::size_t w = vc_lo; w < vc_lo + width; ++w) {
+          if (r.vc_mask[w]) block_req.set(row, out_base + (w - vc_lo));
+        }
       }
     }
-  }
 
-  BitMatrix block_gnt;
-  core.allocate(block_req, block_gnt);
+    BitMatrix block_gnt;
+    cores_[m]->allocate(block_req, block_gnt);
 
-  for (std::size_t p = 0; p < ports(); ++p) {
-    for (std::size_t v = vc_lo; v < vc_hi; ++v) {
-      const std::size_t row = p * width + (v - vc_lo);
+    for (std::size_t row = 0; row < n; ++row) {
       const int col = block_gnt.row_single(row);
       if (col < 0) continue;
       const std::size_t out_port = static_cast<std::size_t>(col) / width;
       const std::size_t out_vc = vc_lo + static_cast<std::size_t>(col) % width;
-      grant[p * vcs() + v] = static_cast<int>(out_port * vcs() + out_vc);
+      grant[(row / width) * vcs() + vc_lo + row % width] =
+          static_cast<int>(out_port * vcs() + out_vc);
     }
-  }
-}
-
-void VcWavefrontAllocator::allocate(const std::vector<VcRequest>& req,
-                                    std::vector<int>& grant) {
-  prepare(req, grant);
-  if (sparse_) {
-    const std::size_t span =
-        partition_.resource_classes() * partition_.vcs_per_class();
-    for (std::size_t m = 0; m < partition_.message_classes(); ++m) {
-      // Requests of message class m only target VCs in [m*span, (m+1)*span);
-      // validated implicitly because out-of-block mask bits are ignored.
-      allocate_block(req, m * span, (m + 1) * span, *cores_[m], grant);
-    }
-  } else {
-    allocate_block(req, 0, vcs(), *cores_[0], grant);
   }
 }
 

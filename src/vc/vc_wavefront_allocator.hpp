@@ -51,16 +51,15 @@ class VcWavefrontAllocator final : public VcAllocator {
   /// Sparse single-call kernel: requests become (row, column) cells of their
   /// message class's block and each core runs one wave-bucketed
   /// WavefrontAllocator::allocate_sparse pass -- every core exactly once per
-  /// call, so all diagonals rotate as one dense allocate() would. See
+  /// call, so all diagonals rotate as one allocate_ref() would. See
   /// VcAllocator::allocate_sparse for the contract.
   void allocate_fast(const FastVcRequest* req, std::size_t n,
                      std::vector<int>& grant) override;
 
-  /// Runs one wavefront block over the subset of VCs belonging to message
-  /// class m (all of them when sparse_ is false and m == 0).
-  void allocate_block(const std::vector<VcRequest>& req, std::size_t vc_lo,
-                      std::size_t vc_hi, WavefrontAllocator& core,
-                      std::vector<int>& grant);
+  /// The oracle: builds each core's block request matrix and runs the dense
+  /// WavefrontAllocator::allocate over it (the cores' byte loop whenever
+  /// the reference path is selected).
+  void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
 
   VcPartition partition_;
   bool sparse_;

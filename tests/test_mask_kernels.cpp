@@ -1,20 +1,23 @@
-// Differential tests for the word-parallel (mask) kernels.
+// Differential tests for the word-parallel arbiter picks and the allocator
+// kernels.
 //
-// The fast paths added for the performance work must be grant-for-grant
-// identical to the byte-loop reference paths they replaced: every arbiter's
-// pick_words must select the same winner as pick, and every allocator run
-// with set_reference_path(false) must emit the same grants, cycle after
-// cycle, as a twin instance running the reference path on the same request
+// Every arbiter's pick_words must select the same winner as pick, and every
+// kernel-backed allocator driven through its dense allocate() -- which packs
+// the requests and runs the same single-word kernel the router runs -- must
+// emit the same grants, cycle after cycle, as a twin instance running the
+// byte-loop reference path (set_reference_path(true)) on the same request
 // stream. The allocator-level tests sweep all 145 paper design points
-// (src/lint/design_points.hpp) across multiple seeds and request densities.
+// (src/lint/design_points.hpp) across multiple seeds and request densities,
+// plus shapes too wide for one word, where the dense API falls back to the
+// reference.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "arbiter/arbiter.hpp"
-#include "arbiter/tree_arbiter.hpp"
 #include "common/rng.hpp"
 #include "lint/design_points.hpp"
 #include "sa/speculative_switch_allocator.hpp"
@@ -71,30 +74,6 @@ TEST(ArbiterMaskPath, PickWordsMatchesPick) {
   }
 }
 
-TEST(ArbiterMaskPath, TreeArbiterPickWordsMatchesPick) {
-  struct Shape {
-    std::size_t groups, group_size;
-  };
-  for (ArbiterKind kind : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
-    for (Shape s : {Shape{2, 2}, Shape{5, 4}, Shape{10, 16}, Shape{3, 33}}) {
-      TreeArbiter arb(kind, s.groups, s.group_size);
-      const std::size_t n = arb.size();
-      Rng rng(0xB0 + n);
-      std::vector<bits::Word> words(bits::word_count(n));
-      for (int round = 0; round < 300; ++round) {
-        const ReqVector req = random_req(n, (round % 9) * 0.12 + 0.02, rng);
-        pack_req(req, words.data());
-        const int byte_pick = arb.pick(req);
-        const int word_pick = arb.pick_words(words.data());
-        ASSERT_EQ(word_pick, byte_pick)
-            << to_string(kind) << " " << s.groups << "x" << s.group_size
-            << " round " << round;
-        if (byte_pick >= 0 && rng.next_bool(0.7)) arb.update(byte_pick);
-      }
-    }
-  }
-}
-
 // The lint regression net and these differential tests must cover the same
 // universe: every allocator configuration the paper synthesizes.
 TEST(DesignPoints, CoverAll145) {
@@ -116,14 +95,15 @@ std::vector<SwitchRequest> random_sa_requests(std::size_t ports,
   return req;
 }
 
-// Runs twin non-speculative allocators -- one mask path, one reference
-// path -- on an identical request stream and requires identical grants.
-void diff_sa_point(const hw::SaDesignPoint& p, std::uint64_t seed,
-                   int cycles) {
-  const SwitchAllocatorConfig cfg{p.cfg.ports, p.cfg.vcs, p.cfg.kind,
-                                  p.cfg.arb};
+// Runs twin non-speculative allocators -- one on its kernel, one on the
+// reference path -- on an identical request stream and requires identical
+// grants. `kernel` states whether the first twin's dense allocate() runs
+// the kernel (fast_ready()) or falls back to the reference itself.
+void diff_sa(const SwitchAllocatorConfig& cfg, const std::string& name,
+             bool kernel, std::uint64_t seed, int cycles) {
   auto fast = make_switch_allocator(cfg);
   auto ref = make_switch_allocator(cfg);
+  ASSERT_EQ(fast->fast_ready(), kernel) << name;
   ref->set_reference_path(true);
   Rng rng(seed);
   std::vector<SwitchGrant> fast_gnt, ref_gnt;
@@ -135,9 +115,9 @@ void diff_sa_point(const hw::SaDesignPoint& p, std::uint64_t seed,
     ASSERT_EQ(fast_gnt.size(), ref_gnt.size());
     for (std::size_t i = 0; i < fast_gnt.size(); ++i) {
       ASSERT_EQ(fast_gnt[i].vc, ref_gnt[i].vc)
-          << p.name << " seed " << seed << " cycle " << cycle << " port " << i;
+          << name << " seed " << seed << " cycle " << cycle << " port " << i;
       ASSERT_EQ(fast_gnt[i].out_port, ref_gnt[i].out_port)
-          << p.name << " seed " << seed << " cycle " << cycle << " port " << i;
+          << name << " seed " << seed << " cycle " << cycle << " port " << i;
     }
   }
 }
@@ -148,6 +128,8 @@ void diff_spec_point(const hw::SaDesignPoint& p, std::uint64_t seed,
                                   p.cfg.arb};
   SpeculativeSwitchAllocator fast(cfg, p.cfg.spec);
   SpeculativeSwitchAllocator ref(cfg, p.cfg.spec);
+  ASSERT_EQ(fast.fast_ready(), p.cfg.kind != AllocatorKind::kMaximumSize)
+      << p.name;
   ref.set_reference_path(true);
   Rng rng(seed);
   std::vector<SpecSwitchGrant> fast_gnt, ref_gnt;
@@ -173,11 +155,14 @@ void diff_spec_point(const hw::SaDesignPoint& p, std::uint64_t seed,
   }
 }
 
-TEST(AllocatorMaskPath, AllSaDesignPointsMatchReference) {
+// Every non-maximum-size point must run its kernel, so the differential
+// never silently compares the reference with itself.
+TEST(KernelVsReference, AllSaDesignPointsMatchThroughDenseApi) {
   for (const hw::SaDesignPoint& p : hw::paper_sa_design_points()) {
     for (std::uint64_t seed : {1u, 42u, 9001u}) {
       if (p.cfg.spec == SpecMode::kNonSpeculative) {
-        diff_sa_point(p, seed, 60);
+        diff_sa({p.cfg.ports, p.cfg.vcs, p.cfg.kind, p.cfg.arb}, p.name,
+                p.cfg.kind != AllocatorKind::kMaximumSize, seed, 60);
       } else {
         diff_spec_point(p, seed, 60);
       }
@@ -211,7 +196,29 @@ std::vector<VcRequest> random_vc_requests(std::size_t ports,
   return req;
 }
 
-TEST(AllocatorMaskPath, AllVcDesignPointsMatchReference) {
+// VC twin of diff_sa: one allocator on its kernel (or, when `kernel` is
+// false, falling back by itself), one on the reference path.
+void diff_vc(const VcAllocatorConfig& cfg, const std::string& name,
+             bool kernel, int cycles) {
+  auto fast = make_vc_allocator(cfg);
+  auto ref = make_vc_allocator(cfg);
+  ASSERT_EQ(fast->fast_ready(), kernel) << name;
+  ref->set_reference_path(true);
+  for (std::uint64_t seed : {3u, 77u, 4242u}) {
+    Rng rng(seed);
+    std::vector<int> fast_gnt, ref_gnt;
+    for (int cycle = 0; cycle < cycles; ++cycle) {
+      const double rate = (cycle % 10) * 0.1 + 0.05;
+      const auto req = random_vc_requests(cfg.ports, cfg.partition, rate, rng);
+      fast->allocate(req, fast_gnt);
+      ref->allocate(req, ref_gnt);
+      ASSERT_EQ(fast_gnt, ref_gnt)
+          << name << " seed " << seed << " cycle " << cycle;
+    }
+  }
+}
+
+TEST(KernelVsReference, AllVcDesignPointsMatchThroughDenseApi) {
   for (const hw::VcDesignPoint& p : hw::paper_vc_design_points()) {
     VcAllocatorConfig cfg;
     cfg.ports = p.cfg.ports;
@@ -219,21 +226,37 @@ TEST(AllocatorMaskPath, AllVcDesignPointsMatchReference) {
     cfg.kind = p.cfg.kind;
     cfg.arb = p.cfg.arb;
     cfg.sparse = p.cfg.sparse;
-    auto fast = make_vc_allocator(cfg);
-    auto ref = make_vc_allocator(cfg);
-    ref->set_reference_path(true);
-    for (std::uint64_t seed : {3u, 77u, 4242u}) {
-      Rng rng(seed);
-      std::vector<int> fast_gnt, ref_gnt;
-      for (int cycle = 0; cycle < 60; ++cycle) {
-        const double rate = (cycle % 10) * 0.1 + 0.05;
-        const auto req =
-            random_vc_requests(cfg.ports, cfg.partition, rate, rng);
-        fast->allocate(req, fast_gnt);
-        ref->allocate(req, ref_gnt);
-        ASSERT_EQ(fast_gnt, ref_gnt)
-            << p.name << " seed " << seed << " cycle " << cycle;
-      }
+    diff_vc(cfg, p.name, p.cfg.kind != AllocatorKind::kMaximumSize, 60);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+constexpr AllocatorKind kKernelFamilies[] = {
+    AllocatorKind::kSeparableInputFirst, AllocatorKind::kSeparableOutputFirst,
+    AllocatorKind::kWavefront};
+
+// V = 80 candidate masks do not fit one word: dense allocate() must fall
+// back to the reference and still match a reference twin.
+TEST(KernelVsReference, WideVcFallsBackToReference) {
+  for (AllocatorKind kind : kKernelFamilies) {
+    for (bool sparse : {false, true}) {
+      VcAllocatorConfig cfg;
+      cfg.ports = 5;
+      cfg.partition = VcPartition::mesh(2, 40);
+      cfg.kind = kind;
+      cfg.sparse = sparse;
+      ASSERT_EQ(cfg.partition.total_vcs(), 80u);
+      diff_vc(cfg, "V80 " + to_string(kind), false, 20);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+// P = 65 ports do not fit one word: same fallback for switch allocation.
+TEST(KernelVsReference, WideSwitchFallsBackToReference) {
+  for (AllocatorKind kind : kKernelFamilies) {
+    for (ArbiterKind arb : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
+      diff_sa({65, 2, kind, arb}, "P65 " + to_string(kind), false, 7, 30);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }

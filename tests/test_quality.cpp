@@ -140,6 +140,49 @@ TEST(SaQuality, MaxSizeAllocatorScoresExactlyOne) {
   EXPECT_DOUBLE_EQ(sa_quality(AllocatorKind::kMaximumSize, 5, 4, 0.7), 1.0);
 }
 
+// The quality protocol runs each family's kernel through the dense API; the
+// byte-loop reference must score every matrix identically.
+TEST(Quality, ReferencePathGivesIdenticalCounts) {
+  for (AllocatorKind kind :
+       {AllocatorKind::kSeparableInputFirst,
+        AllocatorKind::kSeparableOutputFirst, AllocatorKind::kWavefront}) {
+    for (const auto& [ports, part] :
+         {std::pair{std::size_t{5}, VcPartition::mesh(2, 4)},
+          std::pair{std::size_t{10}, VcPartition::fbfly(2, 4)}}) {
+      QualityResult vc[2];
+      QualityResult sa[2];
+      for (bool ref : {false, true}) {
+        VcAllocatorConfig cfg;
+        cfg.ports = ports;
+        cfg.partition = part;
+        cfg.kind = kind;
+        auto va = make_vc_allocator(cfg);
+        auto sw = make_switch_allocator(
+            {ports, part.total_vcs(), kind, ArbiterKind::kRoundRobin});
+        ASSERT_TRUE(va->fast_ready());
+        ASSERT_TRUE(sw->fast_ready());
+        va->set_reference_path(ref);
+        sw->set_reference_path(ref);
+        for (double rate : {0.2, 0.6, 1.0}) {
+          Rng rng_vc(21), rng_sa(22);
+          const QualityResult v =
+              measure_vc_quality(*va, part, rate, 200, rng_vc);
+          const QualityResult s = measure_sa_quality(*sw, rate, 200, rng_sa);
+          vc[ref].grants += v.grants;
+          vc[ref].max_grants += v.max_grants;
+          sa[ref].grants += s.grants;
+          sa[ref].max_grants += s.max_grants;
+        }
+      }
+      const std::string where = to_string(kind) + " P" + std::to_string(ports);
+      EXPECT_EQ(vc[0].grants, vc[1].grants) << where;
+      EXPECT_EQ(vc[0].max_grants, vc[1].max_grants) << where;
+      EXPECT_EQ(sa[0].grants, sa[1].grants) << where;
+      EXPECT_EQ(sa[0].max_grants, sa[1].max_grants) << where;
+    }
+  }
+}
+
 TEST(Quality, ReproducibleForSameSeed) {
   auto a = make_switch_allocator(
       {5, 2, AllocatorKind::kSeparableInputFirst, ArbiterKind::kRoundRobin});
