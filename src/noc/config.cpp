@@ -1,6 +1,7 @@
 #include "noc/config.hpp"
 
 #include <istream>
+#include <optional>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -59,17 +60,12 @@ TrafficPattern parse_pattern(const std::string& key, const std::string& v) {
   bad_value(key, v, "uniform, bitcomp, transpose, shuffle or tornado");
 }
 
-/// Parses a whole-string unsigned integer no smaller than `min`.
-std::size_t parse_size(const std::string& key, const std::string& v,
-                       std::size_t min = 0) {
-  std::istringstream in(v);
-  std::size_t out = 0;
-  in >> out;
-  if (in.fail() || !in.eof() || v.find('-') != std::string::npos ||
-      out < min) {
-    bad_value(key, v, "an integer >= " + std::to_string(min));
-  }
-  return out;
+/// parse_size, or aborts naming the key and the value.
+std::size_t require_size(const std::string& key, const std::string& v,
+                         std::size_t min = 0) {
+  const std::optional<std::size_t> out = parse_size(v, min);
+  if (!out) bad_value(key, v, "an integer >= " + std::to_string(min));
+  return *out;
 }
 
 bool parse_bool(const std::string& key, const std::string& v) {
@@ -78,22 +74,18 @@ bool parse_bool(const std::string& key, const std::string& v) {
   bad_value(key, v, "true/false, 1/0 or on/off");
 }
 
-/// Parses a whole-string non-negative number.
-double parse_rate(const std::string& key, const std::string& v) {
-  std::istringstream in(v);
-  double out = 0;
-  in >> out;
-  if (in.fail() || !in.eof() || !(out >= 0.0)) {
-    bad_value(key, v, "a number >= 0");
-  }
-  return out;
+/// parse_rate, or aborts naming the key and the value.
+double require_rate(const std::string& key, const std::string& v) {
+  const std::optional<double> out = parse_rate(v);
+  if (!out) bad_value(key, v, "a number >= 0");
+  return *out;
 }
 
 void apply(SimConfig& cfg, const std::string& key, const std::string& value) {
   if (key == "topology") {
     cfg.topology = parse_topology(key, value);
   } else if (key == "vcs_per_class") {
-    cfg.vcs_per_class = parse_size(key, value, 1);
+    cfg.vcs_per_class = require_size(key, value, 1);
   } else if (key == "vc_alloc") {
     cfg.vc_alloc = parse_allocator(key, value);
   } else if (key == "vc_arb") {
@@ -105,21 +97,21 @@ void apply(SimConfig& cfg, const std::string& key, const std::string& value) {
   } else if (key == "spec") {
     cfg.spec = parse_spec(key, value);
   } else if (key == "buffer_depth") {
-    cfg.buffer_depth = parse_size(key, value, 1);
+    cfg.buffer_depth = require_size(key, value, 1);
   } else if (key == "pattern") {
     cfg.pattern = parse_pattern(key, value);
   } else if (key == "injection_rate") {
-    cfg.injection_rate = parse_rate(key, value);
+    cfg.injection_rate = require_rate(key, value);
   } else if (key == "ugal_threshold") {
-    cfg.ugal_threshold = parse_size(key, value);
+    cfg.ugal_threshold = require_size(key, value);
   } else if (key == "warmup_cycles") {
-    cfg.warmup_cycles = parse_size(key, value);
+    cfg.warmup_cycles = require_size(key, value);
   } else if (key == "measure_cycles") {
-    cfg.measure_cycles = parse_size(key, value);
+    cfg.measure_cycles = require_size(key, value);
   } else if (key == "drain_cycles") {
-    cfg.drain_cycles = parse_size(key, value);
+    cfg.drain_cycles = require_size(key, value);
   } else if (key == "seed") {
-    cfg.seed = parse_size(key, value);
+    cfg.seed = require_size(key, value);
   } else if (key == "check_invariants") {
     cfg.check_invariants = parse_bool(key, value);
   } else if (key == "disable_datelines") {
@@ -130,6 +122,25 @@ void apply(SimConfig& cfg, const std::string& key, const std::string& value) {
 }
 
 }  // namespace
+
+std::optional<std::size_t> parse_size(const std::string& v, std::size_t min) {
+  std::istringstream in(v);
+  std::size_t out = 0;
+  in >> std::noskipws >> out;
+  if (in.fail() || !in.eof() || v.find('-') != std::string::npos ||
+      out < min) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+std::optional<double> parse_rate(const std::string& v) {
+  std::istringstream in(v);
+  double out = 0;
+  in >> std::noskipws >> out;
+  if (in.fail() || !in.eof() || !(out >= 0.0)) return std::nullopt;
+  return out;
+}
 
 void apply_override(SimConfig& cfg, const std::string& assignment) {
   const auto eq = assignment.find('=');

@@ -1,5 +1,7 @@
 #include "quality/quality.hpp"
 
+#include <vector>
+
 #include "alloc/max_size_allocator.hpp"
 #include "common/bit_matrix.hpp"
 #include "common/check.hpp"
@@ -115,29 +117,6 @@ QualityResult measure_sa_quality(SwitchAllocator& alloc, double rate,
     result.max_grants += MaxSizeAllocator::max_matching_size(port_req);
   }
   return result;
-}
-
-std::vector<QualityResult> measure_vc_quality_sweep(
-    sweep::ThreadPool& pool,
-    const std::function<std::unique_ptr<VcAllocator>()>& factory,
-    const VcPartition& partition, const std::vector<double>& rates,
-    std::size_t trials, std::uint64_t seed) {
-  return sweep::parallel_map(pool, rates.size(), [&](std::size_t i) {
-    auto alloc = factory();
-    Rng rng(sweep::task_seed(seed, i));
-    return measure_vc_quality(*alloc, partition, rates[i], trials, rng);
-  });
-}
-
-std::vector<QualityResult> measure_sa_quality_sweep(
-    sweep::ThreadPool& pool,
-    const std::function<std::unique_ptr<SwitchAllocator>()>& factory,
-    const std::vector<double>& rates, std::size_t trials, std::uint64_t seed) {
-  return sweep::parallel_map(pool, rates.size(), [&](std::size_t i) {
-    auto alloc = factory();
-    Rng rng(sweep::task_seed(seed, i));
-    return measure_sa_quality(*alloc, rates[i], trials, rng);
-  });
 }
 
 }  // namespace nocalloc::quality

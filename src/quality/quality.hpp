@@ -10,13 +10,10 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <memory>
-#include <vector>
+#include <cstdint>
 
 #include "common/rng.hpp"
 #include "sa/switch_allocator.hpp"
-#include "sweep/sweep.hpp"
 #include "vc/vc_allocator.hpp"
 
 namespace nocalloc::quality {
@@ -48,25 +45,5 @@ QualityResult measure_vc_quality(nocalloc::VcAllocator& alloc,
 QualityResult measure_sa_quality(nocalloc::SwitchAllocator& alloc,
                                  double rate, std::size_t trials,
                                  nocalloc::Rng& rng);
-
-/// Batch variant of measure_vc_quality: evaluates every rate point on the
-/// pool concurrently. Each point runs an independent measurement against a
-/// freshly constructed allocator (from `factory`) with an Rng seeded by
-/// sweep::task_seed(seed, point index) -- counter-based, so the returned
-/// vector is bit-identical for every thread count (including a serial pool).
-/// Note the protocol difference from looping measure_vc_quality over rates
-/// with one allocator: here priority state does not carry between points.
-std::vector<QualityResult> measure_vc_quality_sweep(
-    sweep::ThreadPool& pool,
-    const std::function<std::unique_ptr<nocalloc::VcAllocator>()>& factory,
-    const nocalloc::VcPartition& partition, const std::vector<double>& rates,
-    std::size_t trials, std::uint64_t seed);
-
-/// Batch variant of measure_sa_quality; same contract as
-/// measure_vc_quality_sweep.
-std::vector<QualityResult> measure_sa_quality_sweep(
-    sweep::ThreadPool& pool,
-    const std::function<std::unique_ptr<nocalloc::SwitchAllocator>()>& factory,
-    const std::vector<double>& rates, std::size_t trials, std::uint64_t seed);
 
 }  // namespace nocalloc::quality

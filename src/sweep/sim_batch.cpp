@@ -48,15 +48,6 @@ std::vector<noc::SimResult> run_sim_batch(
   return results;
 }
 
-std::vector<noc::SimResult> run_sim_batch_seeded(
-    ThreadPool& pool, std::vector<noc::SimConfig> cfgs,
-    std::uint64_t base_seed) {
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    cfgs[i].seed = task_seed(base_seed, i);
-  }
-  return run_sim_batch(pool, cfgs);
-}
-
 namespace {
 
 /// The config a curve's design point is warmed under: the base config at

@@ -11,7 +11,7 @@
 //
 // Isolation and determinism: every task owns a full SimInstance -- its own
 // PacketArena, rings, allocator state, and RNG streams (seeded from the
-// config, or counter-based via task_seed in the seeded variant) -- so
+// config; multi-seed sweeps derive those seeds with task_seed) -- so
 // shards share nothing and results are bit-identical for every thread
 // count, 1 included.
 //
@@ -24,7 +24,7 @@
 // cold, and cache-disabled runs return bit-identical results.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "noc/sim.hpp"
@@ -36,13 +36,6 @@ namespace nocalloc::sweep {
 /// input order and bit-identical across thread counts.
 std::vector<noc::SimResult> run_sim_batch(
     ThreadPool& pool, const std::vector<noc::SimConfig>& cfgs);
-
-/// Same, but replaces each config's seed with task_seed(base_seed, i) --
-/// the counter-based scheme that keeps multi-seed sweeps reproducible
-/// without any shared RNG.
-std::vector<noc::SimResult> run_sim_batch_seeded(
-    ThreadPool& pool, std::vector<noc::SimConfig> cfgs,
-    std::uint64_t base_seed);
 
 /// One latency-vs-load curve over a fixed design point.
 struct CurveSpec {
@@ -59,7 +52,8 @@ struct CurveSpec {
   /// curves end at saturation) and runs as ONE task, forking rates in
   /// order within it. When false, every (design point, rate) pair becomes
   /// its own shard: phase 1 warms and snapshots each design point in
-  /// parallel, phase 2 forks all load points in parallel.
+  /// parallel, phase 2 forks all load points in parallel. The figure
+  /// benches stop at saturation; tools/nocsweep prints every rate.
   bool stop_at_saturation = true;
 };
 

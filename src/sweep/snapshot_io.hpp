@@ -11,10 +11,9 @@
 // (NEVER a crash -- cache files are runtime data, unlike in-process
 // snapshots whose mismatches are programming errors).
 //
-// Readers come in two flavors: read_snapshot_file() for one-shot loads, and
-// MappedFile + decode_snapshot() for multi-process sweep workers that mmap
-// one shared warm-snapshot file read-only (the kernel shares the page-cache
-// pages across every worker) and copy-on-restore into their own arenas.
+// read_snapshot_file() maps the file read-only (MappedFile) and
+// decode_snapshot()s it, copying the payload into the caller's private
+// state; decode_snapshot() also validates any in-memory image.
 #pragma once
 
 #include <cstdint>
@@ -100,8 +99,8 @@ IoStatus write_snapshot_file(const std::string& path,
 IoStatus read_snapshot_file(const std::string& path, const noc::SimConfig& cfg,
                             noc::SimSnapshot& out);
 
-/// Read-only mmap of a file; the decode path multi-process sweep workers
-/// share one warm snapshot through. Movable, not copyable.
+/// Read-only mmap of a file, the input side of read_snapshot_file().
+/// Movable, not copyable.
 class MappedFile {
  public:
   MappedFile() = default;

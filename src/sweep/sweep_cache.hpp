@@ -18,12 +18,13 @@
 //
 // Storage is one file per record in a cache directory, published with a
 // file-lock-guarded atomic rename, so any number of threads AND processes
-// (tools/nocsweep forks workers) can read and write concurrently; readers
-// only ever observe complete files. A corrupt or stale record (bad magic,
-// wrong version, key or hash mismatch, truncation) is treated as a miss
-// and recomputed -- the cache can never serve wrong bytes, and because
-// simulations are deterministic a recomputed record is byte-identical to
-// what the lost one was.
+// (figure benches, the benchmark, CI jobs, tools/nocsweep sharing one
+// directory) can read and write concurrently; readers only ever observe
+// complete files. A corrupt or stale record (bad magic, wrong version, key
+// or hash mismatch, truncation) is treated as a miss and recomputed -- the
+// cache can never serve wrong bytes, and because simulations are
+// deterministic a recomputed record is byte-identical to what the lost one
+// was.
 //
 // Opt-in: SweepCache::from_env() reads NOCALLOC_SWEEP_CACHE; when unset the
 // sweep entry points (sweep/sim_batch) run exactly as before. Cached and
@@ -77,10 +78,6 @@ class SweepCache {
 
   // ---- warm snapshots -------------------------------------------------
 
-  /// Path of the warm-snapshot file for `warm_cfg` (exposed so nocsweep
-  /// workers can mmap one shared file instead of each reading a copy).
-  std::string snapshot_path(const noc::SimConfig& warm_cfg) const;
-
   /// True and fills `out` when a valid warm snapshot for `warm_cfg` is on
   /// disk (strict snapshot_io validation; any mismatch is a miss).
   bool lookup_snapshot(const noc::SimConfig& warm_cfg,
@@ -92,6 +89,7 @@ class SweepCache {
 
  private:
   std::string result_path(std::uint64_t key) const;
+  std::string snapshot_path(const noc::SimConfig& warm_cfg) const;
 
   std::string dir_;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -110,6 +111,21 @@ TEST(SimConfigParse, RejectsBadValuesNamingKeyAndValue) {
     SCOPED_TRACE(text);
     std::istringstream in(text);
     EXPECT_DEATH(parse_sim_config(in), message);
+  }
+}
+
+// The whole-string numeric parsers shared with the command-line tools.
+TEST(NumericParse, AcceptsWholeNumbersOnly) {
+  EXPECT_EQ(parse_size("42"), std::optional<std::size_t>(42));
+  EXPECT_EQ(parse_size("1", 1), std::optional<std::size_t>(1));
+  EXPECT_EQ(parse_size("0", 1), std::nullopt);
+  for (const char* bad : {"", "abc", "2abc", "-1", " 3", "3 ", "1.5"}) {
+    EXPECT_EQ(parse_size(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_rate("0.05"), std::optional<double>(0.05));
+  EXPECT_EQ(parse_rate("0"), std::optional<double>(0.0));
+  for (const char* bad : {"", "abc", "0.2x", "-0.2", " 0.1", "nan", "0.1,"}) {
+    EXPECT_EQ(parse_rate(bad), std::nullopt) << "'" << bad << "'";
   }
 }
 

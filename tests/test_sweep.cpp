@@ -84,20 +84,24 @@ TEST(ParallelMap, BitIdenticalAcrossPoolSizes) {
   }
 }
 
+// The fig07/fig12 composition: parallel_map over measure_*_quality, one
+// fresh allocator and one task_seed stream per rate point. Under TSan this
+// covers concurrent quality measurement, the per-thread Hopcroft-Karp
+// scratch included.
 TEST(QualitySweep, SaResultsIdenticalAcrossPoolSizes) {
   const std::vector<double> rates = {0.1, 0.3, 0.5, 0.7, 0.9};
-  const auto factory = [] {
-    return make_switch_allocator(
+  const auto point = [&](std::size_t i) {
+    auto alloc = make_switch_allocator(
         {5, 4, AllocatorKind::kSeparableInputFirst, ArbiterKind::kRoundRobin});
+    Rng rng(task_seed(0xF00D, i));
+    return quality::measure_sa_quality(*alloc, rates[i], 400, rng);
   };
   ThreadPool serial(1);
-  const auto expected =
-      quality::measure_sa_quality_sweep(serial, factory, rates, 400, 0xF00D);
+  const auto expected = parallel_map(serial, rates.size(), point);
   ASSERT_EQ(expected.size(), rates.size());
   for (std::size_t threads : {2u, 6u}) {
     ThreadPool pool(threads);
-    const auto got =
-        quality::measure_sa_quality_sweep(pool, factory, rates, 400, 0xF00D);
+    const auto got = parallel_map(pool, rates.size(), point);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].rate, expected[i].rate) << "threads=" << threads;
@@ -112,20 +116,20 @@ TEST(QualitySweep, SaResultsIdenticalAcrossPoolSizes) {
 TEST(QualitySweep, VcResultsIdenticalAcrossPoolSizes) {
   const VcPartition part = VcPartition::mesh(2, 2);
   const std::vector<double> rates = {0.2, 0.6, 1.0};
-  const auto factory = [&part] {
+  const auto point = [&](std::size_t i) {
     VcAllocatorConfig cfg;
     cfg.ports = 5;
     cfg.partition = part;
     cfg.kind = AllocatorKind::kSeparableOutputFirst;
-    return make_vc_allocator(cfg);
+    auto alloc = make_vc_allocator(cfg);
+    Rng rng(task_seed(7, i));
+    return quality::measure_vc_quality(*alloc, part, rates[i], 300, rng);
   };
   ThreadPool serial(1);
-  const auto expected = quality::measure_vc_quality_sweep(serial, factory,
-                                                          part, rates, 300, 7);
+  const auto expected = parallel_map(serial, rates.size(), point);
   for (std::size_t threads : {2u, 5u}) {
     ThreadPool pool(threads);
-    const auto got = quality::measure_vc_quality_sweep(pool, factory, part,
-                                                       rates, 300, 7);
+    const auto got = parallel_map(pool, rates.size(), point);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].grants, expected[i].grants) << "threads=" << threads;
@@ -180,7 +184,8 @@ void expect_result_eq(const noc::SimResult& got, const noc::SimResult& want,
 }
 
 // run_sim_batch is the sharded engine's flat entry point: a mixed bag of
-// design points must produce identical results on 1 and N threads.
+// design points, seeded by task_seed, must produce identical results on 1
+// and N threads.
 TEST(SimBatch, BatchIdenticalAcrossPoolSizes) {
   std::vector<noc::SimConfig> cfgs;
   for (std::size_t i = 0; i < 6; ++i) {
@@ -193,12 +198,13 @@ TEST(SimBatch, BatchIdenticalAcrossPoolSizes) {
     cfg.warmup_cycles = 200;
     cfg.measure_cycles = 400;
     cfg.drain_cycles = 1000;
+    cfg.seed = task_seed(0xFACE, i);
     cfgs.push_back(cfg);
   }
   ThreadPool serial(1);
-  const auto expected = run_sim_batch_seeded(serial, cfgs, 0xFACE);
+  const auto expected = run_sim_batch(serial, cfgs);
   ThreadPool pool(4);
-  const auto got = run_sim_batch_seeded(pool, cfgs, 0xFACE);
+  const auto got = run_sim_batch(pool, cfgs);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     expect_result_eq(got[i], expected[i], "point " + std::to_string(i));

@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <dirent.h>
+#include <map>
 #include <string>
+#include <sys/stat.h>
 #include <vector>
 
 #include "noc/sim.hpp"
@@ -77,6 +79,12 @@ class SweepCacheTest : public ::testing::Test {
     }
     ::closedir(d);
     return names;
+  }
+
+  ino_t inode(const std::string& name) const {
+    struct stat st = {};
+    EXPECT_EQ(::stat((dir_ + "/" + name).c_str(), &st), 0) << name;
+    return st.st_ino;
   }
 
   void corrupt(const std::string& name, std::size_t offset) const {
@@ -226,6 +234,44 @@ TEST_F(SweepCacheTest, CurveColdWarmDisabledIdentity) {
       expect_identical(cold[c].points[p].result, plain[c].points[p].result);
       expect_identical(hot[c].points[p].result, plain[c].points[p].result);
     }
+  }
+}
+
+// An interrupted all-rates curve (the nocsweep shape) resumes from the
+// cache: rerunning over {a, b, c} after a run over {a, b} serves a and b
+// and the warm snapshot from disk and simulates only c, and the curve
+// matches a cache-off run. Every store publishes a fresh file by rename,
+// so an unchanged inode proves the record was not rewritten.
+TEST_F(SweepCacheTest, PartiallyCachedShardedCurveSimulatesOnlyMisses) {
+  CurveSpec spec;
+  spec.base = small_config();
+  spec.rates = {0.05, 0.10};
+  spec.fork_warmup_cycles = 200;
+  spec.stop_at_saturation = false;
+  ThreadPool pool(2);
+
+  run_warm_curves(pool, {spec});
+  std::map<std::string, ino_t> before;
+  for (const std::string& name : entries()) before[name] = inode(name);
+  ASSERT_EQ(before.size(), 3u);  // warm snapshot + two points
+
+  spec.rates.push_back(0.15);
+  const std::vector<Curve> resumed = run_warm_curves(pool, {spec});
+  const std::vector<std::string> after = entries();
+  EXPECT_EQ(after.size(), before.size() + 1);
+  for (const auto& [name, ino] : before) {
+    EXPECT_EQ(inode(name), ino) << name << " was rewritten";
+  }
+
+  disable();
+  const std::vector<Curve> plain = run_warm_curves(pool, {spec});
+  ASSERT_EQ(resumed[0].points.size(), 3u);
+  ASSERT_EQ(plain[0].points.size(), 3u);
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_EQ(resumed[0].points[p].rate, plain[0].points[p].rate);
+    ASSERT_TRUE(resumed[0].points[p].run);
+    ASSERT_TRUE(plain[0].points[p].run);
+    expect_identical(resumed[0].points[p].result, plain[0].points[p].result);
   }
 }
 
