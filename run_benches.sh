@@ -17,7 +17,7 @@
 #                             cycles per data point and dominate total wall
 #                             clock (default 10800 full / 1200 fast)
 #   NOCALLOC_THREADS=N     -- sweep-pool threads for the parallel benches
-cd /root/repo || exit 1
+cd "$(dirname "$0")" || exit 1
 rm -f bench_output.txt
 mkdir -p bench_results
 : > bench_results/progress.log

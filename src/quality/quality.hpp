@@ -33,7 +33,8 @@ struct QualityResult {
 /// with probability `rate`; a requesting VC picks a uniform destination
 /// output port and one (message class, resource class) pair legal under the
 /// partition, requesting all C VCs of that class. All output VCs are free
-/// (open-loop). Runs `trials` request matrices.
+/// (open-loop). Runs `trials` request matrices. The maximum-size reference
+/// is counted in closed form from that request structure (see quality.cpp).
 QualityResult measure_vc_quality(nocalloc::VcAllocator& alloc,
                                  const nocalloc::VcPartition& partition,
                                  double rate, std::size_t trials,

@@ -84,8 +84,9 @@ void SaSeparableInputFirst::allocate_fast(const bits::Word* vc_words,
 
 void SaSeparableInputFirst::allocate(const std::vector<SwitchRequest>& req,
                                      std::vector<SwitchGrant>& grant) {
+  if (allocate_packed(req, grant)) return;
   prepare(req, grant);
-  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
+  allocate_ref(req, grant);
 }
 
 void SaSeparableInputFirst::allocate_ref(const std::vector<SwitchRequest>& req,
@@ -209,8 +210,9 @@ void SaSeparableOutputFirst::allocate_fast(const bits::Word* vc_words,
 
 void SaSeparableOutputFirst::allocate(const std::vector<SwitchRequest>& req,
                                       std::vector<SwitchGrant>& grant) {
+  if (allocate_packed(req, grant)) return;
   prepare(req, grant);
-  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
+  allocate_ref(req, grant);
 }
 
 void SaSeparableOutputFirst::allocate_ref(const std::vector<SwitchRequest>& req,

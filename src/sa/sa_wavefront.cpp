@@ -74,8 +74,9 @@ void SaWavefront::allocate_fast(const bits::Word* vc_words,
 
 void SaWavefront::allocate(const std::vector<SwitchRequest>& req,
                            std::vector<SwitchGrant>& grant) {
+  if (allocate_packed(req, grant)) return;
   prepare(req, grant);
-  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
+  allocate_ref(req, grant);
 }
 
 void SaWavefront::allocate_ref(const std::vector<SwitchRequest>& req,

@@ -95,10 +95,11 @@ class SwitchAllocator {
                              std::vector<SwitchGrant>& grant);
 
   /// The dense-to-sparse adapter kernel-backed allocate() overrides run
-  /// after prepare(): packs the requests into member scratch with
-  /// pack_switch_requests and runs allocate_fast. Returns false, touching
-  /// nothing, when reference_path() is set or !fast_ready(); the caller then
-  /// runs its byte-loop oracle.
+  /// first: packs the requests into member scratch with
+  /// pack_switch_requests, which makes prepare()'s checks as it packs, and
+  /// runs allocate_fast, which rewrites the whole grant vector. Returns
+  /// false, touching nothing, when reference_path() is set or !fast_ready();
+  /// the caller then runs prepare() and its byte-loop oracle.
   bool allocate_packed(const std::vector<SwitchRequest>& req,
                        std::vector<SwitchGrant>& grant);
 
@@ -126,7 +127,8 @@ class SwitchAllocator {
 /// Packs `ports` x `vcs` dense requests into allocate_sparse's layout:
 /// `vc_words[p]` receives input port p's requesting-VC mask and
 /// `out_ports[p * vcs + v]` the output port of each requesting VC (entries
-/// of idle VCs are left as they were). Requires vcs <= 64 and ports <= 64;
+/// of idle VCs are left as they were). Checks the request count and every
+/// valid request's out_port. Requires vcs <= 64 and ports <= 64;
 /// `vc_words` holds `ports` entries and `out_ports` ports * vcs.
 void pack_switch_requests(const std::vector<SwitchRequest>& req,
                           std::size_t ports, std::size_t vcs,

@@ -1,15 +1,22 @@
 #include "sweep/thread_pool.hpp"
 
 #include <cstdlib>
+#include <optional>
 #include <string>
+
+#include "common/check.hpp"
+#include "noc/config.hpp"
 
 namespace nocalloc::sweep {
 
 std::size_t ThreadPool::default_threads() {
   if (const char* env = std::getenv("NOCALLOC_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<std::size_t>(v);
+    const std::optional<std::size_t> v = noc::parse_size(env, 1);
+    if (!v) {
+      fail("bad value '" + std::string(env) +
+           "' for NOCALLOC_THREADS (expected an integer >= 1)");
+    }
+    return *v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

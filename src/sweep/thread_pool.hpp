@@ -52,8 +52,9 @@ class ThreadPool {
                    const std::function<void(std::size_t)>& body);
 
   /// Thread count used when none is given: the NOCALLOC_THREADS environment
-  /// variable if set to a positive integer, else hardware concurrency
-  /// (falling back to 1 when unknown).
+  /// variable if set, else hardware concurrency (falling back to 1 when
+  /// unknown). A value that is not a whole integer >= 1 aborts with a
+  /// message naming the variable and the value.
   static std::size_t default_threads();
 
  private:

@@ -34,17 +34,23 @@ void VcAllocator::allocate_sparse(const FastVcRequest* req, std::size_t n,
 bool VcAllocator::allocate_packed(const std::vector<VcRequest>& req,
                                   std::vector<int>& grant) {
   if (reference_path_ || !fast_ready()) return false;
+  // Validates each request as prepare() does, in the one pass that packs it.
+  NOCALLOC_CHECK(req.size() == total());
   packed_req_.clear();
   for (std::size_t i = 0; i < req.size(); ++i) {
     const VcRequest& r = req[i];
     if (!r.valid) continue;
+    NOCALLOC_CHECK(r.out_port >= 0 &&
+                   static_cast<std::size_t>(r.out_port) < ports_);
+    NOCALLOC_CHECK(r.vc_mask.size() == vcs_);
     bits::Word mask = 0;
     for (std::size_t v = 0; v < vcs_; ++v) {
-      if (r.vc_mask[v]) mask |= bits::bit(v);
+      mask |= static_cast<bits::Word>(r.vc_mask[v] != 0) << v;
     }
     packed_req_.push_back({static_cast<std::uint32_t>(i),
                            static_cast<std::uint32_t>(r.out_port), mask});
   }
+  grant.assign(total(), -1);
   allocate_fast(packed_req_.data(), packed_req_.size(), grant);
   return true;
 }

@@ -105,10 +105,11 @@ class VcAllocator {
                              std::vector<int>& grant);
 
   /// The dense-to-sparse adapter kernel-backed allocate() overrides run
-  /// after prepare(): packs the valid requests into FastVcRequests in member
-  /// scratch and runs allocate_fast. Returns false, touching nothing, when
-  /// reference_path() is set or !fast_ready(); the caller then runs its
-  /// byte-loop oracle.
+  /// first: in one pass, validates each request as prepare() does and packs
+  /// the valid ones into FastVcRequests in member scratch (any nonzero mask
+  /// byte is a set bit), then clears `grant` and runs allocate_fast. Returns
+  /// false, touching nothing, when reference_path() is set or !fast_ready();
+  /// the caller then runs prepare() and its byte-loop oracle.
   bool allocate_packed(const std::vector<VcRequest>& req,
                        std::vector<int>& grant);
 

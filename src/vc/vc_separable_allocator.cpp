@@ -106,8 +106,9 @@ void VcSeparableInputFirstAllocator::allocate_fast(const FastVcRequest* req,
 
 void VcSeparableInputFirstAllocator::allocate(const std::vector<VcRequest>& req,
                                               std::vector<int>& grant) {
+  if (allocate_packed(req, grant)) return;
   prepare(req, grant);
-  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
+  allocate_ref(req, grant);
 }
 
 void VcSeparableInputFirstAllocator::allocate_ref(
@@ -241,8 +242,9 @@ void VcSeparableOutputFirstAllocator::allocate_fast(const FastVcRequest* req,
 
 void VcSeparableOutputFirstAllocator::allocate(
     const std::vector<VcRequest>& req, std::vector<int>& grant) {
+  if (allocate_packed(req, grant)) return;
   prepare(req, grant);
-  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
+  allocate_ref(req, grant);
 }
 
 void VcSeparableOutputFirstAllocator::allocate_ref(

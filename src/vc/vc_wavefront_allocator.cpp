@@ -83,8 +83,9 @@ void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,
 
 void VcWavefrontAllocator::allocate(const std::vector<VcRequest>& req,
                                     std::vector<int>& grant) {
+  if (allocate_packed(req, grant)) return;
   prepare(req, grant);
-  if (!allocate_packed(req, grant)) allocate_ref(req, grant);
+  allocate_ref(req, grant);
 }
 
 void VcWavefrontAllocator::allocate_ref(const std::vector<VcRequest>& req,

@@ -101,6 +101,30 @@ TEST(VcQuality, SeparableDegradesWithVcsPerClass) {
   EXPECT_GT(c2, c4);
 }
 
+// measure_vc_quality scores the maximum-size reference in closed form; the
+// kMaximumSize family runs Hopcroft-Karp on the expanded (P*V) x (P*V)
+// matrix, so its grants are the oracle for that count on every matrix.
+TEST(VcQuality, MaxSizeAllocatorScoresExactlyOne) {
+  for (std::size_t c : {1u, 2u, 4u}) {
+    for (const auto& [ports, part] :
+         {std::pair{std::size_t{5}, VcPartition::mesh(2, c)},
+          std::pair{std::size_t{10}, VcPartition::fbfly(2, c)}}) {
+      for (double rate : {0.2, 0.6, 1.0}) {
+        VcAllocatorConfig cfg;
+        cfg.ports = ports;
+        cfg.partition = part;
+        cfg.kind = AllocatorKind::kMaximumSize;
+        auto alloc = make_vc_allocator(cfg);
+        Rng rng(31);
+        const QualityResult q = measure_vc_quality(*alloc, part, rate, 200, rng);
+        ASSERT_GT(q.max_grants, 0u);
+        EXPECT_EQ(q.grants, q.max_grants)
+            << "P" << ports << " C" << c << " rate " << rate;
+      }
+    }
+  }
+}
+
 TEST(SaQuality, NearPerfectAtLowLoad) {
   for (AllocatorKind kind :
        {AllocatorKind::kSeparableInputFirst,

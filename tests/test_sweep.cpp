@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -48,6 +49,29 @@ TEST(ThreadPool, PropagatesFirstExceptionAndStaysUsable) {
   std::atomic<int> ran{0};
   pool.run_indexed(50, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 50);
+}
+
+// A mistyped NOCALLOC_THREADS must not silently fall back to the hardware
+// thread count.
+TEST(ThreadPoolDeathTest, DefaultThreadsRejectsMalformedEnvironment) {
+  for (const char* value : {"abc", "0", "-2", "4x", " 4", ""}) {
+    EXPECT_DEATH(
+        {
+          setenv("NOCALLOC_THREADS", value, 1);
+          ThreadPool::default_threads();
+        },
+        "bad value '" + std::string(value) + "' for NOCALLOC_THREADS")
+        << "value '" << value << "'";
+  }
+  const char* saved = std::getenv("NOCALLOC_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  setenv("NOCALLOC_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool::default_threads(), 3u);
+  if (saved != nullptr) {
+    setenv("NOCALLOC_THREADS", restore.c_str(), 1);
+  } else {
+    unsetenv("NOCALLOC_THREADS");
+  }
 }
 
 TEST(TaskSeed, CounterBasedSeedsAreDistinctAndStable) {

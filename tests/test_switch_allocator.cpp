@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -205,6 +206,45 @@ TEST(SaComparison, WavefrontQualityAtLeastSeparableInputFirst) {
     for (const auto& g : grant) sep_grants += g.granted() ? 1 : 0;
   }
   EXPECT_GT(wf_grants, sep_grants);
+}
+
+// Malformed dense requests abort on both paths: the kernel path validates
+// them while packing, the byte-loop reference path in prepare().
+TEST(SwitchAllocatorDeathTest, MalformedRequestsAbortOnBothPaths) {
+  const std::size_t ports = 5;
+  const std::size_t vcs = 4;
+  for (AllocatorKind kind :
+       {AllocatorKind::kSeparableInputFirst,
+        AllocatorKind::kSeparableOutputFirst, AllocatorKind::kWavefront,
+        AllocatorKind::kMaximumSize}) {
+    for (bool ref : {false, true}) {
+      auto alloc =
+          make_switch_allocator({ports, vcs, kind, ArbiterKind::kRoundRobin});
+      alloc->set_reference_path(ref);
+      const std::string where =
+          to_string(kind) + (ref ? " reference" : " kernel");
+      ASSERT_EQ(alloc->fast_ready(), kind != AllocatorKind::kMaximumSize)
+          << where;
+      std::vector<SwitchRequest> good(ports * vcs);
+      good[6] = {true, 2};
+      std::vector<SwitchGrant> grant;
+      alloc->allocate(good, grant);
+      ASSERT_EQ(grant[1].out_port, 2) << where;
+
+      std::vector<SwitchRequest> bad = good;
+      bad.pop_back();
+      EXPECT_DEATH(alloc->allocate(bad, grant), "check failed") << where;
+      bad = good;
+      bad.push_back({});
+      EXPECT_DEATH(alloc->allocate(bad, grant), "check failed") << where;
+      for (int port : {-1, static_cast<int>(ports)}) {
+        bad = good;
+        bad[6].out_port = port;
+        EXPECT_DEATH(alloc->allocate(bad, grant), "check failed")
+            << where << " out_port " << port;
+      }
+    }
+  }
 }
 
 TEST(SwitchAllocatorFactory, RejectsZeroDimensions) {

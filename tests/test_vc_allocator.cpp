@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "vc/vc_wavefront_allocator.hpp"
@@ -235,6 +236,55 @@ TEST(VcWavefrontAllocator, QualityIsAlwaysMaximumForClassRequests) {
           if (grant[i] >= 0) ++grants;
         }
         ASSERT_EQ(grants, std::min(requesters, part.vcs_per_class()));
+      }
+    }
+  }
+}
+
+// Malformed dense requests abort on both paths: the kernel path validates
+// them while packing, the byte-loop reference path in prepare().
+TEST(VcAllocatorDeathTest, MalformedRequestsAbortOnBothPaths) {
+  const std::size_t ports = 5;
+  const VcPartition part = VcPartition::fbfly(2, 2);
+  const std::size_t vcs = part.total_vcs();
+  for (AllocatorKind kind :
+       {AllocatorKind::kSeparableInputFirst,
+        AllocatorKind::kSeparableOutputFirst, AllocatorKind::kWavefront,
+        AllocatorKind::kMaximumSize}) {
+    for (bool ref : {false, true}) {
+      VcAllocatorConfig cfg;
+      cfg.ports = ports;
+      cfg.partition = part;
+      cfg.kind = kind;
+      auto alloc = make_vc_allocator(cfg);
+      alloc->set_reference_path(ref);
+      const std::string where =
+          to_string(kind) + (ref ? " reference" : " kernel");
+      ASSERT_EQ(alloc->fast_ready(), kind != AllocatorKind::kMaximumSize)
+          << where;
+      std::vector<VcRequest> good(ports * vcs);
+      good[3] = {true, 1, ReqVector(vcs, 1)};
+      std::vector<int> grant;
+      alloc->allocate(good, grant);
+      ASSERT_GE(grant[3], 0) << where;
+
+      std::vector<VcRequest> bad = good;
+      bad.pop_back();
+      EXPECT_DEATH(alloc->allocate(bad, grant), "check failed") << where;
+      bad = good;
+      bad.push_back({});
+      EXPECT_DEATH(alloc->allocate(bad, grant), "check failed") << where;
+      for (int port : {-1, static_cast<int>(ports)}) {
+        bad = good;
+        bad[3].out_port = port;
+        EXPECT_DEATH(alloc->allocate(bad, grant), "check failed")
+            << where << " out_port " << port;
+      }
+      for (std::size_t size : {vcs - 1, vcs + 1}) {
+        bad = good;
+        bad[3].vc_mask.resize(size, 1);
+        EXPECT_DEATH(alloc->allocate(bad, grant), "check failed")
+            << where << " mask size " << size;
       }
     }
   }
