@@ -2,12 +2,12 @@
 // Google-Benchmark-compatible output).
 //
 // These measure *simulation* throughput (allocations per second of the C++
-// models), not hardware delay -- they bound how fast the cycle-accurate
-// network simulator can run and document the complexity gap between the
-// architectures (wavefront's O(N^2) sweep vs separable's O(N) arbitration
-// passes vs Hopcroft-Karp). BM_Allocator covers the generic BitMatrix
-// allocators, BM_SwitchAllocator and BM_VcAllocator the router-facing
-// switch and VC allocators through their dense allocate() entry point.
+// models), not hardware delay. BM_Allocator covers the generic BitMatrix
+// allocators on dense 40 % request matrices: the separable byte loops
+// (O(N^2) per call), the wavefront's sparse kernel over every set cell, and
+// Hopcroft-Karp. BM_SwitchAllocator and BM_VcAllocator cover the
+// router-facing switch and VC allocators through their dense allocate()
+// entry point, which runs the router's kernels.
 #include "bench/minibench.hpp"
 
 #include "alloc/allocator.hpp"
@@ -33,24 +33,6 @@ void BM_Allocator(benchmark::State& state, AllocatorKind kind) {
   auto alloc = make_allocator(kind, n, n);
   Rng rng(1);
   // A rotating set of request matrices avoids measuring one lucky pattern.
-  std::vector<BitMatrix> reqs;
-  for (int i = 0; i < 16; ++i) reqs.push_back(random_matrix(n, 0.4, rng));
-  BitMatrix gnt;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    alloc->allocate(reqs[i++ % reqs.size()], gnt);
-    benchmark::DoNotOptimize(gnt);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
-// Same workload forced onto the byte-loop reference path, so one run shows
-// the word-parallel speedup directly (BM_Allocator vs BM_AllocatorRef).
-void BM_AllocatorRef(benchmark::State& state, AllocatorKind kind) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto alloc = make_allocator(kind, n, n);
-  alloc->set_reference_path(true);
-  Rng rng(1);
   std::vector<BitMatrix> reqs;
   for (int i = 0; i < 16; ++i) reqs.push_back(random_matrix(n, 0.4, rng));
   BitMatrix gnt;
@@ -130,15 +112,6 @@ BENCHMARK_CAPTURE(BM_Allocator, wf, AllocatorKind::kWavefront)
     ->Arg(10)->Arg(40)->Arg(160);
 BENCHMARK_CAPTURE(BM_Allocator, max, AllocatorKind::kMaximumSize)
     ->Arg(10)->Arg(40)->Arg(160);
-
-BENCHMARK_CAPTURE(BM_AllocatorRef, sep_if, AllocatorKind::kSeparableInputFirst)
-    ->Arg(40)->Arg(160);
-BENCHMARK_CAPTURE(BM_AllocatorRef, sep_of, AllocatorKind::kSeparableOutputFirst)
-    ->Arg(40)->Arg(160);
-BENCHMARK_CAPTURE(BM_AllocatorRef, wf, AllocatorKind::kWavefront)
-    ->Arg(40)->Arg(160);
-BENCHMARK_CAPTURE(BM_AllocatorRef, max, AllocatorKind::kMaximumSize)
-    ->Arg(40)->Arg(160);
 
 BENCHMARK_CAPTURE(BM_SwitchAllocator, sep_if,
                   AllocatorKind::kSeparableInputFirst)

@@ -5,10 +5,11 @@
 // it produces a grant matrix G with G subset-of R, at most one grant per row
 // and at most one grant per column (Becker & Dally Sec. 2).
 //
-// Allocators are stateful only through their arbitration priorities, which
-// provide fairness across successive invocations; allocate() is otherwise a
-// pure combinational function, exactly like the single-cycle RTL blocks the
-// paper synthesizes.
+// The single-cycle allocators are stateful only through their arbitration
+// priorities, which provide fairness across successive invocations;
+// allocate() is otherwise a pure combinational function, exactly like the
+// single-cycle RTL blocks the paper synthesizes. The incremental
+// maximum-size allocator also carries its matching from call to call.
 #pragma once
 
 #include <cstddef>
@@ -43,19 +44,11 @@ class Allocator {
   /// default is a no-op -- but the wavefront rotates its priority diagonal
   /// every cycle regardless of requests, so a simulator that skips idle
   /// routers (active-set scheduling) must replay the skipped cycles to keep
-  /// its grant sequence identical to a densely stepped run.
+  /// its grant sequence identical to a densely stepped run. Wrappers
+  /// forward to their inner allocator.
   virtual void advance_priority(std::uint64_t cycles) {
     static_cast<void>(cycles);
   }
-
-  /// Selects the byte-loop reference implementation instead of the
-  /// word-parallel mask kernels. Both paths produce identical grants and
-  /// identical priority-state evolution; the reference path is the oracle the
-  /// mask kernels are differentially tested against (tests/test_mask_kernels)
-  /// and is not meant for production sweeps. Wrappers forward the setting to
-  /// their inner allocators.
-  virtual void set_reference_path(bool ref) { reference_path_ = ref; }
-  bool reference_path() const { return reference_path_; }
 
   /// Serializes / restores the priority state for warm snapshot/restore.
   /// Defaults are no-ops for stateless architectures (maximum-size); every
@@ -70,9 +63,6 @@ class Allocator {
     NOCALLOC_CHECK(req.rows() == inputs_ && req.cols() == outputs_);
     gnt.resize(inputs_, outputs_);
   }
-
- protected:
-  bool reference_path_ = false;
 
  private:
   std::size_t inputs_;

@@ -18,6 +18,32 @@ void IncrementalMaxAllocator::reset() {
   next_start_ = 0;
 }
 
+void IncrementalMaxAllocator::advance_priority(std::uint64_t cycles) {
+  if (cycles == 0) return;
+  // An empty request matrix drops every carried pair and augments nothing;
+  // only the start position keeps rotating.
+  match_in_.assign(inputs(), -1);
+  match_out_.assign(outputs(), -1);
+  next_start_ = static_cast<std::size_t>((next_start_ + cycles) % inputs());
+}
+
+void IncrementalMaxAllocator::save_state(StateWriter& w) const {
+  w.pod_array(match_in_.data(), match_in_.size());
+  w.pod_array(match_out_.data(), match_out_.size());
+  w.u64(next_start_);
+}
+
+void IncrementalMaxAllocator::load_state(StateReader& r) {
+  r.pod_array(match_in_.data(), match_in_.size());
+  r.pod_array(match_out_.data(), match_out_.size());
+  next_start_ = static_cast<std::size_t>(r.u64());
+  for (const int j : match_in_)
+    NOCALLOC_CHECK(j >= -1 && j < static_cast<int>(outputs()));
+  for (const int i : match_out_)
+    NOCALLOC_CHECK(i >= -1 && i < static_cast<int>(inputs()));
+  NOCALLOC_CHECK(next_start_ < inputs());
+}
+
 bool IncrementalMaxAllocator::augment(const BitMatrix& req, std::size_t i,
                                       std::vector<std::uint8_t>& visited) {
   for (std::size_t j = 0; j < outputs(); ++j) {
@@ -29,32 +55,6 @@ bool IncrementalMaxAllocator::augment(const BitMatrix& req, std::size_t i,
       match_in_[i] = static_cast<int>(j);
       match_out_[j] = static_cast<int>(i);
       return true;
-    }
-  }
-  return false;
-}
-
-bool IncrementalMaxAllocator::augment_mask(const BitMatrix& req, std::size_t i,
-                                           std::vector<bits::Word>& visited) {
-  const bits::Word* row = req.row(i);
-  for (std::size_t w = 0; w < visited.size(); ++w) {
-    // Visited bits only accumulate, so re-masking the candidate word after
-    // each recursive call keeps the scan order identical to the reference
-    // loop's per-element visited check.
-    bits::Word cand = row[w] & ~visited[w];
-    while (cand != 0) {
-      const std::size_t j =
-          w * bits::kWordBits +
-          static_cast<std::size_t>(std::countr_zero(cand));
-      visited[w] |= bits::bit(j);
-      const int holder = match_out_[j];
-      if (holder < 0 ||
-          augment_mask(req, static_cast<std::size_t>(holder), visited)) {
-        match_in_[i] = static_cast<int>(j);
-        match_out_[j] = static_cast<int>(i);
-        return true;
-      }
-      cand = row[w] & ~visited[w];
     }
   }
   return false;
@@ -75,24 +75,13 @@ void IncrementalMaxAllocator::allocate(const BitMatrix& req, BitMatrix& gnt) {
   // Phase 2: a bounded number of augmentation steps, starting from a
   // rotating input for weak fairness.
   std::vector<std::uint8_t> visited;
-  std::vector<bits::Word> visited_mask;
-  if (reference_path_) {
-    visited.resize(outputs());
-  } else {
-    visited_mask.resize(bits::word_count(outputs()));
-  }
   std::size_t steps_used = 0;
   for (std::size_t k = 0; k < inputs() && steps_used < steps_; ++k) {
     const std::size_t i = (next_start_ + k) % inputs();
     if (match_in_[i] >= 0 || !req.row_any(i)) continue;
     ++steps_used;
-    if (reference_path_) {
-      visited.assign(outputs(), 0);
-      augment(req, i, visited);
-    } else {
-      visited_mask.assign(visited_mask.size(), 0);
-      augment_mask(req, i, visited_mask);
-    }
+    visited.assign(outputs(), 0);
+    augment(req, i, visited);
   }
   next_start_ = (next_start_ + 1) % inputs();
 

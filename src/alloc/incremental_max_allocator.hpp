@@ -25,20 +25,19 @@ class IncrementalMaxAllocator final : public Allocator {
 
   void allocate(const BitMatrix& req, BitMatrix& gnt) override;
   void reset() override;
+  void advance_priority(std::uint64_t cycles) override;
+  /// Saves / restores the carried matching and the rotating start input.
+  void save_state(StateWriter& w) const override;
+  void load_state(StateReader& r) override;
 
   std::size_t steps_per_cycle() const { return steps_; }
 
  private:
   /// Tries to find one augmenting path from unmatched input `i`; returns
-  /// true (and applies the augmentation) on success. Byte-loop reference.
+  /// true (and applies the augmentation) on success. Outputs are explored
+  /// in ascending order; `visited` holds one byte per output.
   bool augment(const BitMatrix& req, std::size_t i,
                std::vector<std::uint8_t>& visited);
-
-  /// Word-parallel variant: `visited` is a packed mask over the outputs and
-  /// candidate outputs are scanned as (row & ~visited) CTZ steps. Explores
-  /// outputs in exactly the reference order.
-  bool augment_mask(const BitMatrix& req, std::size_t i,
-                    std::vector<bits::Word>& visited);
 
   std::size_t steps_;
   // match_in_[i] = matched output or -1; match_out_[j] = matched input or -1.

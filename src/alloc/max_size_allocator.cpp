@@ -13,26 +13,16 @@ constexpr int kInf = std::numeric_limits<int>::max();
 // O(E * sqrt(V)); the matrices here are small (<= 160x160).
 class HopcroftKarp {
  public:
-  // The adjacency is in ascending column order either way, so the
-  // algorithm's execution -- and hence the resulting matching -- is identical
-  // for both construction paths; `reference` exists only so the differential
-  // tests can pin the mask iteration against the byte scan.
-  HopcroftKarp(const BitMatrix& req, bool reference,
-               MaxSizeAllocator::Scratch& s)
+  // Each row's adjacency lists its requested columns in ascending order.
+  HopcroftKarp(const BitMatrix& req, MaxSizeAllocator::Scratch& s)
       : n_(req.rows()), s_(s) {
     s_.adj_off.resize(n_ + 1);
     s_.adj.clear();
     for (std::size_t i = 0; i < n_; ++i) {
       s_.adj_off[i] = static_cast<int>(s_.adj.size());
-      if (reference) {
-        for (std::size_t j = 0; j < req.cols(); ++j) {
-          if (req.get(i, j)) s_.adj.push_back(static_cast<int>(j));
-        }
-      } else {
-        bits::for_each_set(req.row(i), req.words_per_row(), [&](std::size_t j) {
-          s_.adj.push_back(static_cast<int>(j));
-        });
-      }
+      bits::for_each_set(req.row(i), req.words_per_row(), [&](std::size_t j) {
+        s_.adj.push_back(static_cast<int>(j));
+      });
     }
     s_.adj_off[n_] = static_cast<int>(s_.adj.size());
     s_.match_l.assign(n_, kFree);
@@ -112,9 +102,8 @@ MaxSizeAllocator::Scratch& thread_scratch() {
 
 }  // namespace
 
-void MaxSizeAllocator::max_matching(const BitMatrix& req, BitMatrix& gnt,
-                                    bool reference) {
-  HopcroftKarp hk(req, reference, thread_scratch());
+void MaxSizeAllocator::max_matching(const BitMatrix& req, BitMatrix& gnt) {
+  HopcroftKarp hk(req, thread_scratch());
   hk.run();
   gnt.resize(req.rows(), req.cols());
   for (std::size_t i = 0; i < req.rows(); ++i) {
@@ -123,15 +112,14 @@ void MaxSizeAllocator::max_matching(const BitMatrix& req, BitMatrix& gnt,
   }
 }
 
-std::size_t MaxSizeAllocator::max_matching_size(const BitMatrix& req,
-                                                bool reference) {
-  HopcroftKarp hk(req, reference, thread_scratch());
+std::size_t MaxSizeAllocator::max_matching_size(const BitMatrix& req) {
+  HopcroftKarp hk(req, thread_scratch());
   return hk.run();
 }
 
 void MaxSizeAllocator::allocate(const BitMatrix& req, BitMatrix& gnt) {
   prepare(req, gnt);
-  HopcroftKarp hk(req, reference_path_, scratch_);
+  HopcroftKarp hk(req, scratch_);
   hk.run();
   for (std::size_t i = 0; i < req.rows(); ++i) {
     const int j = hk.left_match(i);

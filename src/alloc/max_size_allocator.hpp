@@ -20,13 +20,10 @@ class MaxSizeAllocator final : public Allocator {
   void reset() override {}
 
   /// Size of a maximum matching for `req`, without materializing grants.
-  /// `reference` selects the byte-scan adjacency build (same result).
-  static std::size_t max_matching_size(const BitMatrix& req,
-                                       bool reference = false);
+  static std::size_t max_matching_size(const BitMatrix& req);
 
   /// Computes a maximum matching into `gnt` (resized to req's shape).
-  static void max_matching(const BitMatrix& req, BitMatrix& gnt,
-                           bool reference = false);
+  static void max_matching(const BitMatrix& req, BitMatrix& gnt);
 
   /// Hopcroft-Karp working storage, reused across calls so a warm matching
   /// allocates nothing: flat adjacency (row i's columns are

@@ -21,10 +21,13 @@ class MultiIterationAllocator final : public Allocator {
 
   void allocate(const BitMatrix& req, BitMatrix& gnt) override;
   void reset() override { inner_->reset(); }
-  void set_reference_path(bool ref) override {
-    reference_path_ = ref;
-    inner_->set_reference_path(ref);
+  /// An empty request matrix costs exactly one inner call (its first pass
+  /// adds no grants), so skipped cycles forward one-for-one.
+  void advance_priority(std::uint64_t cycles) override {
+    inner_->advance_priority(cycles);
   }
+  void save_state(StateWriter& w) const override { inner_->save_state(w); }
+  void load_state(StateReader& r) override { inner_->load_state(r); }
 
   std::size_t iterations() const { return iterations_; }
 

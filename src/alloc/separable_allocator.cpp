@@ -1,7 +1,5 @@
 #include "alloc/separable_allocator.hpp"
 
-#include <algorithm>
-
 namespace nocalloc {
 
 SeparableInputFirstAllocator::SeparableInputFirstAllocator(std::size_t inputs,
@@ -14,51 +12,12 @@ SeparableInputFirstAllocator::SeparableInputFirstAllocator(std::size_t inputs,
   output_arb_.reserve(outputs);
   for (std::size_t j = 0; j < outputs; ++j)
     output_arb_.push_back(make_arbiter(arb, inputs));
-  bids_.resize(outputs * bits::word_count(inputs));
-  out_any_.resize(bits::word_count(outputs));
-  input_choice_.resize(inputs);
 }
 
 void SeparableInputFirstAllocator::allocate(const BitMatrix& req,
                                             BitMatrix& gnt) {
   prepare(req, gnt);
-  if (reference_path_) {
-    allocate_ref(req, gnt);
-  } else {
-    allocate_mask(req, gnt);
-  }
-}
 
-void SeparableInputFirstAllocator::allocate_mask(const BitMatrix& req,
-                                                 BitMatrix& gnt) {
-  const std::size_t in_w = bits::word_count(inputs());
-
-  // Stage 1: each input picks directly on its packed request row, and the
-  // winning bids accumulate into per-output masks over the inputs.
-  std::fill(bids_.begin(), bids_.end(), bits::Word{0});
-  std::fill(out_any_.begin(), out_any_.end(), bits::Word{0});
-  for (std::size_t i = 0; i < inputs(); ++i) {
-    const int j = input_arb_[i]->pick_words(req.row(i));
-    input_choice_[i] = j;
-    if (j < 0) continue;
-    bids_[static_cast<std::size_t>(j) * in_w + bits::word_of(i)] |=
-        bits::bit(i);
-    out_any_[bits::word_of(static_cast<std::size_t>(j))] |=
-        bits::bit(static_cast<std::size_t>(j));
-  }
-
-  // Stage 2: only outputs with at least one bid arbitrate.
-  bits::for_each_set(out_any_.data(), out_any_.size(), [&](std::size_t j) {
-    const int winner = output_arb_[j]->pick_words(&bids_[j * in_w]);
-    NOCALLOC_CHECK(winner >= 0);
-    gnt.set(static_cast<std::size_t>(winner), j);
-    output_arb_[j]->update(winner);
-    input_arb_[static_cast<std::size_t>(winner)]->update(static_cast<int>(j));
-  });
-}
-
-void SeparableInputFirstAllocator::allocate_ref(const BitMatrix& req,
-                                                BitMatrix& gnt) {
   // Stage 1: each input selects a single output to bid on.
   std::vector<int> input_choice(inputs(), -1);
   ReqVector row(outputs(), 0);
@@ -101,65 +60,12 @@ SeparableOutputFirstAllocator::SeparableOutputFirstAllocator(
   input_arb_.reserve(inputs);
   for (std::size_t i = 0; i < inputs; ++i)
     input_arb_.push_back(make_arbiter(arb, outputs));
-  cols_.resize(outputs * bits::word_count(inputs));
-  offers_.resize(inputs * bits::word_count(outputs));
-  out_any_.resize(bits::word_count(outputs));
-  in_any_.resize(bits::word_count(inputs));
-  output_choice_.resize(outputs);
 }
 
 void SeparableOutputFirstAllocator::allocate(const BitMatrix& req,
                                              BitMatrix& gnt) {
   prepare(req, gnt);
-  if (reference_path_) {
-    allocate_ref(req, gnt);
-  } else {
-    allocate_mask(req, gnt);
-  }
-}
 
-void SeparableOutputFirstAllocator::allocate_mask(const BitMatrix& req,
-                                                  BitMatrix& gnt) {
-  const std::size_t in_w = bits::word_count(inputs());
-  const std::size_t out_w = bits::word_count(outputs());
-
-  // Transpose the packed request rows into per-output request columns by
-  // iterating only the set bits.
-  std::fill(cols_.begin(), cols_.end(), bits::Word{0});
-  std::fill(out_any_.begin(), out_any_.end(), bits::Word{0});
-  for (std::size_t i = 0; i < inputs(); ++i) {
-    bits::for_each_set(req.row(i), req.words_per_row(), [&](std::size_t j) {
-      cols_[j * in_w + bits::word_of(i)] |= bits::bit(i);
-      out_any_[bits::word_of(j)] |= bits::bit(j);
-    });
-  }
-
-  // Stage 1: every requested output picks a winning input; the picks
-  // accumulate into per-input offer masks over the outputs.
-  std::fill(offers_.begin(), offers_.end(), bits::Word{0});
-  std::fill(in_any_.begin(), in_any_.end(), bits::Word{0});
-  bits::for_each_set(out_any_.data(), out_any_.size(), [&](std::size_t j) {
-    const int i = output_arb_[j]->pick_words(&cols_[j * in_w]);
-    output_choice_[j] = i;
-    NOCALLOC_CHECK(i >= 0);
-    offers_[static_cast<std::size_t>(i) * out_w + bits::word_of(j)] |=
-        bits::bit(j);
-    in_any_[bits::word_of(static_cast<std::size_t>(i))] |=
-        bits::bit(static_cast<std::size_t>(i));
-  });
-
-  // Stage 2: each input with offers picks among them.
-  bits::for_each_set(in_any_.data(), in_any_.size(), [&](std::size_t i) {
-    const int winner = input_arb_[i]->pick_words(&offers_[i * out_w]);
-    NOCALLOC_CHECK(winner >= 0);
-    gnt.set(i, static_cast<std::size_t>(winner));
-    input_arb_[i]->update(winner);
-    output_arb_[static_cast<std::size_t>(winner)]->update(static_cast<int>(i));
-  });
-}
-
-void SeparableOutputFirstAllocator::allocate_ref(const BitMatrix& req,
-                                                 BitMatrix& gnt) {
   // Stage 1: every output picks among all requesting inputs.
   std::vector<int> output_choice(outputs(), -1);
   ReqVector col(inputs(), 0);

@@ -33,16 +33,8 @@ class SeparableInputFirstAllocator final : public Allocator {
   }
 
  private:
-  void allocate_mask(const BitMatrix& req, BitMatrix& gnt);
-  void allocate_ref(const BitMatrix& req, BitMatrix& gnt);
-
   std::vector<std::unique_ptr<Arbiter>> input_arb_;   // one per input, width = outputs
   std::vector<std::unique_ptr<Arbiter>> output_arb_;  // one per output, width = inputs
-  // Mask-path scratch: per-output bid masks over inputs (outputs * words
-  // rows) and the summary mask of outputs with at least one bid.
-  std::vector<bits::Word> bids_;
-  std::vector<bits::Word> out_any_;
-  std::vector<int> input_choice_;
 };
 
 /// Output-first (sep_of, Fig. 1b): every output picks among all requesting
@@ -64,18 +56,8 @@ class SeparableOutputFirstAllocator final : public Allocator {
   }
 
  private:
-  void allocate_mask(const BitMatrix& req, BitMatrix& gnt);
-  void allocate_ref(const BitMatrix& req, BitMatrix& gnt);
-
   std::vector<std::unique_ptr<Arbiter>> output_arb_;  // one per output, width = inputs
   std::vector<std::unique_ptr<Arbiter>> input_arb_;   // one per input, width = outputs
-  // Mask-path scratch: per-output request columns over inputs, per-input
-  // offer masks over outputs, and the stage summary masks.
-  std::vector<bits::Word> cols_;
-  std::vector<bits::Word> offers_;
-  std::vector<bits::Word> out_any_;
-  std::vector<bits::Word> in_any_;
-  std::vector<int> output_choice_;
 };
 
 }  // namespace nocalloc

@@ -39,39 +39,16 @@ void WavefrontAllocator::allocate_from_diagonal(const BitMatrix& req,
 
 void WavefrontAllocator::allocate(const BitMatrix& req, BitMatrix& gnt) {
   prepare(req, gnt);
-  if (reference_path_) {
-    allocate_from_diagonal(req, diagonal_, gnt);
-    diagonal_ = (diagonal_ + 1) % n_;
-    return;
-  }
-
-  // Same matching as allocate_from_diagonal, with free rows and columns
-  // tracked as packed masks (kept as members, so the per-cycle path performs
-  // no heap allocations) and each wave only touching rows still free.
-  const std::size_t rows = req.rows();
-  const std::size_t cols = req.cols();
-  const std::size_t n = std::max(rows, cols);
-  row_free_.assign(bits::word_count(rows), 0);
-  col_free_.assign(bits::word_count(cols), 0);
-  for (std::size_t i = 0; i < rows; ++i)
-    row_free_[bits::word_of(i)] |= bits::bit(i);
-  for (std::size_t j = 0; j < cols; ++j)
-    col_free_[bits::word_of(j)] |= bits::bit(j);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t d = (diagonal_ + k) % n;
-    bits::for_each_set(row_free_.data(), row_free_.size(), [&](std::size_t i) {
-      const std::size_t j = (d + n - (i % n)) % n;
-      if (j >= cols) return;
-      if ((req.row(i)[bits::word_of(j)] & bits::bit(j)) != 0 &&
-          (col_free_[bits::word_of(j)] & bits::bit(j)) != 0) {
-        gnt.row(i)[bits::word_of(j)] |= bits::bit(j);
-        row_free_[bits::word_of(i)] &= ~bits::bit(i);
-        col_free_[bits::word_of(j)] &= ~bits::bit(j);
-      }
+  dense_cells_.clear();
+  for (std::size_t i = 0; i < inputs(); ++i) {
+    bits::for_each_set(req.row(i), req.words_per_row(), [&](std::size_t j) {
+      dense_cells_.push_back(
+          {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
     });
   }
-  diagonal_ = (diagonal_ + 1) % n_;
+  dense_granted_.clear();
+  allocate_sparse(dense_cells_.data(), dense_cells_.size(), dense_granted_);
+  for (const SparseCell& cell : dense_granted_) gnt.set(cell.row, cell.col);
 }
 
 void WavefrontAllocator::reserve_sparse(std::size_t cells) {

@@ -24,6 +24,8 @@ class WavefrontAllocator final : public Allocator {
   /// shapes are handled by padding to max(inputs, outputs) internally.
   WavefrontAllocator(std::size_t inputs, std::size_t outputs);
 
+  /// Gathers the set cells of `req` and runs allocate_sparse(), the kernel
+  /// the VC and switch wavefront allocators run in the router.
   void allocate(const BitMatrix& req, BitMatrix& gnt) override;
   void reset() override { diagonal_ = 0; }
   void advance_priority(std::uint64_t cycles) override {
@@ -39,8 +41,9 @@ class WavefrontAllocator final : public Allocator {
   std::size_t diagonal() const { return diagonal_; }
 
   /// Computes the wavefront matching for a fixed starting diagonal without
-  /// touching state: the byte-loop reference allocate() runs when the
-  /// reference path is selected.
+  /// touching state: the byte-loop oracle that allocate() and
+  /// allocate_sparse() are tested against, and the VC/switch wavefront
+  /// allocators' reference path.
   static void allocate_from_diagonal(const BitMatrix& req, std::size_t start,
                                      BitMatrix& gnt);
 
@@ -74,16 +77,20 @@ class WavefrontAllocator final : public Allocator {
  private:
   std::size_t n_;  // padded square dimension
   std::size_t diagonal_ = 0;
-  // Mask-path scratch, reused across allocate() calls so the per-cycle fast
-  // path performs no heap allocations.
+  // Sparse-path scratch, reused across calls so a warm allocate_sparse()
+  // performs no heap allocations: the free-row / free-column masks, per-wave
+  // cell counts (zeroed after use via the touched-wave bitmap), bucket write
+  // cursors, and the wave-sorted cells.
   std::vector<bits::Word> row_free_;
   std::vector<bits::Word> col_free_;
-  // Sparse-path scratch: per-wave cell counts (zeroed after use via the
-  // touched-wave bitmap), bucket write cursors, and the wave-sorted cells.
   std::vector<std::uint32_t> wave_cnt_;
   std::vector<std::uint32_t> wave_off_;
   std::vector<bits::Word> wave_occ_;
   std::vector<SparseCell> sorted_;
+  // allocate() scratch: the set cells of the dense request matrix and the
+  // granted cells allocate_sparse() returns for them.
+  std::vector<SparseCell> dense_cells_;
+  std::vector<SparseCell> dense_granted_;
 };
 
 }  // namespace nocalloc

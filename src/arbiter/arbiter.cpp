@@ -6,22 +6,6 @@
 
 namespace nocalloc {
 
-void pack_req(const ReqVector& req, bits::Word* words) {
-  const std::size_t nw = bits::word_count(req.size());
-  for (std::size_t w = 0; w < nw; ++w) words[w] = 0;
-  for (std::size_t i = 0; i < req.size(); ++i) {
-    if (req[i]) words[bits::word_of(i)] |= bits::bit(i);
-  }
-}
-
-int Arbiter::pick_words(const bits::Word* req) const {
-  ReqVector bytes(size(), 0);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = (req[bits::word_of(i)] & bits::bit(i)) != 0 ? 1 : 0;
-  }
-  return pick(bytes);
-}
-
 std::string to_string(ArbiterKind kind) {
   switch (kind) {
     case ArbiterKind::kRoundRobin:

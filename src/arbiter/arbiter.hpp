@@ -24,13 +24,9 @@
 namespace nocalloc {
 
 /// Request vector: one byte per requester, non-zero means "requesting".
-/// This is the reference (oracle) representation; the fast allocator paths
-/// pass packed word masks to pick_words instead.
+/// The allocators' sparse kernels pick on packed single-word masks through
+/// FastArb (arbiter/fast_arb.hpp) instead, with the same winners.
 using ReqVector = std::vector<std::uint8_t>;
-
-/// Packs a byte request vector into word masks; `words` must hold
-/// bits::word_count(req.size()) entries.
-void pack_req(const ReqVector& req, bits::Word* words);
 
 class Arbiter {
  public:
@@ -42,13 +38,6 @@ class Arbiter {
   /// Returns the index of the winning requester, or -1 if no input requests.
   /// Pure: does not modify priority state.
   virtual int pick(const ReqVector& req) const = 0;
-
-  /// Word-parallel variant of pick(): `req` holds
-  /// bits::word_count(size()) packed words with all bits >= size() zero.
-  /// Guaranteed to select the same winner as pick() on the equivalent byte
-  /// vector. The base implementation unpacks and defers to pick(); the
-  /// concrete arbiters override it with CTZ/AND mask scans.
-  virtual int pick_words(const bits::Word* req) const;
 
   /// Advances the priority state after `winner` received a successful grant.
   /// Pre: 0 <= winner < size().

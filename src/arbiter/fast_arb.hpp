@@ -3,9 +3,10 @@
 // The single-word fast paths used to hard-code RoundRobinArbiter; FastArb
 // widens them to every arbiter kind with a packed single-word pick (today:
 // the rotating-pointer round-robin and the least-recently-served matrix).
-// pick() stays pure and update() applies the concrete on-success protocol,
-// so driving an arbiter through FastArb evolves its priority state exactly
-// as the virtual pick_words()/update() pair would.
+// pick() stays pure and selects the winner Arbiter::pick() selects on the
+// equivalent byte vector, and update() applies the concrete on-success
+// protocol, so driving an arbiter through FastArb evolves its priority state
+// exactly as the virtual pick()/update() pair would.
 #pragma once
 
 #include "arbiter/matrix_arbiter.hpp"
@@ -30,7 +31,8 @@ struct FastArb {
 
   bool ok() const { return rr != nullptr || mx != nullptr; }
 
-  /// Same winner as pick_words() on the one-word request mask; pure.
+  /// Same winner as Arbiter::pick() on the byte vector holding the bits of
+  /// `req`; pure.
   int pick(bits::Word req) const {
     return rr != nullptr ? rr_pick_word(req, rr->pointer())
                          : mx->pick_word(req);

@@ -44,36 +44,6 @@ int MatrixArbiter::pick(const ReqVector& req) const {
   return -1;
 }
 
-int MatrixArbiter::pick_words(const bits::Word* req) const {
-  // Candidate i wins iff no other requester has priority over it:
-  // (req & ~prio_row(i)) must contain no bit besides i itself.
-  int winner = -1;
-  for (std::size_t w = 0; w < wpr_ && winner < 0; ++w) {
-    bits::Word cur = req[w];
-    while (cur != 0) {
-      const std::size_t i =
-          w * bits::kWordBits +
-          static_cast<std::size_t>(std::countr_zero(cur));
-      cur &= cur - 1;
-      const bits::Word* pr = prio_row(i);
-      bool wins = true;
-      for (std::size_t v = 0; v < wpr_; ++v) {
-        bits::Word losers = req[v] & ~pr[v];
-        if (v == bits::word_of(i)) losers &= ~bits::bit(i);
-        if (losers != 0) {
-          wins = false;
-          break;
-        }
-      }
-      if (wins) {
-        winner = static_cast<int>(i);
-        break;
-      }
-    }
-  }
-  return winner;
-}
-
 void MatrixArbiter::update(int winner) {
   NOCALLOC_CHECK(winner >= 0 && static_cast<std::size_t>(winner) < size_);
   const std::size_t w = static_cast<std::size_t>(winner);

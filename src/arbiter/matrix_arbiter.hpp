@@ -17,7 +17,6 @@ class MatrixArbiter final : public Arbiter {
 
   std::size_t size() const override { return size_; }
   int pick(const ReqVector& req) const override;
-  int pick_words(const bits::Word* req) const override;
   void update(int winner) override;
   void reset() override;
   void save_state(StateWriter& w) const override {
@@ -32,11 +31,12 @@ class MatrixArbiter final : public Arbiter {
   /// Priority relation (exposed for tests): true if i beats j.
   bool has_priority(std::size_t i, std::size_t j) const;
 
-  /// Single-word pick with pick_words() semantics for arbiters of width
-  /// <= 64: candidate i wins iff no other requester holds priority over it,
-  /// i.e. (req & ~prio_row(i)) has no bit besides i itself. The sparse
-  /// allocator kernels use this as the packed least-recently-served
-  /// selection, skipping virtual dispatch and the multi-word row scan.
+  /// Single-word pick for arbiters of width <= 64, selecting the winner
+  /// pick() selects on the equivalent byte vector: candidate i wins iff no
+  /// other requester holds priority over it, i.e. (req & ~prio_row(i)) has
+  /// no bit besides i itself. The sparse allocator kernels use this as the
+  /// packed least-recently-served selection, skipping virtual dispatch and
+  /// the byte loop.
   int pick_word(bits::Word req) const {
     NOCALLOC_DCHECK(wpr_ == 1);
     bits::Word cur = req;

@@ -17,15 +17,6 @@ int RoundRobinArbiter::pick(const ReqVector& req) const {
   return -1;
 }
 
-int RoundRobinArbiter::pick_words(const bits::Word* req) const {
-  // First request at or after the pointer; wrap to the lowest request when
-  // nothing at or above it is set. Two CTZ scans replace the byte loop.
-  const std::size_t nw = bits::word_count(size_);
-  const int at_or_after = bits::find_first_from(req, nw, pointer_);
-  if (at_or_after >= 0) return at_or_after;
-  return bits::find_first(req, nw);
-}
-
 void RoundRobinArbiter::update(int winner) {
   NOCALLOC_CHECK(winner >= 0 && static_cast<std::size_t>(winner) < size_);
   pointer_ = (static_cast<std::size_t>(winner) + 1) % size_;

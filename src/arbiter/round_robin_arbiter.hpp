@@ -15,7 +15,6 @@ class RoundRobinArbiter final : public Arbiter {
 
   std::size_t size() const override { return size_; }
   int pick(const ReqVector& req) const override;
-  int pick_words(const bits::Word* req) const override;
   void update(int winner) override;
   void reset() override { pointer_ = 0; }
   void save_state(StateWriter& w) const override { w.u64(pointer_); }
@@ -33,11 +32,11 @@ class RoundRobinArbiter final : public Arbiter {
   std::size_t pointer_ = 0;
 };
 
-/// Single-word round-robin pick with pick_words() semantics for arbiters of
-/// width <= 64: first set bit at or after `ptr`, wrapping to the lowest set
-/// bit when nothing at or above the pointer requests. The sparse allocator
-/// kernels use this to skip the virtual dispatch and the
-/// multi-word scan of the generic path.
+/// Single-word round-robin pick for arbiters of width <= 64: the winner
+/// pick() selects on the equivalent byte vector when `ptr` is the arbiter's
+/// pointer -- the first set bit at or after `ptr`, wrapping to the lowest
+/// set bit when nothing at or above the pointer requests. The sparse
+/// allocator kernels use this to skip the virtual dispatch and byte loop.
 inline int rr_pick_word(bits::Word req, std::size_t ptr) {
   const bits::Word at_or_after = req & ~(bits::bit(ptr) - 1);
   const bits::Word sel = at_or_after != 0 ? at_or_after : req;

@@ -37,14 +37,8 @@ class BitMatrix {
   /// Words per packed row.
   std::size_t words_per_row() const { return wpr_; }
 
-  /// Packed row access. The mutable overload is the fast path for building
-  /// request matrices; callers must leave bits >= cols() of the last word
-  /// zero (set bits only at valid column positions).
+  /// Packed row access; bits >= cols() of the last word are zero.
   const bits::Word* row(std::size_t r) const {
-    NOCALLOC_DCHECK(r < rows_);
-    return data_.data() + r * wpr_;
-  }
-  bits::Word* row(std::size_t r) {
     NOCALLOC_DCHECK(r < rows_);
     return data_.data() + r * wpr_;
   }

@@ -1,12 +1,11 @@
-// Word-level bit manipulation primitives for the mask-based allocator
-// kernels.
+// Word-level bit manipulation primitives for the packed BitMatrix rows and
+// the allocators' single-word sparse kernels.
 //
 // Request vectors and matrix rows are packed into little-endian arrays of
 // 64-bit words (bit i of word w represents element w * 64 + i). The helpers
-// here are the full vocabulary the fast paths need: tail masking so unused
-// high bits of the last word stay zero, find-first-set scans, and set-bit
-// iteration. Everything compiles to single instructions (AND/OR/TZCNT/POPCNT)
-// on the targets we care about.
+// here are the vocabulary those paths share: low-bit masks, find-first-set,
+// population count, and set-bit iteration. Everything compiles to single
+// instructions (AND/OR/TZCNT/POPCNT) on the targets we care about.
 #pragma once
 
 #include <bit>
@@ -32,13 +31,6 @@ constexpr Word low_mask(std::size_t n) {
   return n >= kWordBits ? ~Word{0} : (Word{1} << n) - 1;
 }
 
-/// Mask covering the valid bits of the last word of an `nbits`-wide vector
-/// (all ones when nbits is a multiple of 64). Requires nbits > 0.
-constexpr Word tail_mask(std::size_t nbits) {
-  const std::size_t rem = nbits % kWordBits;
-  return rem == 0 ? ~Word{0} : (Word{1} << rem) - 1;
-}
-
 /// Index of the lowest set bit across `nwords` words, or -1 if all zero.
 inline int find_first(const Word* words, std::size_t nwords) {
   for (std::size_t w = 0; w < nwords; ++w) {
@@ -48,22 +40,6 @@ inline int find_first(const Word* words, std::size_t nwords) {
     }
   }
   return -1;
-}
-
-/// Index of the lowest set bit at position >= from, or -1 if none.
-inline int find_first_from(const Word* words, std::size_t nwords,
-                           std::size_t from) {
-  std::size_t w = word_of(from);
-  if (w >= nwords) return -1;
-  Word cur = words[w] & ~(bit(from) - 1);  // clear bits below `from`
-  while (true) {
-    if (cur != 0) {
-      return static_cast<int>(w * kWordBits +
-                              static_cast<std::size_t>(std::countr_zero(cur)));
-    }
-    if (++w >= nwords) return -1;
-    cur = words[w];
-  }
 }
 
 /// Population count across `nwords` words.
@@ -81,24 +57,6 @@ inline bool any(const Word* words, std::size_t nwords) {
     if (words[w] != 0) return true;
   }
   return false;
-}
-
-/// Copies bits [from, from + nbits) of a packed vector with `src_words`
-/// words into dst (word_count(nbits) words), aligned to bit 0 and with the
-/// bits beyond nbits cleared. Requires from + nbits <= src_words * 64.
-inline void extract(const Word* src, std::size_t src_words, std::size_t from,
-                    std::size_t nbits, Word* dst) {
-  const std::size_t nw = word_count(nbits);
-  const std::size_t ws = word_of(from);
-  const std::size_t bs = from % kWordBits;
-  for (std::size_t w = 0; w < nw; ++w) {
-    Word v = src[ws + w] >> bs;
-    if (bs != 0 && ws + w + 1 < src_words) {
-      v |= src[ws + w + 1] << (kWordBits - bs);
-    }
-    dst[w] = v;
-  }
-  dst[nw - 1] &= tail_mask(nbits);
 }
 
 /// Invokes fn(index) for every set bit in ascending order.

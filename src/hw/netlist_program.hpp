@@ -4,9 +4,10 @@
 // op tape with dense operand indices; BatchNetlistSimulator then evaluates
 // 64 independent input vectors per pass by packing one vector per bit of a
 // uint64_t lane and lowering every gate to word ops -- the netlist analogue
-// of the word-parallel allocator kernels in src/alloc. The scalar
-// NetlistSimulator remains available as the differential oracle behind a
-// set_reference_path-style switch (the same contract Allocator uses).
+// of the allocators' single-word kernels. The scalar NetlistSimulator
+// remains available as the differential oracle behind a
+// set_reference_path-style switch (the same contract the VC and switch
+// allocators use).
 //
 // Layout:
 //   - slot 0 is a reserved constant-zero word (unused operand fields point
@@ -155,7 +156,7 @@ class BatchNetlistSimulator {
 
   /// Routes evaluate()/step() through the scalar NetlistSimulator, one lane
   /// at a time -- the differential oracle. Bit-identical to the fast path;
-  /// see Allocator::set_reference_path for the contract.
+  /// the same contract as the VC and switch allocators' reference path.
   void set_reference_path(bool ref);
   bool reference_path() const { return reference_path_; }
 

@@ -12,7 +12,7 @@ void SaMaxSize::allocate(const std::vector<SwitchRequest>& req,
   port_requests(req, ports_req);
 
   BitMatrix ports_gnt;
-  MaxSizeAllocator::max_matching(ports_req, ports_gnt, reference_path_);
+  MaxSizeAllocator::max_matching(ports_req, ports_gnt);
 
   for (std::size_t p = 0; p < ports(); ++p) {
     const int o = ports_gnt.row_single(p);

@@ -85,7 +85,9 @@ void SaWavefront::allocate_ref(const std::vector<SwitchRequest>& req,
   port_requests(req, ports_req);
 
   BitMatrix ports_gnt;
-  core_.allocate(ports_req, ports_gnt);
+  WavefrontAllocator::allocate_from_diagonal(ports_req, core_.diagonal(),
+                                             ports_gnt);
+  core_.advance_priority(1);
 
   ReqVector vc_req(vcs(), 0);
   for (std::size_t p = 0; p < ports(); ++p) {

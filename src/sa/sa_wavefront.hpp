@@ -28,10 +28,6 @@ class SaWavefront final : public SwitchAllocator {
   void advance_priority(std::uint64_t cycles) override {
     core_.advance_priority(cycles);
   }
-  void set_reference_path(bool ref) override {
-    SwitchAllocator::set_reference_path(ref);
-    core_.set_reference_path(ref);
-  }
   void save_state(StateWriter& w) const override {
     core_.save_state(w);
     for (const auto& a : presel_) a->save_state(w);
@@ -50,9 +46,9 @@ class SaWavefront final : public SwitchAllocator {
   void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
                      std::vector<SwitchGrant>& grant) override;
 
-  /// The oracle: the P x P union matrix through the dense core (its byte
-  /// loop whenever the reference path is selected), then byte-vector
-  /// pre-selection.
+  /// The oracle: the P x P union matrix through the byte-loop
+  /// WavefrontAllocator::allocate_from_diagonal from the core's diagonal
+  /// (which then rotates once), then byte-vector pre-selection.
   void allocate_ref(const std::vector<SwitchRequest>& req,
                     std::vector<SwitchGrant>& grant);
   void init_fast();

@@ -87,8 +87,9 @@ class VcAllocator {
   }
 
   /// Selects the byte-loop reference implementation over the family kernel,
-  /// for allocate() and allocate_sparse() alike; see
-  /// Allocator::set_reference_path for the contract.
+  /// for allocate() and allocate_sparse() alike. Both paths produce
+  /// identical grants and priority-state evolution; the reference is the
+  /// differential oracle (tests/test_mask_kernels, test_sim_equivalence).
   virtual void set_reference_path(bool ref) { reference_path_ = ref; }
   bool reference_path() const { return reference_path_; }
 

@@ -10,7 +10,7 @@ void VcMaxSizeAllocator::allocate(const std::vector<VcRequest>& req,
   BitMatrix full;
   expand_requests(req, full);
   BitMatrix gnt;
-  MaxSizeAllocator::max_matching(full, gnt, reference_path_);
+  MaxSizeAllocator::max_matching(full, gnt);
   for (std::size_t i = 0; i < total(); ++i) grant[i] = gnt.row_single(i);
 }
 

@@ -114,7 +114,9 @@ void VcWavefrontAllocator::allocate_ref(const std::vector<VcRequest>& req,
     }
 
     BitMatrix block_gnt;
-    cores_[m]->allocate(block_req, block_gnt);
+    WavefrontAllocator::allocate_from_diagonal(
+        block_req, cores_[m]->diagonal(), block_gnt);
+    cores_[m]->advance_priority(1);
 
     for (std::size_t row = 0; row < n; ++row) {
       const int col = block_gnt.row_single(row);

@@ -34,10 +34,6 @@ class VcWavefrontAllocator final : public VcAllocator {
   void advance_priority(std::uint64_t cycles) override {
     for (auto& c : cores_) c->advance_priority(cycles);
   }
-  void set_reference_path(bool ref) override {
-    VcAllocator::set_reference_path(ref);
-    for (auto& c : cores_) c->set_reference_path(ref);
-  }
   void save_state(StateWriter& w) const override {
     for (const auto& c : cores_) c->save_state(w);
   }
@@ -56,9 +52,9 @@ class VcWavefrontAllocator final : public VcAllocator {
   void allocate_fast(const FastVcRequest* req, std::size_t n,
                      std::vector<int>& grant) override;
 
-  /// The oracle: builds each core's block request matrix and runs the dense
-  /// WavefrontAllocator::allocate over it (the cores' byte loop whenever
-  /// the reference path is selected).
+  /// The oracle: builds each core's block request matrix, matches it with
+  /// the byte-loop WavefrontAllocator::allocate_from_diagonal from the
+  /// core's diagonal, then rotates that diagonal once.
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
 
   VcPartition partition_;

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "alloc/incremental_max_allocator.hpp"
 #include "alloc/max_size_allocator.hpp"
 #include "alloc/multi_iteration_allocator.hpp"
 #include "alloc/separable_allocator.hpp"
 #include "alloc/wavefront_allocator.hpp"
 #include "common/rng.hpp"
+#include "common/snapshot.hpp"
 
 namespace nocalloc {
 namespace {
@@ -182,6 +188,27 @@ TEST(WavefrontAllocator, FullMatrixYieldsPerfectMatching) {
   BitMatrix gnt;
   wf.allocate(req, gnt);
   EXPECT_EQ(gnt.count(), 5u);
+}
+
+// allocate() runs the sparse kernel over the set cells of the dense matrix;
+// allocate_from_diagonal is its byte-loop oracle. Shapes cover square,
+// rectangular (padded) and multi-word arrays; rates sweep sparse to dense.
+TEST(WavefrontAllocator, DenseAllocateMatchesDiagonalOracle) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {4, 7}, {7, 4}, {10, 10}, {64, 64}, {65, 65}, {3, 130},
+      {160, 160}};
+  Rng rng(61);
+  for (const auto& [rows, cols] : shapes) {
+    WavefrontAllocator wf(rows, cols);
+    BitMatrix gnt, oracle;
+    for (int cycle = 0; cycle < 60; ++cycle) {
+      const double rate = 0.02 + 0.9 * (cycle % 11) / 10.0;
+      const BitMatrix req = random_requests(rows, cols, rate, rng);
+      WavefrontAllocator::allocate_from_diagonal(req, wf.diagonal(), oracle);
+      wf.allocate(req, gnt);
+      ASSERT_EQ(gnt, oracle) << rows << "x" << cols << " cycle " << cycle;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -415,6 +442,143 @@ INSTANTIATE_TEST_SUITE_P(
              "_" + std::to_string(info.param.inputs) + "x" +
              std::to_string(info.param.outputs);
     });
+
+// ---------------------------------------------------------------------------
+// State contract (allocator.hpp): save_state/load_state carry every piece of
+// priority state, and advance_priority(c) equals c empty allocate() calls.
+
+template <AllocatorKind Kind, ArbiterKind Arb>
+struct Generic {
+  static std::string name() { return to_string(Kind) + "_" + to_string(Arb); }
+  static std::unique_ptr<Allocator> make(std::size_t in, std::size_t out) {
+    return make_allocator(Kind, in, out, Arb);
+  }
+};
+
+struct MultiIterationOfWavefront {
+  static std::string name() { return "multi3_wf"; }
+  static std::unique_ptr<Allocator> make(std::size_t in, std::size_t out) {
+    return std::make_unique<MultiIterationAllocator>(
+        make_allocator(AllocatorKind::kWavefront, in, out), 3);
+  }
+};
+
+struct MultiIterationOfMatrixSeparable {
+  static std::string name() { return "multi2_sep_of_m"; }
+  static std::unique_ptr<Allocator> make(std::size_t in, std::size_t out) {
+    return std::make_unique<MultiIterationAllocator>(
+        make_allocator(AllocatorKind::kSeparableOutputFirst, in, out,
+                       ArbiterKind::kMatrix),
+        2);
+  }
+};
+
+struct IncrementalMax {
+  static std::string name() { return "incremental_max"; }
+  static std::unique_ptr<Allocator> make(std::size_t in, std::size_t out) {
+    return std::make_unique<IncrementalMaxAllocator>(in, out, 1);
+  }
+};
+
+template <typename Factory>
+class AllocatorStateTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kIn = 5;
+  static constexpr std::size_t kOut = 7;
+
+  static std::unique_ptr<Allocator> make() { return Factory::make(kIn, kOut); }
+
+  // Redraws a fifth of the cells, so requests change slowly and the
+  // incremental allocator's carried matching stays partly valid.
+  static void perturb(BitMatrix& req, Rng& rng) {
+    for (std::size_t i = 0; i < kIn; ++i) {
+      for (std::size_t j = 0; j < kOut; ++j) {
+        if (rng.next_bool(0.2)) req.set(i, j, rng.next_bool(0.45));
+      }
+    }
+  }
+
+  static void drive(Allocator& a, BitMatrix& req, Rng& rng, int cycles) {
+    BitMatrix gnt;
+    for (int c = 0; c < cycles; ++c) {
+      perturb(req, rng);
+      a.allocate(req, gnt);
+    }
+  }
+
+  // Both allocators must grant identically on a shared request stream.
+  static void expect_same_grants(Allocator& a, Allocator& b, Rng& rng,
+                                 const std::string& what) {
+    BitMatrix req(kIn, kOut), ga, gb;
+    for (int c = 0; c < 40; ++c) {
+      perturb(req, rng);
+      a.allocate(req, ga);
+      b.allocate(req, gb);
+      ASSERT_EQ(ga, gb) << what << " cycle " << c;
+    }
+  }
+};
+
+using StatefulFactories = ::testing::Types<
+    Generic<AllocatorKind::kSeparableInputFirst, ArbiterKind::kRoundRobin>,
+    Generic<AllocatorKind::kSeparableInputFirst, ArbiterKind::kMatrix>,
+    Generic<AllocatorKind::kSeparableOutputFirst, ArbiterKind::kRoundRobin>,
+    Generic<AllocatorKind::kSeparableOutputFirst, ArbiterKind::kMatrix>,
+    Generic<AllocatorKind::kWavefront, ArbiterKind::kRoundRobin>,
+    Generic<AllocatorKind::kMaximumSize, ArbiterKind::kRoundRobin>,
+    MultiIterationOfWavefront, MultiIterationOfMatrixSeparable,
+    IncrementalMax>;
+struct FactoryName {
+  template <typename Factory>
+  static std::string GetName(int) {
+    return Factory::name();
+  }
+};
+TYPED_TEST_SUITE(AllocatorStateTest, StatefulFactories, FactoryName);
+
+TYPED_TEST(AllocatorStateTest, SaveLoadTwinGrantsIdentically) {
+  auto original = TestFixture::make();
+  auto twin = TestFixture::make();
+  Rng history(71), other(72);
+  BitMatrix req(TestFixture::kIn, TestFixture::kOut);
+  TestFixture::drive(*original, req, history, 23);
+  // Give the twin a different history, so load_state must overwrite it.
+  BitMatrix other_req(TestFixture::kIn, TestFixture::kOut);
+  TestFixture::drive(*twin, other_req, other, 10);
+
+  std::vector<std::uint8_t> bytes;
+  StateWriter w(bytes);
+  original->save_state(w);
+  StateReader r(bytes);
+  twin->load_state(r);
+  EXPECT_EQ(r.remaining(), 0u);
+
+  Rng future(73);
+  TestFixture::expect_same_grants(*original, *twin, future, "after load");
+}
+
+TYPED_TEST(AllocatorStateTest, AdvancePriorityEqualsEmptyCalls) {
+  for (std::uint64_t k : {0u, 1u, 2u, 6u, 13u}) {
+    auto skipped = TestFixture::make();
+    auto stepped = TestFixture::make();
+    Rng history(81);
+    BitMatrix req(TestFixture::kIn, TestFixture::kOut);
+    TestFixture::drive(*skipped, req, history, 17);
+    Rng replay(81);
+    BitMatrix replay_req(TestFixture::kIn, TestFixture::kOut);
+    TestFixture::drive(*stepped, replay_req, replay, 17);
+
+    skipped->advance_priority(k);
+    const BitMatrix empty(TestFixture::kIn, TestFixture::kOut);
+    BitMatrix gnt;
+    for (std::uint64_t c = 0; c < k; ++c) stepped->allocate(empty, gnt);
+
+    Rng future(83);
+    TestFixture::expect_same_grants(*skipped, *stepped, future,
+                                    "k=" + std::to_string(k));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Quality ordering sanity: wavefront >= separable on average.

@@ -1,15 +1,15 @@
-// Differential tests for the word-parallel arbiter picks and the allocator
+// Differential tests for the single-word arbiter picks and the allocator
 // kernels.
 //
-// Every arbiter's pick_words must select the same winner as pick, and every
-// kernel-backed allocator driven through its dense allocate() -- which packs
-// the requests and runs the same single-word kernel the router runs -- must
-// emit the same grants, cycle after cycle, as a twin instance running the
-// byte-loop reference path (set_reference_path(true)) on the same request
-// stream. The allocator-level tests sweep all 145 paper design points
-// (src/lint/design_points.hpp) across multiple seeds and request densities,
-// plus shapes too wide for one word, where the dense API falls back to the
-// reference.
+// FastArb's single-word pick must select the same winner as Arbiter::pick,
+// and every kernel-backed VC and switch allocator driven through its dense
+// allocate() -- which packs the requests and runs the same single-word
+// kernel the router runs -- must emit the same grants, cycle after cycle, as
+// a twin instance running the byte-loop reference path
+// (set_reference_path(true)) on the same request stream. The allocator-level
+// tests sweep all 145 paper design points (src/lint/design_points.hpp)
+// across multiple seeds and request densities, plus shapes too wide for one
+// word, where the dense API falls back to the reference.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "arbiter/arbiter.hpp"
+#include "arbiter/fast_arb.hpp"
 #include "common/rng.hpp"
 #include "lint/design_points.hpp"
 #include "sa/speculative_switch_allocator.hpp"
@@ -33,42 +33,28 @@ ReqVector random_req(std::size_t n, double rate, Rng& rng) {
   return req;
 }
 
-TEST(PackReq, MatchesByteVector) {
-  Rng rng(11);
-  for (std::size_t n : {1u, 7u, 63u, 64u, 65u, 128u, 130u, 200u}) {
-    const ReqVector req = random_req(n, 0.4, rng);
-    std::vector<bits::Word> words(bits::word_count(n), ~bits::Word{0});
-    pack_req(req, words.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ((words[bits::word_of(i)] >> (i % bits::kWordBits)) & 1u,
-                req[i] ? 1u : 0u)
-          << "n=" << n << " bit " << i;
-    }
-    // Tail bits above n must be zero (pick_words relies on this).
-    if (n % bits::kWordBits != 0) {
-      EXPECT_EQ(words.back() & ~bits::tail_mask(n), 0u) << "n=" << n;
-    }
-  }
-}
-
-// pick_words must agree with pick for every arbiter kind across sizes that
-// exercise sub-word, exact-word, and multi-word masks -- including after
-// priority updates, which move the rotating pointer across word boundaries.
-TEST(ArbiterMaskPath, PickWordsMatchesPick) {
+// FastArb::pick on one packed word must agree with Arbiter::pick on the
+// byte vector for every arbiter kind across widths up to one full word,
+// with priority updates applied through FastArb so the winners are compared
+// across evolving round-robin pointers and matrix priorities.
+TEST(FastArb, PickMatchesPick) {
   for (ArbiterKind kind : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
-    for (std::size_t n : {1u, 2u, 5u, 63u, 64u, 65u, 130u}) {
+    for (std::size_t n : {1u, 2u, 5u, 63u, 64u}) {
       auto arb = make_arbiter(kind, n);
+      FastArb fa = FastArb::from(*arb);
+      ASSERT_TRUE(fa.ok()) << to_string(kind) << " n=" << n;
       Rng rng(0xA0 + n);
-      std::vector<bits::Word> words(bits::word_count(n));
       for (int round = 0; round < 400; ++round) {
         const double rate = (round % 10) * 0.1 + 0.02;
         const ReqVector req = random_req(n, rate, rng);
-        pack_req(req, words.data());
+        bits::Word word = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (req[i]) word |= bits::bit(i);
+        }
         const int byte_pick = arb->pick(req);
-        const int word_pick = arb->pick_words(words.data());
-        ASSERT_EQ(word_pick, byte_pick)
+        ASSERT_EQ(fa.pick(word), byte_pick)
             << to_string(kind) << " n=" << n << " round " << round;
-        if (byte_pick >= 0 && rng.next_bool(0.7)) arb->update(byte_pick);
+        if (byte_pick >= 0 && rng.next_bool(0.7)) fa.update(byte_pick);
       }
     }
   }
