@@ -52,8 +52,8 @@ double replay(const TrafficTrace& trace, AllocatorKind sw_alloc) {
   cfg.router.partition = VcPartition::mesh(2, 2);
   cfg.router.sw_alloc_kind = sw_alloc;
   cfg.source_factory = [&](int terminal) {
-    return std::make_unique<TraceSource>(terminal,
-                                         trace.for_terminal(terminal));
+    return std::make_unique<TraceSource>(
+        terminal, trace.for_terminal(terminal, topo.num_terminals()));
   };
 
   StatAccumulator latency;

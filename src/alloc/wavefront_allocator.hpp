@@ -12,7 +12,18 @@
 // model computes the matching the loop-free (diagonal-replicated) RTL
 // implementation would produce; the hardware cost of that structure is
 // modelled separately in src/hw.
+//
+// The kernel works one diagonal word at a time, as the tile array does:
+// request() ORs a cell's row bit into the row words of its wrapped diagonal,
+// and grant_requested() visits the occupied diagonals in wave order, granting
+// every requested row that is still free and whose column is still free.
+// Its scratch is n * ceil(n / 64) + 3 * ceil(n / 64) words, sized once in the
+// constructor: at most 4 KiB for the shipped router blocks (n <= 160), and
+// 2 MiB for the largest block a router accepts (P = V = 64, so n = 4096).
 #pragma once
+
+#include <algorithm>
+#include <vector>
 
 #include "alloc/allocator.hpp"
 
@@ -24,8 +35,8 @@ class WavefrontAllocator final : public Allocator {
   /// shapes are handled by padding to max(inputs, outputs) internally.
   WavefrontAllocator(std::size_t inputs, std::size_t outputs);
 
-  /// Gathers the set cells of `req` and runs allocate_sparse(), the kernel
-  /// the VC and switch wavefront allocators run in the router.
+  /// Requests the set cells of `req` and grants them: the kernel the VC and
+  /// switch wavefront allocators run in the router.
   void allocate(const BitMatrix& req, BitMatrix& gnt) override;
   void reset() override { diagonal_ = 0; }
   void advance_priority(std::uint64_t cycles) override {
@@ -41,56 +52,86 @@ class WavefrontAllocator final : public Allocator {
   std::size_t diagonal() const { return diagonal_; }
 
   /// Computes the wavefront matching for a fixed starting diagonal without
-  /// touching state: the byte-loop oracle that allocate() and
-  /// allocate_sparse() are tested against, and the VC/switch wavefront
-  /// allocators' reference path.
+  /// touching state: the byte-loop oracle that the kernel is tested against,
+  /// and the VC/switch wavefront allocators' reference path.
   static void allocate_from_diagonal(const BitMatrix& req, std::size_t start,
                                      BitMatrix& gnt);
 
-  /// One requested (row, column) cell on the sparse fast path.
-  struct SparseCell {
-    std::uint32_t row = 0;
-    std::uint32_t col = 0;
-  };
+  /// Requests cell (row, col), row and col < n, for the next
+  /// grant_requested(). Cells may come in any order; repeating one is
+  /// harmless.
+  void request(std::size_t row, std::size_t col) {
+    NOCALLOC_DCHECK(row < n_ && col < n_);
+    std::size_t d = row + col;
+    if (d >= n_) d -= n_;
+    diag_rows_[d * nw_ + bits::word_of(row)] |= bits::bit(row);
+    occupied_[bits::word_of(d)] |= bits::bit(d);
+  }
 
-  /// Sparse single-call equivalent of one allocate() cycle: the request
-  /// matrix is given as its set cells (any order, rows/cols < n, no
-  /// duplicates), the granted cells are appended to `granted`, and the
-  /// starting diagonal advances exactly as allocate() would -- including for
-  /// an empty cell list, which must still be issued once per cycle so the
-  /// rotating priority matches a densely called scalar run.
+  /// One allocation cycle over the requested cells: calls on_grant(row, col)
+  /// for each grant, in wave order and by row within a wave, clears the
+  /// requests, and advances the starting diagonal exactly as allocate() does
+  /// -- also when nothing was requested, so it must run once per cycle.
   ///
-  /// Cost is O(m + n/64) for m cells: cells are wave-bucketed with a
-  /// counting sort keyed by their wrapped diagonal's distance from the
-  /// starting one, then scanned in wave order against packed free-row /
-  /// free-column masks. Cells of one wave share neither row nor column, so
-  /// the linear scan over the wave-sorted cells makes exactly the grants of
-  /// the nested diagonal loop.
-  void allocate_sparse(const SparseCell* cells, std::size_t m,
-                       std::vector<SparseCell>& granted);
-
-  /// Pre-sizes the sparse-path scratch for calls of up to `cells` cells, so
-  /// a caller that knows its bound keeps allocate_sparse() allocation-free
-  /// from the first cycle on.
-  void reserve_sparse(std::size_t cells);
+  /// Cells on one wrapped diagonal share neither row nor column, so a whole
+  /// diagonal is granted at once: its candidates are its requested rows that
+  /// are still free, and each keeps its grant if its column is still free.
+  /// Cost is O(n / 64) per occupied diagonal plus O(1) per candidate.
+  template <class Fn>
+  void grant_requested(Fn&& on_grant) {
+    const std::size_t n = n_;
+    const std::size_t nw = nw_;
+    for (std::size_t w = 0; w < nw; ++w) {
+      row_free_[w] = bits::low_mask(n - w * bits::kWordBits);
+      col_free_[w] = row_free_[w];
+    }
+    // Occupied diagonals from diagonal_ upward, then the wrapped ones below
+    // it: word sw is visited twice, first its high part, last its low part.
+    const std::size_t sw = bits::word_of(diagonal_);
+    const bits::Word below = bits::low_mask(diagonal_ % bits::kWordBits);
+    for (std::size_t k = 0; k <= nw; ++k) {
+      const std::size_t ow = sw + k < nw ? sw + k : sw + k - nw;
+      bits::Word occ = occupied_[ow];
+      if (k == 0) occ &= ~below;
+      if (k == nw) occ &= below;
+      while (occ != 0) {
+        const std::size_t d = ow * bits::kWordBits +
+                              static_cast<std::size_t>(std::countr_zero(occ));
+        occ &= occ - 1;
+        bits::Word* rows = &diag_rows_[d * nw];
+        for (std::size_t w = 0; w < nw; ++w) {
+          bits::Word cand = rows[w] & row_free_[w];
+          rows[w] = 0;
+          while (cand != 0) {
+            const std::size_t r =
+                w * bits::kWordBits +
+                static_cast<std::size_t>(std::countr_zero(cand));
+            cand &= cand - 1;
+            const std::size_t c = r <= d ? d - r : d + n - r;
+            bits::Word& col_word = col_free_[bits::word_of(c)];
+            if ((col_word & bits::bit(c)) == 0) continue;
+            col_word &= ~bits::bit(c);
+            row_free_[w] &= ~bits::bit(r);
+            on_grant(r, c);
+          }
+        }
+      }
+    }
+    std::fill(occupied_.begin(), occupied_.end(), bits::Word{0});
+    if (++diagonal_ == n) diagonal_ = 0;
+  }
 
  private:
-  std::size_t n_;  // padded square dimension
+  std::size_t n_;   // padded square dimension
+  std::size_t nw_;  // words per n-bit row
   std::size_t diagonal_ = 0;
-  // Sparse-path scratch, reused across calls so a warm allocate_sparse()
-  // performs no heap allocations: the free-row / free-column masks, per-wave
-  // cell counts (zeroed after use via the touched-wave bitmap), bucket write
-  // cursors, and the wave-sorted cells.
+  // diag_rows_[d * nw_ + w]: word w of the requested rows on wrapped
+  // diagonal d; occupied_: the diagonals with any request. Both are all zero
+  // between cycles. row_free_ / col_free_: the unmatched rows and columns.
+  std::vector<bits::Word> diag_rows_;
+  std::vector<bits::Word> occupied_;
   std::vector<bits::Word> row_free_;
   std::vector<bits::Word> col_free_;
-  std::vector<std::uint32_t> wave_cnt_;
-  std::vector<std::uint32_t> wave_off_;
-  std::vector<bits::Word> wave_occ_;
-  std::vector<SparseCell> sorted_;
-  // allocate() scratch: the set cells of the dense request matrix and the
-  // granted cells allocate_sparse() returns for them.
-  std::vector<SparseCell> dense_cells_;
-  std::vector<SparseCell> dense_granted_;
 };
 
 }  // namespace nocalloc

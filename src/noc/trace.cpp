@@ -2,11 +2,26 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "noc/config.hpp"
 
 namespace nocalloc::noc {
+
+namespace {
+
+// Terminal indices are ints in TraceRecord and Packet.
+constexpr std::size_t kMaxTerminal = std::numeric_limits<int>::max();
+
+[[noreturn]] void bad_line(std::size_t line_no, const std::string& line,
+                           const std::string& what) {
+  fail("trace line " + std::to_string(line_no) + ": " + what + ": '" + line +
+       "'");
+}
+
+}  // namespace
 
 void TrafficTrace::add(const TraceRecord& record) {
   NOCALLOC_CHECK(record.src >= 0 && record.dst >= 0 &&
@@ -26,18 +41,34 @@ void TrafficTrace::sort() {
 TrafficTrace TrafficTrace::parse(std::istream& in) {
   TrafficTrace trace;
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     const auto first = line.find_first_not_of(" \t");
     if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream fields(line);
-    TraceRecord rec;
-    std::string type;
-    fields >> rec.cycle >> rec.src >> rec.dst >> type;
-    NOCALLOC_CHECK(!fields.fail());
-    NOCALLOC_CHECK(type == "R" || type == "W");
-    rec.type = type == "R" ? PacketType::kReadRequest
-                           : PacketType::kWriteRequest;
-    trace.add(rec);
+    std::istringstream tokens(line);
+    std::vector<std::string> fields;
+    for (std::string f; tokens >> f;) fields.push_back(f);
+    if (fields.size() != 4) {
+      bad_line(line_no, line, "expected <cycle> <src> <dst> <R|W>");
+    }
+    const auto cycle = parse_size(fields[0]);
+    const auto src = parse_size(fields[1]);
+    const auto dst = parse_size(fields[2]);
+    if (!cycle) bad_line(line_no, line, "cycle is not an integer >= 0");
+    if (!src || *src > kMaxTerminal) {
+      bad_line(line_no, line, "src is not a terminal index");
+    }
+    if (!dst || *dst > kMaxTerminal) {
+      bad_line(line_no, line, "dst is not a terminal index");
+    }
+    if (*src == *dst) bad_line(line_no, line, "src and dst are equal");
+    if (fields[3] != "R" && fields[3] != "W") {
+      bad_line(line_no, line, "type is not R or W");
+    }
+    trace.add({*cycle, static_cast<int>(*src), static_cast<int>(*dst),
+               fields[3] == "R" ? PacketType::kReadRequest
+                                : PacketType::kWriteRequest});
   }
   trace.sort();
   return trace;
@@ -65,9 +96,17 @@ void TrafficTrace::save(const std::string& path) const {
   file << to_string();
 }
 
-std::vector<TraceRecord> TrafficTrace::for_terminal(int terminal) const {
+std::vector<TraceRecord> TrafficTrace::for_terminal(
+    int terminal, std::size_t terminals) const {
   std::vector<TraceRecord> out;
   for (const TraceRecord& rec : records_) {
+    if (static_cast<std::size_t>(rec.src) >= terminals ||
+        static_cast<std::size_t>(rec.dst) >= terminals) {
+      fail("trace record '" + std::to_string(rec.cycle) + " " +
+           std::to_string(rec.src) + " " + std::to_string(rec.dst) +
+           "' names a terminal outside the network (" +
+           std::to_string(terminals) + " terminals)");
+    }
     if (rec.src == terminal) out.push_back(rec);
   }
   return out;

@@ -39,9 +39,10 @@ class TrafficTrace {
 
   /// Parses the text format: one record per line as
   ///   <cycle> <src-terminal> <dst-terminal> <R|W>
-  /// Blank lines and lines starting with '#' are ignored. Aborts (via
-  /// NOCALLOC_CHECK) on malformed records -- a bad trace is a setup error,
-  /// not a runtime condition.
+  /// Blank lines and lines starting with '#' are ignored. Each field must
+  /// parse whole (no sign, no trailing junk) and a line must have exactly
+  /// four; anything else aborts naming the line number and text -- a bad
+  /// trace is a setup error, not a runtime condition.
   static TrafficTrace parse(std::istream& in);
   static TrafficTrace load(const std::string& path);
 
@@ -49,8 +50,13 @@ class TrafficTrace {
   std::string to_string() const;
   void save(const std::string& path) const;
 
-  /// Collects this trace's records for one terminal, preserving order.
-  std::vector<TraceRecord> for_terminal(int terminal) const;
+  /// Collects this trace's records for one terminal of a network with
+  /// `terminals` terminals, preserving order. Aborts naming the record if
+  /// any record's src or dst is not one of those terminals, so a replay
+  /// that builds its sources from here rejects such a trace before it
+  /// simulates.
+  std::vector<TraceRecord> for_terminal(int terminal,
+                                        std::size_t terminals) const;
 
  private:
   std::vector<TraceRecord> records_;

@@ -17,9 +17,6 @@ void SaWavefront::init_fast() {
     if (!fa.ok()) return;
     presel_fa_.push_back(fa);
   }
-  fast_cells_.reserve(ports() * ports());
-  fast_granted_.reserve(ports());
-  core_.reserve_sparse(ports() * ports());
   fast_ok_ = true;
 }
 
@@ -31,32 +28,21 @@ void SaWavefront::allocate_fast(const bits::Word* vc_words,
   const std::size_t v_count = vcs();
   grant.assign(p_count, SwitchGrant{});
 
-  // OR-combine per-VC requests into (port, output) cells, deduplicated via
-  // each port's union word -- the sparse form of port_requests().
-  fast_cells_.clear();
+  // Request each VC's (port, output) cell: the OR over VCs is the sparse
+  // form of port_requests(), and repeating a cell is harmless.
   for (std::size_t p = 0; p < p_count; ++p) {
     bits::Word w = vc_words[p];
-    bits::Word seen = 0;
     while (w != 0) {
       const auto v = static_cast<std::size_t>(std::countr_zero(w));
       w &= w - 1;
-      const std::size_t o = out_ports[p * v_count + v];
-      if ((seen & bits::bit(o)) != 0) continue;
-      seen |= bits::bit(o);
-      fast_cells_.push_back(
-          {static_cast<std::uint32_t>(p), static_cast<std::uint32_t>(o)});
+      core_.request(p, out_ports[p * v_count + v]);
     }
   }
 
-  fast_granted_.clear();
-  core_.allocate_sparse(fast_cells_.data(), fast_cells_.size(), fast_granted_);
-
   // Pre-selection: each granted (p, o) pair's V:1 arbiter picks among the
-  // VCs at p that requested o. Pairs are disjoint in p, so iteration order
-  // only needs to match grant assignment, not state evolution.
-  for (const auto& cell : fast_granted_) {
-    const std::size_t p = cell.row;
-    const std::size_t o = cell.col;
+  // VCs at p that requested o. Pairs are disjoint in p, so each arbiter
+  // updates at most once and grant order does not matter.
+  core_.grant_requested([&](std::size_t p, std::size_t o) {
     bits::Word cand = 0;
     bits::Word w = vc_words[p];
     while (w != 0) {
@@ -69,7 +55,7 @@ void SaWavefront::allocate_fast(const bits::Word* vc_words,
     NOCALLOC_DCHECK(v >= 0);  // the core only grants requested pairs
     grant[p] = {static_cast<int>(v), static_cast<int>(o)};
     presel.update(v);
-  }
+  });
 }
 
 void SaWavefront::allocate(const std::vector<SwitchRequest>& req,

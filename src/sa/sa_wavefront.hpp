@@ -38,11 +38,10 @@ class SaWavefront final : public SwitchAllocator {
   }
 
  private:
-  /// Sparse kernel: per-port union output sets become (port, output) cells
-  /// for one WavefrontAllocator::allocate_sparse pass; granted pairs then run
-  /// their pre-selection arbiter over the rebuilt VC candidates. Bit-identical
-  /// to allocate_ref(); see SwitchAllocator::allocate_sparse for the
-  /// contract.
+  /// Sparse kernel: each VC's (port, output) cell is requested from the
+  /// core, and each pair WavefrontAllocator::grant_requested grants runs its
+  /// pre-selection arbiter over the rebuilt VC candidates. Bit-identical to
+  /// allocate_ref(); see SwitchAllocator::allocate_sparse for the contract.
   void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
                      std::vector<SwitchGrant>& grant) override;
 
@@ -57,12 +56,9 @@ class SaWavefront final : public SwitchAllocator {
   // presel_[p * P + o]: V:1 arbiter pre-selecting the VC used when input
   // port p is granted output port o.
   std::vector<std::unique_ptr<Arbiter>> presel_;
-  // Fast-path caches: devirtualized pre-selection handles and the sparse
-  // request-cell / granted-cell scratch fed to the core.
+  // Fast-path cache: devirtualized pre-selection handles.
   bool fast_ok_ = false;
   std::vector<FastArb> presel_fa_;  // [p * P + o]
-  std::vector<WavefrontAllocator::SparseCell> fast_cells_;
-  std::vector<WavefrontAllocator::SparseCell> fast_granted_;
 };
 
 }  // namespace nocalloc

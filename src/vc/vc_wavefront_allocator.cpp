@@ -16,16 +16,6 @@ VcWavefrontAllocator::VcWavefrontAllocator(std::size_t ports,
        ++m) {
     cores_.push_back(std::make_unique<WavefrontAllocator>(block, block));
   }
-  // A router request offers at most one class's C candidate VCs, so a
-  // block sees at most rows x C cells per cycle; reserving that bound keeps
-  // the kernel allocation-free from the first cycle on.
-  const std::size_t max_cells = block * partition_.vcs_per_class();
-  fast_cells_.resize(cores_.size());
-  for (std::size_t m = 0; m < cores_.size(); ++m) {
-    fast_cells_[m].reserve(max_cells);
-    cores_[m]->reserve_sparse(max_cells);
-  }
-  fast_granted_.reserve(block);
 }
 
 void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,
@@ -38,8 +28,8 @@ void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,
               : v_count;
   const std::size_t width = span;  // VCs per port in each block
 
-  // Scatter requests into their message class's block as (row, column)
-  // cells. A request only ever appears as a row of the block holding its
+  // Request each candidate as a (row, column) cell of its message class's
+  // block. A request only ever appears as a row of the block holding its
   // input VC, and candidate bits outside that block are ignored -- exactly
   // allocate_ref's per-block matrix build.
   for (std::size_t k = 0; k < n; ++k) {
@@ -56,28 +46,22 @@ void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,
     } else {
       mask >>= vc_lo;
     }
-    bits::for_each_set(&mask, 1, [&](std::size_t w) {
-      fast_cells_[m].push_back(
-          {static_cast<std::uint32_t>(row),
-           static_cast<std::uint32_t>(out_base + w)});
-    });
+    WavefrontAllocator& core = *cores_[m];
+    bits::for_each_set(&mask, 1,
+                       [&](std::size_t w) { core.request(row, out_base + w); });
   }
 
   // Every core runs every cycle (empty or not), so all diagonals rotate in
   // lock-step with allocate_ref.
   for (std::size_t m = 0; m < cores_.size(); ++m) {
     const std::size_t vc_lo = m * span;
-    fast_granted_.clear();
-    cores_[m]->allocate_sparse(fast_cells_[m].data(), fast_cells_[m].size(),
-                               fast_granted_);
-    fast_cells_[m].clear();
-    for (const auto& cell : fast_granted_) {
-      const std::size_t p = cell.row / width;
-      const std::size_t v = vc_lo + cell.row % width;
-      const std::size_t out_port = cell.col / width;
-      const std::size_t out_vc = vc_lo + cell.col % width;
+    cores_[m]->grant_requested([&](std::size_t row, std::size_t col) {
+      const std::size_t p = row / width;
+      const std::size_t v = vc_lo + row % width;
+      const std::size_t out_port = col / width;
+      const std::size_t out_vc = vc_lo + col % width;
       grant[p * v_count + v] = static_cast<int>(out_port * v_count + out_vc);
-    }
+    });
   }
 }
 

@@ -44,10 +44,10 @@ class VcWavefrontAllocator final : public VcAllocator {
   bool sparse() const { return sparse_; }
 
  private:
-  /// Sparse single-call kernel: requests become (row, column) cells of their
-  /// message class's block and each core runs one wave-bucketed
-  /// WavefrontAllocator::allocate_sparse pass -- every core exactly once per
-  /// call, so all diagonals rotate as one allocate_ref() would. See
+  /// Sparse single-call kernel: each candidate is requested as a (row,
+  /// column) cell of its message class's block, then every core runs one
+  /// WavefrontAllocator::grant_requested -- exactly once per call, so all
+  /// diagonals rotate as one allocate_ref() would. See
   /// VcAllocator::allocate_sparse for the contract.
   void allocate_fast(const FastVcRequest* req, std::size_t n,
                      std::vector<int>& grant) override;
@@ -61,9 +61,6 @@ class VcWavefrontAllocator final : public VcAllocator {
   bool sparse_;
   // One core when dense; one per message class when sparse.
   std::vector<std::unique_ptr<WavefrontAllocator>> cores_;
-  // Fast-path scratch: per-core request cells and the shared granted list.
-  std::vector<std::vector<WavefrontAllocator::SparseCell>> fast_cells_;
-  std::vector<WavefrontAllocator::SparseCell> fast_granted_;
 };
 
 }  // namespace nocalloc

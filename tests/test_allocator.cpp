@@ -211,6 +211,52 @@ TEST(WavefrontAllocator, DenseAllocateMatchesDiagonalOracle) {
   }
 }
 
+// The kernel contract dense allocate() cannot reach: cells requested in any
+// order, each possibly several times (as SaWavefront does when several VCs
+// at a port want one output). Every fifth cycle is empty, which must grant
+// nothing and rotate like advance_priority(1).
+TEST(WavefrontAllocator, RequestedCellsMatchDiagonalOracle) {
+  Rng rng(62);
+  for (const std::size_t n : {1, 10, 64, 80, 130}) {
+    WavefrontAllocator wf(n, n);
+    WavefrontAllocator twin(n, n);
+    BitMatrix oracle;
+    std::vector<std::pair<std::size_t, std::size_t>> cells;
+    for (int cycle = 0; cycle < 60; ++cycle) {
+      const double rate = 0.02 + 0.88 * (cycle % 9) / 8.0;
+      const BitMatrix req = cycle % 5 == 4
+                                ? BitMatrix(n, n)
+                                : random_requests(n, n, rate, rng);
+      cells.clear();
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+          if (!req.get(r, c)) continue;
+          const std::uint64_t copies = 1 + rng.next_below(3);
+          for (std::uint64_t k = 0; k < copies; ++k) cells.emplace_back(r, c);
+        }
+      }
+      for (std::size_t i = cells.size(); i > 1; --i) {
+        std::swap(cells[i - 1], cells[rng.next_below(i)]);
+      }
+
+      ASSERT_EQ(wf.diagonal(), twin.diagonal());
+      WavefrontAllocator::allocate_from_diagonal(req, wf.diagonal(), oracle);
+      for (const auto& [r, c] : cells) wf.request(r, c);
+      BitMatrix gnt(n, n);
+      std::size_t grants = 0;
+      wf.grant_requested([&](std::size_t r, std::size_t c) {
+        gnt.set(r, c);
+        ++grants;
+      });
+      twin.advance_priority(1);
+      ASSERT_EQ(gnt, oracle) << "n " << n << " cycle " << cycle;
+      ASSERT_EQ(grants, oracle.count()) << "n " << n << " cycle " << cycle;
+      ASSERT_EQ(wf.diagonal(), twin.diagonal())
+          << "n " << n << " cycle " << cycle;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Multi-iteration wrapper.
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "noc/network.hpp"
 #include "noc/routing.hpp"
@@ -30,10 +31,34 @@ TEST(TrafficTrace, ParseAndSerializeRoundTrip) {
 }
 
 TEST(TrafficTrace, RejectsMalformedLines) {
-  std::istringstream bad_type("5 0 1 X\n");
-  EXPECT_DEATH(TrafficTrace::parse(bad_type), "check failed");
-  std::istringstream missing_fields("5 0\n");
-  EXPECT_DEATH(TrafficTrace::parse(missing_fields), "check failed");
+  const auto parse = [](const std::string& text) {
+    std::istringstream in(text);
+    TrafficTrace::parse(in);
+  };
+  EXPECT_DEATH(parse("5 0 1 X\n"), "trace line 1: type is not R or W");
+  EXPECT_DEATH(parse("5 0\n"), "trace line 1: expected <cycle>");
+  // A negative cycle must not wrap to 2^64 - 5, which is never reached.
+  EXPECT_DEATH(parse("# header\n-5 1 2 R\n"),
+               "trace line 2: cycle is not an integer >= 0: '-5 1 2 R'");
+  EXPECT_DEATH(parse("3 1 2 R junk\n"), "trace line 1: expected <cycle>");
+  EXPECT_DEATH(parse("3x 1 2 R\n"), "trace line 1: cycle is not");
+  EXPECT_DEATH(parse("3 -1 2 R\n"), "trace line 1: src is not");
+  EXPECT_DEATH(parse("3 1 2.5 W\n"), "trace line 1: dst is not");
+  EXPECT_DEATH(parse("3 1 99999999999 W\n"), "trace line 1: dst is not");
+  EXPECT_DEATH(parse("3 4 4 W\n"), "trace line 1: src and dst are equal");
+}
+
+TEST(TrafficTrace, RejectsTerminalsOutsideTheNetwork) {
+  TrafficTrace trace;
+  trace.add({3, 1, 99999, PacketType::kReadRequest});
+  EXPECT_DEATH(trace.for_terminal(0, 16),
+               "trace record '3 1 99999' names a terminal outside the "
+               "network \\(16 terminals\\)");
+  TrafficTrace foreign_src;
+  foreign_src.add({3, 16, 1, PacketType::kReadRequest});
+  EXPECT_DEATH(foreign_src.for_terminal(1, 16),
+               "trace record '3 16 1' names a terminal outside");
+  EXPECT_EQ(foreign_src.for_terminal(1, 17).size(), 0u);
 }
 
 TEST(TrafficTrace, RejectsSelfTraffic) {
@@ -52,7 +77,7 @@ TEST(TrafficTrace, ForTerminalFiltersAndPreservesOrder) {
   trace.add({1, 0, 3, PacketType::kWriteRequest});
   trace.add({9, 1, 4, PacketType::kReadRequest});
   trace.sort();
-  const auto slice = trace.for_terminal(1);
+  const auto slice = trace.for_terminal(1, 5);
   ASSERT_EQ(slice.size(), 2u);
   EXPECT_EQ(slice[0].cycle, 5u);
   EXPECT_EQ(slice[1].cycle, 9u);
@@ -111,8 +136,8 @@ TEST(TraceReplay, DeliversEveryTracedTransaction) {
   cfg.router.ports = 5;
   cfg.router.partition = VcPartition::mesh(2, 1);
   cfg.source_factory = [&](int terminal) {
-    return std::make_unique<TraceSource>(terminal,
-                                         trace.for_terminal(terminal));
+    return std::make_unique<TraceSource>(
+        terminal, trace.for_terminal(terminal, topo.num_terminals()));
   };
 
   std::uint64_t requests_delivered = 0, replies_delivered = 0;
@@ -156,8 +181,8 @@ TEST(TraceReplay, DeterministicAcrossRuns) {
     cfg.router.ports = 5;
     cfg.router.partition = VcPartition::mesh(2, 1);
     cfg.source_factory = [&](int terminal) {
-      return std::make_unique<TraceSource>(terminal,
-                                           trace.for_terminal(terminal));
+      return std::make_unique<TraceSource>(
+          terminal, trace.for_terminal(terminal, topo.num_terminals()));
     };
     std::vector<Cycle> ejects;
     std::uint64_t reply_id = 1ull << 60;
