@@ -26,6 +26,11 @@ constexpr std::size_t word_count(std::size_t nbits) {
 constexpr std::size_t word_of(std::size_t i) { return i / kWordBits; }
 constexpr Word bit(std::size_t i) { return Word{1} << (i % kWordBits); }
 
+/// Whether bit i of a packed word array is set.
+constexpr bool test(const Word* words, std::size_t i) {
+  return (words[word_of(i)] & bit(i)) != 0;
+}
+
 /// Mask with the lowest `n` bits set (all ones when n >= 64).
 constexpr Word low_mask(std::size_t n) {
   return n >= kWordBits ? ~Word{0} : (Word{1} << n) - 1;

@@ -11,9 +11,11 @@
 // ring still grows if a test drives the channel off-protocol, e.g. queueing
 // future sends before stepping the consumer.)
 //
-// For active-set scheduling, a channel can carry a wake flag for its
-// consumer: send() raises the flag, telling the Network the consumer has
-// pending work and must be stepped until the channel drains.
+// For active-set scheduling, a channel can carry two wakes for its consumer,
+// each a (word, bit) pair that send() ORs in: the consumer's bit in the
+// Network's active-set words, telling the scheduler the consumer must be
+// stepped until the channel drains, and the port's bit in the consumer's
+// own receive-pending word.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +39,13 @@ class Channel {
 
   std::size_t latency() const { return latency_; }
 
-  /// Registers the consumer's active-set flag; send() sets it so the
-  /// consumer is stepped when the item arrives. Null detaches.
-  void set_consumer_flag(std::uint8_t* flag) { consumer_flag_ = flag; }
+  /// Registers the consumer's bit in the Network's active-set words:
+  /// send() ORs `1 << bit` into `word` so the consumer is stepped when the
+  /// item arrives. Null detaches.
+  void set_consumer_active(std::uint64_t* word, std::size_t bit) {
+    active_word_ = word;
+    active_bit_ = std::uint64_t{1} << bit;
+  }
 
   /// Registers a per-port pending bit in the consumer's receive mask:
   /// send() ORs `1 << bit` into `word`, letting the consumer poll only
@@ -55,7 +61,7 @@ class Channel {
   void send(T item, Cycle now) {
     NOCALLOC_DCHECK(pipe_.empty() || pipe_.back().sent < now);
     pipe_.push_back(Slot{now, std::move(item)});
-    if (consumer_flag_ != nullptr) *consumer_flag_ = 1;
+    if (active_word_ != nullptr) *active_word_ |= active_bit_;
     if (wake_word_ != nullptr) *wake_word_ |= wake_bit_;
   }
 
@@ -126,7 +132,8 @@ class Channel {
 
   std::size_t latency_;
   GrowRing<Slot> pipe_;
-  std::uint8_t* consumer_flag_ = nullptr;
+  std::uint64_t* active_word_ = nullptr;
+  std::uint64_t active_bit_ = 0;
   std::uint64_t* wake_word_ = nullptr;
   std::uint64_t wake_bit_ = 0;
 };

@@ -271,8 +271,11 @@ void InvariantChecker::check_active_set(const Network& net) {
   // A retired router must be genuinely quiescent: waking it late would mean
   // it missed an exact-arrival Channel::receive and would trip its CHECK (or
   // silently delay a flit). This is the scheduler's core invariant.
+  // has_pending_work() walks every attached channel rather than reading the
+  // receive-pending bits the scheduler's idle test reads, so a bit cleared
+  // while its channel still holds an item is reported, not masked.
   for (std::size_t r = 0; r < net.routers_.size(); ++r) {
-    if (net.router_active_[r]) continue;
+    if (bits::test(net.router_active_.data(), r)) continue;
     if (net.routers_[r]->has_pending_work()) {
       report(InvariantViolation{
           net.now_, static_cast<int>(r), -1, -1, "active-set",
@@ -281,7 +284,7 @@ void InvariantChecker::check_active_set(const Network& net) {
     }
   }
   for (std::size_t t = 0; t < net.terminals_.size(); ++t) {
-    if (net.terminal_active_[t]) continue;
+    if (bits::test(net.terminal_active_.data(), t)) continue;
     const Network::TerminalWiring& tw = net.terminal_wirings_[t];
     if (!tw.ej_flits->empty() || !tw.inj_credits->empty()) {
       report(InvariantViolation{

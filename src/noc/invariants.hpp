@@ -81,7 +81,8 @@ struct InvariantCheckerConfig {
   bool check_flit_conservation = true;
   /// Audits the active-set scheduler: a router outside the dirty set must
   /// have no buffered flits, pending credits, or in-flight items on its
-  /// incoming channels.
+  /// incoming channels (every attached channel is inspected, not just the
+  /// ports the router's receive-pending bits name).
   bool check_active_set = true;
   /// Cycles without any flit movement (while flits are buffered) before the
   /// deadlock watchdog fires; 0 disables the watchdog.

@@ -1,11 +1,47 @@
 #include "noc/network.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/check.hpp"
 #include "noc/invariants.hpp"
 
 namespace nocalloc::noc {
+
+namespace {
+
+/// An active set of `n` consumers with every one of them active.
+std::vector<bits::Word> all_active(std::size_t n) {
+  std::vector<bits::Word> words(bits::word_count(n), ~bits::Word{0});
+  if (n % bits::kWordBits != 0) {
+    words.back() = bits::low_mask(n % bits::kWordBits);
+  }
+  return words;
+}
+
+// Snapshots store one flag byte per consumer, so the stream -- and the
+// persisted snapshots and fingerprints built on it -- does not depend on how
+// the active sets are packed in memory.
+void save_active(StateWriter& w, const std::vector<bits::Word>& words,
+                 std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t flag = bits::test(words.data(), i);
+    w.pod(flag);
+  }
+}
+
+void load_active(StateReader& r, std::vector<bits::Word>& words,
+                 std::size_t n) {
+  std::fill(words.begin(), words.end(), bits::Word{0});
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint8_t flag = 0;
+    r.pod(flag);
+    if (flag != 0) words[bits::word_of(i)] |= bits::bit(i);
+  }
+}
+
+}  // namespace
 
 Network::Network(const Topology& topo, const NetworkConfig& cfg,
                  RoutingFactory routing_factory,
@@ -14,9 +50,9 @@ Network::Network(const Topology& topo, const NetworkConfig& cfg,
   NOCALLOC_CHECK(cfg.router.ports == topo.ports());
   routing_ = routing_factory(*this);
 
-  // Active flags are sized before any channel takes a pointer into them.
-  router_active_.assign(topo.num_routers(), 1);
-  terminal_active_.assign(topo.num_terminals(), 1);
+  // Active-set words are sized before any channel takes a pointer into them.
+  router_active_ = all_active(topo.num_routers());
+  terminal_active_ = all_active(topo.num_terminals());
 
   const auto n_routers = static_cast<int>(topo.num_routers());
   for (int r = 0; r < n_routers; ++r) {
@@ -24,14 +60,21 @@ Network::Network(const Topology& topo, const NetworkConfig& cfg,
         std::make_unique<Router>(r, cfg.router, *routing_, arena_));
   }
 
-  auto new_flit_channel = [&](std::size_t latency, std::uint8_t* consumer) {
+  // `active` is the consumer's active-set words, `consumer` its index.
+  auto new_flit_channel = [&](std::size_t latency,
+                              std::vector<bits::Word>& active,
+                              std::size_t consumer) {
     flit_channels_.push_back(std::make_unique<Channel<Flit>>(latency));
-    flit_channels_.back()->set_consumer_flag(consumer);
+    flit_channels_.back()->set_consumer_active(
+        &active[bits::word_of(consumer)], consumer % bits::kWordBits);
     return flit_channels_.back().get();
   };
-  auto new_credit_channel = [&](std::size_t latency, std::uint8_t* consumer) {
+  auto new_credit_channel = [&](std::size_t latency,
+                                std::vector<bits::Word>& active,
+                                std::size_t consumer) {
     credit_channels_.push_back(std::make_unique<Channel<Credit>>(latency));
-    credit_channels_.back()->set_consumer_flag(consumer);
+    credit_channels_.back()->set_consumer_active(
+        &active[bits::word_of(consumer)], consumer % bits::kWordBits);
     return credit_channels_.back().get();
   };
 
@@ -41,12 +84,12 @@ Network::Network(const Topology& topo, const NetworkConfig& cfg,
   // latency is the physical link latency plus one (a flit granted at cycle t
   // arrives at t + 1 + link.latency, exactly as with an explicit ST stage).
   for (const LinkSpec& link : topo.links()) {
-    Channel<Flit>* flits = new_flit_channel(
-        link.latency + 1,
-        &router_active_[static_cast<std::size_t>(link.dst_router)]);
-    Channel<Credit>* credits = new_credit_channel(
-        link.latency + 1,
-        &router_active_[static_cast<std::size_t>(link.src_router)]);
+    Channel<Flit>* flits =
+        new_flit_channel(link.latency + 1, router_active_,
+                         static_cast<std::size_t>(link.dst_router));
+    Channel<Credit>* credits =
+        new_credit_channel(link.latency + 1, router_active_,
+                           static_cast<std::size_t>(link.src_router));
     routers_[static_cast<std::size_t>(link.src_router)]->attach_output(
         link.src_port, flits, credits, link.dst_router);
     routers_[static_cast<std::size_t>(link.dst_router)]->attach_input(
@@ -77,11 +120,11 @@ Network::Network(const Topology& topo, const NetworkConfig& cfg,
     const auto ts = static_cast<std::size_t>(t);
     // Terminal-driven channels keep latency 1; router-driven ones (ejected
     // flits, credits back to the terminal) get the +1 ST fold.
-    Channel<Flit>* inj_flits = new_flit_channel(1, &router_active_[rs]);
+    Channel<Flit>* inj_flits = new_flit_channel(1, router_active_, rs);
     Channel<Credit>* inj_credits =
-        new_credit_channel(2, &terminal_active_[ts]);
-    Channel<Flit>* ej_flits = new_flit_channel(2, &terminal_active_[ts]);
-    Channel<Credit>* ej_credits = new_credit_channel(1, &router_active_[rs]);
+        new_credit_channel(2, terminal_active_, ts);
+    Channel<Flit>* ej_flits = new_flit_channel(2, terminal_active_, ts);
+    Channel<Credit>* ej_credits = new_credit_channel(1, router_active_, rs);
     routers_[rs]->attach_input(port, inj_flits, inj_credits);
     routers_[rs]->attach_output(port, ej_flits, ej_credits, -1);
     term.attach(inj_flits, inj_credits, ej_flits, ej_credits);
@@ -94,39 +137,43 @@ Network::Network(const Topology& topo, const NetworkConfig& cfg,
 void Network::step() {
   const Cycle t = now_;
   const std::size_t nr = routers_.size();
-  // Phase gates read the flags live: a router woken mid-cycle (by a send in
-  // an earlier phase) joins in, where all its phase work is a harmless no-op
-  // -- the sent item only becomes receivable one cycle later.
-  for (std::size_t r = 0; r < nr; ++r) {
-    if (router_active_[r]) {
-      routers_[r]->allocate(t);
-    } else {
-      ++perf_.router_steps_skipped;
+  // Allocate pass, in ascending router order. The word is re-read above each
+  // visited router: a send can wake a higher-index router mid-pass, and that
+  // router joins in, where its work is a harmless no-op -- the sent item
+  // only becomes receivable one cycle later.
+  std::size_t visited = 0;
+  for (std::size_t w = 0; w < router_active_.size(); ++w) {
+    bits::Word live = router_active_[w];
+    while (live != 0) {
+      const auto b = static_cast<std::size_t>(std::countr_zero(live));
+      routers_[w * bits::kWordBits + b]->allocate(t);
+      ++visited;
+      live = router_active_[w] & ~((bits::Word{2} << b) - 1);  // bits > b
     }
   }
+  perf_.router_steps_skipped += nr - visited;
   // Terminals poll their source every cycle regardless of the active set,
   // preserving the RNG draw sequence of a dense run.
   for (auto& term : terminals_) term->inject(t);
-  for (std::size_t r = 0; r < nr; ++r) {
-    if (router_active_[r]) routers_[r]->receive(t);
-  }
-  for (std::size_t i = 0; i < terminals_.size(); ++i) {
-    if (terminal_active_[i]) terminals_[i]->receive(t);
-  }
-
-  // Retire quiescent consumers. Runs before the invariant hook so the
-  // checker can audit the active-set invariant itself.
-  for (std::size_t r = 0; r < nr; ++r) {
-    if (router_active_[r] && !routers_[r]->has_pending_work()) {
-      router_active_[r] = 0;
+  // Receive passes, retiring each quiescent consumer right after its
+  // receive. Nothing a later receive does can give a retired router work
+  // except a terminal's ejection credit, and that send re-wakes it; so at
+  // the end of the cycle the active sets hold exactly the consumers with
+  // pending work, which the invariant hook below audits.
+  bits::for_each_set(router_active_.data(), router_active_.size(),
+                     [&](std::size_t r) {
+    Router& router = *routers_[r];
+    router.receive(t);
+    if (router.idle()) router_active_[bits::word_of(r)] &= ~bits::bit(r);
+  });
+  bits::for_each_set(terminal_active_.data(), terminal_active_.size(),
+                     [&](std::size_t i) {
+    terminals_[i]->receive(t);
+    const TerminalWiring& tw = terminal_wirings_[i];
+    if (tw.ej_flits->empty() && tw.inj_credits->empty()) {
+      terminal_active_[bits::word_of(i)] &= ~bits::bit(i);
     }
-  }
-  for (std::size_t i = 0; i < terminals_.size(); ++i) {
-    if (terminal_active_[i] && terminal_wirings_[i].ej_flits->empty() &&
-        terminal_wirings_[i].inj_credits->empty()) {
-      terminal_active_[i] = 0;
-    }
-  }
+  });
 
   perf_.router_steps_total += nr;
   ++perf_.cycles;
@@ -207,8 +254,8 @@ void Network::snapshot(NetworkSnapshot& out) const {
   w.u64(now_);
   w.u64(next_packet_id_);
   w.pod(perf_);
-  w.pod_array(router_active_.data(), router_active_.size());
-  w.pod_array(terminal_active_.data(), terminal_active_.size());
+  save_active(w, router_active_, routers_.size());
+  save_active(w, terminal_active_, terminals_.size());
 
   arena_.save_state(w);
   routing_->save_state(w);
@@ -231,8 +278,8 @@ void Network::restore(const NetworkSnapshot& snap) {
   now_ = r.u64();
   next_packet_id_ = r.u64();
   r.pod(perf_);
-  r.pod_array(router_active_.data(), router_active_.size());
-  r.pod_array(terminal_active_.data(), terminal_active_.size());
+  load_active(r, router_active_, routers_.size());
+  load_active(r, terminal_active_, terminals_.size());
 
   arena_.load_state(r);
   routing_->load_state(r);

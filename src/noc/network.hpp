@@ -2,14 +2,18 @@
 // topology, wires credit loops, and advances the whole system cycle by
 // cycle. Also implements the CongestionOracle UGAL reads at injection.
 //
-// step() uses active-set scheduling: a router (or a terminal's receive side)
-// that has no buffered flits, pending credits, or in-flight items on its
-// incoming channels is retired from the dirty set and
-// skipped until a channel send targeting it re-wakes it (channels flip the
-// consumer's active flag at send time; the item arrives at least one cycle
-// later, so no arrival can be missed). Terminals still poll their traffic
-// source every cycle, which keeps the RNG draw sequence -- and therefore
-// every statistic -- bit-identical to a densely stepped run.
+// step() uses active-set scheduling. The routers and the terminals' receive
+// sides each form an active set kept as 64-bit words, and step() visits set
+// bits only. A consumer with no buffered flits, pending credits, or
+// in-flight items on its incoming channels is retired -- right after its
+// own receive(), by a word-only test -- and skipped until a channel send
+// targeting it re-wakes it (channels OR the consumer's bit in at send time;
+// the item arrives at least one cycle later, so no arrival can be missed).
+// The allocate pass re-reads the live word above each router it visits, so
+// a router woken mid-pass by a lower-index router's send is visited in the
+// same cycle, exactly as a per-router flag test would. Terminals still poll
+// their traffic source every cycle, which keeps the RNG draw sequence -- and
+// therefore every statistic -- bit-identical to a densely stepped run.
 #pragma once
 
 #include <memory>
@@ -60,7 +64,7 @@ class Network final : public CongestionOracle {
   Network(const Topology& topo, const NetworkConfig& cfg,
           RoutingFactory routing_factory, Terminal::EjectCallback on_eject);
 
-  /// Advances one cycle (allocate -> inject -> receive).
+  /// Advances one cycle (allocate -> inject -> receive, with retirement).
   void step();
 
   Cycle now() const { return now_; }
@@ -159,15 +163,16 @@ class Network final : public CongestionOracle {
   std::unique_ptr<RoutingFunction> routing_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<Terminal>> terminals_;
-  // Channel storage; deques keep addresses stable while wiring.
+  // Channel storage; unique_ptrs keep addresses stable while wiring.
   std::vector<std::unique_ptr<Channel<Flit>>> flit_channels_;
   std::vector<std::unique_ptr<Channel<Credit>>> credit_channels_;
   std::vector<LinkWiring> link_wirings_;
   std::vector<TerminalWiring> terminal_wirings_;
-  // Active-set flags; channels hold pointers into these, so they are sized
-  // once in the constructor and never resized.
-  std::vector<std::uint8_t> router_active_;
-  std::vector<std::uint8_t> terminal_active_;
+  // Active sets, bit i of word i / 64 for router (terminal) i. Channels
+  // hold pointers into these words, so they are sized once in the
+  // constructor and never resized. Snapshots store one byte per consumer.
+  std::vector<bits::Word> router_active_;
+  std::vector<bits::Word> terminal_active_;
   NetworkPerfCounters perf_;
   InvariantChecker* checker_ = nullptr;
   std::uint64_t next_packet_id_ = 1;

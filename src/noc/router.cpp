@@ -381,21 +381,9 @@ bool Router::has_pending_work() const {
       bits::any(active_mask_.data(), active_mask_.size())) {
     return true;
   }
-  // A clear pending bit implies an empty channel, so only flagged ports
-  // need the real emptiness check (bits are cleared lazily by receive()).
-  bits::Word flit_pending = rx_flit_pending_;
-  while (flit_pending != 0) {
-    const std::size_t p =
-        static_cast<std::size_t>(std::countr_zero(flit_pending));
-    flit_pending &= flit_pending - 1;
-    if (!flits_in_[p]->empty()) return true;
-  }
-  bits::Word credit_pending = rx_credit_pending_;
-  while (credit_pending != 0) {
-    const std::size_t p =
-        static_cast<std::size_t>(std::countr_zero(credit_pending));
-    credit_pending &= credit_pending - 1;
-    if (!credits_in_[p]->empty()) return true;
+  for (std::size_t p = 0; p < cfg_.ports; ++p) {
+    if (flits_in_[p] != nullptr && !flits_in_[p]->empty()) return true;
+    if (credits_in_[p] != nullptr && !credits_in_[p]->empty()) return true;
   }
   return false;
 }

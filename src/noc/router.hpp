@@ -106,11 +106,21 @@ class Router {
 
   void receive(Cycle now);
 
-  /// True while the router can still make progress on its own: buffered
-  /// packets or in-flight items on its incoming channels. The Network's
-  /// active-set scheduler
-  /// retires a router from the dirty set when this is false; any later
-  /// channel send towards it re-wakes it via the channel consumer flag.
+  /// The scheduler's word-only retirement test, exact right after
+  /// receive(): no waiting or active VCs, and no receive-pending bit set
+  /// (receive() leaves a port's bit set iff its channel still holds an
+  /// item). The Network retires the router when this holds; any later
+  /// channel send towards it re-wakes it via the channel's active-set wake.
+  bool idle() const {
+    return rx_flit_pending_ == 0 && rx_credit_pending_ == 0 &&
+           !bits::any(wait_mask_.data(), wait_mask_.size()) &&
+           !bits::any(active_mask_.data(), active_mask_.size());
+  }
+
+  /// Ground truth behind idle(): buffered packets, or an item on any
+  /// attached incoming flit or credit channel, pending bit or not. Walks
+  /// every channel, so only the invariant checker calls it -- it audits the
+  /// scheduler without trusting the bits the scheduler maintains.
   bool has_pending_work() const;
 
   /// Buffer slots claimed downstream of `out_port` (sum of consumed credits
@@ -223,8 +233,10 @@ class Router {
   // Receive-side pending masks: bit p is raised by a send on port p's
   // incoming flit/credit channel and cleared by receive() once the channel
   // drains, so receive() polls only ports with in-flight items. Derived
-  // state (bit clear implies channel empty; bit set implies nothing), reset
-  // to all-attached on load_state and self-healing from there.
+  // state (bit clear implies channel empty; bit set implies nothing until
+  // the next receive(), after which it implies an item), reset to
+  // all-attached on load_state and self-healing from there: a restored
+  // router runs receive() before its first idle() test.
   bits::Word rx_flit_pending_ = 0;
   bits::Word rx_credit_pending_ = 0;
 

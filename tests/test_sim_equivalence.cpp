@@ -43,6 +43,10 @@ struct GoldenPoint {
   std::uint64_t spec_grants_used;
   std::uint64_t misspeculations;
   double ugal_nonminimal_fraction;
+  // Router-steps the active-set scheduler skipped. Unlike the statistics
+  // above this pins the scheduler itself: the allocate pass must visit a
+  // router woken mid-pass by a lower-index router's send in the same cycle.
+  std::uint64_t router_steps_skipped;
   // Trailing (defaulted) so the originally recorded rows stay untouched;
   // the per-family rows at the bottom of the table override them.
   ArbiterKind vc_arb = ArbiterKind::kRoundRobin;
@@ -76,61 +80,61 @@ const GoldenPoint kGoldens[] = {
      0.050000000000000003, 1ull,
      777u, 23.723294723294718, 23.118404118404136,
      45, 0.04607421875, 15611ull, 26ull,
-     0},
+     0, 63483ull},
     {TopologyKind::kMesh8x8, 1u, AllocatorKind::kSeparableInputFirst,
      AllocatorKind::kSeparableInputFirst, SpecMode::kPessimistic,
      0.050000000000000003, 2ull,
      875u, 23.027428571428558, 22.421714285714287,
      44, 0.052167968750000002, 15637ull, 35ull,
-     0},
+     0, 63306ull},
     {TopologyKind::kMesh8x8, 1u, AllocatorKind::kSeparableInputFirst,
      AllocatorKind::kSeparableInputFirst, SpecMode::kPessimistic,
      0.29999999999999999, 3ull,
      5173u, 41.675236806495228, 39.395901797796292,
      118, 0.31027343750000003, 66353ull, 7925ull,
-     0},
+     0, 1710ull},
     {TopologyKind::kMesh8x8, 1u, AllocatorKind::kWavefront,
      AllocatorKind::kWavefront, SpecMode::kPessimistic,
      0.14999999999999999, 1ull,
      2451u, 25.342717258261974, 24.495716034271769,
      51, 0.14533203124999999, 44107ull, 418ull,
-     0},
+     0, 12512ull},
     {TopologyKind::kMesh8x8, 1u, AllocatorKind::kSeparableInputFirst,
      AllocatorKind::kSeparableInputFirst, SpecMode::kNonSpeculative,
      0.14999999999999999, 2ull,
      2494u, 31.805934242181195, 30.977145148356119,
      63, 0.14919921875, 0ull, 0ull,
-     0},
+     0, 9054ull},
     {TopologyKind::kMesh8x8, 2u, AllocatorKind::kSeparableOutputFirst,
      AllocatorKind::kSeparableOutputFirst, SpecMode::kConservative,
      0.20000000000000001, 4ull,
      3221u, 25.91555417572182, 24.989754734554488,
      55, 0.19150390624999999, 52128ull, 158ull,
-     0},
+     0, 5375ull},
     {TopologyKind::kFbfly4x4, 1u, AllocatorKind::kSeparableInputFirst,
      AllocatorKind::kSeparableInputFirst, SpecMode::kPessimistic,
      0.050000000000000003, 1ull,
      784u, 12.653061224489806, 12.085459183673466,
      21, 0.046230468750000003, 6486ull, 7ull,
-     0.052771855010660979},
+     0.052771855010660979, 7555ull},
     {TopologyKind::kFbfly4x4, 1u, AllocatorKind::kSeparableInputFirst,
      AllocatorKind::kSeparableInputFirst, SpecMode::kPessimistic,
      0.34999999999999998, 2ull,
      5881u, 20.852916170719315, 19.009522190103748,
      54, 0.34951171874999998, 30576ull, 4131ull,
-     0.16170212765957448},
+     0.16170212765957448, 35ull},
     {TopologyKind::kFbfly4x4, 2u, AllocatorKind::kWavefront,
      AllocatorKind::kWavefront, SpecMode::kPessimistic,
      0.20000000000000001, 3ull,
      3518u, 15.409323479249574, 14.338828880045464,
      35, 0.20744140624999999, 21994ull, 11ull,
-     0.14799899320412788},
+     0.14799899320412788, 108ull},
     {TopologyKind::kRing16, 1u, AllocatorKind::kSeparableInputFirst,
      AllocatorKind::kSeparableInputFirst, SpecMode::kPessimistic,
      0.10000000000000001, 5ull,
      425u, 19.503529411764696, 18.821176470588217,
      35, 0.100859375, 6208ull, 39ull,
-     0},
+     0, 8004ull},
     // Per-family rows covering the allocator kernels:
     // matrix arbiters under sep_if, sep_of on the torus (conservative
     // speculation), and wavefront on the torus (non-speculative).
@@ -139,19 +143,19 @@ const GoldenPoint kGoldens[] = {
      0.14999999999999999, 6ull,
      2689u, 24.937151357381961, 24.107103012272209,
      49, 0.16011718750000001, 42498ull, 61ull,
-     0, ArbiterKind::kMatrix, ArbiterKind::kMatrix},
+     0, 10676ull, ArbiterKind::kMatrix, ArbiterKind::kMatrix},
     {TopologyKind::kTorus8x8, 1u, AllocatorKind::kSeparableOutputFirst,
      AllocatorKind::kSeparableOutputFirst, SpecMode::kConservative,
      0.10000000000000001, 7ull,
      1688u, 20.095379146919477, 19.380331753554536,
      36, 0.10021484375, 23941ull, 103ull,
-     0},
+     0, 35792ull},
     {TopologyKind::kTorus8x8, 2u, AllocatorKind::kWavefront,
      AllocatorKind::kWavefront, SpecMode::kNonSpeculative,
      0.10000000000000001, 8ull,
      1689u, 24.750148016577853, 24.062759029011243,
      42, 0.1006640625, 0ull, 0ull,
-     0},
+     0, 27664ull},
     // Maximum-size VA and SA: no kernel, so both stages run through the
     // sparse-to-dense adapter (recorded from the dense scalar router stage).
     {TopologyKind::kMesh8x8, 2u, AllocatorKind::kMaximumSize,
@@ -159,7 +163,7 @@ const GoldenPoint kGoldens[] = {
      0.14999999999999999, 9ull,
      2509u, 25.759665205261125, 24.926265444400169,
      57, 0.14955078124999999, 42808ull, 9ull,
-     0},
+     0, 11979ull},
 };
 
 void expect_same_result(const SimResult& a, const SimResult& b) {
@@ -207,6 +211,7 @@ TEST(SimEquivalence, StatisticsMatchRecordedGoldens) {
     EXPECT_EQ(r.spec_grants_used, pt.spec_grants_used);
     EXPECT_EQ(r.misspeculations, pt.misspeculations);
     EXPECT_EQ(r.ugal_nonminimal_fraction, pt.ugal_nonminimal_fraction);
+    EXPECT_EQ(r.router_steps_skipped, pt.router_steps_skipped);
     EXPECT_FALSE(r.saturated);
   }
 }

@@ -12,11 +12,11 @@
 namespace nocalloc::noc {
 namespace {
 
-SimConfig small_config(TopologyKind topo, bool check) {
+SimConfig small_config(TopologyKind topo, bool check, double rate = 0.12) {
   SimConfig cfg;
   cfg.topology = topo;
   cfg.vcs_per_class = 2;
-  cfg.injection_rate = 0.12;
+  cfg.injection_rate = rate;
   cfg.warmup_cycles = 300;
   cfg.measure_cycles = 500;
   cfg.drain_cycles = 1500;
@@ -44,15 +44,19 @@ void expect_identical(const SimResult& got, const SimResult& want) {
   EXPECT_EQ(got.arena_high_water, want.arena_high_water);
 }
 
+// (topology, checker on, injection rate). At the low rate most routers are
+// inactive when the snapshot is taken, so restores exercise the active-set
+// words and the conservative all-set receive-pending bits of idle routers.
 class SnapshotRestoreTest
-    : public ::testing::TestWithParam<std::tuple<TopologyKind, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<TopologyKind, bool, double>> {
+};
 
 // Restoring a snapshot into a FRESH instance must reproduce the
 // uninterrupted run exactly: warmup+measure in one instance equals
 // warmup+snapshot in one instance, restore+measure in another.
 TEST_P(SnapshotRestoreTest, FreshInstanceRestoreMatchesUninterrupted) {
-  const auto [topo, check] = GetParam();
-  const SimConfig cfg = small_config(topo, check);
+  const auto [topo, check, rate] = GetParam();
+  const SimConfig cfg = small_config(topo, check, rate);
 
   SimInstance uninterrupted(cfg);
   if (check) uninterrupted.checker().throw_on_violation();
@@ -84,8 +88,8 @@ TEST_P(SnapshotRestoreTest, FreshInstanceRestoreMatchesUninterrupted) {
 // uninterrupted run: restore rewinds every piece of mutable state, and
 // larger-than-snapshot storage capacities are unobservable.
 TEST_P(SnapshotRestoreTest, DirtyInstanceRestoreMatchesUninterrupted) {
-  const auto [topo, check] = GetParam();
-  const SimConfig cfg = small_config(topo, check);
+  const auto [topo, check, rate] = GetParam();
+  const SimConfig cfg = small_config(topo, check, rate);
 
   SimInstance uninterrupted(cfg);
   if (check) uninterrupted.checker().throw_on_violation();
@@ -124,8 +128,8 @@ TEST_P(SnapshotRestoreTest, DirtyInstanceRestoreMatchesUninterrupted) {
 // Snapshots are values: two restores from the same snapshot produce the
 // same result twice (the first fork does not consume or corrupt it).
 TEST_P(SnapshotRestoreTest, SnapshotIsReusableAcrossForks) {
-  const auto [topo, check] = GetParam();
-  const SimConfig cfg = small_config(topo, check);
+  const auto [topo, check, rate] = GetParam();
+  const SimConfig cfg = small_config(topo, check, rate);
 
   SimInstance warm(cfg);
   warm.warmup();
@@ -147,10 +151,11 @@ INSTANTIATE_TEST_SUITE_P(
     Topologies, SnapshotRestoreTest,
     ::testing::Combine(::testing::Values(TopologyKind::kMesh8x8,
                                          TopologyKind::kFbfly4x4),
-                       ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Values(0.12, 0.02)),
     [](const ::testing::TestParamInfo<SnapshotRestoreTest::ParamType>& info) {
       return to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_checked" : "_unchecked");
+             (std::get<1>(info.param) ? "_checked" : "_unchecked") +
+             (std::get<2>(info.param) == 0.02 ? "_lowload" : "");
     });
 
 // Forks at different rates from one warm snapshot diverge (the rate knob
