@@ -1,5 +1,6 @@
 #include "alloc/max_size_allocator.hpp"
 
+#include <bit>
 #include <limits>
 
 namespace nocalloc {
@@ -8,23 +9,14 @@ namespace {
 constexpr int kFree = -1;
 constexpr int kInf = std::numeric_limits<int>::max();
 
-// Hopcroft-Karp over a flat (CSR) adjacency built from the request matrix,
-// run entirely in caller-owned scratch so a warm call allocates nothing.
-// O(E * sqrt(V)); the matrices here are small (<= 160x160).
+// Hopcroft-Karp straight over the request matrix's packed rows, run in
+// caller-owned scratch so a warm call allocates nothing. Every scan visits a
+// row's requested columns in ascending order. O(E * sqrt(V)); the matrices
+// here are small (<= 160x160).
 class HopcroftKarp {
  public:
-  // Each row's adjacency lists its requested columns in ascending order.
   HopcroftKarp(const BitMatrix& req, MaxSizeAllocator::Scratch& s)
-      : n_(req.rows()), s_(s) {
-    s_.adj_off.resize(n_ + 1);
-    s_.adj.clear();
-    for (std::size_t i = 0; i < n_; ++i) {
-      s_.adj_off[i] = static_cast<int>(s_.adj.size());
-      bits::for_each_set(req.row(i), req.words_per_row(), [&](std::size_t j) {
-        s_.adj.push_back(static_cast<int>(j));
-      });
-    }
-    s_.adj_off[n_] = static_cast<int>(s_.adj.size());
+      : req_(req), n_(req.rows()), s_(s) {
     s_.match_l.assign(n_, kFree);
     s_.match_r.assign(req.cols(), kFree);
     s_.dist.resize(n_);
@@ -59,36 +51,40 @@ class HopcroftKarp {
     bool found_augmenting = false;
     for (std::size_t head = 0; head < tail; ++head) {
       const auto u = static_cast<std::size_t>(s_.queue[head]);
-      for (int e = s_.adj_off[u]; e < s_.adj_off[u + 1]; ++e) {
-        const int v = s_.adj[static_cast<std::size_t>(e)];
-        const int w = s_.match_r[static_cast<std::size_t>(v)];
+      bits::for_each_set(req_.row(u), req_.words_per_row(), [&](std::size_t v) {
+        const int w = s_.match_r[v];
         if (w == kFree) {
           found_augmenting = true;
         } else if (s_.dist[static_cast<std::size_t>(w)] == kInf) {
           s_.dist[static_cast<std::size_t>(w)] = s_.dist[u] + 1;
           s_.queue[tail++] = w;
         }
-      }
+      });
     }
     return found_augmenting;
   }
 
   bool dfs(int u) {
     const auto ui = static_cast<std::size_t>(u);
-    for (int e = s_.adj_off[ui]; e < s_.adj_off[ui + 1]; ++e) {
-      const int v = s_.adj[static_cast<std::size_t>(e)];
-      const int w = s_.match_r[static_cast<std::size_t>(v)];
-      if (w == kFree ||
-          (s_.dist[static_cast<std::size_t>(w)] == s_.dist[ui] + 1 && dfs(w))) {
-        s_.match_l[ui] = v;
-        s_.match_r[static_cast<std::size_t>(v)] = u;
-        return true;
+    for (std::size_t k = 0; k < req_.words_per_row(); ++k) {
+      for (bits::Word cur = req_.row(ui)[k]; cur != 0; cur &= cur - 1) {
+        const std::size_t v = k * bits::kWordBits +
+                              static_cast<std::size_t>(std::countr_zero(cur));
+        const int w = s_.match_r[v];
+        if (w == kFree ||
+            (s_.dist[static_cast<std::size_t>(w)] == s_.dist[ui] + 1 &&
+             dfs(w))) {
+          s_.match_l[ui] = static_cast<int>(v);
+          s_.match_r[v] = u;
+          return true;
+        }
       }
     }
     s_.dist[ui] = kInf;
     return false;
   }
 
+  const BitMatrix& req_;
   std::size_t n_;
   MaxSizeAllocator::Scratch& s_;
 };

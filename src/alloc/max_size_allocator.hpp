@@ -26,12 +26,11 @@ class MaxSizeAllocator final : public Allocator {
   static void max_matching(const BitMatrix& req, BitMatrix& gnt);
 
   /// Hopcroft-Karp working storage, reused across calls so a warm matching
-  /// allocates nothing: flat adjacency (row i's columns are
-  /// adj[adj_off[i] .. adj_off[i + 1]), ascending), both sides' matches,
-  /// BFS layers and the BFS queue. The static entry points use one per
-  /// thread.
+  /// allocates nothing: both sides' matches, BFS layers and the BFS queue.
+  /// The adjacency is the request matrix's packed rows themselves. The
+  /// static entry points use one per thread.
   struct Scratch {
-    std::vector<int> adj_off, adj, match_l, match_r, dist, queue;
+    std::vector<int> match_l, match_r, dist, queue;
   };
 
  private:

@@ -5,8 +5,11 @@
 // experiment is reproducible bit-for-bit. The generator is xoshiro256**, which
 // is fast, has a 256-bit state and passes BigCrush; quality matters here
 // because the open-loop experiments draw ~10^7 variates per configuration.
+// The draws are inline: the open-loop harness makes one per request-matrix
+// entry, where an out-of-line call would cost as much as the draw itself.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 namespace nocalloc {
@@ -22,7 +25,17 @@ class Rng {
   void reseed(std::uint64_t seed);
 
   /// Returns the next 64-bit variate.
-  std::uint64_t next();
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   std::uint64_t operator()() { return next(); }
 
@@ -30,13 +43,26 @@ class Rng {
   static constexpr std::uint64_t max() { return ~0ull; }
 
   /// Uniform integer in [0, bound). Requires bound > 0. Unbiased (rejection).
-  std::uint64_t next_below(std::uint64_t bound);
+  std::uint64_t next_below(std::uint64_t bound) {
+    // Lemire-style rejection to avoid modulo bias.
+    const std::uint64_t threshold = (-bound) % bound;
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool next_bool(double p);
+  bool next_bool(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// Derives an independent stream for a child component. Mixing the label
   /// through splitmix64 decorrelates sibling streams.

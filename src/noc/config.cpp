@@ -107,7 +107,7 @@ void apply(SimConfig& cfg, const std::string& key, const std::string& value) {
   } else if (key == "warmup_cycles") {
     cfg.warmup_cycles = require_size(key, value);
   } else if (key == "measure_cycles") {
-    cfg.measure_cycles = require_size(key, value);
+    cfg.measure_cycles = require_size(key, value, 1);
   } else if (key == "drain_cycles") {
     cfg.drain_cycles = require_size(key, value);
   } else if (key == "seed") {

@@ -15,6 +15,7 @@
 //   injection_rate  flits/terminal/cycle                 (0.1)
 //   ugal_threshold  integer                              (3)
 //   warmup_cycles / measure_cycles / drain_cycles        (10000/20000/30000)
+//                   integers; measure_cycles >= 1
 //   seed            integer                              (1)
 //   check_invariants    true | false                     (false)
 //   disable_datelines   true | false -- TEST-ONLY fault  (false)

@@ -78,6 +78,10 @@ std::unique_ptr<RoutingFunction> make_routing(const SimConfig& cfg,
 }
 
 SimInstance::SimInstance(const SimConfig& cfg) : cfg_(cfg) {
+  // The accepted rate divides by the window length.
+  if (cfg_.measure_cycles == 0) {
+    fail("config key 'measure_cycles' must be >= 1 (got 0)");
+  }
   topo_ = make_topology(cfg_.topology);
   NOCALLOC_CHECK(topo_ != nullptr);
 

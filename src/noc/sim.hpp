@@ -75,7 +75,7 @@ struct SimResult {
   std::size_t packets_measured = 0;
   double offered_flit_rate = 0.0;   // per terminal per cycle
   double accepted_flit_rate = 0.0;  // measured-phase ejections
-  bool saturated = false;  // fewer than 95% of measured packets drained
+  bool saturated = false;  // accepted < 0.92 x offered flit rate
   // Aggregate router counters (summed over all routers).
   std::uint64_t spec_grants_used = 0;
   std::uint64_t misspeculations = 0;

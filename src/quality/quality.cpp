@@ -9,16 +9,6 @@
 
 namespace nocalloc::quality {
 
-using nocalloc::BitMatrix;
-using nocalloc::MaxSizeAllocator;
-using nocalloc::Rng;
-using nocalloc::SwitchAllocator;
-using nocalloc::SwitchGrant;
-using nocalloc::SwitchRequest;
-using nocalloc::VcAllocator;
-using nocalloc::VcPartition;
-using nocalloc::VcRequest;
-
 QualityResult measure_vc_quality(VcAllocator& alloc,
                                  const VcPartition& partition, double rate,
                                  std::size_t trials, Rng& rng) {
@@ -26,57 +16,63 @@ QualityResult measure_vc_quality(VcAllocator& alloc,
   const std::size_t vcs = alloc.vcs();
   const std::size_t total = ports * vcs;
   const std::size_t c = partition.vcs_per_class();
-  NOCALLOC_CHECK(vcs == partition.total_vcs());
+  NOCALLOC_CHECK(vcs == partition.total_vcs() && vcs <= bits::kWordBits);
+  const std::size_t classes = vcs / c;  // (m, r) classes per output port
+  const bits::Word class_mask = bits::low_mask(c);
 
   QualityResult result;
   result.rate = rate;
 
-  std::vector<VcRequest> req(total);
-  std::vector<int> grant;
-  // Per input VC: its message class and the legal successor classes of its
-  // resource class, hoisted out of the trial loop (successors() returns a
-  // fresh vector).
-  std::vector<std::size_t> message_class(vcs);
-  std::vector<std::vector<std::size_t>> successors(vcs);
+  std::vector<FastVcRequest> req;
+  req.reserve(total);
+  std::vector<int> grant(total, -1);
+  // Per input VC: the legal target classes (its message class paired with
+  // each successor of its resource class), as class indices within an output
+  // port, hoisted out of the trial loop. Class k owns VCs [k * C, k * C + C).
+  std::vector<std::vector<std::uint32_t>> targets(vcs);
   for (std::size_t vc = 0; vc < vcs; ++vc) {
-    message_class[vc] = partition.message_class_of(vc);
-    successors[vc] = partition.successors(partition.resource_class_of(vc));
-    NOCALLOC_CHECK(!successors[vc].empty());
+    const std::size_t m = partition.message_class_of(vc);
+    const std::size_t r = partition.resource_class_of(vc);
+    for (std::size_t r2 : partition.successors(r)) {
+      targets[vc].push_back(
+          static_cast<std::uint32_t>(partition.class_base(m, r2) / c));
+    }
+    NOCALLOC_CHECK(!targets[vc].empty());
   }
 
   // Maximum-size reference in closed form. Every valid request asks for all
-  // C VCs of one class (m, r2) at one output port, and distinct (port, class)
+  // C VCs of one class at one output port, and distinct (port, class)
   // groups own disjoint output VCs. The request graph is therefore a
   // disjoint union of complete bipartite blocks K(n_g, C), one per group g
   // with n_g requesters, and its maximum matching has size
   // sum_g min(n_g, C). `requesters[g]` tallies n_g; a requester adds one to
   // the sum while its group still has fewer than C. Hopcroft-Karp on the
   // expanded matrix (the kMaximumSize family) is this count's test oracle.
-  std::vector<std::size_t> requesters(total / c);
+  std::vector<std::size_t> requesters(ports * classes);
 
   for (std::size_t t = 0; t < trials; ++t) {
     std::fill(requesters.begin(), requesters.end(), 0);
-    for (std::size_t i = 0; i < total; ++i) {
-      VcRequest& r = req[i];
-      r.valid = rng.next_bool(rate);
-      if (!r.valid) continue;
-      const std::size_t port = rng.next_below(ports);
-      r.out_port = static_cast<int>(port);
-      // The requesting input VC's own class determines the legal target
-      // classes; pick one legal successor uniformly (mirrors a routing
-      // function having fixed one class for the next hop).
-      const std::size_t vc = i % vcs;
-      const auto& succ = successors[vc];
-      const std::size_t r2 = succ[rng.next_below(succ.size())];
-      const std::size_t base = partition.class_base(message_class[vc], r2);
-      r.vc_mask.assign(vcs, 0);
-      std::fill_n(r.vc_mask.begin() + static_cast<std::ptrdiff_t>(base), c, 1);
-      if (requesters[(port * vcs + base) / c]++ < c) ++result.max_grants;
+    req.clear();
+    for (std::size_t in_port = 0; in_port < ports; ++in_port) {
+      for (std::size_t vc = 0; vc < vcs; ++vc) {
+        if (!rng.next_bool(rate)) continue;
+        const std::size_t port = rng.next_below(ports);
+        // The requesting input VC's own class determines the legal target
+        // classes; pick one uniformly (mirrors a routing function having
+        // fixed one class for the next hop).
+        const auto& tgt = targets[vc];
+        const std::size_t k = tgt[rng.next_below(tgt.size())];
+        req.push_back({static_cast<std::uint32_t>(in_port * vcs + vc),
+                       static_cast<std::uint32_t>(port),
+                       class_mask << (k * c)});
+        if (requesters[port * classes + k]++ < c) ++result.max_grants;
+      }
     }
 
-    alloc.allocate(req, grant);
-    for (int g : grant) {
-      if (g >= 0) ++result.grants;
+    alloc.allocate_sparse(req.data(), req.size(), grant);
+    for (const FastVcRequest& r : req) {
+      result.grants += grant[r.input] >= 0 ? 1 : 0;
+      grant[r.input] = -1;  // allocate_sparse wants all -1 on entry
     }
   }
   return result;
@@ -86,36 +82,36 @@ QualityResult measure_sa_quality(SwitchAllocator& alloc, double rate,
                                  std::size_t trials, Rng& rng) {
   const std::size_t ports = alloc.ports();
   const std::size_t vcs = alloc.vcs();
-  const std::size_t total = ports * vcs;
+  NOCALLOC_CHECK(ports <= bits::kWordBits && vcs <= bits::kWordBits);
 
   QualityResult result;
   result.rate = rate;
 
-  std::vector<SwitchRequest> req(total);
+  std::vector<bits::Word> vc_words(ports);
+  std::vector<std::uint8_t> out_ports(ports * vcs);
   std::vector<SwitchGrant> grant;
-  BitMatrix port_req;
+  BitMatrix port_req(ports, ports);  // union: (p, o) iff a VC at p asks for o
 
   for (std::size_t t = 0; t < trials; ++t) {
-    for (std::size_t i = 0; i < total; ++i) {
-      req[i].valid = rng.next_bool(rate);
-      req[i].out_port =
-          req[i].valid ? static_cast<int>(rng.next_below(ports)) : -1;
+    port_req.clear();
+    for (std::size_t p = 0; p < ports; ++p) {
+      bits::Word word = 0;
+      for (std::size_t v = 0; v < vcs; ++v) {
+        if (!rng.next_bool(rate)) continue;
+        const std::size_t out = rng.next_below(ports);
+        word |= bits::bit(v);
+        out_ports[p * vcs + v] = static_cast<std::uint8_t>(out);
+        port_req.set(p, out);
+      }
+      vc_words[p] = word;
     }
 
-    alloc.allocate(req, grant);
+    alloc.allocate_sparse(vc_words.data(), out_ports.data(), grant);
     for (const SwitchGrant& g : grant) {
       if (g.granted()) ++result.grants;
     }
-
     // Maximum matching over the P x P union request matrix: the bound any
     // switch allocator (one grant per input port) can reach.
-    port_req.resize(ports, ports);
-    for (std::size_t p = 0; p < ports; ++p) {
-      for (std::size_t v = 0; v < vcs; ++v) {
-        const SwitchRequest& r = req[p * vcs + v];
-        if (r.valid) port_req.set(p, static_cast<std::size_t>(r.out_port));
-      }
-    }
     result.max_grants += MaxSizeAllocator::max_matching_size(port_req);
   }
   return result;

@@ -7,6 +7,14 @@
 // paper notes in Sec. 5.3.3 that this yields request rates above what a
 // closed-loop network would sustain -- which is why matching-quality
 // differences overstate network-level differences).
+//
+// Both protocols issue requests in the allocators' sparse form, the entry
+// the router uses, so each family's single-word kernel runs with no dense
+// round trip: one FastVcRequest per requesting input VC (input, output port,
+// the C-bit mask of the chosen class shifted to its base), or per input port
+// one requesting-VC word plus an output-port byte per requesting VC. Draws
+// run in input-VC order: a Bernoulli trial, then for a requester its output
+// port and (VC protocol) its target class, so a seed fixes every matrix.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +43,7 @@ struct QualityResult {
 /// partition, requesting all C VCs of that class. All output VCs are free
 /// (open-loop). Runs `trials` request matrices. The maximum-size reference
 /// is counted in closed form from that request structure (see quality.cpp).
+/// Requires V <= 64.
 QualityResult measure_vc_quality(nocalloc::VcAllocator& alloc,
                                  const nocalloc::VcPartition& partition,
                                  double rate, std::size_t trials,
@@ -42,7 +51,9 @@ QualityResult measure_vc_quality(nocalloc::VcAllocator& alloc,
 
 /// Switch-allocation experiment (Fig. 12). Per trial, every input VC holds
 /// a flit with probability `rate` destined to a uniform output port; at most
-/// one VC per input port can win. Runs `trials` request matrices.
+/// one VC per input port can win. Runs `trials` request matrices, scored
+/// against a maximum matching of the P x P union request matrix. Requires
+/// P <= 64 and V <= 64.
 QualityResult measure_sa_quality(nocalloc::SwitchAllocator& alloc,
                                  double rate, std::size_t trials,
                                  nocalloc::Rng& rng);

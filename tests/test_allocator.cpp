@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -113,6 +114,61 @@ TEST(MaxSizeAllocator, GrantMatrixIsValidMatching) {
     EXPECT_TRUE(gnt.is_matching());
     EXPECT_TRUE(gnt.is_subset_of(req));
     EXPECT_EQ(gnt.count(), MaxSizeAllocator::max_matching_size(req));
+  }
+}
+
+// Kuhn's augmenting-path algorithm: one DFS per row over byte lookups, an
+// independent maximum-matching count for the Hopcroft-Karp checks below.
+std::size_t kuhn_matching_size(const BitMatrix& req) {
+  std::vector<int> match_col(req.cols(), -1);
+  std::vector<char> seen;
+  std::function<bool(std::size_t)> augment = [&](std::size_t r) {
+    for (std::size_t c = 0; c < req.cols(); ++c) {
+      if (!req.get(r, c) || seen[c]) continue;
+      seen[c] = 1;
+      if (match_col[c] < 0 ||
+          augment(static_cast<std::size_t>(match_col[c]))) {
+        match_col[c] = static_cast<int>(r);
+        return true;
+      }
+    }
+    return false;
+  };
+  std::size_t size = 0;
+  for (std::size_t r = 0; r < req.rows(); ++r) {
+    seen.assign(req.cols(), 0);
+    if (augment(r)) ++size;
+  }
+  return size;
+}
+
+TEST(MaxSizeAllocator, MatchesKuhnOnMultiWordRows) {
+  // Rows of 130 and 160 columns span three words, so the row scans cross
+  // word boundaries; sparse densities leave rows unmatched and force long
+  // augmenting paths.
+  Rng rng(17);
+  MaxSizeAllocator member(160, 160);
+  for (const auto& [rows, cols] :
+       {std::pair{std::size_t{70}, std::size_t{130}},
+        std::pair{std::size_t{160}, std::size_t{160}}}) {
+    for (double density : {0.005, 0.01, 0.03, 0.1, 0.5}) {
+      for (int trial = 0; trial < 5; ++trial) {
+        const BitMatrix req = random_requests(rows, cols, density, rng);
+        const std::size_t expected = kuhn_matching_size(req);
+        BitMatrix gnt;
+        MaxSizeAllocator::max_matching(req, gnt);
+        ASSERT_EQ(MaxSizeAllocator::max_matching_size(req), expected)
+            << rows << "x" << cols << " density " << density;
+        EXPECT_TRUE(gnt.is_matching());
+        EXPECT_TRUE(gnt.is_subset_of(req));
+        EXPECT_EQ(gnt.count(), expected);
+        if (rows == 160) {
+          BitMatrix member_gnt;
+          member.allocate(req, member_gnt);
+          EXPECT_EQ(member_gnt, gnt);
+        }
+      }
+    }
   }
 }
 

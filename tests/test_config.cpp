@@ -96,6 +96,9 @@ TEST(SimConfigParse, RejectsBadValuesNamingKeyAndValue) {
       {"buffer_depth = 0\n", "bad value '0' for config key 'buffer_depth'"},
       {"vcs_per_class = 0\n",
        "bad value '0' for config key 'vcs_per_class'"},
+      {"measure_cycles = 0\n",
+       "bad value '0' for config key 'measure_cycles' \\(expected an "
+       "integer >= 1\\)"},
       {"seed = -1\n", "bad value '-1' for config key 'seed'"},
       {"warmup_cycles = 1e3\n",
        "bad value '1e3' for config key 'warmup_cycles'"},

@@ -2,14 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "alloc/max_size_allocator.hpp"
+#include "common/bit_matrix.hpp"
+#include "noc/sim.hpp"
+
 namespace nocalloc::quality {
 namespace {
 
 using nocalloc::AllocatorKind;
 using nocalloc::ArbiterKind;
+using nocalloc::BitMatrix;
+using nocalloc::MaxSizeAllocator;
 using nocalloc::Rng;
+using nocalloc::SwitchAllocator;
+using nocalloc::SwitchGrant;
+using nocalloc::SwitchRequest;
+using nocalloc::VcAllocator;
 using nocalloc::VcAllocatorConfig;
 using nocalloc::VcPartition;
+using nocalloc::VcRequest;
 using nocalloc::make_switch_allocator;
 using nocalloc::make_vc_allocator;
 
@@ -164,8 +178,9 @@ TEST(SaQuality, MaxSizeAllocatorScoresExactlyOne) {
   EXPECT_DOUBLE_EQ(sa_quality(AllocatorKind::kMaximumSize, 5, 4, 0.7), 1.0);
 }
 
-// The quality protocol runs each family's kernel through the dense API; the
-// byte-loop reference must score every matrix identically.
+// The quality protocol runs each family's kernel through the sparse entry;
+// the byte-loop reference, which allocate_sparse reaches through its
+// sparse-to-dense adapter, must score every matrix identically.
 TEST(Quality, ReferencePathGivesIdenticalCounts) {
   for (AllocatorKind kind :
        {AllocatorKind::kSeparableInputFirst,
@@ -203,6 +218,127 @@ TEST(Quality, ReferencePathGivesIdenticalCounts) {
       EXPECT_EQ(vc[0].max_grants, vc[1].max_grants) << where;
       EXPECT_EQ(sa[0].grants, sa[1].grants) << where;
       EXPECT_EQ(sa[0].max_grants, sa[1].max_grants) << where;
+    }
+  }
+}
+
+// The open-loop protocols as they ran on the dense allocate() entry, kept as
+// the draw-order oracle for the sparse harness: the same draws in the same
+// order, byte-mask VC requests, and the union matrix built from the dense
+// switch requests.
+QualityResult dense_vc_quality(VcAllocator& alloc, const VcPartition& partition,
+                               double rate, std::size_t trials, Rng& rng) {
+  const std::size_t ports = alloc.ports();
+  const std::size_t vcs = alloc.vcs();
+  const std::size_t total = ports * vcs;
+  const std::size_t c = partition.vcs_per_class();
+  QualityResult result;
+  std::vector<VcRequest> req(total);
+  std::vector<int> grant;
+  std::vector<std::size_t> requesters(total / c);
+  for (std::size_t t = 0; t < trials; ++t) {
+    std::fill(requesters.begin(), requesters.end(), 0);
+    for (std::size_t i = 0; i < total; ++i) {
+      VcRequest& r = req[i];
+      r.valid = rng.next_bool(rate);
+      if (!r.valid) continue;
+      const std::size_t port = rng.next_below(ports);
+      r.out_port = static_cast<int>(port);
+      const std::size_t vc = i % vcs;
+      const auto succ =
+          partition.successors(partition.resource_class_of(vc));
+      const std::size_t r2 = succ[rng.next_below(succ.size())];
+      const std::size_t base =
+          partition.class_base(partition.message_class_of(vc), r2);
+      r.vc_mask.assign(vcs, 0);
+      std::fill_n(r.vc_mask.begin() + static_cast<std::ptrdiff_t>(base), c, 1);
+      if (requesters[(port * vcs + base) / c]++ < c) ++result.max_grants;
+    }
+    alloc.allocate(req, grant);
+    for (int g : grant) {
+      if (g >= 0) ++result.grants;
+    }
+  }
+  return result;
+}
+
+QualityResult dense_sa_quality(SwitchAllocator& alloc, double rate,
+                               std::size_t trials, Rng& rng) {
+  const std::size_t ports = alloc.ports();
+  const std::size_t vcs = alloc.vcs();
+  QualityResult result;
+  std::vector<SwitchRequest> req(ports * vcs);
+  std::vector<SwitchGrant> grant;
+  BitMatrix port_req;
+  for (std::size_t t = 0; t < trials; ++t) {
+    for (SwitchRequest& r : req) {
+      r.valid = rng.next_bool(rate);
+      r.out_port = r.valid ? static_cast<int>(rng.next_below(ports)) : -1;
+    }
+    alloc.allocate(req, grant);
+    for (const SwitchGrant& g : grant) {
+      if (g.granted()) ++result.grants;
+    }
+    port_req.resize(ports, ports);
+    for (std::size_t i = 0; i < req.size(); ++i) {
+      if (req[i].valid) {
+        port_req.set(i / vcs, static_cast<std::size_t>(req[i].out_port));
+      }
+    }
+    result.max_grants += MaxSizeAllocator::max_matching_size(port_req);
+  }
+  return result;
+}
+
+TEST(Quality, SparseHarnessMatchesDenseProtocol) {
+  using nocalloc::noc::TopologyKind;
+  using nocalloc::noc::partition_for;
+  for (AllocatorKind kind :
+       {AllocatorKind::kSeparableInputFirst,
+        AllocatorKind::kSeparableOutputFirst, AllocatorKind::kWavefront,
+        AllocatorKind::kMaximumSize}) {
+    for (ArbiterKind arb : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
+      for (const auto& [topo, ports] :
+           {std::pair{TopologyKind::kMesh8x8, std::size_t{5}},
+            std::pair{TopologyKind::kFbfly4x4, std::size_t{10}}}) {
+        for (std::size_t c : {1u, 2u, 4u}) {
+          const VcPartition part = partition_for(topo, c);
+          VcAllocatorConfig cfg;
+          cfg.ports = ports;
+          cfg.partition = part;
+          cfg.kind = kind;
+          cfg.arb = arb;
+          // One allocator per side and protocol, so priority state evolves
+          // over the same request sequence in both.
+          auto va_sparse = make_vc_allocator(cfg);
+          auto va_dense = make_vc_allocator(cfg);
+          auto sa_sparse =
+              make_switch_allocator({ports, part.total_vcs(), kind, arb});
+          auto sa_dense =
+              make_switch_allocator({ports, part.total_vcs(), kind, arb});
+          Rng vc_sparse(41), vc_dense(41), sw_sparse(43), sw_dense(43);
+          for (double rate : {0.05, 0.4, 1.0}) {
+            SCOPED_TRACE(to_string(kind) + " " + to_string(arb) + " P" +
+                         std::to_string(ports) + " C" + std::to_string(c) +
+                         " rate " + std::to_string(rate));
+            const QualityResult vs =
+                measure_vc_quality(*va_sparse, part, rate, 60, vc_sparse);
+            const QualityResult vd =
+                dense_vc_quality(*va_dense, part, rate, 60, vc_dense);
+            EXPECT_EQ(vs.grants, vd.grants);
+            EXPECT_EQ(vs.max_grants, vd.max_grants);
+            const QualityResult ss =
+                measure_sa_quality(*sa_sparse, rate, 60, sw_sparse);
+            const QualityResult sd =
+                dense_sa_quality(*sa_dense, rate, 60, sw_dense);
+            EXPECT_EQ(ss.grants, sd.grants);
+            EXPECT_EQ(ss.max_grants, sd.max_grants);
+          }
+          // Both harnesses consumed exactly the same draws.
+          EXPECT_EQ(vc_sparse.next(), vc_dense.next());
+          EXPECT_EQ(sw_sparse.next(), sw_dense.next());
+        }
+      }
     }
   }
 }

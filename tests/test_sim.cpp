@@ -27,6 +27,14 @@ TEST(PartitionFor, MatchesPaperDesignPoints) {
   EXPECT_EQ(fbfly.total_vcs(), 16u);
 }
 
+// A zero-cycle window would make the accepted rate 0 / 0; configs built in
+// code are rejected as the parser rejects measure_cycles = 0.
+TEST(Simulation, RejectsEmptyMeasureWindow) {
+  SimConfig cfg = quick(TopologyKind::kMesh8x8, 0.1);
+  cfg.measure_cycles = 0;
+  EXPECT_DEATH(SimInstance{cfg}, "config key 'measure_cycles' must be >= 1");
+}
+
 TEST(Simulation, MeshZeroLoadLatencyInPlausibleBand) {
   // ~5.25 network hops x 3 cycles/hop + injection/ejection + serialization:
   // roughly 20 cycles (Fig. 13a's intercept).
