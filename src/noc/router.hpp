@@ -21,10 +21,9 @@
 //
 // The allocator stage issues its requests in sparse single-word form (one
 // FastVcRequest per waiting head; per-port VC words plus a requested-output
-// byte per VC for SA), which the allocators' allocate_sparse() entry points
-// feed to their family kernels -- or, for families without one, adapt to
-// the dense allocate(). Hence V = M*R*C and P must each fit one 64-bit
-// word. The per-cycle path is allocation-free in steady state: input VC
+// byte per VC for SA), which every allocator family's allocate_sparse()
+// runs through its single-word kernel. Hence V = M*R*C and P must each fit
+// one 64-bit word (the allocator constructors reject wider shapes). The per-cycle path is allocation-free in steady state: input VC
 // buffers are fixed-capacity rings and the request/grant scratch is sized
 // once. Occupied input VCs are tracked in packed bitmasks (wait_mask_ /
 // active_mask_) so allocate() touches only VCs that actually hold packets,

@@ -16,7 +16,7 @@ QualityResult measure_vc_quality(VcAllocator& alloc,
   const std::size_t vcs = alloc.vcs();
   const std::size_t total = ports * vcs;
   const std::size_t c = partition.vcs_per_class();
-  NOCALLOC_CHECK(vcs == partition.total_vcs() && vcs <= bits::kWordBits);
+  NOCALLOC_CHECK(vcs == partition.total_vcs());
   const std::size_t classes = vcs / c;  // (m, r) classes per output port
   const bits::Word class_mask = bits::low_mask(c);
 
@@ -82,7 +82,6 @@ QualityResult measure_sa_quality(SwitchAllocator& alloc, double rate,
                                  std::size_t trials, Rng& rng) {
   const std::size_t ports = alloc.ports();
   const std::size_t vcs = alloc.vcs();
-  NOCALLOC_CHECK(ports <= bits::kWordBits && vcs <= bits::kWordBits);
 
   QualityResult result;
   result.rate = rate;

@@ -43,7 +43,7 @@ struct QualityResult {
 /// partition, requesting all C VCs of that class. All output VCs are free
 /// (open-loop). Runs `trials` request matrices. The maximum-size reference
 /// is counted in closed form from that request structure (see quality.cpp).
-/// Requires V <= 64.
+/// V <= 64 and P <= 64 hold for every allocator (its constructor checks).
 QualityResult measure_vc_quality(nocalloc::VcAllocator& alloc,
                                  const nocalloc::VcPartition& partition,
                                  double rate, std::size_t trials,
@@ -52,8 +52,8 @@ QualityResult measure_vc_quality(nocalloc::VcAllocator& alloc,
 /// Switch-allocation experiment (Fig. 12). Per trial, every input VC holds
 /// a flit with probability `rate` destined to a uniform output port; at most
 /// one VC per input port can win. Runs `trials` request matrices, scored
-/// against a maximum matching of the P x P union request matrix. Requires
-/// P <= 64 and V <= 64.
+/// against a maximum matching of the P x P union request matrix. P <= 64
+/// and V <= 64 hold for every allocator (its constructor checks).
 QualityResult measure_sa_quality(nocalloc::SwitchAllocator& alloc,
                                  double rate, std::size_t trials,
                                  nocalloc::Rng& rng);

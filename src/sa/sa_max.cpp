@@ -1,15 +1,23 @@
 #include "sa/sa_max.hpp"
 
+#include <bit>
+
 #include "alloc/max_size_allocator.hpp"
 
 namespace nocalloc {
 
-void SaMaxSize::allocate(const std::vector<SwitchRequest>& req,
-                         std::vector<SwitchGrant>& grant) {
-  prepare(req, grant);
+void SaMaxSize::allocate_sparse(const bits::Word* vc_words,
+                                const std::uint8_t* out_ports,
+                                std::vector<SwitchGrant>& grant) {
+  const std::size_t v_count = vcs();
+  grant.assign(ports(), SwitchGrant{});
 
-  BitMatrix ports_req;
-  port_requests(req, ports_req);
+  BitMatrix ports_req(ports(), ports());
+  for (std::size_t p = 0; p < ports(); ++p) {
+    bits::for_each_set(&vc_words[p], 1, [&](std::size_t v) {
+      ports_req.set(p, out_ports[p * v_count + v]);
+    });
+  }
 
   BitMatrix ports_gnt;
   MaxSizeAllocator::max_matching(ports_req, ports_gnt);
@@ -17,14 +25,14 @@ void SaMaxSize::allocate(const std::vector<SwitchRequest>& req,
   for (std::size_t p = 0; p < ports(); ++p) {
     const int o = ports_gnt.row_single(p);
     if (o < 0) continue;
-    for (std::size_t v = 0; v < vcs(); ++v) {
-      const SwitchRequest& r = req[p * vcs() + v];
-      if (r.valid && r.out_port == o) {
-        grant[p] = {static_cast<int>(v), o};
-        break;
-      }
+    // The lowest-index VC at p that requested o.
+    bits::Word w = vc_words[p];
+    while (w != 0 && out_ports[p * v_count + static_cast<std::size_t>(
+                                   std::countr_zero(w))] != o) {
+      w &= w - 1;
     }
-    NOCALLOC_CHECK(grant[p].granted());
+    NOCALLOC_CHECK(w != 0);
+    grant[p] = {std::countr_zero(w), o};
   }
 }
 

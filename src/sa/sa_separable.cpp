@@ -5,23 +5,19 @@ namespace nocalloc {
 namespace {
 
 // Resolves devirtualized handles for a V:1-per-input / P:1-per-output arbiter
-// pair; false (leaving the vectors untouched beyond what was pushed) if any
-// arbiter is neither round-robin nor single-word matrix.
-bool resolve_sa_fast_arbiters(
+// pair. Every arbiter is P or V wide, so each has a single-word pick.
+void resolve_sa_fast_arbiters(
     const std::vector<std::unique_ptr<Arbiter>>& vc_arb,
     const std::vector<std::unique_ptr<Arbiter>>& out_arb,
     std::vector<FastArb>& vc_fa, std::vector<FastArb>& out_fa) {
   for (const auto& a : vc_arb) {
-    const FastArb fa = FastArb::from(*a);
-    if (!fa.ok()) return false;
-    vc_fa.push_back(fa);
+    vc_fa.push_back(FastArb::from(*a));
+    NOCALLOC_DCHECK(vc_fa.back().ok());
   }
   for (const auto& a : out_arb) {
-    const FastArb fa = FastArb::from(*a);
-    if (!fa.ok()) return false;
-    out_fa.push_back(fa);
+    out_fa.push_back(FastArb::from(*a));
+    NOCALLOC_DCHECK(out_fa.back().ok());
   }
-  return true;
 }
 
 }  // namespace
@@ -33,24 +29,24 @@ SaSeparableInputFirst::SaSeparableInputFirst(std::size_t ports,
     vc_arb_.push_back(make_arbiter(arb, vcs));
   for (std::size_t o = 0; o < ports; ++o)
     out_arb_.push_back(make_arbiter(arb, ports));
-  init_fast();
+  resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_);
+  port_vc_.assign(ports, -1);
+  fast_bids_.assign(ports, 0);
 }
 
-void SaSeparableInputFirst::init_fast() {
-  if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
-  if (!resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_)) return;
-  port_vc_.assign(ports(), -1);
-  fast_bids_.assign(ports(), 0);
-  fast_ok_ = true;
-}
-
-void SaSeparableInputFirst::allocate_fast(const bits::Word* vc_words,
-                                          const std::uint8_t* out_ports,
-                                          std::vector<SwitchGrant>& grant) {
-  NOCALLOC_DCHECK(fast_ok_);
+void SaSeparableInputFirst::allocate_sparse(const bits::Word* vc_words,
+                                            const std::uint8_t* out_ports,
+                                            std::vector<SwitchGrant>& grant) {
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
   grant.assign(p_count, SwitchGrant{});
+  if (reference_path()) {
+    with_dense_requests(vc_words, out_ports,
+                        [&](const std::vector<SwitchRequest>& dense) {
+                          allocate_ref(dense, grant);
+                        });
+    return;
+  }
 
   // Stage 1: per input port, pick one requesting VC and bid for its output.
   bits::Word out_any = 0;
@@ -80,13 +76,6 @@ void SaSeparableInputFirst::allocate_fast(const bits::Word* vc_words,
     vc_fa_[static_cast<std::size_t>(p)].update(
         port_vc_[static_cast<std::size_t>(p)]);
   }
-}
-
-void SaSeparableInputFirst::allocate(const std::vector<SwitchRequest>& req,
-                                     std::vector<SwitchGrant>& grant) {
-  if (allocate_packed(req, grant)) return;
-  prepare(req, grant);
-  allocate_ref(req, grant);
 }
 
 void SaSeparableInputFirst::allocate_ref(const std::vector<SwitchRequest>& req,
@@ -137,24 +126,24 @@ SaSeparableOutputFirst::SaSeparableOutputFirst(std::size_t ports,
     out_arb_.push_back(make_arbiter(arb, ports));
   for (std::size_t p = 0; p < ports; ++p)
     vc_arb_.push_back(make_arbiter(arb, vcs));
-  init_fast();
+  resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_);
+  fast_cols_.assign(ports, 0);
+  out_choice_.assign(ports, -1);
 }
 
-void SaSeparableOutputFirst::init_fast() {
-  if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
-  if (!resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_)) return;
-  fast_cols_.assign(ports(), 0);
-  out_choice_.assign(ports(), -1);
-  fast_ok_ = true;
-}
-
-void SaSeparableOutputFirst::allocate_fast(const bits::Word* vc_words,
-                                           const std::uint8_t* out_ports,
-                                           std::vector<SwitchGrant>& grant) {
-  NOCALLOC_DCHECK(fast_ok_);
+void SaSeparableOutputFirst::allocate_sparse(const bits::Word* vc_words,
+                                             const std::uint8_t* out_ports,
+                                             std::vector<SwitchGrant>& grant) {
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
   grant.assign(p_count, SwitchGrant{});
+  if (reference_path()) {
+    with_dense_requests(vc_words, out_ports,
+                        [&](const std::vector<SwitchRequest>& dense) {
+                          allocate_ref(dense, grant);
+                        });
+    return;
+  }
 
   // Union request columns: bit p of column o set iff any VC at input port p
   // requests output o.
@@ -206,13 +195,6 @@ void SaSeparableOutputFirst::allocate_fast(const bits::Word* vc_words,
     vc_fa_[p].update(v);
     out_fa_[static_cast<std::size_t>(o)].update(static_cast<int>(p));
   }
-}
-
-void SaSeparableOutputFirst::allocate(const std::vector<SwitchRequest>& req,
-                                      std::vector<SwitchGrant>& grant) {
-  if (allocate_packed(req, grant)) return;
-  prepare(req, grant);
-  allocate_ref(req, grant);
 }
 
 void SaSeparableOutputFirst::allocate_ref(const std::vector<SwitchRequest>& req,

@@ -20,12 +20,14 @@ class SaSeparableInputFirst final : public SwitchAllocator {
  public:
   SaSeparableInputFirst(std::size_t ports, std::size_t vcs, ArbiterKind arb);
 
-  /// True when the single-word kernel is available: round-robin or
-  /// matrix arbiters with V and P each fitting one lane word.
-  bool fast_ready() const override { return fast_ok_; }
-
-  void allocate(const std::vector<SwitchRequest>& req,
-                std::vector<SwitchGrant>& grant) override;
+  /// Sparse single-word kernel, bit-identical to allocate_ref() in grants
+  /// and arbiter state; see SwitchAllocator::allocate_sparse for the
+  /// contract.
+  /// With reference_path() set, runs allocate_ref() on the dense expansion
+  /// of the same requests instead.
+  void allocate_sparse(const bits::Word* vc_words,
+                       const std::uint8_t* out_ports,
+                       std::vector<SwitchGrant>& grant) override;
   void reset() override;
   void save_state(StateWriter& w) const override {
     for (const auto& a : vc_arb_) a->save_state(w);
@@ -37,21 +39,13 @@ class SaSeparableInputFirst final : public SwitchAllocator {
   }
 
  private:
-  /// Sparse single-word kernel, bit-identical to allocate_ref() in grants
-  /// and arbiter state; see SwitchAllocator::allocate_sparse for the
-  /// contract.
-  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
-                     std::vector<SwitchGrant>& grant) override;
-
   void allocate_ref(const std::vector<SwitchRequest>& req,
                     std::vector<SwitchGrant>& grant);
-  void init_fast();
 
   std::vector<std::unique_ptr<Arbiter>> vc_arb_;   // per input port, width V
   std::vector<std::unique_ptr<Arbiter>> out_arb_;  // per output port, width P
-  // Fast-path caches: devirtualized arbiter handles, stage-1 winning VC per
+  // Kernel caches: devirtualized arbiter handles, stage-1 winning VC per
   // input port and single-word bid masks per output port.
-  bool fast_ok_ = false;
   std::vector<FastArb> vc_fa_;         // [p]
   std::vector<FastArb> out_fa_;        // [o]
   std::vector<int> port_vc_;           // [p]
@@ -62,12 +56,15 @@ class SaSeparableOutputFirst final : public SwitchAllocator {
  public:
   SaSeparableOutputFirst(std::size_t ports, std::size_t vcs, ArbiterKind arb);
 
-  /// True when the single-word kernel is available: round-robin or
-  /// matrix arbiters with V and P each fitting one lane word.
-  bool fast_ready() const override { return fast_ok_; }
-
-  void allocate(const std::vector<SwitchRequest>& req,
-                std::vector<SwitchGrant>& grant) override;
+  /// Sparse single-word sep_of kernel: per-output union columns arbitrate
+  /// first (all picks pure), then each winning input port's V:1 arbiter
+  /// chooses among VCs whose output chose it, updating priorities exactly as
+  /// allocate_ref does. See SwitchAllocator::allocate_sparse for the contract.
+  /// With reference_path() set, runs allocate_ref() on the dense expansion
+  /// of the same requests instead.
+  void allocate_sparse(const bits::Word* vc_words,
+                       const std::uint8_t* out_ports,
+                       std::vector<SwitchGrant>& grant) override;
   void reset() override;
   void save_state(StateWriter& w) const override {
     for (const auto& a : out_arb_) a->save_state(w);
@@ -79,22 +76,13 @@ class SaSeparableOutputFirst final : public SwitchAllocator {
   }
 
  private:
-  /// Sparse single-word sep_of kernel: per-output union columns arbitrate
-  /// first (all picks pure), then each winning input port's V:1 arbiter
-  /// chooses among VCs whose output chose it, updating priorities exactly as
-  /// allocate_ref does. See SwitchAllocator::allocate_sparse for the contract.
-  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
-                     std::vector<SwitchGrant>& grant) override;
-
   void allocate_ref(const std::vector<SwitchRequest>& req,
                     std::vector<SwitchGrant>& grant);
-  void init_fast();
 
   std::vector<std::unique_ptr<Arbiter>> out_arb_;  // per output port, width P
   std::vector<std::unique_ptr<Arbiter>> vc_arb_;   // per input port, width V
-  // Fast-path caches: devirtualized arbiter handles, single-word union
+  // Kernel caches: devirtualized arbiter handles, single-word union
   // columns and the stage-1 winning input port per output port.
-  bool fast_ok_ = false;
   std::vector<FastArb> out_fa_;        // [o]
   std::vector<FastArb> vc_fa_;         // [p]
   std::vector<bits::Word> fast_cols_;  // [o], P-wide

@@ -7,26 +7,26 @@ SaWavefront::SaWavefront(std::size_t ports, std::size_t vcs,
     : SwitchAllocator(ports, vcs), core_(ports, ports) {
   for (std::size_t i = 0; i < ports * ports; ++i)
     presel_.push_back(make_arbiter(presel_arb, vcs));
-  init_fast();
-}
-
-void SaWavefront::init_fast() {
-  if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
+  // Every pre-selection arbiter is V wide, so each has a single-word pick.
   for (const auto& a : presel_) {
-    const FastArb fa = FastArb::from(*a);
-    if (!fa.ok()) return;
-    presel_fa_.push_back(fa);
+    presel_fa_.push_back(FastArb::from(*a));
+    NOCALLOC_DCHECK(presel_fa_.back().ok());
   }
-  fast_ok_ = true;
 }
 
-void SaWavefront::allocate_fast(const bits::Word* vc_words,
-                                const std::uint8_t* out_ports,
-                                std::vector<SwitchGrant>& grant) {
-  NOCALLOC_DCHECK(fast_ok_);
+void SaWavefront::allocate_sparse(const bits::Word* vc_words,
+                                  const std::uint8_t* out_ports,
+                                  std::vector<SwitchGrant>& grant) {
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
   grant.assign(p_count, SwitchGrant{});
+  if (reference_path()) {
+    with_dense_requests(vc_words, out_ports,
+                        [&](const std::vector<SwitchRequest>& dense) {
+                          allocate_ref(dense, grant);
+                        });
+    return;
+  }
 
   // Request each VC's (port, output) cell: the OR over VCs is the sparse
   // form of port_requests(), and repeating a cell is harmless.
@@ -56,13 +56,6 @@ void SaWavefront::allocate_fast(const bits::Word* vc_words,
     grant[p] = {static_cast<int>(v), static_cast<int>(o)};
     presel.update(v);
   });
-}
-
-void SaWavefront::allocate(const std::vector<SwitchRequest>& req,
-                           std::vector<SwitchGrant>& grant) {
-  if (allocate_packed(req, grant)) return;
-  prepare(req, grant);
-  allocate_ref(req, grant);
 }
 
 void SaWavefront::allocate_ref(const std::vector<SwitchRequest>& req,

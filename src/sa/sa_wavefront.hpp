@@ -18,12 +18,15 @@ class SaWavefront final : public SwitchAllocator {
  public:
   SaWavefront(std::size_t ports, std::size_t vcs, ArbiterKind presel_arb);
 
-  /// True when the single-word kernel is available: V and P each fit one
-  /// lane word and the pre-selection arbiters are round-robin or matrix.
-  bool fast_ready() const override { return fast_ok_; }
-
-  void allocate(const std::vector<SwitchRequest>& req,
-                std::vector<SwitchGrant>& grant) override;
+  /// Sparse kernel: each VC's (port, output) cell is requested from the
+  /// core, and each pair WavefrontAllocator::grant_requested grants runs its
+  /// pre-selection arbiter over the rebuilt VC candidates. Bit-identical to
+  /// allocate_ref(); see SwitchAllocator::allocate_sparse for the contract.
+  /// With reference_path() set, runs allocate_ref() on the dense expansion
+  /// of the same requests instead.
+  void allocate_sparse(const bits::Word* vc_words,
+                       const std::uint8_t* out_ports,
+                       std::vector<SwitchGrant>& grant) override;
   void reset() override;
   void advance_priority(std::uint64_t cycles) override {
     core_.advance_priority(cycles);
@@ -38,26 +41,17 @@ class SaWavefront final : public SwitchAllocator {
   }
 
  private:
-  /// Sparse kernel: each VC's (port, output) cell is requested from the
-  /// core, and each pair WavefrontAllocator::grant_requested grants runs its
-  /// pre-selection arbiter over the rebuilt VC candidates. Bit-identical to
-  /// allocate_ref(); see SwitchAllocator::allocate_sparse for the contract.
-  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
-                     std::vector<SwitchGrant>& grant) override;
-
   /// The oracle: the P x P union matrix through the byte-loop
   /// WavefrontAllocator::allocate_from_diagonal from the core's diagonal
   /// (which then rotates once), then byte-vector pre-selection.
   void allocate_ref(const std::vector<SwitchRequest>& req,
                     std::vector<SwitchGrant>& grant);
-  void init_fast();
 
   WavefrontAllocator core_;
   // presel_[p * P + o]: V:1 arbiter pre-selecting the VC used when input
   // port p is granted output port o.
   std::vector<std::unique_ptr<Arbiter>> presel_;
-  // Fast-path cache: devirtualized pre-selection handles.
-  bool fast_ok_ = false;
+  // Kernel cache: devirtualized pre-selection handles.
   std::vector<FastArb> presel_fa_;  // [p * P + o]
 };
 

@@ -22,12 +22,6 @@ SpeculativeSwitchAllocator::SpeculativeSwitchAllocator(
       nonspec_(make_switch_allocator(cfg)),
       spec_(make_switch_allocator(cfg)) {
   NOCALLOC_CHECK(mode != SpecMode::kNonSpeculative);
-  // The conflict summaries and the packed request form are single words.
-  NOCALLOC_CHECK(cfg.ports <= bits::kWordBits && cfg.vcs <= bits::kWordBits);
-}
-
-bool SpeculativeSwitchAllocator::fast_ready() const {
-  return nonspec_->fast_ready() && spec_->fast_ready();
 }
 
 void SpeculativeSwitchAllocator::allocate_sparse(

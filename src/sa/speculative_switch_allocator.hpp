@@ -52,7 +52,9 @@ class SpeculativeSwitchAllocator {
  public:
   /// Both internal allocators use the same architecture and arbiter kind.
   /// `mode` must be kConservative or kPessimistic (a non-speculative router
-  /// simply uses a bare SwitchAllocator); P and V must each fit one word.
+  /// simply uses a bare SwitchAllocator). P and V must each fit one word,
+  /// which the inner allocators' constructors check; the conflict summaries
+  /// are single words too.
   SpeculativeSwitchAllocator(const SwitchAllocatorConfig& cfg, SpecMode mode);
 
   std::size_t ports() const { return nonspec_->ports(); }
@@ -66,10 +68,6 @@ class SpeculativeSwitchAllocator {
   void allocate(const std::vector<SwitchRequest>& nonspec_req,
                 const std::vector<SwitchRequest>& spec_req,
                 std::vector<SpecSwitchGrant>& grant);
-
-  /// True when both internal allocators run a single-word kernel (any
-  /// separable or wavefront family); otherwise allocate_sparse() adapts.
-  bool fast_ready() const;
 
   /// Sparse form of allocate(), the entry point the router uses. The
   /// word/out_port pairs use the layout of
@@ -89,7 +87,7 @@ class SpeculativeSwitchAllocator {
     spec_->advance_priority(cycles);
   }
 
-  /// Forwards the reference/fast path selection to both internal allocators.
+  /// Forwards the kernel/reference selection to both internal allocators.
   void set_reference_path(bool ref) {
     nonspec_->set_reference_path(ref);
     spec_->set_reference_path(ref);

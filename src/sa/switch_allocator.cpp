@@ -1,43 +1,48 @@
 #include "sa/switch_allocator.hpp"
 
+#include <string>
+
 #include "sa/sa_max.hpp"
 #include "sa/sa_separable.hpp"
 #include "sa/sa_wavefront.hpp"
 
 namespace nocalloc {
 
+SwitchAllocator::SwitchAllocator(std::size_t ports, std::size_t vcs)
+    : ports_(ports), vcs_(vcs) {
+  if (ports > bits::kWordBits || vcs > bits::kWordBits) {
+    fail("switch allocator with P = " + std::to_string(ports) +
+         " ports and V = " + std::to_string(vcs) +
+         " VCs per port exceeds the one-word limit (P <= 64 and V <= 64)");
+  }
+}
+
+void SwitchAllocator::allocate(const std::vector<SwitchRequest>& req,
+                               std::vector<SwitchGrant>& grant) {
+  packed_words_.resize(ports_);
+  packed_out_.resize(total());
+  pack_switch_requests(req, ports_, vcs_, packed_words_.data(),
+                       packed_out_.data());
+  allocate_sparse(packed_words_.data(), packed_out_.data(), grant);
+}
+
 void SwitchAllocator::allocate_sparse(const bits::Word* vc_words,
                                       const std::uint8_t* out_ports,
                                       std::vector<SwitchGrant>& grant) {
-  if (fast_ready() && !reference_path_) {
-    allocate_fast(vc_words, out_ports, grant);
-    return;
-  }
-  // Adapter: expand into dense requests, run allocate(), then invalidate
-  // exactly the entries set here.
+  with_dense_requests(vc_words, out_ports,
+                      [&](const std::vector<SwitchRequest>& dense) {
+                        allocate(dense, grant);
+                      });
+}
+
+void SwitchAllocator::expand_sparse(const bits::Word* vc_words,
+                                    const std::uint8_t* out_ports) {
   if (dense_req_.size() != total()) dense_req_.assign(total(), SwitchRequest{});
   for (std::size_t p = 0; p < ports_; ++p) {
     bits::for_each_set(&vc_words[p], 1, [&](std::size_t v) {
       dense_req_[p * vcs_ + v] = {true, out_ports[p * vcs_ + v]};
     });
   }
-  allocate(dense_req_, grant);
-  for (std::size_t p = 0; p < ports_; ++p) {
-    bits::for_each_set(&vc_words[p], 1, [&](std::size_t v) {
-      dense_req_[p * vcs_ + v].valid = false;
-    });
-  }
-}
-
-bool SwitchAllocator::allocate_packed(const std::vector<SwitchRequest>& req,
-                                      std::vector<SwitchGrant>& grant) {
-  if (reference_path_ || !fast_ready()) return false;
-  packed_words_.resize(ports_);
-  packed_out_.resize(total());
-  pack_switch_requests(req, ports_, vcs_, packed_words_.data(),
-                       packed_out_.data());
-  allocate_fast(packed_words_.data(), packed_out_.data(), grant);
-  return true;
 }
 
 void pack_switch_requests(const std::vector<SwitchRequest>& req,
@@ -57,26 +62,6 @@ void pack_switch_requests(const std::vector<SwitchRequest>& req,
     }
     vc_words[p] = w;
   }
-}
-
-void SwitchAllocator::allocate_fast(const bits::Word* vc_words,
-                                    const std::uint8_t* out_ports,
-                                    std::vector<SwitchGrant>& grant) {
-  static_cast<void>(vc_words);
-  static_cast<void>(out_ports);
-  static_cast<void>(grant);
-  NOCALLOC_CHECK(false && "allocate_fast called without fast_ready()");
-}
-
-void SwitchAllocator::prepare(const std::vector<SwitchRequest>& req,
-                              std::vector<SwitchGrant>& grant) const {
-  NOCALLOC_CHECK(req.size() == total());
-  for (const SwitchRequest& r : req) {
-    if (!r.valid) continue;
-    NOCALLOC_CHECK(r.out_port >= 0 &&
-                   static_cast<std::size_t>(r.out_port) < ports_);
-  }
-  grant.assign(ports_, SwitchGrant{});
 }
 
 void SwitchAllocator::port_requests(const std::vector<SwitchRequest>& req,

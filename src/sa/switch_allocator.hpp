@@ -30,10 +30,18 @@ struct SwitchGrant {
   bool granted() const { return vc >= 0; }
 };
 
+/// Every allocator implements at least one of the two allocation entries:
+/// production families override allocate_sparse(), the one virtual entry
+/// the router and the quality harness call; dense allocate() is a packing
+/// wrapper around it. A subclass that implements only the dense entry (a
+/// forwarding decorator) is reached through allocate_sparse()'s default
+/// sparse-to-dense adapter. A subclass that overrides neither would recurse
+/// between the two base bodies.
 class SwitchAllocator {
  public:
-  SwitchAllocator(std::size_t ports, std::size_t vcs)
-      : ports_(ports), vcs_(vcs) {}
+  /// Rejects shapes whose port's VCs, or whose ports, do not fit one word
+  /// (V > 64 or P > 64): the sparse request form is single-word.
+  SwitchAllocator(std::size_t ports, std::size_t vcs);
   virtual ~SwitchAllocator() = default;
 
   std::size_t ports() const { return ports_; }
@@ -43,28 +51,25 @@ class SwitchAllocator {
   /// Performs one cycle of switch allocation. `req` has one entry per input
   /// VC (global index port * V + vc); `grant` receives one entry per input
   /// port. Grants form a valid port matching and each winning VC is one that
-  /// requested the granted output.
+  /// requested the granted output. Default: packs the requests with
+  /// pack_switch_requests, which validates them, and runs allocate_sparse()
+  /// -- the only place dense requests are validated.
   virtual void allocate(const std::vector<SwitchRequest>& req,
-                        std::vector<SwitchGrant>& grant) = 0;
+                        std::vector<SwitchGrant>& grant);
 
   /// One cycle of switch allocation in sparse form, the entry point the
   /// router uses: bit-identical to allocate() over the equivalent dense
   /// requests in grants and priority-state evolution (including
   /// rotating-priority architectures, even with no request set).
-  /// `vc_words[p]` holds input port p's requesting-VC mask (V <= 64);
+  /// `vc_words[p]` holds input port p's requesting-VC mask;
   /// `out_ports[p * V + v]` the requested output port of every set bit.
-  /// `grant` is fully rewritten (one entry per port). Runs the family's
-  /// single-word kernel when fast_ready() and not reference_path();
-  /// otherwise expands the requests into member scratch and calls
-  /// allocate().
-  void allocate_sparse(const bits::Word* vc_words,
-                       const std::uint8_t* out_ports,
-                       std::vector<SwitchGrant>& grant);
-
-  /// True when this instance has a single-word sparse kernel: the
-  /// architecture has one and the configured dimensions/arbiters admit it.
-  /// Default: no kernel (allocate_sparse adapts to allocate()).
-  virtual bool fast_ready() const { return false; }
+  /// `grant` is fully rewritten (one entry per port). Families run their
+  /// single-word kernel, or their byte-loop oracle when reference_path() is
+  /// set. Default: the sparse-to-dense adapter for subclasses that
+  /// implement only allocate().
+  virtual void allocate_sparse(const bits::Word* vc_words,
+                               const std::uint8_t* out_ports,
+                               std::vector<SwitchGrant>& grant);
 
   virtual void reset() = 0;
 
@@ -75,11 +80,11 @@ class SwitchAllocator {
     static_cast<void>(cycles);
   }
 
-  /// Selects the byte-loop reference implementation over the family kernel,
-  /// for allocate() and allocate_sparse() alike. Both paths produce
+  /// Selects the family's byte-loop reference implementation over its
+  /// kernel, for allocate() and allocate_sparse() alike. Both produce
   /// identical grants and priority-state evolution; the reference is the
   /// differential oracle (tests/test_mask_kernels, test_sim_equivalence).
-  virtual void set_reference_path(bool ref) { reference_path_ = ref; }
+  void set_reference_path(bool ref) { reference_path_ = ref; }
   bool reference_path() const { return reference_path_; }
 
   /// Serializes / restores priority state for warm snapshot/restore; see
@@ -89,38 +94,37 @@ class SwitchAllocator {
   virtual void load_state(StateReader& r) { static_cast<void>(r); }
 
  protected:
-  /// The family kernel behind allocate_sparse(); only called when
-  /// fast_ready() is true and the reference path is off.
-  virtual void allocate_fast(const bits::Word* vc_words,
-                             const std::uint8_t* out_ports,
-                             std::vector<SwitchGrant>& grant);
-
-  /// The dense-to-sparse adapter kernel-backed allocate() overrides run
-  /// first: packs the requests into member scratch with
-  /// pack_switch_requests, which makes prepare()'s checks as it packs, and
-  /// runs allocate_fast, which rewrites the whole grant vector. Returns
-  /// false, touching nothing, when reference_path() is set or !fast_ready();
-  /// the caller then runs prepare() and its byte-loop oracle.
-  bool allocate_packed(const std::vector<SwitchRequest>& req,
-                       std::vector<SwitchGrant>& grant);
-
-  void prepare(const std::vector<SwitchRequest>& req,
-               std::vector<SwitchGrant>& grant) const;
+  /// Expands the sparse requests into one dense SwitchRequest per input VC
+  /// (member scratch), runs `f` on that vector, then invalidates exactly the
+  /// entries set here. The default adapter and the families' byte-loop
+  /// oracles read dense requests through this one expansion.
+  template <typename F>
+  void with_dense_requests(const bits::Word* vc_words,
+                           const std::uint8_t* out_ports, F&& f) {
+    expand_sparse(vc_words, out_ports);
+    f(static_cast<const std::vector<SwitchRequest>&>(dense_req_));
+    for (std::size_t p = 0; p < ports_; ++p) {
+      bits::for_each_set(&vc_words[p], 1, [&](std::size_t v) {
+        dense_req_[p * vcs_ + v].valid = false;
+      });
+    }
+  }
 
   /// P x P union request matrix: entry (p, o) set iff any VC at input port p
   /// requests output port o.
   void port_requests(const std::vector<SwitchRequest>& req,
                      BitMatrix& out) const;
 
-  bool reference_path_ = false;
-
  private:
+  void expand_sparse(const bits::Word* vc_words, const std::uint8_t* out_ports);
+
   std::size_t ports_;
   std::size_t vcs_;
-  // Dense scratch for the allocate_sparse() adapter; sized on first use, so
-  // allocators with a kernel never pay for it.
+  bool reference_path_ = false;
+  // Dense scratch for with_dense_requests(); sized on first use, so the
+  // kernel path never pays for it.
   std::vector<SwitchRequest> dense_req_;
-  // Sparse scratch for the allocate_packed() adapter.
+  // Sparse scratch for the dense allocate() wrapper.
   std::vector<bits::Word> packed_words_;
   std::vector<std::uint8_t> packed_out_;
 };

@@ -1,40 +1,24 @@
 #include "vc/vc_allocator.hpp"
 
+#include <string>
+
 #include "vc/vc_max_allocator.hpp"
 #include "vc/vc_separable_allocator.hpp"
 #include "vc/vc_wavefront_allocator.hpp"
 
 namespace nocalloc {
 
-void VcAllocator::allocate_sparse(const FastVcRequest* req, std::size_t n,
-                                  std::vector<int>& grant) {
-  NOCALLOC_DCHECK(grant.size() == total());
-  if (fast_ready() && !reference_path_) {
-    allocate_fast(req, n, grant);
-    return;
+VcAllocator::VcAllocator(std::size_t ports, std::size_t vcs)
+    : ports_(ports), vcs_(vcs) {
+  if (ports > bits::kWordBits || vcs > bits::kWordBits) {
+    fail("VC allocator with P = " + std::to_string(ports) +
+         " ports and V = " + std::to_string(vcs) +
+         " VCs per port exceeds the one-word limit (P <= 64 and V <= 64)");
   }
-  // Adapter: expand into dense requests, run allocate() (which rewrites the
-  // whole grant vector), then invalidate exactly the entries set here.
-  if (dense_req_.size() != total()) {
-    dense_req_.assign(total(), VcRequest{});
-    for (VcRequest& r : dense_req_) r.vc_mask.assign(vcs_, 0);
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    VcRequest& r = dense_req_[req[k].input];
-    r.valid = true;
-    r.out_port = static_cast<int>(req[k].out_port);
-    for (std::size_t v = 0; v < vcs_; ++v) {
-      r.vc_mask[v] = static_cast<std::uint8_t>((req[k].vc_mask >> v) & 1);
-    }
-  }
-  allocate(dense_req_, grant);
-  for (std::size_t k = 0; k < n; ++k) dense_req_[req[k].input].valid = false;
 }
 
-bool VcAllocator::allocate_packed(const std::vector<VcRequest>& req,
-                                  std::vector<int>& grant) {
-  if (reference_path_ || !fast_ready()) return false;
-  // Validates each request as prepare() does, in the one pass that packs it.
+void VcAllocator::allocate(const std::vector<VcRequest>& req,
+                           std::vector<int>& grant) {
   NOCALLOC_CHECK(req.size() == total());
   packed_req_.clear();
   for (std::size_t i = 0; i < req.size(); ++i) {
@@ -51,28 +35,30 @@ bool VcAllocator::allocate_packed(const std::vector<VcRequest>& req,
                            static_cast<std::uint32_t>(r.out_port), mask});
   }
   grant.assign(total(), -1);
-  allocate_fast(packed_req_.data(), packed_req_.size(), grant);
-  return true;
+  allocate_sparse(packed_req_.data(), packed_req_.size(), grant);
 }
 
-void VcAllocator::allocate_fast(const FastVcRequest* req, std::size_t n,
-                                std::vector<int>& grant) {
-  static_cast<void>(req);
-  static_cast<void>(n);
-  static_cast<void>(grant);
-  NOCALLOC_CHECK(false && "allocate_fast called without fast_ready()");
+void VcAllocator::allocate_sparse(const FastVcRequest* req, std::size_t n,
+                                  std::vector<int>& grant) {
+  // allocate() rewrites the whole grant vector.
+  with_dense_requests(req, n, [&](const std::vector<VcRequest>& dense) {
+    allocate(dense, grant);
+  });
 }
 
-void VcAllocator::prepare(const std::vector<VcRequest>& req,
-                          std::vector<int>& grant) const {
-  NOCALLOC_CHECK(req.size() == total());
-  for (const VcRequest& r : req) {
-    if (!r.valid) continue;
-    NOCALLOC_CHECK(r.out_port >= 0 &&
-                   static_cast<std::size_t>(r.out_port) < ports_);
-    NOCALLOC_CHECK(r.vc_mask.size() == vcs_);
+void VcAllocator::expand_sparse(const FastVcRequest* req, std::size_t n) {
+  if (dense_req_.size() != total()) {
+    dense_req_.assign(total(), VcRequest{});
+    for (VcRequest& r : dense_req_) r.vc_mask.assign(vcs_, 0);
   }
-  grant.assign(total(), -1);
+  for (std::size_t k = 0; k < n; ++k) {
+    VcRequest& r = dense_req_[req[k].input];
+    r.valid = true;
+    r.out_port = static_cast<int>(req[k].out_port);
+    for (std::size_t v = 0; v < vcs_; ++v) {
+      r.vc_mask[v] = static_cast<std::uint8_t>((req[k].vc_mask >> v) & 1);
+    }
+  }
 }
 
 void VcAllocator::expand_requests(const std::vector<VcRequest>& req,

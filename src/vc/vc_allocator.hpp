@@ -40,10 +40,18 @@ struct FastVcRequest {
   bits::Word vc_mask = 0;
 };
 
+/// Every allocator implements at least one of the two allocation entries:
+/// production families override allocate_sparse(), the one virtual entry
+/// the router and the quality harness call; dense allocate() is a packing
+/// wrapper around it. A subclass that implements only the dense entry (a
+/// forwarding decorator) is reached through allocate_sparse()'s default
+/// sparse-to-dense adapter. A subclass that overrides neither would recurse
+/// between the two base bodies.
 class VcAllocator {
  public:
-  VcAllocator(std::size_t ports, std::size_t vcs)
-      : ports_(ports), vcs_(vcs) {}
+  /// Rejects shapes whose port's VCs, or whose ports, do not fit one word
+  /// (V > 64 or P > 64): the sparse request form is single-word.
+  VcAllocator(std::size_t ports, std::size_t vcs);
   virtual ~VcAllocator() = default;
 
   std::size_t ports() const { return ports_; }
@@ -54,27 +62,25 @@ class VcAllocator {
   /// (global index port * V + vc). On return, `grant[i]` holds the granted
   /// global output VC for input VC i, or -1. The result is a matching: no
   /// output VC is granted twice and each input VC receives at most one VC
-  /// from its candidate mask.
+  /// from its candidate mask. Default: validates each valid request while
+  /// packing it into FastVcRequests (any nonzero mask byte is a set bit),
+  /// resets `grant` and runs allocate_sparse() -- the only place dense
+  /// requests are validated.
   virtual void allocate(const std::vector<VcRequest>& req,
-                        std::vector<int>& grant) = 0;
+                        std::vector<int>& grant);
 
   /// One cycle of VC allocation in sparse form, the entry point the router
   /// uses: bit-identical to allocate() over the equivalent dense requests in
   /// grants and priority-state evolution (rotating-priority architectures
-  /// advance exactly as one allocate() would, even for n == 0). Runs the
-  /// family's single-word kernel when fast_ready() and not reference_path();
-  /// otherwise expands the requests into member scratch and calls
-  /// allocate() (maximum-size, test doubles, and the byte-loop oracle).
+  /// advance exactly as one allocate() would, even for n == 0). Families
+  /// run their single-word kernel, or their byte-loop oracle when
+  /// reference_path() is set. Default: the sparse-to-dense adapter for
+  /// subclasses that implement only allocate().
   /// Contract: `grant` has total() entries, all -1 on entry (the caller
   /// resets the entries it reads back), requests are ascending by input
   /// index, and grants land at grant[input].
-  void allocate_sparse(const FastVcRequest* req, std::size_t n,
-                       std::vector<int>& grant);
-
-  /// True when this instance has a single-word sparse kernel: the
-  /// architecture has one and the configured dimensions/arbiters admit it.
-  /// Default: no kernel (allocate_sparse adapts to allocate()).
-  virtual bool fast_ready() const { return false; }
+  virtual void allocate_sparse(const FastVcRequest* req, std::size_t n,
+                               std::vector<int>& grant);
 
   /// Resets priority state.
   virtual void reset() = 0;
@@ -86,11 +92,11 @@ class VcAllocator {
     static_cast<void>(cycles);
   }
 
-  /// Selects the byte-loop reference implementation over the family kernel,
-  /// for allocate() and allocate_sparse() alike. Both paths produce
+  /// Selects the family's byte-loop reference implementation over its
+  /// kernel, for allocate() and allocate_sparse() alike. Both produce
   /// identical grants and priority-state evolution; the reference is the
   /// differential oracle (tests/test_mask_kernels, test_sim_equivalence).
-  virtual void set_reference_path(bool ref) { reference_path_ = ref; }
+  void set_reference_path(bool ref) { reference_path_ = ref; }
   bool reference_path() const { return reference_path_; }
 
   /// Serializes / restores priority state for warm snapshot/restore; see
@@ -100,35 +106,30 @@ class VcAllocator {
   virtual void load_state(StateReader& r) { static_cast<void>(r); }
 
  protected:
-  /// The family kernel behind allocate_sparse(); only called when
-  /// fast_ready() is true and the reference path is off.
-  virtual void allocate_fast(const FastVcRequest* req, std::size_t n,
-                             std::vector<int>& grant);
-
-  /// The dense-to-sparse adapter kernel-backed allocate() overrides run
-  /// first: in one pass, validates each request as prepare() does and packs
-  /// the valid ones into FastVcRequests in member scratch (any nonzero mask
-  /// byte is a set bit), then clears `grant` and runs allocate_fast. Returns
-  /// false, touching nothing, when reference_path() is set or !fast_ready();
-  /// the caller then runs prepare() and its byte-loop oracle.
-  bool allocate_packed(const std::vector<VcRequest>& req,
-                       std::vector<int>& grant);
-
-  /// Validates request shape and clears the grant vector.
-  void prepare(const std::vector<VcRequest>& req, std::vector<int>& grant) const;
+  /// Expands the sparse requests into one dense VcRequest per input VC
+  /// (member scratch), runs `f` on that vector, then invalidates exactly the
+  /// entries set here. The default adapter and the families' byte-loop
+  /// oracles read dense requests through this one expansion.
+  template <typename F>
+  void with_dense_requests(const FastVcRequest* req, std::size_t n, F&& f) {
+    expand_sparse(req, n);
+    f(static_cast<const std::vector<VcRequest>&>(dense_req_));
+    for (std::size_t k = 0; k < n; ++k) dense_req_[req[k].input].valid = false;
+  }
 
   /// Expands per-input-VC requests into a (P*V) x (P*V) request matrix.
   void expand_requests(const std::vector<VcRequest>& req, BitMatrix& out) const;
 
-  bool reference_path_ = false;
-
  private:
+  void expand_sparse(const FastVcRequest* req, std::size_t n);
+
   std::size_t ports_;
   std::size_t vcs_;
-  // Dense scratch for the allocate_sparse() adapter; sized on first use, so
-  // allocators with a kernel never pay for it.
+  bool reference_path_ = false;
+  // Dense scratch for with_dense_requests(); sized on first use, so the
+  // kernel path never pays for it.
   std::vector<VcRequest> dense_req_;
-  // Sparse scratch for the allocate_packed() adapter.
+  // Sparse scratch for the dense allocate() wrapper.
   std::vector<FastVcRequest> packed_req_;
 };
 

@@ -4,14 +4,22 @@
 
 namespace nocalloc {
 
-void VcMaxSizeAllocator::allocate(const std::vector<VcRequest>& req,
-                                  std::vector<int>& grant) {
-  prepare(req, grant);
-  BitMatrix full;
-  expand_requests(req, full);
+void VcMaxSizeAllocator::allocate_sparse(const FastVcRequest* req,
+                                         std::size_t n,
+                                         std::vector<int>& grant) {
+  NOCALLOC_DCHECK(grant.size() == total());
+  BitMatrix full(total(), total());
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t base = req[k].out_port * vcs();
+    bits::for_each_set(&req[k].vc_mask, 1, [&](std::size_t v) {
+      full.set(req[k].input, base + v);
+    });
+  }
   BitMatrix gnt;
   MaxSizeAllocator::max_matching(full, gnt);
-  for (std::size_t i = 0; i < total(); ++i) grant[i] = gnt.row_single(i);
+  for (std::size_t k = 0; k < n; ++k) {
+    grant[req[k].input] = gnt.row_single(req[k].input);
+  }
 }
 
 }  // namespace nocalloc

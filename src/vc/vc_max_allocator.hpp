@@ -1,6 +1,8 @@
 // Maximum-size VC allocator: the quality-normalization reference of Sec. 3.1
 // applied to the VC-allocation problem. Expands requests to the full PV x PV
-// matrix and computes a maximum-cardinality matching (Hopcroft-Karp).
+// matrix (one row per requesting input VC) and computes a
+// maximum-cardinality matching (Hopcroft-Karp). It implements
+// allocate_sparse() directly and has no separate reference path.
 #pragma once
 
 #include "vc/vc_allocator.hpp"
@@ -12,8 +14,8 @@ class VcMaxSizeAllocator final : public VcAllocator {
   VcMaxSizeAllocator(std::size_t ports, std::size_t vcs)
       : VcAllocator(ports, vcs) {}
 
-  void allocate(const std::vector<VcRequest>& req,
-                std::vector<int>& grant) override;
+  void allocate_sparse(const FastVcRequest* req, std::size_t n,
+                       std::vector<int>& grant) override;
   void reset() override {}
 };
 

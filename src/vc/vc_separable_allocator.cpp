@@ -1,37 +1,31 @@
 #include "vc/vc_separable_allocator.hpp"
 
-#include "arbiter/tree_arbiter.hpp"
-
 namespace nocalloc {
 namespace {
 
-/// Resolves the devirtualized handles a separable fast path needs: one per
-/// input VC plus both levels of every output tree arbiter. Returns false
-/// (leaving the vectors in an unusable state) when any arbiter lacks a
-/// single-word kernel.
-bool resolve_fast_arbiters(
+/// Resolves the devirtualized handles a separable kernel needs: one per
+/// input VC plus both levels of every output tree arbiter. Every arbiter is
+/// P or V wide, so each has a single-word pick.
+void resolve_fast_arbiters(
     const std::vector<std::unique_ptr<Arbiter>>& input_arb,
-    const std::vector<std::unique_ptr<Arbiter>>& output_arb, std::size_t ports,
-    std::vector<FastArb>& in_fa, std::vector<FastArb>& out_top_fa,
-    std::vector<FastArb>& out_local_fa) {
+    const std::vector<std::unique_ptr<TreeArbiter>>& output_arb,
+    std::size_t ports, std::vector<FastArb>& in_fa,
+    std::vector<FastArb>& out_top_fa, std::vector<FastArb>& out_local_fa) {
   in_fa.reserve(input_arb.size());
   out_top_fa.reserve(output_arb.size());
   out_local_fa.reserve(output_arb.size() * ports);
   for (const auto& a : input_arb) {
     in_fa.push_back(FastArb::from(*a));
-    if (!in_fa.back().ok()) return false;
+    NOCALLOC_DCHECK(in_fa.back().ok());
   }
-  for (const auto& a : output_arb) {
-    auto* tree = dynamic_cast<TreeArbiter*>(a.get());
-    if (tree == nullptr) return false;
+  for (const auto& tree : output_arb) {
     out_top_fa.push_back(FastArb::from(tree->top()));
-    if (!out_top_fa.back().ok()) return false;
+    NOCALLOC_DCHECK(out_top_fa.back().ok());
     for (std::size_t g = 0; g < ports; ++g) {
       out_local_fa.push_back(FastArb::from(tree->local(g)));
-      if (!out_local_fa.back().ok()) return false;
+      NOCALLOC_DCHECK(out_local_fa.back().ok());
     }
   }
-  return true;
 }
 
 }  // namespace
@@ -43,25 +37,23 @@ VcSeparableInputFirstAllocator::VcSeparableInputFirstAllocator(
     input_arb_.push_back(make_arbiter(arb, vcs));
   for (std::size_t o = 0; o < total(); ++o)
     output_arb_.push_back(std::make_unique<TreeArbiter>(arb, ports, vcs));
-  init_fast();
-}
-
-void VcSeparableInputFirstAllocator::init_fast() {
-  if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
-  if (!resolve_fast_arbiters(input_arb_, output_arb_, ports(), in_fa_,
-                             out_top_fa_, out_local_fa_)) {
-    return;
-  }
-  fast_bids_.assign(total() * ports(), 0);
+  resolve_fast_arbiters(input_arb_, output_arb_, ports, in_fa_, out_top_fa_,
+                        out_local_fa_);
+  fast_bids_.assign(total() * ports, 0);
   fast_port_any_.assign(total(), 0);
   fast_touched_.reserve(total());
-  fast_ok_ = true;
 }
 
-void VcSeparableInputFirstAllocator::allocate_fast(const FastVcRequest* req,
-                                                   std::size_t n,
-                                                   std::vector<int>& grant) {
-  NOCALLOC_DCHECK(fast_ok_ && grant.size() == total());
+void VcSeparableInputFirstAllocator::allocate_sparse(const FastVcRequest* req,
+                                                     std::size_t n,
+                                                     std::vector<int>& grant) {
+  if (reference_path()) {
+    with_dense_requests(req, n, [&](const std::vector<VcRequest>& dense) {
+      allocate_ref(dense, grant);
+    });
+    return;
+  }
+  NOCALLOC_DCHECK(grant.size() == total());
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
 
@@ -102,13 +94,6 @@ void VcSeparableInputFirstAllocator::allocate_fast(const FastVcRequest* req,
     fast_port_any_[o] = 0;
   }
   fast_touched_.clear();
-}
-
-void VcSeparableInputFirstAllocator::allocate(const std::vector<VcRequest>& req,
-                                              std::vector<int>& grant) {
-  if (allocate_packed(req, grant)) return;
-  prepare(req, grant);
-  allocate_ref(req, grant);
 }
 
 void VcSeparableInputFirstAllocator::allocate_ref(
@@ -156,27 +141,24 @@ VcSeparableOutputFirstAllocator::VcSeparableOutputFirstAllocator(
     output_arb_.push_back(std::make_unique<TreeArbiter>(arb, ports, vcs));
   for (std::size_t i = 0; i < total(); ++i)
     input_arb_.push_back(make_arbiter(arb, vcs));
-  init_fast();
-}
-
-void VcSeparableOutputFirstAllocator::init_fast() {
-  if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
-  if (!resolve_fast_arbiters(input_arb_, output_arb_, ports(), in_fa_,
-                             out_top_fa_, out_local_fa_)) {
-    return;
-  }
-  fast_bids_.assign(total() * ports(), 0);
+  resolve_fast_arbiters(input_arb_, output_arb_, ports, in_fa_, out_top_fa_,
+                        out_local_fa_);
+  fast_bids_.assign(total() * ports, 0);
   fast_port_any_.assign(total(), 0);
   fast_offered_.assign(total(), 0);
   fast_touched_.reserve(total());
   fast_winners_.reserve(total());
-  fast_ok_ = true;
 }
 
-void VcSeparableOutputFirstAllocator::allocate_fast(const FastVcRequest* req,
-                                                    std::size_t n,
-                                                    std::vector<int>& grant) {
-  NOCALLOC_DCHECK(fast_ok_ && grant.size() == total());
+void VcSeparableOutputFirstAllocator::allocate_sparse(
+    const FastVcRequest* req, std::size_t n, std::vector<int>& grant) {
+  if (reference_path()) {
+    with_dense_requests(req, n, [&](const std::vector<VcRequest>& dense) {
+      allocate_ref(dense, grant);
+    });
+    return;
+  }
+  NOCALLOC_DCHECK(grant.size() == total());
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
 
@@ -238,13 +220,6 @@ void VcSeparableOutputFirstAllocator::allocate_fast(const FastVcRequest* req,
         static_cast<int>(i % v_count));
   }
   fast_winners_.clear();
-}
-
-void VcSeparableOutputFirstAllocator::allocate(
-    const std::vector<VcRequest>& req, std::vector<int>& grant) {
-  if (allocate_packed(req, grant)) return;
-  prepare(req, grant);
-  allocate_ref(req, grant);
 }
 
 void VcSeparableOutputFirstAllocator::allocate_ref(

@@ -13,6 +13,7 @@
 #pragma once
 
 #include "arbiter/fast_arb.hpp"
+#include "arbiter/tree_arbiter.hpp"
 #include "vc/vc_allocator.hpp"
 
 namespace nocalloc {
@@ -22,12 +23,13 @@ class VcSeparableInputFirstAllocator final : public VcAllocator {
   VcSeparableInputFirstAllocator(std::size_t ports, std::size_t vcs,
                                  ArbiterKind arb);
 
-  /// True when the single-word kernel is available: round-robin or
-  /// matrix arbiters with V and P each fitting one lane word.
-  bool fast_ready() const override { return fast_ok_; }
-
-  void allocate(const std::vector<VcRequest>& req,
-                std::vector<int>& grant) override;
+  /// Sparse single-word kernel, bit-identical to allocate_ref() in grants
+  /// and arbiter state evolution; see VcAllocator::allocate_sparse for the
+  /// contract.
+  /// With reference_path() set, runs allocate_ref() on the dense expansion
+  /// of the same requests instead.
+  void allocate_sparse(const FastVcRequest* req, std::size_t n,
+                       std::vector<int>& grant) override;
   void reset() override;
   void save_state(StateWriter& w) const override {
     for (const auto& a : input_arb_) a->save_state(w);
@@ -39,22 +41,14 @@ class VcSeparableInputFirstAllocator final : public VcAllocator {
   }
 
  private:
-  /// Sparse single-word kernel, bit-identical to allocate_ref() in grants
-  /// and arbiter state evolution; see VcAllocator::allocate_sparse for the
-  /// contract.
-  void allocate_fast(const FastVcRequest* req, std::size_t n,
-                     std::vector<int>& grant) override;
-
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
-  void init_fast();
 
   std::vector<std::unique_ptr<Arbiter>> input_arb_;   // per input VC, width V
-  std::vector<std::unique_ptr<Arbiter>> output_arb_;  // per output VC, width P*V
-  // Fast-path caches: devirtualized handles for the arbiters behind
+  std::vector<std::unique_ptr<TreeArbiter>> output_arb_;  // per output VC, P*V
+  // Kernel caches: devirtualized handles for the arbiters behind
   // input_arb_ and both levels of each output tree arbiter, plus
   // per-output-VC bid state kept as one V-wide word per input port (the
   // tree's group slices).
-  bool fast_ok_ = false;
   std::vector<FastArb> in_fa_;         // [i]
   std::vector<FastArb> out_top_fa_;    // [o]
   std::vector<FastArb> out_local_fa_;  // [o * P + p]
@@ -68,12 +62,15 @@ class VcSeparableOutputFirstAllocator final : public VcAllocator {
   VcSeparableOutputFirstAllocator(std::size_t ports, std::size_t vcs,
                                   ArbiterKind arb);
 
-  /// True when the single-word kernel is available: round-robin or
-  /// matrix arbiters with V and P each fitting one lane word.
-  bool fast_ready() const override { return fast_ok_; }
-
-  void allocate(const std::vector<VcRequest>& req,
-                std::vector<int>& grant) override;
+  /// Sparse single-word sep_of kernel: all stage-1 output-side tree picks
+  /// run first (pure), then each input VC that won arbitrates among its
+  /// offered output VCs and only then are priorities updated -- the exact
+  /// structure (and state evolution) of allocate_ref. See
+  /// VcAllocator::allocate_sparse for the contract.
+  /// With reference_path() set, runs allocate_ref() on the dense expansion
+  /// of the same requests instead.
+  void allocate_sparse(const FastVcRequest* req, std::size_t n,
+                       std::vector<int>& grant) override;
   void reset() override;
   void save_state(StateWriter& w) const override {
     for (const auto& a : output_arb_) a->save_state(w);
@@ -85,27 +82,17 @@ class VcSeparableOutputFirstAllocator final : public VcAllocator {
   }
 
  private:
-  /// Sparse single-word sep_of kernel: all stage-1 output-side tree picks
-  /// run first (pure), then each input VC that won arbitrates among its
-  /// offered output VCs and only then are priorities updated -- the exact
-  /// structure (and state evolution) of allocate_ref. See
-  /// VcAllocator::allocate_sparse for the contract.
-  void allocate_fast(const FastVcRequest* req, std::size_t n,
-                     std::vector<int>& grant) override;
-
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
-  void init_fast();
 
-  std::vector<std::unique_ptr<Arbiter>> output_arb_;  // per output VC, width P*V
+  std::vector<std::unique_ptr<TreeArbiter>> output_arb_;  // per output VC, P*V
   std::vector<std::unique_ptr<Arbiter>> input_arb_;   // per input VC, width V
-  // Fast-path caches: devirtualized arbiter handles, per-output-VC bid words
+  // Kernel caches: devirtualized arbiter handles, per-output-VC bid words
   // (tree group slices), the per-input offered-VC word, and the stage-1
   // winner list carrying each winning input's destination port.
   struct FastWinner {
     std::uint32_t input = 0;
     std::uint32_t out_port = 0;
   };
-  bool fast_ok_ = false;
   std::vector<FastArb> in_fa_;         // [i]
   std::vector<FastArb> out_top_fa_;    // [o]
   std::vector<FastArb> out_local_fa_;  // [o * P + p]

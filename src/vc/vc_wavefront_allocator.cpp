@@ -18,10 +18,16 @@ VcWavefrontAllocator::VcWavefrontAllocator(std::size_t ports,
   }
 }
 
-void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,
-                                         std::size_t n,
-                                         std::vector<int>& grant) {
-  NOCALLOC_DCHECK(fast_ready() && grant.size() == total());
+void VcWavefrontAllocator::allocate_sparse(const FastVcRequest* req,
+                                           std::size_t n,
+                                           std::vector<int>& grant) {
+  if (reference_path()) {
+    with_dense_requests(req, n, [&](const std::vector<VcRequest>& dense) {
+      allocate_ref(dense, grant);
+    });
+    return;
+  }
+  NOCALLOC_DCHECK(grant.size() == total());
   const std::size_t v_count = vcs();
   const std::size_t span =
       sparse_ ? partition_.resource_classes() * partition_.vcs_per_class()
@@ -63,13 +69,6 @@ void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,
       grant[p * v_count + v] = static_cast<int>(out_port * v_count + out_vc);
     });
   }
-}
-
-void VcWavefrontAllocator::allocate(const std::vector<VcRequest>& req,
-                                    std::vector<int>& grant) {
-  if (allocate_packed(req, grant)) return;
-  prepare(req, grant);
-  allocate_ref(req, grant);
 }
 
 void VcWavefrontAllocator::allocate_ref(const std::vector<VcRequest>& req,

@@ -22,12 +22,15 @@ class VcWavefrontAllocator final : public VcAllocator {
   VcWavefrontAllocator(std::size_t ports, const VcPartition& partition,
                        bool sparse);
 
-  /// True when the single-word kernel is available: the per-request
-  /// candidate mask must fit one lane word.
-  bool fast_ready() const override { return vcs() <= bits::kWordBits; }
-
-  void allocate(const std::vector<VcRequest>& req,
-                std::vector<int>& grant) override;
+  /// Sparse single-call kernel: each candidate is requested as a (row,
+  /// column) cell of its message class's block, then every core runs one
+  /// WavefrontAllocator::grant_requested -- exactly once per call, so all
+  /// diagonals rotate as one allocate_ref() would. See
+  /// VcAllocator::allocate_sparse for the contract.
+  /// With reference_path() set, runs allocate_ref() on the dense expansion
+  /// of the same requests instead.
+  void allocate_sparse(const FastVcRequest* req, std::size_t n,
+                       std::vector<int>& grant) override;
   void reset() override;
   /// Every core advances its diagonal once per allocate() call (all blocks
   /// run each cycle), so skipped cycles advance every core equally.
@@ -44,14 +47,6 @@ class VcWavefrontAllocator final : public VcAllocator {
   bool sparse() const { return sparse_; }
 
  private:
-  /// Sparse single-call kernel: each candidate is requested as a (row,
-  /// column) cell of its message class's block, then every core runs one
-  /// WavefrontAllocator::grant_requested -- exactly once per call, so all
-  /// diagonals rotate as one allocate_ref() would. See
-  /// VcAllocator::allocate_sparse for the contract.
-  void allocate_fast(const FastVcRequest* req, std::size_t n,
-                     std::vector<int>& grant) override;
-
   /// The oracle: builds each core's block request matrix, matches it with
   /// the byte-loop WavefrontAllocator::allocate_from_diagonal from the
   /// core's diagonal, then rotates that diagonal once.

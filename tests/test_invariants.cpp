@@ -51,10 +51,9 @@ NetworkConfig base_config(double request_rate) {
 class BrokenVcAllocator : public VcAllocator {
  public:
   using VcAllocator::VcAllocator;
-  void allocate(const std::vector<VcRequest>& req,
-                std::vector<int>& grant) override {
-    grant.assign(req.size(), -1);
-    grant[0] = 0;
+  void allocate_sparse(const FastVcRequest*, std::size_t,
+                       std::vector<int>& grant) override {
+    grant[0] = 0;  // every other entry stays -1
   }
   void reset() override {}
 };
@@ -63,10 +62,8 @@ class BrokenVcAllocator : public VcAllocator {
 class StarvingVcAllocator : public VcAllocator {
  public:
   using VcAllocator::VcAllocator;
-  void allocate(const std::vector<VcRequest>& req,
-                std::vector<int>& grant) override {
-    grant.assign(req.size(), -1);
-  }
+  void allocate_sparse(const FastVcRequest*, std::size_t,
+                       std::vector<int>&) override {}  // every entry stays -1
   void reset() override {}
 };
 
@@ -74,9 +71,8 @@ class StarvingVcAllocator : public VcAllocator {
 class BrokenSwitchAllocator : public SwitchAllocator {
  public:
   using SwitchAllocator::SwitchAllocator;
-  void allocate(const std::vector<SwitchRequest>& req,
-                std::vector<SwitchGrant>& grant) override {
-    (void)req;
+  void allocate_sparse(const bits::Word*, const std::uint8_t*,
+                       std::vector<SwitchGrant>& grant) override {
     grant.assign(ports(), SwitchGrant{});
     grant[0] = SwitchGrant{0, 0};
   }

@@ -8,8 +8,8 @@
 // a twin instance running the byte-loop reference path
 // (set_reference_path(true)) on the same request stream. The allocator-level
 // tests sweep all 145 paper design points (src/lint/design_points.hpp)
-// across multiple seeds and request densities, plus shapes too wide for one
-// word, where the dense API falls back to the reference.
+// across multiple seeds and request densities. Shapes too wide for one word
+// have no kernel and no fallback: every family's constructor rejects them.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -83,13 +83,11 @@ std::vector<SwitchRequest> random_sa_requests(std::size_t ports,
 
 // Runs twin non-speculative allocators -- one on its kernel, one on the
 // reference path -- on an identical request stream and requires identical
-// grants. `kernel` states whether the first twin's dense allocate() runs
-// the kernel (fast_ready()) or falls back to the reference itself.
+// grants.
 void diff_sa(const SwitchAllocatorConfig& cfg, const std::string& name,
-             bool kernel, std::uint64_t seed, int cycles) {
+             std::uint64_t seed, int cycles) {
   auto fast = make_switch_allocator(cfg);
   auto ref = make_switch_allocator(cfg);
-  ASSERT_EQ(fast->fast_ready(), kernel) << name;
   ref->set_reference_path(true);
   Rng rng(seed);
   std::vector<SwitchGrant> fast_gnt, ref_gnt;
@@ -114,8 +112,6 @@ void diff_spec_point(const hw::SaDesignPoint& p, std::uint64_t seed,
                                   p.cfg.arb};
   SpeculativeSwitchAllocator fast(cfg, p.cfg.spec);
   SpeculativeSwitchAllocator ref(cfg, p.cfg.spec);
-  ASSERT_EQ(fast.fast_ready(), p.cfg.kind != AllocatorKind::kMaximumSize)
-      << p.name;
   ref.set_reference_path(true);
   Rng rng(seed);
   std::vector<SpecSwitchGrant> fast_gnt, ref_gnt;
@@ -141,14 +137,14 @@ void diff_spec_point(const hw::SaDesignPoint& p, std::uint64_t seed,
   }
 }
 
-// Every non-maximum-size point must run its kernel, so the differential
-// never silently compares the reference with itself.
+// Maximum-size points have no reference switch, so their twins run the same
+// code; every other family compares its kernel with its byte-loop oracle.
 TEST(KernelVsReference, AllSaDesignPointsMatchThroughDenseApi) {
   for (const hw::SaDesignPoint& p : hw::paper_sa_design_points()) {
     for (std::uint64_t seed : {1u, 42u, 9001u}) {
       if (p.cfg.spec == SpecMode::kNonSpeculative) {
-        diff_sa({p.cfg.ports, p.cfg.vcs, p.cfg.kind, p.cfg.arb}, p.name,
-                p.cfg.kind != AllocatorKind::kMaximumSize, seed, 60);
+        diff_sa({p.cfg.ports, p.cfg.vcs, p.cfg.kind, p.cfg.arb}, p.name, seed,
+                60);
       } else {
         diff_spec_point(p, seed, 60);
       }
@@ -182,13 +178,12 @@ std::vector<VcRequest> random_vc_requests(std::size_t ports,
   return req;
 }
 
-// VC twin of diff_sa: one allocator on its kernel (or, when `kernel` is
-// false, falling back by itself), one on the reference path.
+// VC twin of diff_sa: one allocator on its kernel, one on the reference
+// path.
 void diff_vc(const VcAllocatorConfig& cfg, const std::string& name,
-             bool kernel, int cycles) {
+             int cycles) {
   auto fast = make_vc_allocator(cfg);
   auto ref = make_vc_allocator(cfg);
-  ASSERT_EQ(fast->fast_ready(), kernel) << name;
   ref->set_reference_path(true);
   for (std::uint64_t seed : {3u, 77u, 4242u}) {
     Rng rng(seed);
@@ -212,19 +207,19 @@ TEST(KernelVsReference, AllVcDesignPointsMatchThroughDenseApi) {
     cfg.kind = p.cfg.kind;
     cfg.arb = p.cfg.arb;
     cfg.sparse = p.cfg.sparse;
-    diff_vc(cfg, p.name, p.cfg.kind != AllocatorKind::kMaximumSize, 60);
+    diff_vc(cfg, p.name, 60);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-constexpr AllocatorKind kKernelFamilies[] = {
+constexpr AllocatorKind kAllFamilies[] = {
     AllocatorKind::kSeparableInputFirst, AllocatorKind::kSeparableOutputFirst,
-    AllocatorKind::kWavefront};
+    AllocatorKind::kWavefront, AllocatorKind::kMaximumSize};
 
-// V = 80 candidate masks do not fit one word: dense allocate() must fall
-// back to the reference and still match a reference twin.
-TEST(KernelVsReference, WideVcFallsBackToReference) {
-  for (AllocatorKind kind : kKernelFamilies) {
+// V = 80 candidate masks do not fit one word: every family's constructor
+// aborts naming the shape and the limit, dense and sparse wavefront alike.
+TEST(KernelVsReferenceDeathTest, WideVcShapeIsRejected) {
+  for (AllocatorKind kind : kAllFamilies) {
     for (bool sparse : {false, true}) {
       VcAllocatorConfig cfg;
       cfg.ports = 5;
@@ -232,18 +227,23 @@ TEST(KernelVsReference, WideVcFallsBackToReference) {
       cfg.kind = kind;
       cfg.sparse = sparse;
       ASSERT_EQ(cfg.partition.total_vcs(), 80u);
-      diff_vc(cfg, "V80 " + to_string(kind), false, 20);
-      if (::testing::Test::HasFatalFailure()) return;
+      EXPECT_DEATH(make_vc_allocator(cfg),
+                   "VC allocator with P = 5 ports and V = 80 VCs per port "
+                   "exceeds the one-word limit")
+          << to_string(kind) << (sparse ? " sparse" : " dense");
     }
   }
 }
 
-// P = 65 ports do not fit one word: same fallback for switch allocation.
-TEST(KernelVsReference, WideSwitchFallsBackToReference) {
-  for (AllocatorKind kind : kKernelFamilies) {
+// P = 65 ports do not fit one word: the same rejection for switch
+// allocation.
+TEST(KernelVsReferenceDeathTest, WideSwitchShapeIsRejected) {
+  for (AllocatorKind kind : kAllFamilies) {
     for (ArbiterKind arb : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
-      diff_sa({65, 2, kind, arb}, "P65 " + to_string(kind), false, 7, 30);
-      if (::testing::Test::HasFatalFailure()) return;
+      EXPECT_DEATH(make_switch_allocator({65, 2, kind, arb}),
+                   "switch allocator with P = 65 ports and V = 2 VCs per port "
+                   "exceeds the one-word limit")
+          << to_string(kind) << " " << to_string(arb);
     }
   }
 }

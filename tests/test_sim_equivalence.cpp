@@ -296,50 +296,6 @@ TEST(SimEquivalence, WarmSnapshotForksFromOracleOntoKernels) {
   }
 }
 
-TEST(SimEquivalence, EveryFamilyButMaximumSizeRunsAKernel) {
-  // A family that silently dropped to the adapter would still be
-  // bit-identical but void the performance contract; pin which allocators
-  // run a single-word kernel.
-  struct Family {
-    AllocatorKind kind;
-    ArbiterKind arb;
-    bool kernel;
-  };
-  const Family families[] = {
-      {AllocatorKind::kSeparableInputFirst, ArbiterKind::kRoundRobin, true},
-      {AllocatorKind::kSeparableInputFirst, ArbiterKind::kMatrix, true},
-      {AllocatorKind::kSeparableOutputFirst, ArbiterKind::kRoundRobin, true},
-      {AllocatorKind::kSeparableOutputFirst, ArbiterKind::kMatrix, true},
-      {AllocatorKind::kWavefront, ArbiterKind::kRoundRobin, true},
-      {AllocatorKind::kMaximumSize, ArbiterKind::kRoundRobin, false},
-  };
-  for (const Family& f : families) {
-    for (const SpecMode spec :
-         {SpecMode::kNonSpeculative, SpecMode::kPessimistic}) {
-      SCOPED_TRACE(to_string(f.kind) + " arb=" + to_string(f.arb) +
-                   " spec=" + to_string(spec));
-      SimConfig cfg;
-      cfg.topology = TopologyKind::kTorus8x8;
-      cfg.vcs_per_class = 8;  // V = 64, the widest one-word shape
-      cfg.vc_alloc = f.kind;
-      cfg.sw_alloc = f.kind;
-      cfg.vc_arb = f.arb;
-      cfg.sw_arb = f.arb;
-      cfg.spec = spec;
-      SimInstance sim(cfg);
-      const Router& router = sim.network().router(0);
-      EXPECT_EQ(router.vc_allocator().fast_ready(), f.kernel);
-      if (spec == SpecMode::kNonSpeculative) {
-        ASSERT_NE(router.switch_allocator(), nullptr);
-        EXPECT_EQ(router.switch_allocator()->fast_ready(), f.kernel);
-      } else {
-        ASSERT_NE(router.speculative_allocator(), nullptr);
-        EXPECT_EQ(router.speculative_allocator()->fast_ready(), f.kernel);
-      }
-    }
-  }
-}
-
 TEST(SimEquivalence, WorkProportionalityCountersArePlausible) {
   // Low load on the mesh: a large fraction of router-steps must be skipped
   // as quiescent, and the arena high-water mark stays far below the packet

@@ -241,8 +241,9 @@ TEST(VcWavefrontAllocator, QualityIsAlwaysMaximumForClassRequests) {
   }
 }
 
-// Malformed dense requests abort on both paths: the kernel path validates
-// them while packing, the byte-loop reference path in prepare().
+// Malformed dense requests abort on both paths: dense allocate() validates
+// them in the one pass that packs them for the kernel and the reference
+// alike.
 TEST(VcAllocatorDeathTest, MalformedRequestsAbortOnBothPaths) {
   const std::size_t ports = 5;
   const VcPartition part = VcPartition::fbfly(2, 2);
@@ -260,8 +261,6 @@ TEST(VcAllocatorDeathTest, MalformedRequestsAbortOnBothPaths) {
       alloc->set_reference_path(ref);
       const std::string where =
           to_string(kind) + (ref ? " reference" : " kernel");
-      ASSERT_EQ(alloc->fast_ready(), kind != AllocatorKind::kMaximumSize)
-          << where;
       std::vector<VcRequest> good(ports * vcs);
       good[3] = {true, 1, ReqVector(vcs, 1)};
       std::vector<int> grant;
