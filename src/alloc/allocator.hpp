@@ -50,12 +50,11 @@ class Allocator {
     static_cast<void>(cycles);
   }
 
-  /// Serializes / restores the priority state for warm snapshot/restore.
-  /// Defaults are no-ops for stateless architectures (maximum-size); every
-  /// stateful architecture overrides both. load_state must consume bytes an
+  /// Saves or loads the priority state for warm snapshot/restore. The
+  /// default is a no-op for stateless architectures (maximum-size); every
+  /// stateful architecture overrides it. A load must read bytes an
   /// identically configured allocator saved.
-  virtual void save_state(StateWriter& w) const { static_cast<void>(w); }
-  virtual void load_state(StateReader& r) { static_cast<void>(r); }
+  virtual void state(StateArchive& ar) { static_cast<void>(ar); }
 
  protected:
   /// Validates the request matrix shape and clears the grant matrix.

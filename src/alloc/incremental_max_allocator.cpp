@@ -27,16 +27,11 @@ void IncrementalMaxAllocator::advance_priority(std::uint64_t cycles) {
   next_start_ = static_cast<std::size_t>((next_start_ + cycles) % inputs());
 }
 
-void IncrementalMaxAllocator::save_state(StateWriter& w) const {
-  w.pod_array(match_in_.data(), match_in_.size());
-  w.pod_array(match_out_.data(), match_out_.size());
-  w.u64(next_start_);
-}
-
-void IncrementalMaxAllocator::load_state(StateReader& r) {
-  r.pod_array(match_in_.data(), match_in_.size());
-  r.pod_array(match_out_.data(), match_out_.size());
-  next_start_ = static_cast<std::size_t>(r.u64());
+void IncrementalMaxAllocator::state(StateArchive& ar) {
+  ar.pod_array(match_in_.data(), match_in_.size());
+  ar.pod_array(match_out_.data(), match_out_.size());
+  ar.u64(next_start_);
+  if (ar.saving()) return;
   for (const int j : match_in_)
     NOCALLOC_CHECK(j >= -1 && j < static_cast<int>(outputs()));
   for (const int i : match_out_)

@@ -27,8 +27,7 @@ class IncrementalMaxAllocator final : public Allocator {
   void reset() override;
   void advance_priority(std::uint64_t cycles) override;
   /// Saves / restores the carried matching and the rotating start input.
-  void save_state(StateWriter& w) const override;
-  void load_state(StateReader& r) override;
+  void state(StateArchive& ar) override;
 
   std::size_t steps_per_cycle() const { return steps_; }
 

@@ -26,8 +26,7 @@ class MultiIterationAllocator final : public Allocator {
   void advance_priority(std::uint64_t cycles) override {
     inner_->advance_priority(cycles);
   }
-  void save_state(StateWriter& w) const override { inner_->save_state(w); }
-  void load_state(StateReader& r) override { inner_->load_state(r); }
+  void state(StateArchive& ar) override { inner_->state(ar); }
 
   std::size_t iterations() const { return iterations_; }
 

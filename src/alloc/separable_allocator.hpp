@@ -23,13 +23,9 @@ class SeparableInputFirstAllocator final : public Allocator {
 
   void allocate(const BitMatrix& req, BitMatrix& gnt) override;
   void reset() override;
-  void save_state(StateWriter& w) const override {
-    for (const auto& a : input_arb_) a->save_state(w);
-    for (const auto& a : output_arb_) a->save_state(w);
-  }
-  void load_state(StateReader& r) override {
-    for (auto& a : input_arb_) a->load_state(r);
-    for (auto& a : output_arb_) a->load_state(r);
+  void state(StateArchive& ar) override {
+    for (const auto& a : input_arb_) a->state(ar);
+    for (const auto& a : output_arb_) a->state(ar);
   }
 
  private:
@@ -46,13 +42,9 @@ class SeparableOutputFirstAllocator final : public Allocator {
 
   void allocate(const BitMatrix& req, BitMatrix& gnt) override;
   void reset() override;
-  void save_state(StateWriter& w) const override {
-    for (const auto& a : output_arb_) a->save_state(w);
-    for (const auto& a : input_arb_) a->save_state(w);
-  }
-  void load_state(StateReader& r) override {
-    for (auto& a : output_arb_) a->load_state(r);
-    for (auto& a : input_arb_) a->load_state(r);
+  void state(StateArchive& ar) override {
+    for (const auto& a : output_arb_) a->state(ar);
+    for (const auto& a : input_arb_) a->state(ar);
   }
 
  private:

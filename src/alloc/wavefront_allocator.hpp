@@ -42,10 +42,9 @@ class WavefrontAllocator final : public Allocator {
   void advance_priority(std::uint64_t cycles) override {
     diagonal_ = (diagonal_ + cycles) % n_;
   }
-  void save_state(StateWriter& w) const override { w.u64(diagonal_); }
-  void load_state(StateReader& r) override {
-    diagonal_ = static_cast<std::size_t>(r.u64());
-    NOCALLOC_CHECK(diagonal_ < n_);
+  void state(StateArchive& ar) override {
+    ar.u64(diagonal_);
+    if (ar.loading()) NOCALLOC_CHECK(diagonal_ < n_);
   }
 
   /// Currently active starting diagonal (exposed for tests).

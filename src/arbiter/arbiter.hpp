@@ -46,10 +46,9 @@ class Arbiter {
   /// Resets priority state to the post-construction value.
   virtual void reset() = 0;
 
-  /// Serializes the priority state for warm snapshot/restore. load_state
-  /// must consume bytes produced by an identically configured arbiter.
-  virtual void save_state(StateWriter& w) const = 0;
-  virtual void load_state(StateReader& r) = 0;
+  /// Saves or loads the priority state for warm snapshot/restore; a load
+  /// must read bytes an identically configured arbiter saved.
+  virtual void state(StateArchive& ar) = 0;
 };
 
 /// Arbiter architectures evaluated in the paper (suffixes /rr and /m).

@@ -19,13 +19,9 @@ class MatrixArbiter final : public Arbiter {
   int pick(const ReqVector& req) const override;
   void update(int winner) override;
   void reset() override;
-  void save_state(StateWriter& w) const override {
-    w.u64(prio_.size());
-    w.pod_array(prio_.data(), prio_.size());
-  }
-  void load_state(StateReader& r) override {
-    NOCALLOC_CHECK(r.u64() == prio_.size());
-    r.pod_array(prio_.data(), prio_.size());
+  void state(StateArchive& ar) override {
+    ar.count(prio_.size());
+    ar.pod_array(prio_.data(), prio_.size());
   }
 
   /// Priority relation (exposed for tests): true if i beats j.

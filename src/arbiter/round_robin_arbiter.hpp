@@ -17,10 +17,9 @@ class RoundRobinArbiter final : public Arbiter {
   int pick(const ReqVector& req) const override;
   void update(int winner) override;
   void reset() override { pointer_ = 0; }
-  void save_state(StateWriter& w) const override { w.u64(pointer_); }
-  void load_state(StateReader& r) override {
-    pointer_ = static_cast<std::size_t>(r.u64());
-    NOCALLOC_CHECK(pointer_ <= size_);
+  void state(StateArchive& ar) override {
+    ar.u64(pointer_);
+    if (ar.loading()) NOCALLOC_CHECK(pointer_ <= size_);
   }
 
   /// Current priority pointer (exposed for tests and the allocators'

@@ -25,13 +25,9 @@ class TreeArbiter final : public Arbiter {
   int pick(const ReqVector& req) const override;
   void update(int winner) override;
   void reset() override;
-  void save_state(StateWriter& w) const override {
-    top_->save_state(w);
-    for (const auto& local : local_) local->save_state(w);
-  }
-  void load_state(StateReader& r) override {
-    top_->load_state(r);
-    for (auto& local : local_) local->load_state(r);
+  void state(StateArchive& ar) override {
+    top_->state(ar);
+    for (const auto& local : local_) local->state(ar);
   }
 
   std::size_t groups() const { return groups_; }

@@ -21,6 +21,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/snapshot.hpp"
 
 namespace nocalloc {
 
@@ -78,6 +79,12 @@ class FixedRing {
   /// Visits every element, oldest first, without consuming it.
   template <typename F>
   void for_each(F&& visit) const {
+    for (std::size_t i = 0; i < size_; ++i) {
+      visit(std::as_const(slots_[index(i)]));
+    }
+  }
+  template <typename F>
+  void for_each(F&& visit) {
     for (std::size_t i = 0; i < size_; ++i) visit(slots_[index(i)]);
   }
 
@@ -146,6 +153,12 @@ class GrowRing {
 
   template <typename F>
   void for_each(F&& visit) const {
+    for (std::size_t i = 0; i < size_; ++i) {
+      visit(std::as_const(slots_[index(i)]));
+    }
+  }
+  template <typename F>
+  void for_each(F&& visit) {
     for (std::size_t i = 0; i < size_; ++i) visit(slots_[index(i)]);
   }
 
@@ -171,5 +184,28 @@ class GrowRing {
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };
+
+/// Saves or loads a ring's element count, then each element oldest first
+/// through `item(element&)`. A loading archive refills the ring with that
+/// many default elements -- aborting when they exceed its capacity -- and
+/// loads each one in place. A GrowRing lists its grown capacity first,
+/// restored through reserve() so the post-restore steady state allocates
+/// nothing; a FixedRing's capacity is configuration, not state.
+template <typename Ring, typename F>
+void ring_state(StateArchive& ar, Ring& ring, F&& item) {
+  if constexpr (requires { ring.reserve(std::size_t{0}); }) {
+    std::uint64_t capacity = ring.capacity();
+    ar.u64(capacity);
+    if (ar.loading()) ring.reserve(capacity);
+  }
+  std::uint64_t n = ring.size();
+  ar.u64(n);
+  if (ar.loading()) {
+    NOCALLOC_CHECK(n <= ring.capacity());
+    ring.clear();
+    for (std::uint64_t i = 0; i < n; ++i) ring.push_back({});
+  }
+  ring.for_each(item);
+}
 
 }  // namespace nocalloc

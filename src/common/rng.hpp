@@ -12,6 +12,8 @@
 #include <bit>
 #include <cstdint>
 
+#include "common/snapshot.hpp"
+
 namespace nocalloc {
 
 /// xoshiro256** generator with splitmix64 seeding.
@@ -68,15 +70,10 @@ class Rng {
   /// through splitmix64 decorrelates sibling streams.
   Rng split(std::uint64_t label);
 
-  /// Raw 256-bit state access for warm snapshot/restore: save_state copies
-  /// the state out, load_state resumes the stream exactly where the saved
-  /// generator left off.
-  void save_state(std::uint64_t out[4]) const {
-    for (int i = 0; i < 4; ++i) out[i] = s_[i];
-  }
-  void load_state(const std::uint64_t in[4]) {
-    for (int i = 0; i < 4; ++i) s_[i] = in[i];
-  }
+  /// Saves or loads the raw 256-bit state for warm snapshot/restore; a
+  /// loaded generator resumes the stream exactly where the saved one left
+  /// off.
+  void state(StateArchive& ar) { ar.pod_array(s_, 4); }
 
  private:
   std::uint64_t s_[4];

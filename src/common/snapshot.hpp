@@ -8,10 +8,18 @@
 // buffer so a warm state can be saved once per design point and forked per
 // load point (including across sweep-shard threads: the buffer is a value).
 //
+// Each stateful class lists its fields once, in one state(StateArchive&)
+// member: a saving archive appends each field to a buffer, a loading
+// archive overwrites each field from one, so the writer and the reader can
+// never disagree on the field order. Work that only a restore does --
+// bounds checks on what was read, rebuilding derived state -- sits in
+// `if (ar.loading())` blocks beside the fields it depends on; a saving
+// archive only ever reads the object it visits.
+//
 // The format is a canonical little-endian byte stream with no padding: every
 // value is written field by field, and pod()/pod_array() statically reject
 // types whose object representation contains padding bytes (those get
-// explicit save_state/load_state overloads next to their definitions, e.g.
+// field-wise state() overloads next to their definitions, e.g.
 // noc/types.hpp). Two consequences the rest of the system relies on:
 //
 //   * the stream is deterministic -- two structurally identical objects in
@@ -21,9 +29,10 @@
 //     is what lets sweep/snapshot_io write snapshots to disk and mmap them
 //     back from another process.
 //
-// Every writer section starts with a 32-bit tag that the reader verifies;
-// a tag mismatch (restoring into a differently-configured object) aborts
-// via NOCALLOC_CHECK instead of silently misinterpreting bytes.
+// Sections start with a 32-bit tag() and structure sizes go through
+// count(); a loading archive aborts via NOCALLOC_CHECK when either differs
+// (restoring into a differently-configured object), and on any read past
+// the end of its buffer, instead of silently misinterpreting bytes.
 #pragma once
 
 #include <bit>
@@ -37,8 +46,8 @@
 namespace nocalloc {
 
 // The persistent format is defined little-endian; on the (only supported)
-// little-endian hosts the in-memory copy IS the encoded form, so writers and
-// readers stay plain memcpys. A big-endian port would add byte swaps here.
+// little-endian hosts the in-memory copy IS the encoded form, so both
+// directions stay plain memcpys. A big-endian port would add byte swaps here.
 static_assert(std::endian::native == std::endian::little,
               "snapshot streams are defined little-endian");
 
@@ -46,92 +55,96 @@ static_assert(std::endian::native == std::endian::little,
 /// object representation is value bits (no padding), or the type is a
 /// floating-point scalar (whose representation is unique per value on
 /// IEEE-754 hosts even though the trait reports otherwise). Padded structs
-/// must provide field-wise save_state/load_state overloads instead.
+/// must provide field-wise state() overloads instead.
 template <typename T>
 inline constexpr bool kCanonicalPod =
     std::has_unique_object_representations_v<T> || std::is_floating_point_v<T>;
 
-class StateWriter {
+class StateArchive {
  public:
-  /// Appends to `out` (which is not cleared; callers compose sections).
-  explicit StateWriter(std::vector<std::uint8_t>& out) : out_(&out) {}
-
-  /// Writes a padding-free trivially copyable value verbatim.
-  template <typename T>
-  void pod(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    static_assert(kCanonicalPod<T>,
-                  "type has padding bytes; add field-wise save_state/"
-                  "load_state overloads instead of pod()");
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
-    out_->insert(out_->end(), bytes, bytes + sizeof(T));
+  /// A saving archive that appends to `out` (which is not cleared; callers
+  /// compose sections).
+  static StateArchive saving_to(std::vector<std::uint8_t>& out) {
+    return StateArchive(&out, nullptr, 0);
+  }
+  /// A loading archive over `size` bytes at `data`.
+  static StateArchive loading_from(const std::uint8_t* data,
+                                   std::size_t size) {
+    return StateArchive(nullptr, data, size);
+  }
+  static StateArchive loading_from(const std::vector<std::uint8_t>& bytes) {
+    return loading_from(bytes.data(), bytes.size());
   }
 
-  /// Writes `count` padding-free trivially copyable values verbatim (no
-  /// length prefix; pair with u64() when the count is dynamic).
-  template <typename T>
-  void pod_array(const T* values, std::size_t count) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    static_assert(kCanonicalPod<T>,
-                  "type has padding bytes; serialize element fields instead");
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(values);
-    out_->insert(out_->end(), bytes, bytes + count * sizeof(T));
-  }
+  bool saving() const { return out_ != nullptr; }
+  bool loading() const { return out_ == nullptr; }
 
-  void u64(std::uint64_t value) { pod(value); }
-
-  /// Section marker; the matching StateReader::tag() call must see the same
-  /// value, which pins writer and reader to the same object structure.
-  void tag(std::uint32_t value) { pod(value); }
-
- private:
-  std::vector<std::uint8_t>* out_;
-};
-
-class StateReader {
- public:
-  StateReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-  explicit StateReader(const std::vector<std::uint8_t>& bytes)
-      : StateReader(bytes.data(), bytes.size()) {}
-
+  /// Saves or loads a padding-free trivially copyable value verbatim.
   template <typename T>
   void pod(T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    static_assert(kCanonicalPod<T>,
-                  "type has padding bytes; add field-wise save_state/"
-                  "load_state overloads instead of pod()");
-    NOCALLOC_CHECK(pos_ + sizeof(T) <= size_);
-    std::memcpy(&value, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
+    if (saving()) {
+      // Append from a local copy: a source that cannot alias the buffer
+      // lets the append compile to a plain store.
+      T copy = value;
+      pod_array(&copy, 1);
+    } else {
+      pod_array(&value, 1);
+    }
   }
 
+  /// Saves or loads `count` padding-free trivially copyable values verbatim
+  /// (no length prefix; list the count first when it is dynamic).
   template <typename T>
   void pod_array(T* values, std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(kCanonicalPod<T>,
-                  "type has padding bytes; deserialize element fields instead");
-    NOCALLOC_CHECK(pos_ + count * sizeof(T) <= size_);
-    std::memcpy(values, data_ + pos_, count * sizeof(T));
-    pos_ += count * sizeof(T);
+                  "type has padding bytes; add a field-wise state() "
+                  "overload instead of pod()");
+    const std::size_t n = count * sizeof(T);
+    if (saving()) {
+      const auto* bytes = reinterpret_cast<const std::uint8_t*>(values);
+      out_->insert(out_->end(), bytes, bytes + n);
+    } else {
+      NOCALLOC_CHECK(n <= remaining());
+      std::memcpy(values, data_ + pos_, n);
+      pos_ += n;
+    }
   }
 
-  std::uint64_t u64() {
-    std::uint64_t value = 0;
+  /// Saves or loads a 64-bit unsigned integer (counters, cycles, sizes).
+  /// A size_t field compiles only where it is 64 bits wide, so the stream
+  /// never depends on the host's word size.
+  template <typename T>
+  void u64(T& value) {
+    static_assert(std::is_unsigned_v<T> && sizeof(T) == 8);
     pod(value);
-    return value;
   }
 
-  /// Consumes a section marker and aborts on mismatch.
-  void tag(std::uint32_t expected) {
-    std::uint32_t value = 0;
-    pod(value);
-    NOCALLOC_CHECK(value == expected);
+  /// Section marker: saved as is; a loading archive aborts unless it reads
+  /// the same value, which pins both directions to the same structure.
+  void tag(std::uint32_t value) {
+    std::uint32_t stored = value;
+    pod(stored);
+    NOCALLOC_CHECK(stored == value);
   }
 
+  /// A structure size fixed by the configuration (routers, credit slots,
+  /// matrix cells): saved as a u64, checked on load like tag().
+  void count(std::uint64_t value) {
+    std::uint64_t stored = value;
+    pod(stored);
+    NOCALLOC_CHECK(stored == value);
+  }
+
+  /// Bytes a loading archive has not consumed yet.
   std::size_t remaining() const { return size_ - pos_; }
 
  private:
+  StateArchive(std::vector<std::uint8_t>* out, const std::uint8_t* data,
+               std::size_t size)
+      : out_(out), data_(data), size_(size) {}
+
+  std::vector<std::uint8_t>* out_;
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;

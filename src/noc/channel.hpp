@@ -98,30 +98,16 @@ class Channel {
     pipe_.for_each([&](const Slot& slot) { visit(slot.item); });
   }
 
-  /// Serializes the in-flight slots (absolute send cycles included; the
+  /// Saves or loads the in-flight slots (absolute send cycles included; the
   /// network restores now_ alongside, so arrival arithmetic is unchanged)
-  /// plus the ring's grown capacity, restored via reserve() so the
-  /// post-restore steady state allocates nothing. Slots are written field
+  /// plus the ring's grown capacity (see ring_state). Slots are listed field
   /// by field -- the item codec is resolved per payload type (noc::Flit,
   /// noc::Credit), keeping the stream free of struct padding.
-  void save_state(StateWriter& w) const {
-    w.u64(pipe_.capacity());
-    w.u64(pipe_.size());
-    pipe_.for_each([&](const Slot& slot) {
-      w.u64(slot.sent);
-      noc::save_state(w, slot.item);
+  void state(StateArchive& ar) {
+    ring_state(ar, pipe_, [&](Slot& slot) {
+      ar.u64(slot.sent);
+      noc::state(ar, slot.item);
     });
-  }
-  void load_state(StateReader& r) {
-    pipe_.clear();
-    pipe_.reserve(static_cast<std::size_t>(r.u64()));
-    const std::size_t n = static_cast<std::size_t>(r.u64());
-    for (std::size_t i = 0; i < n; ++i) {
-      Slot slot;
-      slot.sent = r.u64();
-      noc::load_state(r, slot.item);
-      pipe_.push_back(slot);
-    }
   }
 
  private:

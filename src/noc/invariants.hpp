@@ -146,21 +146,15 @@ class InvariantChecker {
   std::uint64_t checks_run() const { return checks_; }
   std::uint64_t violations_seen() const { return violations_; }
 
-  /// Serializes / restores the checker's counters and deadlock-watchdog
-  /// state so a restored run's checker output is bit-identical to an
-  /// uninterrupted one (config and handler are not state; the restoring
-  /// checker keeps its own).
-  void save_state(StateWriter& w) const {
-    w.u64(checks_);
-    w.u64(violations_);
-    w.u64(last_progress_cycle_);
-    w.u64(last_progress_signature_);
-  }
-  void load_state(StateReader& r) {
-    checks_ = r.u64();
-    violations_ = r.u64();
-    last_progress_cycle_ = r.u64();
-    last_progress_signature_ = r.u64();
+  /// Saves or loads the checker's counters and deadlock-watchdog state so a
+  /// restored run's checker output is bit-identical to an uninterrupted one
+  /// (config and handler are not state; the restoring checker keeps its
+  /// own).
+  void state(StateArchive& ar) {
+    ar.u64(checks_);
+    ar.u64(violations_);
+    ar.u64(last_progress_cycle_);
+    ar.u64(last_progress_signature_);
   }
 
  private:

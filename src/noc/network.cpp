@@ -23,21 +23,13 @@ std::vector<bits::Word> all_active(std::size_t n) {
 // Snapshots store one flag byte per consumer, so the stream -- and the
 // persisted snapshots and fingerprints built on it -- does not depend on how
 // the active sets are packed in memory.
-void save_active(StateWriter& w, const std::vector<bits::Word>& words,
-                 std::size_t n) {
+void active_state(StateArchive& ar, std::vector<bits::Word>& words,
+                  std::size_t n) {
+  if (ar.loading()) std::fill(words.begin(), words.end(), bits::Word{0});
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t flag = bits::test(words.data(), i);
-    w.pod(flag);
-  }
-}
-
-void load_active(StateReader& r, std::vector<bits::Word>& words,
-                 std::size_t n) {
-  std::fill(words.begin(), words.end(), bits::Word{0});
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint8_t flag = 0;
-    r.pod(flag);
-    if (flag != 0) words[bits::word_of(i)] |= bits::bit(i);
+    std::uint8_t flag = bits::test(words.data(), i);
+    ar.pod(flag);
+    if (ar.loading() && flag != 0) words[bits::word_of(i)] |= bits::bit(i);
   }
 }
 
@@ -241,54 +233,39 @@ void Network::reserve_steady_state(double rate, std::size_t cycles) {
 
 void Network::snapshot(NetworkSnapshot& out) const {
   out.bytes.clear();
-  StateWriter w(out.bytes);
-
-  // Structure fingerprint: restoring into a differently shaped network is a
-  // setup error and aborts at the reader's tag/size checks.
-  w.tag(0x4E0C5AFEu);
-  w.u64(routers_.size());
-  w.u64(terminals_.size());
-  w.u64(flit_channels_.size());
-  w.u64(credit_channels_.size());
-
-  w.u64(now_);
-  w.u64(next_packet_id_);
-  w.pod(perf_);
-  save_active(w, router_active_, routers_.size());
-  save_active(w, terminal_active_, terminals_.size());
-
-  arena_.save_state(w);
-  routing_->save_state(w);
-  for (const auto& r : routers_) r->save_state(w);
-  for (const auto& term : terminals_) term->save_state(w);
-  for (const auto& ch : flit_channels_) ch->save_state(w);
-  for (const auto& ch : credit_channels_) ch->save_state(w);
-  w.tag(0x4E0C5AFFu);
+  StateArchive ar = StateArchive::saving_to(out.bytes);
+  // A saving archive only reads the state it visits.
+  const_cast<Network*>(this)->state(ar);
 }
 
 void Network::restore(const NetworkSnapshot& snap) {
-  StateReader r(snap.bytes);
+  StateArchive ar = StateArchive::loading_from(snap.bytes);
+  state(ar);
+  NOCALLOC_CHECK(ar.remaining() == 0);
+}
 
-  r.tag(0x4E0C5AFEu);
-  NOCALLOC_CHECK(r.u64() == routers_.size());
-  NOCALLOC_CHECK(r.u64() == terminals_.size());
-  NOCALLOC_CHECK(r.u64() == flit_channels_.size());
-  NOCALLOC_CHECK(r.u64() == credit_channels_.size());
+void Network::state(StateArchive& ar) {
+  // Structure fingerprint: restoring into a differently shaped network is a
+  // setup error and aborts at the tag and count checks.
+  ar.tag(0x4E0C5AFEu);
+  ar.count(routers_.size());
+  ar.count(terminals_.size());
+  ar.count(flit_channels_.size());
+  ar.count(credit_channels_.size());
 
-  now_ = r.u64();
-  next_packet_id_ = r.u64();
-  r.pod(perf_);
-  load_active(r, router_active_, routers_.size());
-  load_active(r, terminal_active_, terminals_.size());
+  ar.u64(now_);
+  ar.u64(next_packet_id_);
+  ar.pod(perf_);
+  active_state(ar, router_active_, routers_.size());
+  active_state(ar, terminal_active_, terminals_.size());
 
-  arena_.load_state(r);
-  routing_->load_state(r);
-  for (auto& rt : routers_) rt->load_state(r);
-  for (auto& term : terminals_) term->load_state(r);
-  for (auto& ch : flit_channels_) ch->load_state(r);
-  for (auto& ch : credit_channels_) ch->load_state(r);
-  r.tag(0x4E0C5AFFu);
-  NOCALLOC_CHECK(r.remaining() == 0);
+  arena_.state(ar);
+  routing_->state(ar);
+  for (const auto& r : routers_) r->state(ar);
+  for (const auto& term : terminals_) term->state(ar);
+  for (const auto& ch : flit_channels_) ch->state(ar);
+  for (const auto& ch : credit_channels_) ch->state(ar);
+  ar.tag(0x4E0C5AFFu);
 }
 
 }  // namespace nocalloc::noc

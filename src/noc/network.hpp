@@ -139,6 +139,9 @@ class Network final : public CongestionOracle {
  private:
   friend class InvariantChecker;  // walks wiring records for conservation
 
+  /// The one field list behind snapshot() and restore().
+  void state(StateArchive& ar);
+
   /// One inter-router link with the channels that realise it, kept so the
   /// invariant checker can audit the credit loop end to end.
   struct LinkWiring {

@@ -84,50 +84,46 @@ class PacketArena {
 
   std::size_t capacity() const { return chunks_.size() * kChunkSize; }
 
-  /// Serializes every slab slot by slot (Packet has padding, so the slabs
-  /// cannot be block-copied into the canonical stream) plus the free list,
-  /// so handle values embedded in snapshotted flits stay valid after
+  /// Saves or loads every slab slot by slot (Packet has padding, so the
+  /// slabs cannot be block-copied into the canonical stream) plus the free
+  /// list, so handle values embedded in snapshotted flits stay valid after
   /// restore.
-  void save_state(StateWriter& w) const {
-    w.u64(capacity());
-    for (const auto& chunk : chunks_) {
-      for (std::size_t i = 0; i < kChunkSize; ++i) {
-        noc::save_state(w, chunk[i]);
-      }
-    }
-    w.u64(free_.size());
-    w.pod_array(free_.data(), free_.size());
-    w.u64(live_);
-    w.u64(high_water_);
-  }
-
-  /// Restores into this arena, which may already be larger than the snapshot
+  ///
+  /// A load may land in an arena that is already larger than the snapshot
   /// (a reused shard). Capacity only ever grows to cover the snapshot; slots
   /// beyond the snapshot's capacity are placed at the FRONT of the free list
   /// in descending order, so pop_back yields them ascending -- exactly the
   /// order grow() would have produced them in an uninterrupted run once the
   /// saved free list drains.
-  void load_state(StateReader& r) {
-    const std::size_t snap_cap = static_cast<std::size_t>(r.u64());
-    NOCALLOC_CHECK(snap_cap % kChunkSize == 0);
-    while (capacity() < snap_cap) grow();
+  void state(StateArchive& ar) {
+    std::uint64_t snap_cap = capacity();
+    ar.u64(snap_cap);
+    if (ar.loading()) {
+      NOCALLOC_CHECK(snap_cap % kChunkSize == 0);
+      while (capacity() < snap_cap) grow();
+    }
     for (std::size_t c = 0; c < snap_cap / kChunkSize; ++c) {
       for (std::size_t i = 0; i < kChunkSize; ++i) {
-        noc::load_state(r, chunks_[c][i]);
+        noc::state(ar, chunks_[c][i]);
       }
     }
-    const std::size_t n_free = static_cast<std::size_t>(r.u64());
-    NOCALLOC_CHECK(n_free <= snap_cap);
-    free_.clear();
-    free_.reserve(capacity());
-    for (std::size_t h = capacity(); h-- > snap_cap;) {
-      free_.push_back(static_cast<PacketHandle>(h));
+    std::uint64_t n_free = free_.size();
+    ar.u64(n_free);
+    std::size_t extras = 0;
+    if (ar.loading()) {
+      NOCALLOC_CHECK(n_free <= snap_cap);
+      free_.clear();
+      free_.reserve(capacity());
+      for (std::size_t h = capacity(); h-- > snap_cap;) {
+        free_.push_back(static_cast<PacketHandle>(h));
+      }
+      extras = free_.size();
+      free_.resize(extras + n_free);
     }
-    const std::size_t extras = free_.size();
-    free_.resize(extras + n_free);
-    r.pod_array(free_.data() + extras, n_free);
-    live_ = static_cast<std::size_t>(r.u64());
-    high_water_ = static_cast<std::size_t>(r.u64());
+    ar.pod_array(free_.data() + extras, n_free);
+    ar.u64(live_);
+    ar.u64(high_water_);
+    if (ar.saving()) return;
     NOCALLOC_CHECK(live_ + n_free == snap_cap);
 #if NOCALLOC_DCHECK_ENABLED
     live_flag_.assign(capacity(), 1);

@@ -403,78 +403,49 @@ std::size_t Router::buffered_flits() const {
   return n;
 }
 
-void Router::save_state(StateWriter& w) const {
-  w.tag(0x40517E40u);
-  for (const InputVc& ivc : input_vcs_) {
-    w.u64(ivc.buffer.size());
-    ivc.buffer.for_each([&](const Flit& flit) { noc::save_state(w, flit); });
-    w.pod(ivc.state);
-    noc::save_state(w, ivc.route);
-    w.pod(ivc.out_vc);
-  }
-  for (const OutputVc& ovc : output_vcs_) {
-    w.pod(ovc.allocated);
-    w.u64(ovc.credits);
-  }
-  w.u64(next_alloc_cycle_);
-  w.pod(stats_);
-  vc_alloc_->save_state(w);
-  if (sw_alloc_ != nullptr) sw_alloc_->save_state(w);
-  if (spec_alloc_ != nullptr) spec_alloc_->save_state(w);
-}
-
-void Router::load_state(StateReader& r) {
-  r.tag(0x40517E40u);
-  // The occupancy masks are a pure function of the per-VC states; zero them
-  // and let set_vc_state() rebuild each bit.
-  std::fill(wait_mask_.begin(), wait_mask_.end(), bits::Word{0});
-  std::fill(active_mask_.begin(), active_mask_.end(), bits::Word{0});
+void Router::state(StateArchive& ar) {
+  ar.tag(0x40517E40u);
   for (std::size_t idx = 0; idx < input_vcs_.size(); ++idx) {
     InputVc& ivc = input_vcs_[idx];
-    ivc.buffer.clear();
-    const std::size_t n = static_cast<std::size_t>(r.u64());
-    NOCALLOC_CHECK(n <= ivc.buffer.capacity());
-    for (std::size_t i = 0; i < n; ++i) {
-      Flit flit;
-      noc::load_state(r, flit);
-      ivc.buffer.push_back(flit);
-    }
-    VcState state = VcState::kIdle;
-    r.pod(state);
-    set_vc_state(idx, state);
-    noc::load_state(r, ivc.route);
-    r.pod(ivc.out_vc);
+    ring_state(ar, ivc.buffer, [&](Flit& flit) { noc::state(ar, flit); });
+    ar.pod(ivc.state);
+    // The occupancy masks are a pure function of the per-VC states.
+    if (ar.loading()) set_vc_state(idx, ivc.state);
+    noc::state(ar, ivc.route);
+    ar.pod(ivc.out_vc);
   }
   for (OutputVc& ovc : output_vcs_) {
-    r.pod(ovc.allocated);
-    ovc.credits = static_cast<std::size_t>(r.u64());
-    NOCALLOC_CHECK(ovc.credits <= cfg_.buffer_depth);
+    ar.pod(ovc.allocated);
+    ar.u64(ovc.credits);
+    if (ar.loading()) NOCALLOC_CHECK(ovc.credits <= cfg_.buffer_depth);
   }
-  // Rebuild the derived per-port words from the restored OutputVc structs,
-  // and conservatively mark every attached port pending (the masks
-  // self-heal as receive() finds the channels empty).
-  for (std::size_t p = 0; p < cfg_.ports; ++p) {
-    bits::Word alloc = 0;
-    bits::Word credit = 0;
-    for (std::size_t v = 0; v < vcs_; ++v) {
-      const OutputVc& ovc = output_vc(p, v);
-      if (ovc.allocated) alloc |= bits::bit(v);
-      if (ovc.credits > 0) credit |= bits::bit(v);
+  if (ar.loading()) {
+    // Rebuild the derived per-port words from the restored OutputVc
+    // structs, and conservatively mark every attached port pending (the
+    // masks self-heal as receive() finds the channels empty).
+    for (std::size_t p = 0; p < cfg_.ports; ++p) {
+      bits::Word alloc = 0;
+      bits::Word credit = 0;
+      for (std::size_t v = 0; v < vcs_; ++v) {
+        const OutputVc& ovc = output_vc(p, v);
+        if (ovc.allocated) alloc |= bits::bit(v);
+        if (ovc.credits > 0) credit |= bits::bit(v);
+      }
+      out_alloc_words_[p] = alloc;
+      out_credit_words_[p] = credit;
     }
-    out_alloc_words_[p] = alloc;
-    out_credit_words_[p] = credit;
+    rx_flit_pending_ = 0;
+    rx_credit_pending_ = 0;
+    for (std::size_t p = 0; p < cfg_.ports; ++p) {
+      if (flits_in_[p] != nullptr) rx_flit_pending_ |= bits::bit(p);
+      if (credits_in_[p] != nullptr) rx_credit_pending_ |= bits::bit(p);
+    }
   }
-  rx_flit_pending_ = 0;
-  rx_credit_pending_ = 0;
-  for (std::size_t p = 0; p < cfg_.ports; ++p) {
-    if (flits_in_[p] != nullptr) rx_flit_pending_ |= bits::bit(p);
-    if (credits_in_[p] != nullptr) rx_credit_pending_ |= bits::bit(p);
-  }
-  next_alloc_cycle_ = r.u64();
-  r.pod(stats_);
-  vc_alloc_->load_state(r);
-  if (sw_alloc_ != nullptr) sw_alloc_->load_state(r);
-  if (spec_alloc_ != nullptr) spec_alloc_->load_state(r);
+  ar.u64(next_alloc_cycle_);
+  ar.pod(stats_);
+  vc_alloc_->state(ar);
+  if (sw_alloc_ != nullptr) sw_alloc_->state(ar);
+  if (spec_alloc_ != nullptr) spec_alloc_->state(ar);
 }
 
 }  // namespace nocalloc::noc

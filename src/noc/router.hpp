@@ -148,11 +148,10 @@ class Router {
     return spec_alloc_.get();
   }
 
-  /// Serializes / restores the router's mutable state: input VC buffers and
-  /// state machines, output VC credit counters, allocator priorities, the
+  /// Saves or loads the router's mutable state: input VC buffers and state
+  /// machines, output VC credit counters, allocator priorities, the
   /// catch-up cycle, and statistics. The occupancy masks are rebuilt on load.
-  void save_state(StateWriter& w) const;
-  void load_state(StateReader& r);
+  void state(StateArchive& ar);
 
  private:
   friend class InvariantChecker;  // audits VC state and credit counters
@@ -234,7 +233,7 @@ class Router {
   // drains, so receive() polls only ports with in-flight items. Derived
   // state (bit clear implies channel empty; bit set implies nothing until
   // the next receive(), after which it implies an item), reset to
-  // all-attached on load_state and self-healing from there: a restored
+  // all-attached on load and self-healing from there: a restored
   // router runs receive() before its first idle() test.
   bits::Word rx_flit_pending_ = 0;
   bits::Word rx_credit_pending_ = 0;
@@ -246,7 +245,7 @@ class Router {
   bool va_rotates_ = false;
   bool sa_rotates_ = false;
   // Derived per-output-port words mirroring the OutputVc structs (rebuilt
-  // on load_state): bit v of out_alloc_words_[p] mirrors
+  // on load): bit v of out_alloc_words_[p] mirrors
   // output_vc(p, v).allocated, bit v of out_credit_words_[p] mirrors
   // credits > 0. They turn the per-head candidate scan and the per-bid
   // credit check into single word ops.

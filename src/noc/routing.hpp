@@ -65,11 +65,10 @@ class RoutingFunction {
   virtual RouteInfo route(int router, Packet& pkt,
                           std::size_t arriving_class) = 0;
 
-  /// Serializes / restores mutable routing state (UGAL's RNG stream and
-  /// decision counters) for warm snapshot/restore. The oblivious routing
-  /// functions are stateless, so the defaults are no-ops.
-  virtual void save_state(StateWriter& w) const { static_cast<void>(w); }
-  virtual void load_state(StateReader& r) { static_cast<void>(r); }
+  /// Saves or loads mutable routing state (UGAL's RNG stream and decision
+  /// counters) for warm snapshot/restore. The oblivious routing functions
+  /// are stateless, so the default is a no-op.
+  virtual void state(StateArchive& ar) { static_cast<void>(ar); }
 };
 
 /// Dimension-order (x then y) routing on a mesh; a single resource class.
@@ -189,19 +188,10 @@ class UgalFbflyRouting final : public RoutingFunction {
   std::uint64_t decisions() const { return decisions_; }
   std::uint64_t nonminimal_decisions() const { return nonminimal_; }
 
-  void save_state(StateWriter& w) const override {
-    std::uint64_t s[4];
-    rng_.save_state(s);
-    w.pod_array(s, 4);
-    w.u64(decisions_);
-    w.u64(nonminimal_);
-  }
-  void load_state(StateReader& r) override {
-    std::uint64_t s[4];
-    r.pod_array(s, 4);
-    rng_.load_state(s);
-    decisions_ = r.u64();
-    nonminimal_ = r.u64();
+  void state(StateArchive& ar) override {
+    rng_.state(ar);
+    ar.u64(decisions_);
+    ar.u64(nonminimal_);
   }
 
  private:

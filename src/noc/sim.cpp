@@ -204,21 +204,23 @@ SimResult SimInstance::measure_and_drain() {
 void SimInstance::snapshot(SimSnapshot& out) const {
   net_->snapshot(out.network);
   out.driver.clear();
-  StateWriter w(out.driver);
-  w.tag(0x51A05AFEu);
-  w.pod(measuring_);
-  w.u64(reply_id_);
-  checker_.save_state(w);
+  StateArchive ar = StateArchive::saving_to(out.driver);
+  // A saving archive only reads the state it visits.
+  const_cast<SimInstance*>(this)->state(ar);
 }
 
 void SimInstance::restore(const SimSnapshot& snap) {
   net_->restore(snap.network);
-  StateReader r(snap.driver);
-  r.tag(0x51A05AFEu);
-  r.pod(measuring_);
-  reply_id_ = r.u64();
-  checker_.load_state(r);
-  NOCALLOC_CHECK(r.remaining() == 0);
+  StateArchive ar = StateArchive::loading_from(snap.driver);
+  state(ar);
+  NOCALLOC_CHECK(ar.remaining() == 0);
+}
+
+void SimInstance::state(StateArchive& ar) {
+  ar.tag(0x51A05AFEu);
+  ar.pod(measuring_);
+  ar.u64(reply_id_);
+  checker_.state(ar);
 }
 
 SimResult run_simulation(const SimConfig& cfg) {

@@ -158,6 +158,9 @@ class SimInstance {
   void restore(const SimSnapshot& snap);
 
  private:
+  /// The driver part of snapshot() and restore(): one field list.
+  void state(StateArchive& ar);
+
   SimConfig cfg_;
   std::unique_ptr<Topology> topo_;
   InvariantChecker checker_;

@@ -133,59 +133,22 @@ void Terminal::receive(Cycle now) {
   }
 }
 
-namespace {
-
-void save_queue(StateWriter& w, const GrowRing<PacketHandle>& q) {
-  w.u64(q.capacity());
-  w.u64(q.size());
-  q.for_each([&](const PacketHandle h) { w.pod(h); });
-}
-
-void load_queue(StateReader& r, GrowRing<PacketHandle>& q) {
-  q.clear();
-  q.reserve(static_cast<std::size_t>(r.u64()));
-  const std::size_t n = static_cast<std::size_t>(r.u64());
-  for (std::size_t i = 0; i < n; ++i) {
-    PacketHandle h = kInvalidPacket;
-    r.pod(h);
-    q.push_back(h);
-  }
-}
-
-}  // namespace
-
-void Terminal::save_state(StateWriter& w) const {
-  w.tag(0x7E521AA1u);
-  save_queue(w, request_queue_);
-  save_queue(w, reply_queue_);
-  w.pod(current_);
-  w.u64(current_sent_);
-  w.pod(current_vc_);
-  w.u64(current_class_);
-  w.u64(credits_.size());
-  w.pod_array(credits_.data(), credits_.size());
-  w.u64(flits_injected_);
-  w.u64(flits_ejected_);
-  w.pod(measuring_);
-  w.pod(generate_);
-  source_->save_state(w);
-}
-
-void Terminal::load_state(StateReader& r) {
-  r.tag(0x7E521AA1u);
-  load_queue(r, request_queue_);
-  load_queue(r, reply_queue_);
-  r.pod(current_);
-  current_sent_ = static_cast<std::size_t>(r.u64());
-  r.pod(current_vc_);
-  current_class_ = static_cast<std::size_t>(r.u64());
-  NOCALLOC_CHECK(r.u64() == credits_.size());
-  r.pod_array(credits_.data(), credits_.size());
-  flits_injected_ = r.u64();
-  flits_ejected_ = r.u64();
-  r.pod(measuring_);
-  r.pod(generate_);
-  source_->load_state(r);
+void Terminal::state(StateArchive& ar) {
+  ar.tag(0x7E521AA1u);
+  const auto handle = [&](PacketHandle& h) { ar.pod(h); };
+  ring_state(ar, request_queue_, handle);
+  ring_state(ar, reply_queue_, handle);
+  ar.pod(current_);
+  ar.u64(current_sent_);
+  ar.pod(current_vc_);
+  ar.u64(current_class_);
+  ar.count(credits_.size());
+  ar.pod_array(credits_.data(), credits_.size());
+  ar.u64(flits_injected_);
+  ar.u64(flits_ejected_);
+  ar.pod(measuring_);
+  ar.pod(generate_);
+  source_->state(ar);
 }
 
 }  // namespace nocalloc::noc

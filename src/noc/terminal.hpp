@@ -86,12 +86,11 @@ class Terminal {
   /// the source has no rate knob (trace replay).
   bool set_request_rate(double rate) { return source_->set_request_rate(rate); }
 
-  /// Serializes / restores the terminal's mutable state: source queues, the
-  /// packet mid-injection, per-VC credits, flit counters, flags, and the
-  /// traffic source's own state. Channel contents are owned (and
-  /// serialized) by the Network.
-  void save_state(StateWriter& w) const;
-  void load_state(StateReader& r);
+  /// Saves or loads the terminal's mutable state: source queues, the packet
+  /// mid-injection, per-VC credits, flit counters, flags, and the traffic
+  /// source's own state. Channel contents are owned (and serialized) by the
+  /// Network.
+  void state(StateArchive& ar);
 
  private:
   friend class InvariantChecker;  // audits credits_ for conservation checks

@@ -72,10 +72,9 @@ class TraceSource final : public TrafficSource {
   bool maybe_generate(Cycle now, std::uint64_t& next_id,
                       Packet& out) override;
 
-  void save_state(StateWriter& w) const override { w.u64(next_); }
-  void load_state(StateReader& r) override {
-    next_ = static_cast<std::size_t>(r.u64());
-    NOCALLOC_CHECK(next_ <= records_.size());
+  void state(StateArchive& ar) override {
+    ar.u64(next_);
+    if (ar.loading()) NOCALLOC_CHECK(next_ <= records_.size());
   }
 
   std::size_t remaining() const { return records_.size() - next_; }

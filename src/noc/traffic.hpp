@@ -47,17 +47,16 @@ class TrafficSource {
 
   /// Updates the offered request rate; returns false if this source has no
   /// rate knob (trace replay). The rate is deliberately NOT part of
-  /// save_state: a warm snapshot forked across load points carries the RNG
+  /// state(): a warm snapshot forked across load points carries the RNG
   /// stream and queue state while each fork sets its own rate.
   virtual bool set_request_rate(double rate) {
     static_cast<void>(rate);
     return false;
   }
 
-  /// Serializes / restores the source's mutable state (RNG stream, replay
-  /// cursor) for warm snapshot/restore. Defaults are no-ops.
-  virtual void save_state(StateWriter& w) const { static_cast<void>(w); }
-  virtual void load_state(StateReader& r) { static_cast<void>(r); }
+  /// Saves or loads the source's mutable state (RNG stream, replay cursor)
+  /// for warm snapshot/restore. The default is a no-op.
+  virtual void state(StateArchive& ar) { static_cast<void>(ar); }
 };
 
 /// Per-terminal request generator: Bernoulli injection at the configured
@@ -79,16 +78,7 @@ class RequestGenerator final : public TrafficSource {
     request_rate_ = rate;
     return true;
   }
-  void save_state(StateWriter& w) const override {
-    std::uint64_t s[4];
-    rng_.save_state(s);
-    w.pod_array(s, 4);
-  }
-  void load_state(StateReader& r) override {
-    std::uint64_t s[4];
-    r.pod_array(s, 4);
-    rng_.load_state(s);
-  }
+  void state(StateArchive& ar) override { rng_.state(ar); }
 
  private:
   int terminal_;

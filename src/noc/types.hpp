@@ -97,61 +97,35 @@ struct Credit {
 
 // Field-wise snapshot codecs for the structs whose in-memory layout contains
 // padding bytes: the canonical stream (common/snapshot.hpp) forbids writing
-// indeterminate padding, so these spell the fields out. Writer and reader
-// must list fields in the same order -- keep each pair adjacent.
+// indeterminate padding, so these list the fields one by one, once for both
+// directions.
 
-inline void save_state(StateWriter& w, const RouteInfo& route) {
-  w.pod(route.out_port);
-  w.u64(route.resource_class);
-}
-inline void load_state(StateReader& r, RouteInfo& route) {
-  r.pod(route.out_port);
-  route.resource_class = static_cast<std::size_t>(r.u64());
+inline void state(StateArchive& ar, RouteInfo& route) {
+  ar.pod(route.out_port);
+  ar.u64(route.resource_class);
 }
 
-inline void save_state(StateWriter& w, const Flit& flit) {
-  w.pod(flit.packet);
-  w.pod(flit.head);
-  w.pod(flit.tail);
-  w.u64(flit.index);
-  w.pod(flit.vc);
-  save_state(w, flit.route);
-}
-inline void load_state(StateReader& r, Flit& flit) {
-  r.pod(flit.packet);
-  r.pod(flit.head);
-  r.pod(flit.tail);
-  flit.index = static_cast<std::size_t>(r.u64());
-  r.pod(flit.vc);
-  load_state(r, flit.route);
+inline void state(StateArchive& ar, Flit& flit) {
+  ar.pod(flit.packet);
+  ar.pod(flit.head);
+  ar.pod(flit.tail);
+  ar.u64(flit.index);
+  ar.pod(flit.vc);
+  state(ar, flit.route);
 }
 
-inline void save_state(StateWriter& w, const Credit& credit) {
-  w.pod(credit.vc);
-}
-inline void load_state(StateReader& r, Credit& credit) { r.pod(credit.vc); }
+inline void state(StateArchive& ar, Credit& credit) { ar.pod(credit.vc); }
 
-inline void save_state(StateWriter& w, const Packet& pkt) {
-  w.u64(pkt.id);
-  w.pod(pkt.type);
-  w.pod(pkt.src_terminal);
-  w.pod(pkt.dst_terminal);
-  w.u64(pkt.length);
-  w.u64(pkt.created);
-  w.u64(pkt.injected);
-  w.pod(pkt.intermediate_router);
-  w.pod(pkt.measured);
-}
-inline void load_state(StateReader& r, Packet& pkt) {
-  pkt.id = r.u64();
-  r.pod(pkt.type);
-  r.pod(pkt.src_terminal);
-  r.pod(pkt.dst_terminal);
-  pkt.length = static_cast<std::size_t>(r.u64());
-  pkt.created = r.u64();
-  pkt.injected = r.u64();
-  r.pod(pkt.intermediate_router);
-  r.pod(pkt.measured);
+inline void state(StateArchive& ar, Packet& pkt) {
+  ar.u64(pkt.id);
+  ar.pod(pkt.type);
+  ar.pod(pkt.src_terminal);
+  ar.pod(pkt.dst_terminal);
+  ar.u64(pkt.length);
+  ar.u64(pkt.created);
+  ar.u64(pkt.injected);
+  ar.pod(pkt.intermediate_router);
+  ar.pod(pkt.measured);
 }
 
 }  // namespace nocalloc::noc

@@ -29,13 +29,9 @@ class SaSeparableInputFirst final : public SwitchAllocator {
                        const std::uint8_t* out_ports,
                        std::vector<SwitchGrant>& grant) override;
   void reset() override;
-  void save_state(StateWriter& w) const override {
-    for (const auto& a : vc_arb_) a->save_state(w);
-    for (const auto& a : out_arb_) a->save_state(w);
-  }
-  void load_state(StateReader& r) override {
-    for (auto& a : vc_arb_) a->load_state(r);
-    for (auto& a : out_arb_) a->load_state(r);
+  void state(StateArchive& ar) override {
+    for (const auto& a : vc_arb_) a->state(ar);
+    for (const auto& a : out_arb_) a->state(ar);
   }
 
  private:
@@ -66,13 +62,9 @@ class SaSeparableOutputFirst final : public SwitchAllocator {
                        const std::uint8_t* out_ports,
                        std::vector<SwitchGrant>& grant) override;
   void reset() override;
-  void save_state(StateWriter& w) const override {
-    for (const auto& a : out_arb_) a->save_state(w);
-    for (const auto& a : vc_arb_) a->save_state(w);
-  }
-  void load_state(StateReader& r) override {
-    for (auto& a : out_arb_) a->load_state(r);
-    for (auto& a : vc_arb_) a->load_state(r);
+  void state(StateArchive& ar) override {
+    for (const auto& a : out_arb_) a->state(ar);
+    for (const auto& a : vc_arb_) a->state(ar);
   }
 
  private:

@@ -31,13 +31,9 @@ class SaWavefront final : public SwitchAllocator {
   void advance_priority(std::uint64_t cycles) override {
     core_.advance_priority(cycles);
   }
-  void save_state(StateWriter& w) const override {
-    core_.save_state(w);
-    for (const auto& a : presel_) a->save_state(w);
-  }
-  void load_state(StateReader& r) override {
-    core_.load_state(r);
-    for (auto& a : presel_) a->load_state(r);
+  void state(StateArchive& ar) override {
+    core_.state(ar);
+    for (const auto& a : presel_) a->state(ar);
   }
 
  private:

@@ -97,17 +97,12 @@ class SpeculativeSwitchAllocator {
   /// used by benches to quantify the pessimistic policy's lost opportunities.
   std::uint64_t masked_spec_grants() const { return masked_; }
 
-  /// Serializes / restores both inner allocators' priority state plus the
+  /// Saves or loads both inner allocators' priority state plus the
   /// masked-grant counter (it feeds SimResult's speculation statistics).
-  void save_state(StateWriter& w) const {
-    nonspec_->save_state(w);
-    spec_->save_state(w);
-    w.u64(masked_);
-  }
-  void load_state(StateReader& r) {
-    nonspec_->load_state(r);
-    spec_->load_state(r);
-    masked_ = r.u64();
+  void state(StateArchive& ar) {
+    nonspec_->state(ar);
+    spec_->state(ar);
+    ar.u64(masked_);
   }
 
  private:

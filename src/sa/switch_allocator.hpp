@@ -87,11 +87,10 @@ class SwitchAllocator {
   void set_reference_path(bool ref) { reference_path_ = ref; }
   bool reference_path() const { return reference_path_; }
 
-  /// Serializes / restores priority state for warm snapshot/restore; see
-  /// Allocator::save_state. Defaults are no-ops (maximum-size and test
-  /// doubles are stateless); stateful architectures override both.
-  virtual void save_state(StateWriter& w) const { static_cast<void>(w); }
-  virtual void load_state(StateReader& r) { static_cast<void>(r); }
+  /// Saves or loads priority state for warm snapshot/restore; see
+  /// Allocator::state. The default is a no-op (maximum-size and test
+  /// doubles are stateless); stateful architectures override it.
+  virtual void state(StateArchive& ar) { static_cast<void>(ar); }
 
  protected:
   /// Expands the sparse requests into one dense SwitchRequest per input VC

@@ -30,9 +30,9 @@ namespace {
 /// appended with a fresh id can never collide with an old layout.
 void field_u64(std::vector<std::uint8_t>& out, std::uint8_t id,
                std::uint64_t value) {
-  StateWriter w(out);
-  w.pod(id);
-  w.u64(value);
+  StateArchive ar = StateArchive::saving_to(out);
+  ar.pod(id);
+  ar.u64(value);
 }
 
 void field_f64(std::vector<std::uint8_t>& out, std::uint8_t id, double value) {
@@ -46,26 +46,15 @@ std::uint64_t hash_payload(const noc::SimSnapshot& snap) {
                fnv1a(snap.network.bytes.data(), snap.network.bytes.size()));
 }
 
-void write_header(StateWriter& w, const SnapshotHeader& h) {
-  w.pod(h.magic);
-  w.pod(h.version);
-  w.pod(h.endian);
-  w.pod(h.reserved);
-  w.u64(h.config_fingerprint);
-  w.u64(h.network_size);
-  w.u64(h.driver_size);
-  w.u64(h.payload_hash);
-}
-
-void read_header(StateReader& r, SnapshotHeader& h) {
-  r.pod(h.magic);
-  r.pod(h.version);
-  r.pod(h.endian);
-  r.pod(h.reserved);
-  h.config_fingerprint = r.u64();
-  h.network_size = r.u64();
-  h.driver_size = r.u64();
-  h.payload_hash = r.u64();
+void header_state(StateArchive& ar, SnapshotHeader& h) {
+  ar.pod(h.magic);
+  ar.pod(h.version);
+  ar.pod(h.endian);
+  ar.pod(h.reserved);
+  ar.u64(h.config_fingerprint);
+  ar.u64(h.network_size);
+  ar.u64(h.driver_size);
+  ar.u64(h.payload_hash);
 }
 
 }  // namespace
@@ -111,8 +100,8 @@ void encode_snapshot(const noc::SimConfig& cfg, const noc::SimSnapshot& snap,
   header.network_size = snap.network.bytes.size();
   header.driver_size = snap.driver.size();
   header.payload_hash = hash_payload(snap);
-  StateWriter w(out);
-  write_header(w, header);
+  StateArchive ar = StateArchive::saving_to(out);
+  header_state(ar, header);
   out.insert(out.end(), snap.network.bytes.begin(), snap.network.bytes.end());
   out.insert(out.end(), snap.driver.begin(), snap.driver.end());
 }
@@ -124,9 +113,9 @@ IoStatus decode_snapshot(const std::uint8_t* data, std::size_t size,
     return IoStatus::failure("truncated snapshot: " + std::to_string(size) +
                              " bytes is smaller than the header");
   }
-  StateReader r(data, size);
+  StateArchive ar = StateArchive::loading_from(data, size);
   SnapshotHeader h;
-  read_header(r, h);
+  header_state(ar, h);
   if (h.magic != kSnapshotMagic) {
     return IoStatus::failure("bad magic: not a nocalloc snapshot file");
   }
@@ -137,6 +126,10 @@ IoStatus decode_snapshot(const std::uint8_t* data, std::size_t size,
   }
   if (h.endian != kSnapshotLittleEndian) {
     return IoStatus::failure("endianness mismatch: file not little-endian");
+  }
+  if (h.reserved != 0) {
+    return IoStatus::failure("bad reserved header byte: " +
+                             std::to_string(h.reserved) + ", expected 0");
   }
   if (h.config_fingerprint != expected_fingerprint) {
     return IoStatus::failure(

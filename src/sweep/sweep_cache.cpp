@@ -27,47 +27,26 @@ std::uint64_t double_bits(double value) {
   return bits;
 }
 
-double bits_double(std::uint64_t bits) {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
 /// SimResult record payload, field by field at fixed width (doubles as raw
-/// IEEE-754 bits) so cached and freshly computed results compare
-/// bit-identically.
-void write_result(StateWriter& w, const noc::SimResult& r) {
-  w.u64(double_bits(r.avg_packet_latency));
-  w.u64(double_bits(r.avg_network_latency));
-  w.u64(double_bits(r.p99_packet_latency));
-  w.u64(r.packets_measured);
-  w.u64(double_bits(r.offered_flit_rate));
-  w.u64(double_bits(r.accepted_flit_rate));
-  w.u64(r.saturated ? 1 : 0);
-  w.u64(r.spec_grants_used);
-  w.u64(r.misspeculations);
-  w.u64(double_bits(r.ugal_nonminimal_fraction));
-  w.u64(r.cycles_simulated);
-  w.u64(r.router_steps_total);
-  w.u64(r.router_steps_skipped);
-  w.u64(r.arena_high_water);
-}
-
-void read_result(StateReader& r, noc::SimResult& out) {
-  out.avg_packet_latency = bits_double(r.u64());
-  out.avg_network_latency = bits_double(r.u64());
-  out.p99_packet_latency = bits_double(r.u64());
-  out.packets_measured = static_cast<std::size_t>(r.u64());
-  out.offered_flit_rate = bits_double(r.u64());
-  out.accepted_flit_rate = bits_double(r.u64());
-  out.saturated = r.u64() != 0;
-  out.spec_grants_used = r.u64();
-  out.misspeculations = r.u64();
-  out.ugal_nonminimal_fraction = bits_double(r.u64());
-  out.cycles_simulated = r.u64();
-  out.router_steps_total = r.u64();
-  out.router_steps_skipped = r.u64();
-  out.arena_high_water = static_cast<std::size_t>(r.u64());
+/// IEEE-754 bits, the flag as a whole word) so cached and freshly computed
+/// results compare bit-identically.
+void result_state(StateArchive& ar, noc::SimResult& r) {
+  ar.pod(r.avg_packet_latency);
+  ar.pod(r.avg_network_latency);
+  ar.pod(r.p99_packet_latency);
+  ar.u64(r.packets_measured);
+  ar.pod(r.offered_flit_rate);
+  ar.pod(r.accepted_flit_rate);
+  std::uint64_t saturated = r.saturated ? 1 : 0;
+  ar.u64(saturated);
+  r.saturated = saturated != 0;
+  ar.u64(r.spec_grants_used);
+  ar.u64(r.misspeculations);
+  ar.pod(r.ugal_nonminimal_fraction);
+  ar.u64(r.cycles_simulated);
+  ar.u64(r.router_steps_total);
+  ar.u64(r.router_steps_skipped);
+  ar.u64(r.arena_high_water);
 }
 
 /// magic + format version + reserved pad + results version + key echo,
@@ -79,40 +58,47 @@ constexpr std::size_t kResultPayloadWords = 14;
 constexpr std::size_t kResultRecordSize =
     kResultHeaderSize + kResultPayloadWords * 8 + 8;
 
-void encode_result(std::uint64_t key, const noc::SimResult& result,
+/// Everything before the trailing hash: the header, then the payload.
+/// Returns false, without touching `result`, when a loaded header is not
+/// this build's record for `key`.
+bool record_state(StateArchive& ar, std::uint64_t key,
+                  noc::SimResult& result) {
+  std::uint32_t magic = kResultMagic;
+  std::uint16_t version = kResultFormatVersion;
+  std::uint16_t reserved = 0;
+  std::uint64_t results_version = kResultsVersion;
+  std::uint64_t key_echo = key;
+  ar.pod(magic);
+  ar.pod(version);
+  ar.pod(reserved);
+  ar.u64(results_version);
+  ar.u64(key_echo);
+  if (magic != kResultMagic || version != kResultFormatVersion ||
+      results_version != kResultsVersion || key_echo != key) {
+    return false;
+  }
+  result_state(ar, result);
+  return true;
+}
+
+void encode_result(std::uint64_t key, noc::SimResult result,
                    std::vector<std::uint8_t>& out) {
   out.clear();
   out.reserve(kResultRecordSize);
-  StateWriter w(out);
-  w.pod(kResultMagic);
-  w.pod(kResultFormatVersion);
-  w.pod(std::uint16_t{0});
-  w.u64(kResultsVersion);
-  w.u64(key);
-  write_result(w, result);
-  w.u64(fnv1a(out.data(), out.size()));
+  StateArchive ar = StateArchive::saving_to(out);
+  record_state(ar, key, result);
+  std::uint64_t hash = fnv1a(out.data(), out.size());
+  ar.u64(hash);
 }
 
 bool decode_result(const std::vector<std::uint8_t>& bytes, std::uint64_t key,
                    noc::SimResult& out) {
   if (bytes.size() != kResultRecordSize) return false;
-  const std::uint64_t want_hash =
-      fnv1a(bytes.data(), kResultRecordSize - 8);
-  StateReader r(bytes.data(), bytes.size());
-  std::uint32_t magic = 0;
-  std::uint16_t version = 0;
-  std::uint16_t reserved = 0;
-  r.pod(magic);
-  r.pod(version);
-  r.pod(reserved);
-  const std::uint64_t results_version = r.u64();
-  const std::uint64_t key_echo = r.u64();
-  if (magic != kResultMagic || version != kResultFormatVersion ||
-      results_version != kResultsVersion || key_echo != key) {
-    return false;
-  }
-  read_result(r, out);
-  return r.u64() == want_hash;
+  StateArchive ar = StateArchive::loading_from(bytes);
+  if (!record_state(ar, key, out)) return false;
+  std::uint64_t hash = 0;
+  ar.u64(hash);
+  return hash == fnv1a(bytes.data(), kResultRecordSize - 8);
 }
 
 std::string hex16(std::uint64_t value) {
@@ -128,10 +114,12 @@ std::uint64_t derive_key(char domain, const noc::SimConfig& cfg,
                          const std::uint64_t* extra, std::size_t n_extra) {
   std::vector<std::uint8_t> bytes;
   bytes.push_back(static_cast<std::uint8_t>(domain));
-  {
-    StateWriter w(bytes);
-    w.u64(kResultsVersion);
-    for (std::size_t i = 0; i < n_extra; ++i) w.u64(extra[i]);
+  StateArchive ar = StateArchive::saving_to(bytes);
+  std::uint64_t results_version = kResultsVersion;
+  ar.u64(results_version);
+  for (std::size_t i = 0; i < n_extra; ++i) {
+    std::uint64_t word = extra[i];
+    ar.u64(word);
   }
   canonical_config_bytes(cfg, bytes);
   return fnv1a(bytes.data(), bytes.size());

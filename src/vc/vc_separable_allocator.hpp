@@ -31,13 +31,9 @@ class VcSeparableInputFirstAllocator final : public VcAllocator {
   void allocate_sparse(const FastVcRequest* req, std::size_t n,
                        std::vector<int>& grant) override;
   void reset() override;
-  void save_state(StateWriter& w) const override {
-    for (const auto& a : input_arb_) a->save_state(w);
-    for (const auto& a : output_arb_) a->save_state(w);
-  }
-  void load_state(StateReader& r) override {
-    for (auto& a : input_arb_) a->load_state(r);
-    for (auto& a : output_arb_) a->load_state(r);
+  void state(StateArchive& ar) override {
+    for (const auto& a : input_arb_) a->state(ar);
+    for (const auto& a : output_arb_) a->state(ar);
   }
 
  private:
@@ -72,13 +68,9 @@ class VcSeparableOutputFirstAllocator final : public VcAllocator {
   void allocate_sparse(const FastVcRequest* req, std::size_t n,
                        std::vector<int>& grant) override;
   void reset() override;
-  void save_state(StateWriter& w) const override {
-    for (const auto& a : output_arb_) a->save_state(w);
-    for (const auto& a : input_arb_) a->save_state(w);
-  }
-  void load_state(StateReader& r) override {
-    for (auto& a : output_arb_) a->load_state(r);
-    for (auto& a : input_arb_) a->load_state(r);
+  void state(StateArchive& ar) override {
+    for (const auto& a : output_arb_) a->state(ar);
+    for (const auto& a : input_arb_) a->state(ar);
   }
 
  private:

@@ -37,11 +37,8 @@ class VcWavefrontAllocator final : public VcAllocator {
   void advance_priority(std::uint64_t cycles) override {
     for (auto& c : cores_) c->advance_priority(cycles);
   }
-  void save_state(StateWriter& w) const override {
-    for (const auto& c : cores_) c->save_state(w);
-  }
-  void load_state(StateReader& r) override {
-    for (auto& c : cores_) c->load_state(r);
+  void state(StateArchive& ar) override {
+    for (const auto& c : cores_) c->state(ar);
   }
 
   bool sparse() const { return sparse_; }

@@ -546,8 +546,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// State contract (allocator.hpp): save_state/load_state carry every piece of
-// priority state, and advance_priority(c) equals c empty allocate() calls.
+// State contract (allocator.hpp): state() carries every piece of priority
+// state, and advance_priority(c) equals c empty allocate() calls.
 
 template <AllocatorKind Kind, ArbiterKind Arb>
 struct Generic {
@@ -644,16 +644,16 @@ TYPED_TEST(AllocatorStateTest, SaveLoadTwinGrantsIdentically) {
   Rng history(71), other(72);
   BitMatrix req(TestFixture::kIn, TestFixture::kOut);
   TestFixture::drive(*original, req, history, 23);
-  // Give the twin a different history, so load_state must overwrite it.
+  // Give the twin a different history, so the load must overwrite it.
   BitMatrix other_req(TestFixture::kIn, TestFixture::kOut);
   TestFixture::drive(*twin, other_req, other, 10);
 
   std::vector<std::uint8_t> bytes;
-  StateWriter w(bytes);
-  original->save_state(w);
-  StateReader r(bytes);
-  twin->load_state(r);
-  EXPECT_EQ(r.remaining(), 0u);
+  StateArchive saving = StateArchive::saving_to(bytes);
+  original->state(saving);
+  StateArchive loading = StateArchive::loading_from(bytes);
+  twin->state(loading);
+  EXPECT_EQ(loading.remaining(), 0u);
 
   Rng future(73);
   TestFixture::expect_same_grants(*original, *twin, future, "after load");

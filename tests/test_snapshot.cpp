@@ -5,6 +5,7 @@
 // state across load points (src/sweep/sim_batch).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "noc/sim.hpp"
@@ -44,19 +45,49 @@ void expect_identical(const SimResult& got, const SimResult& want) {
   EXPECT_EQ(got.arena_high_water, want.arena_high_water);
 }
 
-// (topology, checker on, injection rate). At the low rate most routers are
-// inactive when the snapshot is taken, so restores exercise the active-set
-// words and the conservative all-set receive-pending bits of idle routers.
-class SnapshotRestoreTest
-    : public ::testing::TestWithParam<std::tuple<TopologyKind, bool, double>> {
+// One restore case: a topology, the checker on or off, an injection rate,
+// and the allocator family (VC and switch allocation alike), arbiter and
+// speculation mode. At the low rate most routers are inactive when the
+// snapshot is taken, so restores exercise the active-set words and the
+// conservative all-set receive-pending bits of idle routers. Torus and ring
+// restores carry dateline routing state; nonspec and spec_gnt take
+// Router's other allocator branches.
+struct RestoreCase {
+  TopologyKind topology;
+  bool check;
+  double rate;
+  AllocatorKind alloc = AllocatorKind::kSeparableInputFirst;
+  ArbiterKind arb = ArbiterKind::kRoundRobin;
+  SpecMode spec = SpecMode::kPessimistic;
+
+  SimConfig config() const {
+    SimConfig cfg = small_config(topology, check, rate);
+    cfg.vc_alloc = cfg.sw_alloc = alloc;
+    cfg.vc_arb = cfg.sw_arb = arb;
+    cfg.spec = spec;
+    return cfg;
+  }
+
+  std::string name() const {
+    std::string n = to_string(topology);
+    if (alloc != AllocatorKind::kSeparableInputFirst ||
+        arb != ArbiterKind::kRoundRobin || spec != SpecMode::kPessimistic) {
+      n += "_" + to_string(alloc) + "_" + to_string(arb) + "_" +
+           to_string(spec);
+    }
+    return n + (check ? "_checked" : "_unchecked") +
+           (rate == 0.02 ? "_lowload" : "");
+  }
 };
+
+class SnapshotRestoreTest : public ::testing::TestWithParam<RestoreCase> {};
 
 // Restoring a snapshot into a FRESH instance must reproduce the
 // uninterrupted run exactly: warmup+measure in one instance equals
 // warmup+snapshot in one instance, restore+measure in another.
 TEST_P(SnapshotRestoreTest, FreshInstanceRestoreMatchesUninterrupted) {
-  const auto [topo, check, rate] = GetParam();
-  const SimConfig cfg = small_config(topo, check, rate);
+  const bool check = GetParam().check;
+  const SimConfig cfg = GetParam().config();
 
   SimInstance uninterrupted(cfg);
   if (check) uninterrupted.checker().throw_on_violation();
@@ -88,8 +119,8 @@ TEST_P(SnapshotRestoreTest, FreshInstanceRestoreMatchesUninterrupted) {
 // uninterrupted run: restore rewinds every piece of mutable state, and
 // larger-than-snapshot storage capacities are unobservable.
 TEST_P(SnapshotRestoreTest, DirtyInstanceRestoreMatchesUninterrupted) {
-  const auto [topo, check, rate] = GetParam();
-  const SimConfig cfg = small_config(topo, check, rate);
+  const bool check = GetParam().check;
+  const SimConfig cfg = GetParam().config();
 
   SimInstance uninterrupted(cfg);
   if (check) uninterrupted.checker().throw_on_violation();
@@ -128,8 +159,7 @@ TEST_P(SnapshotRestoreTest, DirtyInstanceRestoreMatchesUninterrupted) {
 // Snapshots are values: two restores from the same snapshot produce the
 // same result twice (the first fork does not consume or corrupt it).
 TEST_P(SnapshotRestoreTest, SnapshotIsReusableAcrossForks) {
-  const auto [topo, check, rate] = GetParam();
-  const SimConfig cfg = small_config(topo, check, rate);
+  const SimConfig cfg = GetParam().config();
 
   SimInstance warm(cfg);
   warm.warmup();
@@ -147,15 +177,41 @@ TEST_P(SnapshotRestoreTest, SnapshotIsReusableAcrossForks) {
   expect_identical(a, b);
 }
 
+constexpr TopologyKind kMesh = TopologyKind::kMesh8x8;
+constexpr TopologyKind kFbfly = TopologyKind::kFbfly4x4;
+constexpr TopologyKind kTorus = TopologyKind::kTorus8x8;
+constexpr TopologyKind kRing = TopologyKind::kRing16;
+constexpr AllocatorKind kSepOf = AllocatorKind::kSeparableOutputFirst;
+constexpr AllocatorKind kWf = AllocatorKind::kWavefront;
+constexpr ArbiterKind kM = ArbiterKind::kMatrix;
+constexpr SpecMode kNonspec = SpecMode::kNonSpeculative;
+constexpr SpecMode kSpecGnt = SpecMode::kConservative;
+
+const RestoreCase kRestoreCases[] = {
+    {kMesh, false, 0.12},
+    {kMesh, false, 0.02},
+    {kMesh, true, 0.12},
+    {kMesh, true, 0.02},
+    {kFbfly, false, 0.12},
+    {kFbfly, false, 0.02},
+    {kFbfly, true, 0.12},
+    {kFbfly, true, 0.02},
+    {kTorus, true, 0.12},
+    {kTorus, false, 0.12, kWf, kM, kNonspec},
+    {kTorus, true, 0.02, kSepOf, kM, kSpecGnt},
+    {kRing, true, 0.12},
+    {kRing, true, 0.12, kWf, kM, kSpecGnt},
+    {kRing, false, 0.12, kSepOf, kM, kNonspec},
+    {kMesh, true, 0.12, kWf, kM, kNonspec},
+    {kMesh, false, 0.12, kSepOf, kM, kSpecGnt},
+    {kFbfly, true, 0.12, kSepOf, kM, kSpecGnt},
+    {kFbfly, false, 0.02, kWf, kM, kNonspec},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Topologies, SnapshotRestoreTest,
-    ::testing::Combine(::testing::Values(TopologyKind::kMesh8x8,
-                                         TopologyKind::kFbfly4x4),
-                       ::testing::Bool(), ::testing::Values(0.12, 0.02)),
-    [](const ::testing::TestParamInfo<SnapshotRestoreTest::ParamType>& info) {
-      return to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_checked" : "_unchecked") +
-             (std::get<2>(info.param) == 0.02 ? "_lowload" : "");
+    Topologies, SnapshotRestoreTest, ::testing::ValuesIn(kRestoreCases),
+    [](const ::testing::TestParamInfo<RestoreCase>& info) {
+      return info.param.name();
     });
 
 // Forks at different rates from one warm snapshot diverge (the rate knob

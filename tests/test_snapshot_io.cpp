@@ -5,6 +5,7 @@
 // rejected with a readable reason, never a crash or a silent misrestore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -270,6 +271,105 @@ TEST_F(SnapshotIoTest, RejectsMalformedFiles) {
 
   // The good file still reads after all of the above.
   EXPECT_TRUE(read_snapshot_file(good, cfg, out));
+}
+
+// Header fuzz: every single-bit flip of the 40 header bytes, and every
+// truncation of the whole file, is rejected with a reason -- never accepted
+// and never an abort. A flipped reserved byte is named as such.
+TEST_F(SnapshotIoTest, EveryHeaderBitFlipAndTruncationIsRejected) {
+  const noc::SimConfig cfg = small_config();
+  noc::SimInstance sim(cfg);
+  sim.warmup();
+  noc::SimSnapshot snap;
+  sim.snapshot(snap);
+  std::vector<std::uint8_t> bytes;
+  encode_snapshot(cfg, snap, bytes);
+  const std::uint64_t fp = config_fingerprint(cfg);
+  noc::SimSnapshot out;
+
+  constexpr std::size_t kReservedOffset = 7;
+  for (std::size_t bit = 0; bit < kSnapshotHeaderSize * 8; ++bit) {
+    std::vector<std::uint8_t> t = bytes;
+    t[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    const IoStatus s = decode_snapshot(t.data(), t.size(), fp, out);
+    ASSERT_FALSE(s) << "header bit " << bit;
+    EXPECT_FALSE(s.error.empty());
+    if (bit / 8 == kReservedOffset) {
+      EXPECT_NE(s.error.find("reserved"), std::string::npos) << s.error;
+    }
+  }
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    const IoStatus s = decode_snapshot(bytes.data(), len, fp, out);
+    ASSERT_FALSE(s) << "truncated to " << len << " bytes";
+    EXPECT_NE(s.error.find("truncated"), std::string::npos) << s.error;
+  }
+  EXPECT_TRUE(decode_snapshot(bytes.data(), bytes.size(), fp, out));
+}
+
+/// Re-frames `snap` (fresh header sizes and payload hash), so the disk
+/// layer accepts it, and decodes it back for a restore.
+noc::SimSnapshot reframed(const noc::SimConfig& cfg,
+                          const noc::SimSnapshot& snap) {
+  std::vector<std::uint8_t> bytes;
+  encode_snapshot(cfg, snap, bytes);
+  noc::SimSnapshot out;
+  const IoStatus s =
+      decode_snapshot(bytes.data(), bytes.size(), config_fingerprint(cfg), out);
+  EXPECT_TRUE(s) << s.error;
+  return out;
+}
+
+// A payload whose framing is valid but whose stream is not -- one byte
+// short, one byte long, or a router section tag overwritten -- passes the
+// disk checks and must then abort in the state archive's own checks (read
+// bounds, fully consumed buffer, section tags), never restore quietly.
+TEST(SnapshotIoDeathTest, HashValidCorruptPayloadAbortsRestore) {
+  const noc::SimConfig cfg = small_config();
+  noc::SimInstance sim(cfg);
+  sim.warmup();
+  noc::SimSnapshot snap;
+  sim.snapshot(snap);
+  noc::SimInstance target(cfg);
+
+  noc::SimSnapshot bad = snap;
+  bad.network.bytes.pop_back();
+  bad = reframed(cfg, bad);
+  EXPECT_DEATH(target.restore(bad), "check failed: n <= remaining\\(\\)");
+
+  bad = snap;
+  bad.driver.pop_back();
+  bad = reframed(cfg, bad);
+  EXPECT_DEATH(target.restore(bad), "check failed: n <= remaining\\(\\)");
+
+  bad = snap;
+  bad.network.bytes.push_back(0);
+  bad = reframed(cfg, bad);
+  EXPECT_DEATH(target.restore(bad), "check failed: ar.remaining\\(\\) == 0");
+
+  bad = snap;
+  bad.driver.push_back(0);
+  bad = reframed(cfg, bad);
+  EXPECT_DEATH(target.restore(bad), "check failed: ar.remaining\\(\\) == 0");
+
+  // The router section tag 0x40517E40, little-endian. It occurs once per
+  // router and nowhere else in this snapshot, so the first hit is router
+  // 0's tag.
+  const std::uint8_t tag[4] = {0x40, 0x7E, 0x51, 0x40};
+  std::vector<std::size_t> hits;
+  const std::vector<std::uint8_t>& net = snap.network.bytes;
+  for (std::size_t i = 0; i + 4 <= net.size(); ++i) {
+    if (std::equal(tag, tag + 4, net.begin() + static_cast<long>(i))) {
+      hits.push_back(i);
+    }
+  }
+  ASSERT_EQ(hits.size(), sim.network().topology().num_routers());
+  bad = snap;
+  bad.network.bytes[hits.front()] ^= 0xFF;
+  bad = reframed(cfg, bad);
+  EXPECT_DEATH(target.restore(bad), "check failed: stored == value");
+
+  // The untouched snapshot still restores.
+  target.restore(reframed(cfg, snap));
 }
 
 // The fingerprint must move when ANY config field moves -- that is the

@@ -296,6 +296,61 @@ TEST_F(SweepCacheTest, CorruptedEntryIsRecomputed) {
   expect_identical(hot[0], cold[0]);
 }
 
+// Record fuzz: every single-bit flip and every truncation of a result
+// record is a miss that deletes the file -- never a hit on wrong bytes and
+// never an abort -- and the intact record still hits afterwards.
+TEST_F(SweepCacheTest, EveryRecordBitFlipAndTruncationIsAMiss) {
+  const SweepCache cache(dir_);
+  noc::SimResult result;
+  result.avg_packet_latency = 21.5;
+  result.packets_measured = 4096;
+  result.saturated = true;
+  result.arena_high_water = 77;
+  const std::uint64_t key = SweepCache::batch_key(small_config());
+  cache.store_result(key, result);
+  const std::vector<std::string> files = entries();
+  ASSERT_EQ(files.size(), 1u);
+  const std::string path = dir_ + "/" + files[0];
+  std::vector<std::uint8_t> good;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    for (int c = 0; (c = std::fgetc(f)) != EOF;) {
+      good.push_back(static_cast<std::uint8_t>(c));
+    }
+    std::fclose(f);
+  }
+  const auto write = [&](const std::vector<std::uint8_t>& bytes,
+                         std::size_t len) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, len, f), len);
+    std::fclose(f);
+  };
+  const auto expect_miss = [&](const std::string& what) {
+    noc::SimResult out;
+    EXPECT_FALSE(cache.lookup_result(key, out)) << what;
+    struct stat st = {};
+    EXPECT_NE(::stat(path.c_str(), &st), 0) << what << ": file kept";
+  };
+
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::vector<std::uint8_t> bad = good;
+    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    write(bad, bad.size());
+    expect_miss("bit " + std::to_string(bit));
+  }
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    write(good, len);
+    expect_miss("length " + std::to_string(len));
+  }
+
+  write(good, good.size());
+  noc::SimResult out;
+  ASSERT_TRUE(cache.lookup_result(key, out));
+  expect_identical(out, result);
+}
+
 // A record stored under one key can never answer another (the key echo in
 // the record catches renamed/misplaced files).
 TEST_F(SweepCacheTest, RecordBoundToItsKey) {
