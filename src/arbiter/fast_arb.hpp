@@ -45,6 +45,16 @@ struct FastArb {
       mx->update(winner);
     }
   }
+
+  /// Saves or loads the arbiter's priority state through the concrete
+  /// (final) class, without a virtual call.
+  void state(StateArchive& ar) {
+    if (rr != nullptr) {
+      rr->state(ar);
+    } else {
+      mx->state(ar);
+    }
+  }
 };
 
 }  // namespace nocalloc

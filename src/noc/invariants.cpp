@@ -1,11 +1,13 @@
 #include "noc/invariants.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "noc/network.hpp"
 #include "noc/router.hpp"
@@ -268,32 +270,127 @@ void InvariantChecker::after_step(const Network& net) {
 
 void InvariantChecker::check_active_set(const Network& net) {
   ++checks_;
-  // A retired router must be genuinely quiescent: waking it late would mean
-  // it missed an exact-arrival Channel::receive and would trip its CHECK (or
-  // silently delay a flit). This is the scheduler's core invariant.
-  // has_pending_work() walks every attached channel rather than reading the
-  // receive-pending bits the scheduler's idle test reads, so a bit cleared
-  // while its channel still holds an item is reported, not masked.
-  for (std::size_t r = 0; r < net.routers_.size(); ++r) {
-    if (bits::test(net.router_active_.data(), r)) continue;
-    if (net.routers_[r]->has_pending_work()) {
-      report(InvariantViolation{
-          net.now_, static_cast<int>(r), -1, -1, "active-set",
-          "router outside the dirty set has buffered flits, pending "
-          "credits, or in-flight channel entries"});
-    }
-  }
-  for (std::size_t t = 0; t < net.terminals_.size(); ++t) {
-    if (bits::test(net.terminal_active_.data(), t)) continue;
+  const Cycle now = net.now_;
+  // Every scheduling set is audited both ways against ground truth read
+  // from VC states, source queues and channel contents -- never from the
+  // bits the scheduler itself maintains -- so a lost bit is reported here
+  // before it can skew router_steps_skipped or drop an arrival.
+  auto router_violation = [&](std::size_t r, int port, const std::string& msg) {
+    report(InvariantViolation{now, static_cast<int>(r), port, -1, "active-set",
+                              msg});
+  };
+  auto terminal_violation = [&](std::size_t t, const std::string& msg) {
     const Network::TerminalWiring& tw = net.terminal_wirings_[t];
-    if (!tw.ej_flits->empty() || !tw.inj_credits->empty()) {
-      report(InvariantViolation{
-          net.now_, tw.router, tw.port, -1, "active-set",
-          "terminal " + std::to_string(tw.terminal) +
-              " outside the dirty set has in-flight ejection flits or "
-              "injection credits"});
+    report(InvariantViolation{now, tw.router, tw.port, -1, "active-set",
+                              "terminal " + std::to_string(t) + " " + msg});
+  };
+
+  // Expected due slots: each in-flight item marks its consumer at its
+  // arrival cycle, which must lie in (now, now + slots). The slot of `now`
+  // itself was consumed by this step's receive pass and must be empty.
+  auto audit_due = [&](const DueSet& due, std::size_t n, const char* kind,
+                       auto&& for_each_inbound) {
+    const std::size_t stride = due.words_per_slot();
+    const std::size_t slots = due.slots();
+    std::vector<bits::Word> want(slots * stride, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for_each_inbound(i, [&](const auto& channel) {
+        channel.for_each_arrival([&](Cycle arrival) {
+          if (arrival <= now || arrival >= now + slots) {
+            report(InvariantViolation{
+                now, -1, -1, -1, "active-set",
+                std::string(kind) + " " + std::to_string(i) +
+                    " has an item arriving at cycle " +
+                    std::to_string(arrival) + ", outside the due window"});
+            return;
+          }
+          want[static_cast<std::size_t>(arrival % slots) * stride +
+               bits::word_of(i)] |= bits::bit(i);
+        });
+      });
+    }
+    for (std::size_t k = 1; k <= slots; ++k) {
+      const Cycle c = now + k;
+      const bits::Word* got = due.slot(c);
+      const bits::Word* exp =
+          want.data() + static_cast<std::size_t>(c % slots) * stride;
+      for (std::size_t w = 0; w < stride; ++w) {
+        bits::Word diff = got[w] ^ exp[w];
+        while (diff != 0) {
+          const std::size_t i =
+              w * bits::kWordBits +
+              static_cast<std::size_t>(std::countr_zero(diff));
+          diff &= diff - 1;
+          report(InvariantViolation{
+              now, -1, -1, -1, "active-set",
+              std::string(kind) + " " + std::to_string(i) +
+                  ": due bit for cycle " + std::to_string(c) +
+                  " disagrees with the channels' arrivals"});
+        }
+      }
+    }
+  };
+
+  for (std::size_t r = 0; r < net.routers_.size(); ++r) {
+    const Router& router = *net.routers_[r];
+    bool busy = false;
+    for (const Router::InputVc& ivc : router.input_vcs_) {
+      busy = busy || ivc.state != Router::VcState::kIdle;
+    }
+    bool inflight = false;
+    for (std::size_t p = 0; p < router.cfg_.ports; ++p) {
+      const bool flits = router.flits_in_[p] != nullptr &&
+                         !router.flits_in_[p]->empty();
+      const bool credits = router.credits_in_[p] != nullptr &&
+                           !router.credits_in_[p]->empty();
+      inflight = inflight || flits || credits;
+      if (flits != ((router.rx_flit_pending_ & bits::bit(p)) != 0) ||
+          credits != ((router.rx_credit_pending_ & bits::bit(p)) != 0)) {
+        router_violation(r, static_cast<int>(p),
+                         "receive-pending bit disagrees with the channel");
+      }
+    }
+    if (busy != bits::test(net.router_occupied_.data(), r)) {
+      router_violation(r, -1, "occupied bit disagrees with the VC states");
+    }
+    if (inflight != ((net.router_due_.inflight(bits::word_of(r)) &
+                      bits::bit(r)) != 0)) {
+      router_violation(r, -1, "inflight bit disagrees with the channels");
+    }
+    if ((busy || inflight) != bits::test(net.router_active_.data(), r)) {
+      router_violation(r, -1, "active bit is not occupied | inflight");
     }
   }
+  audit_due(net.router_due_, net.routers_.size(), "router",
+            [&](std::size_t r, auto&& visit) {
+              const Router& router = *net.routers_[r];
+              for (std::size_t p = 0; p < router.cfg_.ports; ++p) {
+                if (router.flits_in_[p] != nullptr) visit(*router.flits_in_[p]);
+                if (router.credits_in_[p] != nullptr) {
+                  visit(*router.credits_in_[p]);
+                }
+              }
+            });
+
+  for (std::size_t t = 0; t < net.terminals_.size(); ++t) {
+    const Network::TerminalWiring& tw = net.terminal_wirings_[t];
+    const bool has_packet = net.terminals_[t]->queued_packets() > 0;
+    if (has_packet != bits::test(net.terminal_injecting_.data(), t)) {
+      terminal_violation(t, "injecting bit disagrees with the source queues");
+    }
+    const bool inflight = !tw.ej_flits->empty() || !tw.inj_credits->empty();
+    if (inflight != ((net.terminal_due_.inflight(bits::word_of(t)) &
+                      bits::bit(t)) != 0) ||
+        inflight != bits::test(net.terminal_active_.data(), t)) {
+      terminal_violation(t, "inflight or active bit disagrees with the "
+                            "channels");
+    }
+  }
+  audit_due(net.terminal_due_, net.terminals_.size(), "terminal",
+            [&](std::size_t t, auto&& visit) {
+              visit(*net.terminal_wirings_[t].ej_flits);
+              visit(*net.terminal_wirings_[t].inj_credits);
+            });
 }
 
 void InvariantChecker::check_router_state(const Router& router, Cycle now) {

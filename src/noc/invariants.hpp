@@ -79,10 +79,12 @@ struct InvariantCheckerConfig {
   bool check_vc_states = true;
   bool check_credits = true;
   bool check_flit_conservation = true;
-  /// Audits the active-set scheduler: a router outside the dirty set must
-  /// have no buffered flits, pending credits, or in-flight items on its
-  /// incoming channels (every attached channel is inspected, not just the
-  /// ports the router's receive-pending bits name).
+  /// Audits the scheduler's sets both ways against VC states, source queues
+  /// and channel contents: occupied iff a VC is waiting or active; injecting
+  /// iff the terminal has a packet; inflight iff an incoming channel is
+  /// non-empty; active iff occupied or inflight; receive-pending bits iff
+  /// the port's channel is non-empty; and every due slot exactly the
+  /// consumers with an item arriving at that cycle.
   bool check_active_set = true;
   /// Cycles without any flit movement (while flits are buffered) before the
   /// deadlock watchdog fires; 0 disables the watchdog.

@@ -33,55 +33,68 @@ void active_state(StateArchive& ar, std::vector<bits::Word>& words,
   }
 }
 
+/// The longest channel latency a network over `topo` builds: router-driven
+/// channels carry the folded switch-traversal stage (link latency + 1), and
+/// ejection flits and credits back to a terminal take 2.
+std::size_t max_channel_latency(const Topology& topo) {
+  std::size_t latency = 2;
+  for (const LinkSpec& link : topo.links()) {
+    latency = std::max(latency, link.latency + 1);
+  }
+  return latency;
+}
+
 }  // namespace
 
 Network::Network(const Topology& topo, const NetworkConfig& cfg,
                  RoutingFactory routing_factory,
                  Terminal::EjectCallback on_eject)
-    : topo_(topo) {
+    : topo_(topo),
+      // Every consumer starts active, so the first step visits all of them.
+      router_active_(all_active(topo.num_routers())),
+      terminal_active_(all_active(topo.num_terminals())),
+      router_occupied_(bits::word_count(topo.num_routers()), 0),
+      terminal_injecting_(bits::word_count(topo.num_terminals()), 0),
+      router_due_(topo.num_routers(), max_channel_latency(topo)),
+      terminal_due_(topo.num_terminals(), max_channel_latency(topo)) {
   NOCALLOC_CHECK(cfg.router.ports == topo.ports());
   routing_ = routing_factory(*this);
-
-  // Active-set words are sized before any channel takes a pointer into them.
-  router_active_ = all_active(topo.num_routers());
-  terminal_active_ = all_active(topo.num_terminals());
 
   const auto n_routers = static_cast<int>(topo.num_routers());
   for (int r = 0; r < n_routers; ++r) {
     routers_.push_back(
         std::make_unique<Router>(r, cfg.router, *routing_, arena_));
+    const auto rs = static_cast<std::size_t>(r);
+    routers_.back()->set_occupied_flag(&router_occupied_[bits::word_of(rs)],
+                                       rs % bits::kWordBits);
   }
 
-  // `active` is the consumer's active-set words, `consumer` its index.
-  auto new_flit_channel = [&](std::size_t latency,
-                              std::vector<bits::Word>& active,
-                              std::size_t consumer) {
+  // Channels towards router `consumer` mark its bit in the live active set
+  // and in the router due set; channels towards a terminal mark only the
+  // terminal due set.
+  auto to_router = [&](auto& channel, std::size_t consumer) {
+    channel.set_consumer_active(&router_active_[bits::word_of(consumer)],
+                                consumer % bits::kWordBits);
+    channel.set_consumer_due(&router_due_, consumer);
+  };
+  auto new_flit_channel = [&](std::size_t latency) {
     flit_channels_.push_back(std::make_unique<Channel<Flit>>(latency));
-    flit_channels_.back()->set_consumer_active(
-        &active[bits::word_of(consumer)], consumer % bits::kWordBits);
     return flit_channels_.back().get();
   };
-  auto new_credit_channel = [&](std::size_t latency,
-                                std::vector<bits::Word>& active,
-                                std::size_t consumer) {
+  auto new_credit_channel = [&](std::size_t latency) {
     credit_channels_.push_back(std::make_unique<Channel<Credit>>(latency));
-    credit_channels_.back()->set_consumer_active(
-        &active[bits::word_of(consumer)], consumer % bits::kWordBits);
     return credit_channels_.back().get();
   };
 
-  // Inter-router links (flits one way, credits the other). Each channel
-  // wakes its consumer on send, which is what keeps the active-set exact.
-  // Router-driven channels carry the folded switch-traversal stage, so their
-  // latency is the physical link latency plus one (a flit granted at cycle t
-  // arrives at t + 1 + link.latency, exactly as with an explicit ST stage).
+  // Inter-router links (flits one way, credits the other). Router-driven
+  // channels carry the folded switch-traversal stage, so their latency is
+  // the physical link latency plus one (a flit granted at cycle t arrives
+  // at t + 1 + link.latency, exactly as with an explicit ST stage).
   for (const LinkSpec& link : topo.links()) {
-    Channel<Flit>* flits =
-        new_flit_channel(link.latency + 1, router_active_,
-                         static_cast<std::size_t>(link.dst_router));
-    Channel<Credit>* credits =
-        new_credit_channel(link.latency + 1, router_active_,
-                           static_cast<std::size_t>(link.src_router));
+    Channel<Flit>* flits = new_flit_channel(link.latency + 1);
+    to_router(*flits, static_cast<std::size_t>(link.dst_router));
+    Channel<Credit>* credits = new_credit_channel(link.latency + 1);
+    to_router(*credits, static_cast<std::size_t>(link.src_router));
     routers_[static_cast<std::size_t>(link.src_router)]->attach_output(
         link.src_port, flits, credits, link.dst_router);
     routers_[static_cast<std::size_t>(link.dst_router)]->attach_input(
@@ -106,17 +119,22 @@ Network::Network(const Topology& topo, const NetworkConfig& cfg,
         t, r, cfg.router.partition, cfg.router.buffer_depth, *routing_,
         std::move(source), arena_, on_eject));
     Terminal& term = *terminals_.back();
-    term.set_id_counter(&next_packet_id_);
-
     const auto rs = static_cast<std::size_t>(r);
     const auto ts = static_cast<std::size_t>(t);
+    term.set_id_counter(&next_packet_id_);
+    term.set_injecting_flag(&terminal_injecting_[bits::word_of(ts)],
+                            ts % bits::kWordBits);
+
     // Terminal-driven channels keep latency 1; router-driven ones (ejected
     // flits, credits back to the terminal) get the +1 ST fold.
-    Channel<Flit>* inj_flits = new_flit_channel(1, router_active_, rs);
-    Channel<Credit>* inj_credits =
-        new_credit_channel(2, terminal_active_, ts);
-    Channel<Flit>* ej_flits = new_flit_channel(2, terminal_active_, ts);
-    Channel<Credit>* ej_credits = new_credit_channel(1, router_active_, rs);
+    Channel<Flit>* inj_flits = new_flit_channel(1);
+    to_router(*inj_flits, rs);
+    Channel<Credit>* inj_credits = new_credit_channel(2);
+    inj_credits->set_consumer_due(&terminal_due_, ts);
+    Channel<Flit>* ej_flits = new_flit_channel(2);
+    ej_flits->set_consumer_due(&terminal_due_, ts);
+    Channel<Credit>* ej_credits = new_credit_channel(1);
+    to_router(*ej_credits, rs);
     routers_[rs]->attach_input(port, inj_flits, inj_credits);
     routers_[rs]->attach_output(port, ej_flits, ej_credits, -1);
     term.attach(inj_flits, inj_credits, ej_flits, ej_credits);
@@ -129,47 +147,59 @@ Network::Network(const Topology& topo, const NetworkConfig& cfg,
 void Network::step() {
   const Cycle t = now_;
   const std::size_t nr = routers_.size();
-  // Allocate pass, in ascending router order. The word is re-read above each
-  // visited router: a send can wake a higher-index router mid-pass, and that
-  // router joins in, where its work is a harmless no-op -- the sent item
-  // only becomes receivable one cycle later.
+  // Allocate pass, in ascending router order, over the active set. Only
+  // routers in the occupied set (every active router while a checker is
+  // attached) have anything to allocate; the active routers in between are
+  // counted as visited without a call, exactly as if their allocate() had
+  // returned at once. The word is re-read after each call: a send can wake
+  // a higher-index router mid-pass, and that router counts as visited in
+  // the same cycle (the sent item only becomes receivable one cycle later).
   std::size_t visited = 0;
+  const bool audit = checker_ != nullptr;
   for (std::size_t w = 0; w < router_active_.size(); ++w) {
-    bits::Word live = router_active_[w];
-    while (live != 0) {
-      const auto b = static_cast<std::size_t>(std::countr_zero(live));
+    bits::Word above = ~bits::Word{0};  // positions the pass has not passed
+    while (true) {
+      const bits::Word live = router_active_[w] & above;
+      const bits::Word calls = audit ? live : live & router_occupied_[w];
+      if (calls == 0) {
+        visited += static_cast<std::size_t>(std::popcount(live));
+        break;
+      }
+      const auto b = static_cast<std::size_t>(std::countr_zero(calls));
+      const bits::Word upto = (bits::Word{2} << b) - 1;  // bits <= b
+      visited += static_cast<std::size_t>(std::popcount(live & upto));
       routers_[w * bits::kWordBits + b]->allocate(t);
-      ++visited;
-      live = router_active_[w] & ~((bits::Word{2} << b) - 1);  // bits > b
+      above = ~upto;
     }
   }
   perf_.router_steps_skipped += nr - visited;
-  // Terminals poll their source every cycle regardless of the active set,
-  // preserving the RNG draw sequence of a dense run.
-  for (auto& term : terminals_) term->inject(t);
-  // Receive passes, retiring each quiescent consumer right after its
-  // receive. Nothing a later receive does can give a retired router work
-  // except a terminal's ejection credit, and that send re-wakes it; so at
-  // the end of the cycle the active sets hold exactly the consumers with
-  // pending work, which the invariant hook below audits.
-  bits::for_each_set(router_active_.data(), router_active_.size(),
-                     [&](std::size_t r) {
-    Router& router = *routers_[r];
-    router.receive(t);
-    if (router.idle()) router_active_[bits::word_of(r)] &= ~bits::bit(r);
-  });
-  bits::for_each_set(terminal_active_.data(), terminal_active_.size(),
-                     [&](std::size_t i) {
-    terminals_[i]->receive(t);
-    const TerminalWiring& tw = terminal_wirings_[i];
-    if (tw.ej_flits->empty() && tw.inj_credits->empty()) {
-      terminal_active_[bits::word_of(i)] &= ~bits::bit(i);
-    }
-  });
+
+  // Every terminal polls its source every cycle; injection follows for the
+  // terminals with a packet. Generation takes packet ids and arena slots in
+  // terminal order, and injection takes no ids or slots, so generating
+  // everywhere first is identical to generating inside each injection.
+  for (auto& term : terminals_) term->generate(t);
+  bits::for_each_set(
+      terminal_injecting_.data(), terminal_injecting_.size(),
+      [&](std::size_t i) { terminals_[i]->inject(t); });
+
+  // Receive passes: only consumers with an arrival this cycle. A terminal's
+  // ejection credit sent below arrives at t + 1, in another slot.
+  router_due_.drain(t, [&](std::size_t r) { routers_[r]->receive(t); });
+  terminal_due_.drain(t, [&](std::size_t i) { terminals_[i]->receive(t); });
+
+  // The consumers a dense run would step next cycle: routers with a busy
+  // VC or an item in flight towards them, terminals with an item in flight.
+  for (std::size_t w = 0; w < router_active_.size(); ++w) {
+    router_active_[w] = router_occupied_[w] | router_due_.inflight(w);
+  }
+  for (std::size_t w = 0; w < terminal_active_.size(); ++w) {
+    terminal_active_[w] = terminal_due_.inflight(w);
+  }
 
   perf_.router_steps_total += nr;
   ++perf_.cycles;
-  if (checker_ != nullptr) checker_->after_step(*this);
+  if (audit) checker_->after_step(*this);
   ++now_;
 }
 
@@ -207,6 +237,12 @@ std::size_t Network::in_flight() const {
   for (const auto& r : routers_) n += r->buffered_flits();
   for (const auto& term : terminals_) n += term->queued_packets();
   for (const auto& ch : flit_channels_) n += ch->size();
+  return n;
+}
+
+std::size_t Network::credits_in_flight() const {
+  std::size_t n = 0;
+  for (const auto& ch : credit_channels_) n += ch->size();
   return n;
 }
 
@@ -258,6 +294,12 @@ void Network::state(StateArchive& ar) {
   ar.pod(perf_);
   active_state(ar, router_active_, routers_.size());
   active_state(ar, terminal_active_, terminals_.size());
+  // The occupied and injecting bits are rebuilt by the router and terminal
+  // loads, the due slots (and receive-pending words) by the channel loads.
+  if (ar.loading()) {
+    router_due_.clear();
+    terminal_due_.clear();
+  }
 
   arena_.state(ar);
   routing_->state(ar);

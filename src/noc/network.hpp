@@ -2,18 +2,24 @@
 // topology, wires credit loops, and advances the whole system cycle by
 // cycle. Also implements the CongestionOracle UGAL reads at injection.
 //
-// step() uses active-set scheduling. The routers and the terminals' receive
-// sides each form an active set kept as 64-bit words, and step() visits set
-// bits only. A consumer with no buffered flits, pending credits, or
-// in-flight items on its incoming channels is retired -- right after its
-// own receive(), by a word-only test -- and skipped until a channel send
-// targeting it re-wakes it (channels OR the consumer's bit in at send time;
-// the item arrives at least one cycle later, so no arrival can be missed).
-// The allocate pass re-reads the live word above each router it visits, so
-// a router woken mid-pass by a lower-index router's send is visited in the
-// same cycle, exactly as a per-router flag test would. Terminals still poll
-// their traffic source every cycle, which keeps the RNG draw sequence -- and
-// therefore every statistic -- bit-identical to a densely stepped run.
+// step() is traffic-proportional: each pass touches only the consumers
+// with work due, and every statistic stays bit-identical to a densely
+// stepped run (DESIGN.md, "Traffic-proportional cycle loop"). One cycle:
+//   allocate -- routers in the occupied set (a VC waiting or active), or
+//               every active router while a checker is attached;
+//   generate -- every terminal polls its traffic source, ascending;
+//   inject   -- terminals in the injecting set (a packet to send),
+//               ascending, as UGAL draws from the shared routing RNG;
+//   receive  -- routers, then terminals, in this cycle's DueSet slot (each
+//               channel send marks its consumer at the arrival cycle).
+// The router active set counts what a dense run would have stepped: it is
+// recomputed at the end of each step as occupied | inflight (the union of
+// the DueSet slots), and channel sends OR their consumer in during the
+// allocate pass, which re-reads the live word, so a router woken mid-pass
+// counts as visited that cycle. Active routers not visited count as
+// router_steps_skipped. The terminal active set is the terminals' inflight
+// set. Only the active sets are snapshot state; the occupied, injecting and
+// due sets are rebuilt on restore.
 #pragma once
 
 #include <memory>
@@ -64,7 +70,7 @@ class Network final : public CongestionOracle {
   Network(const Topology& topo, const NetworkConfig& cfg,
           RoutingFactory routing_factory, Terminal::EjectCallback on_eject);
 
-  /// Advances one cycle (allocate -> inject -> receive, with retirement).
+  /// Advances one cycle (allocate -> generate -> inject -> receive).
   void step();
 
   Cycle now() const { return now_; }
@@ -133,6 +139,9 @@ class Network final : public CongestionOracle {
   /// Flits still inside routers or source queues (drain check).
   std::size_t in_flight() const;
 
+  /// Credits on their way back upstream, on every credit channel.
+  std::size_t credits_in_flight() const;
+
   // CongestionOracle:
   std::size_t output_congestion(int router, int out_port) const override;
 
@@ -171,11 +180,16 @@ class Network final : public CongestionOracle {
   std::vector<std::unique_ptr<Channel<Credit>>> credit_channels_;
   std::vector<LinkWiring> link_wirings_;
   std::vector<TerminalWiring> terminal_wirings_;
-  // Active sets, bit i of word i / 64 for router (terminal) i. Channels
-  // hold pointers into these words, so they are sized once in the
-  // constructor and never resized. Snapshots store one byte per consumer.
+  // Consumer sets, bit i of word i / 64 for router (terminal) i. Channels,
+  // routers and terminals hold pointers into these words and the due sets,
+  // so all are sized once in the constructor and never resized. Snapshots
+  // store one byte per consumer of the active sets; the rest is derived.
   std::vector<bits::Word> router_active_;
   std::vector<bits::Word> terminal_active_;
+  std::vector<bits::Word> router_occupied_;     // a waiting or active VC
+  std::vector<bits::Word> terminal_injecting_;  // a packet to inject
+  DueSet router_due_;    // arrivals per cycle, routers
+  DueSet terminal_due_;  // arrivals per cycle, terminals
   NetworkPerfCounters perf_;
   InvariantChecker* checker_ = nullptr;
   std::uint64_t next_packet_id_ = 1;

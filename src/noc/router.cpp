@@ -69,10 +69,7 @@ void Router::attach_input(int port, Channel<Flit>* flits_in,
   const std::size_t p = static_cast<std::size_t>(port);
   flits_in_[p] = flits_in;
   credits_out_[p] = credits_out;
-  if (flits_in != nullptr) {
-    flits_in->set_consumer_wake(&rx_flit_pending_, p);
-    rx_flit_pending_ |= bits::bit(p);  // conservative; clears once drained
-  }
+  if (flits_in != nullptr) flits_in->set_consumer_wake(&rx_flit_pending_, p);
 }
 
 void Router::attach_output(int port, Channel<Flit>* flits_out,
@@ -84,12 +81,29 @@ void Router::attach_output(int port, Channel<Flit>* flits_out,
   downstream_[p] = downstream_router;
   if (credits_in != nullptr) {
     credits_in->set_consumer_wake(&rx_credit_pending_, p);
-    rx_credit_pending_ |= bits::bit(p);
   }
 }
 
+void Router::set_occupied_flag(bits::Word* word, std::size_t bit) {
+  occupied_word_ = word;
+  occupied_bit_ = bits::bit(bit);
+  if (word != nullptr && busy_vcs_ > 0) *word |= occupied_bit_;
+}
+
 void Router::set_vc_state(std::size_t idx, VcState state) {
+  const bool was_busy = input_vcs_[idx].state != VcState::kIdle;
+  const bool busy = state != VcState::kIdle;
   input_vcs_[idx].state = state;
+  if (busy != was_busy) {
+    busy_vcs_ = busy ? busy_vcs_ + 1 : busy_vcs_ - 1;
+    if (occupied_word_ != nullptr) {
+      if (busy_vcs_ > 0) {
+        *occupied_word_ |= occupied_bit_;
+      } else {
+        *occupied_word_ &= ~occupied_bit_;
+      }
+    }
+  }
   const std::size_t w = bits::word_of(idx);
   const bits::Word b = bits::bit(idx);
   if (state == VcState::kWaitVc) {
@@ -163,29 +177,25 @@ void Router::receive(Cycle now) {
 }
 
 void Router::allocate(Cycle now) {
-  // With a checker attached the allocators run on every cycle, requests or
+  // The Network calls allocate() only while a VC is waiting or active (a
+  // cycle without packets cannot produce any request), except with a
+  // checker attached: then the allocators run on every cycle, requests or
   // not, so a broken allocator that grants without a request is caught even
-  // in an idle network. Otherwise a cycle without packets cannot produce
-  // any request and is skipped entirely; next_alloc_cycle_ stays behind so
-  // the catch-up below accounts for it once there is work again. (An
-  // all-empty allocation cycle is equivalent to advance_priority(1) for
-  // every allocator architecture: wavefront diagonals rotate
-  // unconditionally, separable arbiters and pre-selects update only on
-  // grants.)
+  // in an idle network. Rotating priority state is caught up here over the
+  // cycles without a call, so grant sequences stay bit-identical to a
+  // densely stepped run. (An all-empty allocation cycle is equivalent to
+  // advance_priority(1) for every allocator architecture: wavefront
+  // diagonals rotate unconditionally, separable arbiters and pre-selects
+  // update only on grants -- hence the same va_rotates_/sa_rotates_ rule as
+  // the one-cycle replays below.)
   const bool audit = checker_ != nullptr;
-  if (!audit && !bits::any(wait_mask_.data(), wait_mask_.size()) &&
-      !bits::any(active_mask_.data(), active_mask_.size())) {
-    return;
-  }
-
-  // Catch the allocators' rotating priority state up over cycles this
-  // router was skipped (or had no packets), so grant sequences stay
-  // bit-identical to a densely stepped run.
   if (now > next_alloc_cycle_) {
     const std::uint64_t gap = now - next_alloc_cycle_;
-    vc_alloc_->advance_priority(gap);
-    if (sw_alloc_ != nullptr) sw_alloc_->advance_priority(gap);
-    if (spec_alloc_ != nullptr) spec_alloc_->advance_priority(gap);
+    if (va_rotates_) vc_alloc_->advance_priority(gap);
+    if (sa_rotates_) {
+      if (sw_alloc_ != nullptr) sw_alloc_->advance_priority(gap);
+      if (spec_alloc_ != nullptr) spec_alloc_->advance_priority(gap);
+    }
   }
   next_alloc_cycle_ = now + 1;
 
@@ -376,18 +386,6 @@ void Router::commit_grant(std::size_t port, std::size_t vc, Cycle now) {
   }
 }
 
-bool Router::has_pending_work() const {
-  if (bits::any(wait_mask_.data(), wait_mask_.size()) ||
-      bits::any(active_mask_.data(), active_mask_.size())) {
-    return true;
-  }
-  for (std::size_t p = 0; p < cfg_.ports; ++p) {
-    if (flits_in_[p] != nullptr && !flits_in_[p]->empty()) return true;
-    if (credits_in_[p] != nullptr && !credits_in_[p]->empty()) return true;
-  }
-  return false;
-}
-
 std::size_t Router::output_congestion(int out_port) const {
   std::size_t used = 0;
   const std::size_t p = static_cast<std::size_t>(out_port);
@@ -408,9 +406,11 @@ void Router::state(StateArchive& ar) {
   for (std::size_t idx = 0; idx < input_vcs_.size(); ++idx) {
     InputVc& ivc = input_vcs_[idx];
     ring_state(ar, ivc.buffer, [&](Flit& flit) { noc::state(ar, flit); });
-    ar.pod(ivc.state);
-    // The occupancy masks are a pure function of the per-VC states.
-    if (ar.loading()) set_vc_state(idx, ivc.state);
+    // The occupancy masks, busy count and occupied bit are a pure function
+    // of the per-VC states; set_vc_state moves them from the old state.
+    VcState vc_state = ivc.state;
+    ar.pod(vc_state);
+    if (ar.loading()) set_vc_state(idx, vc_state);
     noc::state(ar, ivc.route);
     ar.pod(ivc.out_vc);
   }
@@ -421,8 +421,8 @@ void Router::state(StateArchive& ar) {
   }
   if (ar.loading()) {
     // Rebuild the derived per-port words from the restored OutputVc
-    // structs, and conservatively mark every attached port pending (the
-    // masks self-heal as receive() finds the channels empty).
+    // structs. The receive-pending words are cleared here and re-marked
+    // exactly by the incoming channels' loads, which follow the routers'.
     for (std::size_t p = 0; p < cfg_.ports; ++p) {
       bits::Word alloc = 0;
       bits::Word credit = 0;
@@ -436,10 +436,6 @@ void Router::state(StateArchive& ar) {
     }
     rx_flit_pending_ = 0;
     rx_credit_pending_ = 0;
-    for (std::size_t p = 0; p < cfg_.ports; ++p) {
-      if (flits_in_[p] != nullptr) rx_flit_pending_ |= bits::bit(p);
-      if (credits_in_[p] != nullptr) rx_credit_pending_ |= bits::bit(p);
-    }
   }
   ar.u64(next_alloc_cycle_);
   ar.pod(stats_);

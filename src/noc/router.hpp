@@ -23,14 +23,21 @@
 // FastVcRequest per waiting head; per-port VC words plus a requested-output
 // byte per VC for SA), which every allocator family's allocate_sparse()
 // runs through its single-word kernel. Hence V = M*R*C and P must each fit
-// one 64-bit word (the allocator constructors reject wider shapes). The per-cycle path is allocation-free in steady state: input VC
-// buffers are fixed-capacity rings and the request/grant scratch is sized
-// once. Occupied input VCs are tracked in packed bitmasks (wait_mask_ /
-// active_mask_) so allocate() touches only VCs that actually hold packets,
-// and the Network's active-set scheduler can skip the router entirely while
-// it is quiescent. Allocators with cycle-rotating priority state (wavefront
-// diagonals) are caught up over skipped cycles via advance_priority(), which
-// keeps the results bit-identical to a densely stepped run.
+// one 64-bit word (the allocator constructors reject wider shapes). The
+// per-cycle path is allocation-free in steady state: input VC buffers are
+// fixed-capacity rings and the request/grant scratch is sized once.
+//
+// Scheduling state: occupied input VCs are tracked in packed bitmasks
+// (wait_mask_ / active_mask_) so allocate() touches only VCs that hold
+// packets, and set_vc_state() keeps the router's bit in the Network's
+// occupied set (any waiting or active VC), so the Network calls allocate()
+// only while there is something to allocate. Per-port receive-pending words
+// hold a bit iff the port's incoming channel is non-empty, so receive() --
+// which the Network calls only on cycles with an arrival -- polls only those
+// ports. Allocators with cycle-rotating priority state (wavefront
+// diagonals) are caught up over cycles without an allocate() call via
+// advance_priority(), which keeps the results bit-identical to a densely
+// stepped run.
 #pragma once
 
 #include <functional>
@@ -105,22 +112,10 @@ class Router {
 
   void receive(Cycle now);
 
-  /// The scheduler's word-only retirement test, exact right after
-  /// receive(): no waiting or active VCs, and no receive-pending bit set
-  /// (receive() leaves a port's bit set iff its channel still holds an
-  /// item). The Network retires the router when this holds; any later
-  /// channel send towards it re-wakes it via the channel's active-set wake.
-  bool idle() const {
-    return rx_flit_pending_ == 0 && rx_credit_pending_ == 0 &&
-           !bits::any(wait_mask_.data(), wait_mask_.size()) &&
-           !bits::any(active_mask_.data(), active_mask_.size());
-  }
-
-  /// Ground truth behind idle(): buffered packets, or an item on any
-  /// attached incoming flit or credit channel, pending bit or not. Walks
-  /// every channel, so only the invariant checker calls it -- it audits the
-  /// scheduler without trusting the bits the scheduler maintains.
-  bool has_pending_work() const;
+  /// Registers the router's bit in the Network's occupied set: set_vc_state
+  /// keeps bit `bit` of `*word` set iff an input VC is waiting or active.
+  /// Null detaches (a standalone router keeps only its own count).
+  void set_occupied_flag(bits::Word* word, std::size_t bit);
 
   /// Buffer slots claimed downstream of `out_port` (sum of consumed credits
   /// over its VCs) -- the congestion estimate UGAL reads.
@@ -150,7 +145,9 @@ class Router {
 
   /// Saves or loads the router's mutable state: input VC buffers and state
   /// machines, output VC credit counters, allocator priorities, the
-  /// catch-up cycle, and statistics. The occupancy masks are rebuilt on load.
+  /// catch-up cycle, and statistics. The occupancy masks, busy count and
+  /// occupied bit are rebuilt on load; the receive-pending words are
+  /// cleared, for the incoming channels' own loads to re-mark.
   void state(StateArchive& ar);
 
  private:
@@ -177,7 +174,8 @@ class Router {
   }
 
   /// Moves input VC `idx` to `state`, keeping the packed occupancy masks in
-  /// sync (bit idx of wait_mask_ iff kWaitVc, of active_mask_ iff kActive).
+  /// sync (bit idx of wait_mask_ iff kWaitVc, of active_mask_ iff kActive),
+  /// and busy_vcs_ and the occupied bit with them.
   void set_vc_state(std::size_t idx, VcState state);
 
   /// Activates a waiting head: called when a head flit reaches the front of
@@ -201,6 +199,11 @@ class Router {
   // Packed occupancy masks over input VC indices (port * V + vc).
   std::vector<bits::Word> wait_mask_;    // state == kWaitVc
   std::vector<bits::Word> active_mask_;  // state == kActive
+  // Input VCs not in kIdle, and the Network's occupied bit for this router
+  // (set iff busy_vcs_ > 0).
+  std::size_t busy_vcs_ = 0;
+  bits::Word* occupied_word_ = nullptr;
+  bits::Word occupied_bit_ = 0;
 
   std::vector<Channel<Flit>*> flits_in_;
   std::vector<Channel<Credit>*> credits_out_;
@@ -219,9 +222,9 @@ class Router {
   std::vector<SwitchGrant> sw_grants_;
   std::vector<SpecSwitchGrant> spec_grants_;
 
-  // The cycle the next allocate() call is expected at. When the active-set
-  // scheduler skipped cycles, allocate() first advances the allocators'
-  // rotating priority state by the gap so results match a dense run.
+  // The cycle the next allocate() call is expected at. When the scheduler
+  // skipped cycles, allocate() first advances rotating allocators' priority
+  // state by the gap so results match a dense run.
   Cycle next_alloc_cycle_ = 0;
 
   std::unique_ptr<VcAllocator> vc_alloc_;
@@ -230,18 +233,18 @@ class Router {
 
   // Receive-side pending masks: bit p is raised by a send on port p's
   // incoming flit/credit channel and cleared by receive() once the channel
-  // drains, so receive() polls only ports with in-flight items. Derived
-  // state (bit clear implies channel empty; bit set implies nothing until
-  // the next receive(), after which it implies an item), reset to
-  // all-attached on load and self-healing from there: a restored
-  // router runs receive() before its first idle() test.
+  // drains, so a bit is set iff its channel holds an item and receive()
+  // polls only ports with in-flight items. Derived state: empty at attach
+  // (channels start empty) and rebuilt exactly on load by the channels.
   bits::Word rx_flit_pending_ = 0;
   bits::Word rx_credit_pending_ = 0;
 
   // Allocators with cycle-rotating priority state (wavefront diagonals)
   // rotate on every allocation cycle, requested or not; when allocate()
   // skips a stage because no request reached it, it replays the call as
-  // advance_priority(1).
+  // advance_priority(1), and after cycles without an allocate() call it
+  // catches up with advance_priority(gap). Every other family's priority
+  // state changes only on grants, so both replays apply to these alone.
   bool va_rotates_ = false;
   bool sa_rotates_ = false;
   // Derived per-output-port words mirroring the OutputVc structs (rebuilt

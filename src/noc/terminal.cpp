@@ -16,6 +16,7 @@ Terminal::Terminal(int id, int router, const VcPartition& partition,
       buffer_depth_(buffer_depth),
       routing_(routing),
       source_(std::move(source)),
+      generator_(dynamic_cast<RequestGenerator*>(source_.get())),
       arena_(&arena),
       on_eject_(std::move(on_eject)),
       credits_(partition.total_vcs(), buffer_depth) {
@@ -32,26 +33,23 @@ void Terminal::attach(Channel<Flit>* to_router,
   credits_to_router_ = credits_to_router;
 }
 
-void Terminal::inject(Cycle now) {
-  NOCALLOC_CHECK(next_id_ != nullptr);
-
+void Terminal::queue_request() {
   // New request arrivals enter the source queue regardless of backpressure
   // (the source queue is unbounded; its waiting time is part of packet
   // latency, as in the paper's latency-vs-injection-rate curves).
-  if (generate_) {
-    if (source_->maybe_generate(now, *next_id_, scratch_)) {
-      scratch_.measured = measuring_;
-      const PacketHandle h = arena_->allocate();
-      arena_->get(h) = scratch_;
-      request_queue_.push_back(h);
-    }
-  }
+  scratch_.measured = measuring_;
+  const PacketHandle h = arena_->allocate();
+  arena_->get(h) = scratch_;
+  request_queue_.push_back(h);
+  *injecting_word_ |= injecting_bit_;
+}
 
+void Terminal::inject(Cycle now) {
+  NOCALLOC_DCHECK(queued_packets() > 0);
   if (current_ == kInvalidPacket) {
     // Replies take priority over new requests (Sec. 3.2).
     GrowRing<PacketHandle>& q =
         !reply_queue_.empty() ? reply_queue_ : request_queue_;
-    if (q.empty()) return;
 
     // Pick the injection VC: the freest VC of the packet's starting class.
     Packet& head = arena_->get(q.front());
@@ -102,6 +100,9 @@ void Terminal::stage_flit(Cycle now) {
     current_ = kInvalidPacket;
     current_vc_ = -1;
     current_sent_ = 0;
+    if (reply_queue_.empty() && request_queue_.empty()) {
+      *injecting_word_ &= ~injecting_bit_;
+    }
   }
 }
 
@@ -149,6 +150,13 @@ void Terminal::state(StateArchive& ar) {
   ar.pod(measuring_);
   ar.pod(generate_);
   source_->state(ar);
+  if (ar.loading()) {
+    if (queued_packets() > 0) {
+      *injecting_word_ |= injecting_bit_;
+    } else {
+      *injecting_word_ &= ~injecting_bit_;
+    }
+  }
 }
 
 }  // namespace nocalloc::noc

@@ -2,11 +2,23 @@
 // towards its router's input port, ejection with immediate credit return,
 // and request/reply transaction handling (replies take priority over fresh
 // requests, Sec. 3.2).
+//
+// Each cycle has three terminal phases, driven by the Network: generate()
+// polls the traffic source (every terminal, every cycle, so the RNG draw
+// sequence never depends on scheduling; the synthetic RequestGenerator's
+// Bernoulli test is inlined, other sources keep the virtual call), inject()
+// sends at most one flit, and receive() takes arriving credits and ejected
+// flits. The terminal keeps its bit in the Network's injecting set equal to
+// "has a packet to send": generate() and enqueue_reply() set it, and
+// inject() clears it when the last queued packet leaves, so the Network
+// calls inject() only where there is something to inject.
 #pragma once
 
 #include <functional>
 #include <memory>
 
+#include "common/bitops.hpp"
+#include "common/check.hpp"
 #include "common/ring.hpp"
 #include "noc/channel.hpp"
 #include "noc/packet_arena.hpp"
@@ -37,9 +49,31 @@ class Terminal {
   void attach(Channel<Flit>* to_router, Channel<Credit>* credits_from_router,
               Channel<Flit>* from_router, Channel<Credit>* credits_to_router);
 
-  /// Phases, called by the Network each cycle: inject() during the
-  /// allocation phase, receive() during the receive phase. Flits and
-  /// credits are written straight into the attached channels.
+  /// Registers the terminal's bit in the Network's injecting set, kept set
+  /// iff queued_packets() > 0. Must be set before the first generate().
+  void set_injecting_flag(bits::Word* word, std::size_t bit) {
+    injecting_word_ = word;
+    injecting_bit_ = bits::bit(bit);
+  }
+
+  /// Polls the traffic source once (if generation is enabled) and queues
+  /// the request it produces, if any.
+  void generate(Cycle now) {
+    if (!generate_) return;
+    NOCALLOC_DCHECK(next_id_ != nullptr && injecting_word_ != nullptr);
+    if (generator_ != nullptr) {
+      if (!generator_->fires()) return;
+      generator_->fill(now, *next_id_, scratch_);
+    } else if (!source_->maybe_generate(now, *next_id_, scratch_)) {
+      return;
+    }
+    queue_request();
+  }
+
+  /// Injection and receive phases, called by the Network each cycle after
+  /// generation: inject() only while queued_packets() > 0, receive() only
+  /// on cycles with an arrival. Flits and credits are written straight into
+  /// the attached channels.
   void inject(Cycle now);
   void receive(Cycle now);
 
@@ -68,6 +102,7 @@ class Terminal {
     const PacketHandle h = arena_->allocate();
     arena_->get(h) = reply;
     reply_queue_.push_back(h);
+    *injecting_word_ |= injecting_bit_;
   }
 
   /// Enables/disables new request generation (replies still flow). Used by
@@ -89,12 +124,15 @@ class Terminal {
   /// Saves or loads the terminal's mutable state: source queues, the packet
   /// mid-injection, per-VC credits, flit counters, flags, and the traffic
   /// source's own state. Channel contents are owned (and serialized) by the
-  /// Network.
+  /// Network. A load rebuilds the injecting bit from the restored queues.
   void state(StateArchive& ar);
 
  private:
   friend class InvariantChecker;  // audits credits_ for conservation checks
 
+  /// Copies the freshly generated scratch_ packet into the arena and
+  /// queues it.
+  void queue_request();
   void stage_flit(Cycle now);
 
   int id_;
@@ -103,6 +141,9 @@ class Terminal {
   std::size_t buffer_depth_;
   RoutingFunction& routing_;
   std::unique_ptr<TrafficSource> source_;
+  // source_ when it is the synthetic generator (polled without a virtual
+  // call), else null.
+  RequestGenerator* generator_;
   PacketArena* arena_;
   EjectCallback on_eject_;
 
@@ -125,6 +166,8 @@ class Terminal {
   std::vector<std::size_t> credits_;  // per router-input VC
 
   std::uint64_t* next_id_ = nullptr;
+  bits::Word* injecting_word_ = nullptr;
+  bits::Word injecting_bit_ = 0;
   std::uint64_t flits_injected_ = 0;
   std::uint64_t flits_ejected_ = 0;
   bool measuring_ = false;

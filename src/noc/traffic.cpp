@@ -54,9 +54,7 @@ int traffic_destination(TrafficPattern pattern, int src,
   NOCALLOC_CHECK(false);
 }
 
-bool RequestGenerator::maybe_generate(Cycle now, std::uint64_t& next_id,
-                                      Packet& out) {
-  if (!rng_.next_bool(request_rate_)) return false;
+void RequestGenerator::fill(Cycle now, std::uint64_t& next_id, Packet& out) {
   out = Packet{};
   out.id = next_id++;
   out.type = rng_.next_bool(0.5) ? PacketType::kReadRequest
@@ -66,7 +64,6 @@ bool RequestGenerator::maybe_generate(Cycle now, std::uint64_t& next_id,
       traffic_destination(pattern_, terminal_, num_terminals_, rng_);
   out.length = packet_length(out.type);
   out.created = now;
-  return true;
 }
 
 Packet make_reply(const Packet& request, Cycle now, std::uint64_t id) {

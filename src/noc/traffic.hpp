@@ -72,7 +72,17 @@ class RequestGenerator final : public TrafficSource {
         rng_(rng) {}
 
   bool maybe_generate(Cycle now, std::uint64_t& next_id,
-                      Packet& out) override;
+                      Packet& out) override {
+    if (!fires()) return false;
+    fill(now, next_id, out);
+    return true;
+  }
+
+  /// The per-cycle Bernoulli injection draw, split out of maybe_generate()
+  /// so Terminal can poll it inline; fill() completes the packet when it
+  /// fires. fires() followed by fill() on success is maybe_generate().
+  bool fires() { return rng_.next_bool(request_rate_); }
+  void fill(Cycle now, std::uint64_t& next_id, Packet& out);
 
   bool set_request_rate(double rate) override {
     request_rate_ = rate;

@@ -30,8 +30,8 @@ class SaSeparableInputFirst final : public SwitchAllocator {
                        std::vector<SwitchGrant>& grant) override;
   void reset() override;
   void state(StateArchive& ar) override {
-    for (const auto& a : vc_arb_) a->state(ar);
-    for (const auto& a : out_arb_) a->state(ar);
+    for (FastArb& fa : vc_fa_) fa.state(ar);
+    for (FastArb& fa : out_fa_) fa.state(ar);
   }
 
  private:
@@ -63,8 +63,8 @@ class SaSeparableOutputFirst final : public SwitchAllocator {
                        std::vector<SwitchGrant>& grant) override;
   void reset() override;
   void state(StateArchive& ar) override {
-    for (const auto& a : out_arb_) a->state(ar);
-    for (const auto& a : vc_arb_) a->state(ar);
+    for (FastArb& fa : out_fa_) fa.state(ar);
+    for (FastArb& fa : vc_fa_) fa.state(ar);
   }
 
  private:

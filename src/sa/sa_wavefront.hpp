@@ -33,7 +33,7 @@ class SaWavefront final : public SwitchAllocator {
   }
   void state(StateArchive& ar) override {
     core_.state(ar);
-    for (const auto& a : presel_) a->state(ar);
+    for (FastArb& fa : presel_fa_) fa.state(ar);
   }
 
  private:

@@ -28,7 +28,29 @@ void resolve_fast_arbiters(
   }
 }
 
+/// The output tree arbiters' priority state in TreeArbiter::state order:
+/// each tree's top, then its P locals.
+void output_tree_state(StateArchive& ar, std::vector<FastArb>& out_top_fa,
+                       std::vector<FastArb>& out_local_fa, std::size_t ports) {
+  for (std::size_t o = 0; o < out_top_fa.size(); ++o) {
+    out_top_fa[o].state(ar);
+    for (std::size_t g = 0; g < ports; ++g) {
+      out_local_fa[o * ports + g].state(ar);
+    }
+  }
+}
+
 }  // namespace
+
+void VcSeparableInputFirstAllocator::state(StateArchive& ar) {
+  for (FastArb& fa : in_fa_) fa.state(ar);
+  output_tree_state(ar, out_top_fa_, out_local_fa_, ports());
+}
+
+void VcSeparableOutputFirstAllocator::state(StateArchive& ar) {
+  output_tree_state(ar, out_top_fa_, out_local_fa_, ports());
+  for (FastArb& fa : in_fa_) fa.state(ar);
+}
 
 VcSeparableInputFirstAllocator::VcSeparableInputFirstAllocator(
     std::size_t ports, std::size_t vcs, ArbiterKind arb)

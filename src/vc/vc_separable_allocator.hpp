@@ -31,10 +31,10 @@ class VcSeparableInputFirstAllocator final : public VcAllocator {
   void allocate_sparse(const FastVcRequest* req, std::size_t n,
                        std::vector<int>& grant) override;
   void reset() override;
-  void state(StateArchive& ar) override {
-    for (const auto& a : input_arb_) a->state(ar);
-    for (const auto& a : output_arb_) a->state(ar);
-  }
+  /// Saves or loads every arbiter's priority state through the resolved
+  /// handles, in the order the arbiters themselves would (each output
+  /// tree's top before its locals).
+  void state(StateArchive& ar) override;
 
  private:
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
@@ -68,10 +68,10 @@ class VcSeparableOutputFirstAllocator final : public VcAllocator {
   void allocate_sparse(const FastVcRequest* req, std::size_t n,
                        std::vector<int>& grant) override;
   void reset() override;
-  void state(StateArchive& ar) override {
-    for (const auto& a : output_arb_) a->state(ar);
-    for (const auto& a : input_arb_) a->state(ar);
-  }
+  /// Saves or loads every arbiter's priority state through the resolved
+  /// handles, in the order the arbiters themselves would (each output
+  /// tree's top before its locals).
+  void state(StateArchive& ar) override;
 
  private:
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);

@@ -49,9 +49,10 @@ void expect_identical(const SimResult& got, const SimResult& want) {
 // and the allocator family (VC and switch allocation alike), arbiter and
 // speculation mode. At the low rate most routers are inactive when the
 // snapshot is taken, so restores exercise the active-set words and the
-// conservative all-set receive-pending bits of idle routers. Torus and ring
-// restores carry dateline routing state; nonspec and spec_gnt take
-// Router's other allocator branches.
+// rebuild of the derived scheduling sets (occupied, injecting, due slots,
+// receive-pending bits) from VC states, source queues and channel contents.
+// Torus and ring restores carry dateline routing state; nonspec and
+// spec_gnt take Router's other allocator branches.
 struct RestoreCase {
   TopologyKind topology;
   bool check;
@@ -154,6 +155,61 @@ TEST_P(SnapshotRestoreTest, DirtyInstanceRestoreMatchesUninterrupted) {
   EXPECT_EQ(got.ugal_nonminimal_fraction, want.ugal_nonminimal_fraction);
   EXPECT_EQ(got.router_steps_total, want.router_steps_total);
   EXPECT_EQ(got.router_steps_skipped, want.router_steps_skipped);
+}
+
+// Runs `sim` on from the end of warmup until some terminals are idle while
+// others have a packet to send and credits are in flight, so a snapshot
+// taken there has every derived scheduling set partly filled. Returns the
+// cycles advanced.
+std::size_t run_to_mixed_state(SimInstance& sim) {
+  for (std::size_t k = 0; k < 2000; ++k) {
+    Network& net = sim.network();
+    std::size_t idle = 0;
+    for (std::size_t t = 0; t < net.num_terminals(); ++t) {
+      if (net.terminal(static_cast<int>(t)).queued_packets() == 0) ++idle;
+    }
+    if (idle > 0 && idle < net.num_terminals() &&
+        net.credits_in_flight() > 0) {
+      return k;
+    }
+    sim.run_cycles(1);
+  }
+  ADD_FAILURE() << "no cycle with idle terminals and in-flight credits";
+  return 0;
+}
+
+// A snapshot taken mid-run -- not at a phase boundary -- restored into a
+// fresh instance must reproduce the uninterrupted run exactly,
+// router_steps_skipped included: restore rebuilds the occupied, injecting
+// and due sets and the receive-pending bits from the restored state.
+TEST_P(SnapshotRestoreTest, MidRunRestoreMatchesUninterrupted) {
+  const bool check = GetParam().check;
+  const SimConfig cfg = GetParam().config();
+
+  SimInstance warm(cfg);
+  if (check) warm.checker().throw_on_violation();
+  warm.warmup();
+  const std::size_t extra = run_to_mixed_state(warm);
+  SimSnapshot snap;
+  warm.snapshot(snap);
+
+  SimInstance uninterrupted(cfg);
+  if (check) uninterrupted.checker().throw_on_violation();
+  uninterrupted.warmup();
+  uninterrupted.run_cycles(extra);
+  const SimResult want = uninterrupted.measure_and_drain();
+
+  SimInstance forked(cfg);
+  if (check) forked.checker().throw_on_violation();
+  forked.restore(snap);
+  const SimResult got = forked.measure_and_drain();
+
+  expect_identical(got, want);
+  if (check) {
+    EXPECT_EQ(forked.checker().checks_run(),
+              uninterrupted.checker().checks_run());
+    EXPECT_EQ(forked.checker().violations_seen(), 0u);
+  }
 }
 
 // Snapshots are values: two restores from the same snapshot produce the
