@@ -1,40 +1,26 @@
 // Config-file simulation runner (BookSim-style):
 //
-//   nocsim [config-file] [key=value ...]              one run, human output
-//   nocsim [config-file] [key=value ...] --sweep A:B:S   injection-rate sweep
-//                                                        from A to B step S,
-//                                                        CSV on stdout
+//   nocsim [config-file] [key=value ...]      one run, human output
 //
-// Keys are documented in src/noc/config.hpp. --check-invariants runs the
+// Keys are documented in src/noc/config.hpp. check_invariants=true runs the
 // whole simulation under the runtime protocol checker (credit/flit
-// conservation, VC state machines, allocation legality, deadlock watchdog);
-// violations print their location and abort. Examples:
+// conservation, VC state machines, allocation legality, route legality
+// against the statically verified VC-class transitions, deadlock watchdog);
+// violations print their location and abort. Latency-vs-load curves come
+// from tools/nocsweep. Examples:
 //   ./build/examples/nocsim
 //   ./build/examples/nocsim mesh.cfg injection_rate=0.3 sw_alloc=wf
-//   ./build/examples/nocsim topology=fbfly vcs_per_class=4 --sweep 0.05:0.7:0.05
-//   ./build/examples/nocsim --check-invariants spec=spec_gnt
+//   ./build/examples/nocsim check_invariants=true spec=spec_gnt
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "noc/config.hpp"
-#include "verify/verify.hpp"
 
 using namespace nocalloc;
 using namespace nocalloc::noc;
 
 namespace {
-
-/// Like run_simulation(), but with --check-invariants the runtime checker
-/// also validates every lookahead routing decision against the transition
-/// relation the static analysis extracts for this config (route-legality).
-SimResult run(const SimConfig& cfg) {
-  SimInstance sim(cfg);
-  if (cfg.check_invariants) verify::attach_verified_relation(sim);
-  sim.warmup();
-  return sim.measure_and_drain();
-}
 
 void print_result(const SimConfig& cfg, const SimResult& r) {
   std::printf("%s\n", to_config_string(cfg).c_str());
@@ -56,41 +42,13 @@ void print_result(const SimConfig& cfg, const SimResult& r) {
   }
 }
 
-void sweep(SimConfig cfg, double from, double to, double step) {
-  std::printf("injection_rate,avg_latency,network_latency,p99,accepted,"
-              "saturated,packets\n");
-  for (double rate = from; rate <= to + 1e-9; rate += step) {
-    cfg.injection_rate = rate;
-    const SimResult r = run(cfg);
-    std::printf("%.3f,%.2f,%.2f,%.0f,%.4f,%d,%zu\n", rate,
-                r.avg_packet_latency, r.avg_network_latency,
-                r.p99_packet_latency, r.accepted_flit_rate,
-                r.saturated ? 1 : 0, r.packets_measured);
-    if (r.saturated) break;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   SimConfig cfg;
-  bool do_sweep = false;
-  double from = 0, to = 0, step = 0;
-
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--sweep") {
-      if (i + 1 >= argc ||
-          std::sscanf(argv[i + 1], "%lf:%lf:%lf", &from, &to, &step) != 3 ||
-          step <= 0) {
-        std::fprintf(stderr, "--sweep expects from:to:step\n");
-        return 1;
-      }
-      do_sweep = true;
-      ++i;
-    } else if (arg == "--check-invariants") {
-      cfg.check_invariants = true;
-    } else if (arg.find('=') != std::string::npos) {
+    if (arg.find('=') != std::string::npos) {
       apply_override(cfg, arg);
     } else {
       std::ifstream file(arg);
@@ -101,11 +59,6 @@ int main(int argc, char** argv) {
       cfg = parse_sim_config(file, cfg);
     }
   }
-
-  if (do_sweep) {
-    sweep(cfg, from, to, step);
-  } else {
-    print_result(cfg, run(cfg));
-  }
+  print_result(cfg, run_simulation(cfg));
   return 0;
 }

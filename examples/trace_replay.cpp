@@ -3,10 +3,16 @@
 // TrafficTrace / TraceSource API end to end.
 //
 // Usage: trace_replay [trace-file]
-// Without an argument, a synthetic bursty trace is generated, saved to
-// /tmp/nocalloc_example.trace and replayed under two switch allocators.
+// Without an argument, a synthetic bursty trace is generated, round-tripped
+// through a fresh temporary file in the text format, and replayed under two
+// switch allocators.
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include "common/stats.hpp"
 #include "noc/network.hpp"
@@ -43,6 +49,24 @@ TrafficTrace make_bursty_trace() {
   }
   trace.sort();
   return trace;
+}
+
+/// Saves `trace` to a unique temporary file, loads it back and removes the
+/// file, so concurrent runs never share a path and none is left behind.
+TrafficTrace round_trip(const TrafficTrace& trace) {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "nocalloc_trace_XXXXXX")
+          .string();
+  const int fd = mkstemp(path.data());
+  if (fd < 0) {
+    std::perror("trace_replay: mkstemp");
+    std::exit(1);
+  }
+  close(fd);
+  trace.save(path);
+  TrafficTrace loaded = TrafficTrace::load(path);
+  std::remove(path.c_str());
+  return loaded;
 }
 
 double replay(const TrafficTrace& trace, AllocatorKind sw_alloc) {
@@ -97,10 +121,9 @@ int main(int argc, char** argv) {
     trace = TrafficTrace::load(argv[1]);
     std::printf("loaded %zu trace records from %s\n", trace.size(), argv[1]);
   } else {
-    trace = make_bursty_trace();
-    trace.save("/tmp/nocalloc_example.trace");
+    trace = round_trip(make_bursty_trace());
     std::printf("generated bursty trace with %zu records "
-                "(saved to /tmp/nocalloc_example.trace)\n",
+                "(round-tripped through a temporary trace file)\n",
                 trace.size());
   }
 

@@ -55,7 +55,6 @@ void InvariantChecker::report(InvariantViolation violation) {
 void InvariantChecker::on_vc_alloc(const Router& router, Cycle now,
                                    const FastVcRequest* req, std::size_t n,
                                    const std::vector<int>& grant) {
-  if (!cfg_.check_allocations) return;
   ++checks_;
   const std::size_t vcs = router.vcs_;
   const std::size_t total = router.cfg_.ports * vcs;
@@ -114,7 +113,6 @@ void InvariantChecker::on_sw_alloc(const Router& router, Cycle now,
                                    const bits::Word* vc_words,
                                    const std::uint8_t* out_ports,
                                    const std::vector<SwitchGrant>& grant) {
-  if (!cfg_.check_allocations) return;
   ++checks_;
   const std::size_t ports = router.cfg_.ports;
   const std::size_t vcs = router.vcs_;
@@ -158,7 +156,6 @@ void InvariantChecker::on_spec_sw_alloc(
     const std::uint8_t* ns_out, const bits::Word* sp_words,
     const std::uint8_t* sp_out, const std::vector<SpecSwitchGrant>& grant,
     SpecMode mode) {
-  if (!cfg_.check_allocations) return;
   ++checks_;
   const std::size_t ports = router.cfg_.ports;
   const std::size_t vcs = router.vcs_;
@@ -259,16 +256,14 @@ void InvariantChecker::on_route(const Router& router, Cycle now, int out_port,
 
 void InvariantChecker::after_step(const Network& net) {
   const Cycle now = net.now_;
-  if (cfg_.check_vc_states) {
-    for (const auto& router : net.routers_) check_router_state(*router, now);
-  }
-  if (cfg_.check_credits) check_link_credits(net);
-  if (cfg_.check_flit_conservation) check_flit_conservation(net);
-  if (cfg_.check_active_set) check_active_set(net);
+  for (const auto& router : net.routers_) check_router_state(*router, now);
+  check_link_credits(net);
+  check_flit_conservation(net);
+  check_scheduler_sets(net);
   if (cfg_.deadlock_cycles > 0) check_progress(net);
 }
 
-void InvariantChecker::check_active_set(const Network& net) {
+void InvariantChecker::check_scheduler_sets(const Network& net) {
   ++checks_;
   const Cycle now = net.now_;
   // Every scheduling set is audited both ways against ground truth read

@@ -4,8 +4,8 @@
 // the VC/credit/allocation protocol it claims to model: a credit leak or an
 // illegal double-grant would shift every latency curve without failing a
 // functional test. The InvariantChecker is always compiled and enabled per
-// run (SimConfig::check_invariants, `nocsim --check-invariants`); it hooks
-// two kinds of boundaries:
+// run (SimConfig::check_invariants, config key `check_invariants=true`); it
+// hooks three kinds of boundaries:
 //
 //   - allocation results, validated inside Router::allocate() every cycle
 //     in the same sparse request/grant form the allocator kernels consume
@@ -25,6 +25,11 @@
 //     network-wide flit conservation (injected = ejected + in flight), and
 //     a deadlock watchdog that fires when buffered flits make no progress
 //     for a configurable horizon.
+//
+//   - lookahead routes, validated as they commit against the resource-class
+//     transition relation the static analysis extracts from the same
+//     routing function (verify::relation_for_config); a checked SimInstance
+//     installs it.
 //
 // Violations are structured (cycle/router/port/VC plus a check id) and go
 // to a configurable handler: the default prints and aborts, tests install
@@ -74,18 +79,8 @@ class InvariantError : public std::runtime_error {
   InvariantViolation violation_;
 };
 
+/// Every check runs on every checked cycle; only the watchdog is tunable.
 struct InvariantCheckerConfig {
-  bool check_allocations = true;
-  bool check_vc_states = true;
-  bool check_credits = true;
-  bool check_flit_conservation = true;
-  /// Audits the scheduler's sets both ways against VC states, source queues
-  /// and channel contents: occupied iff a VC is waiting or active; injecting
-  /// iff the terminal has a packet; inflight iff an incoming channel is
-  /// non-empty; active iff occupied or inflight; receive-pending bits iff
-  /// the port's channel is non-empty; and every due slot exactly the
-  /// consumers with an item arriving at that cycle.
-  bool check_active_set = true;
   /// Cycles without any flit movement (while flits are buffered) before the
   /// deadlock watchdog fires; 0 disables the watchdog.
   std::size_t deadlock_cycles = 1000;
@@ -107,7 +102,8 @@ class InvariantChecker {
   /// routing decision is checked against (check id "route-legality"). The
   /// single source of truth is the relation *observed* by the static
   /// analysis exhaustively driving the routing function
-  /// (verify::attach_verified_relation), not a hand-coded rule table.
+  /// (verify::relation_for_config), not a hand-coded rule table; every
+  /// SimInstance built with check_invariants installs it.
   void set_transition_relation(verify::TransitionRelation relation) {
     relation_ = std::move(relation);
   }
@@ -165,7 +161,13 @@ class InvariantChecker {
   void check_router_state(const Router& router, Cycle now);
   void check_link_credits(const Network& net);
   void check_flit_conservation(const Network& net);
-  void check_active_set(const Network& net);
+  /// Audits the scheduler's sets both ways against VC states, source queues
+  /// and channel contents: occupied iff a VC is waiting or active; injecting
+  /// iff the terminal has a packet; inflight iff an incoming channel is
+  /// non-empty; active iff occupied or inflight; receive-pending bits iff
+  /// the port's channel is non-empty; and every due slot exactly the
+  /// consumers with an item arriving at that cycle.
+  void check_scheduler_sets(const Network& net);
   void check_progress(const Network& net);
 
   InvariantCheckerConfig cfg_;

@@ -5,6 +5,7 @@
 #include "common/check.hpp"
 #include "common/stats.hpp"
 #include "noc/invariants.hpp"
+#include "verify/verify.hpp"
 
 namespace nocalloc::noc {
 
@@ -132,7 +133,12 @@ SimInstance::SimInstance(const SimConfig& cfg) : cfg_(cfg) {
   };
 
   net_ = std::make_unique<Network>(*topo_, net_cfg, factory, on_eject);
-  if (cfg_.check_invariants) net_->attach_invariant_checker(&checker_);
+  // A checked run also audits every lookahead route against the relation
+  // the static analysis extracts from this config's routing function.
+  if (cfg_.check_invariants) {
+    checker_.set_transition_relation(verify::relation_for_config(cfg_));
+    net_->attach_invariant_checker(&checker_);
+  }
 }
 
 void SimInstance::run_cycles(std::size_t n) {

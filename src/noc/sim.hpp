@@ -56,8 +56,9 @@ struct SimConfig {
   std::uint64_t seed = 1;
 
   /// Runs the full simulation under an attached InvariantChecker (credit and
-  /// flit conservation, VC protocol, allocation legality, deadlock watchdog).
-  /// Violations print and abort. Roughly doubles simulation time.
+  /// flit conservation, VC protocol, allocation legality, deadlock watchdog,
+  /// and route legality against verify::relation_for_config). Violations
+  /// print and abort. Roughly doubles simulation time.
   bool check_invariants = false;
 
   /// Test-only fault injection (ring/torus): routing keeps packets in their

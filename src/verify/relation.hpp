@@ -5,10 +5,11 @@
 // and the runtime InvariantChecker validates every lookahead routing
 // decision against it (noc/invariants.*, check id "route-legality").
 //
-// The type is deliberately header-only and free of any simulator include so
-// that noc/ can consume relations computed by verify/ without a library
-// cycle: verify/ links against noc/ (it drives Topology and
-// RoutingFunction), while noc/ only sees this plain value type.
+// The type is header-only and free of any simulator include, so the
+// checker (noc/invariants.hpp) can hold one without pulling the analysis
+// headers into every simulator file. Both directories build into one
+// library, nocalloc_noc: SimInstance computes the relation with
+// verify::relation_for_config whenever check_invariants is set.
 #pragma once
 
 #include <cstddef>

@@ -49,10 +49,6 @@ TransitionRelation relation_for_config(const noc::SimConfig& cfg) {
       .observed;
 }
 
-void attach_verified_relation(noc::SimInstance& sim) {
-  sim.checker().set_transition_relation(relation_for_config(sim.config()));
-}
-
 std::vector<ProtocolPoint> shipped_protocol_points() {
   std::vector<ProtocolPoint> points;
   const noc::TopologyKind kinds[] = {

@@ -35,13 +35,10 @@ VerifyReport verify_sim_config(const noc::SimConfig& cfg,
                                const VerifyOptions& options = {});
 
 /// The resource-class transition relation the config's routing actually
-/// emits (extraction only, no passes).
+/// emits (extraction only, no passes). Every SimInstance built with
+/// check_invariants installs it on its InvariantChecker, arming the runtime
+/// "route-legality" check.
 TransitionRelation relation_for_config(const noc::SimConfig& cfg);
-
-/// Computes relation_for_config(sim.config()) and installs it on the sim's
-/// InvariantChecker, arming the runtime "route-legality" check. Call after
-/// constructing a SimInstance that runs with check_invariants.
-void attach_verified_relation(noc::SimInstance& sim);
 
 /// One shipped protocol configuration for sweeps (`nocverify --all`,
 /// tests/test_verify_designs.cpp).

@@ -3,8 +3,8 @@
 #
 # Malformed flag values must exit 2 with a message naming the flag and the
 # value. A small all-rates curve must print the same bytes for 1 and 3
-# workers, with and without a cache, and on a fully cached rerun; those
-# bytes must equal the committed golden file.
+# workers, with and without a cache, on a fully cached rerun, and under
+# the invariant checker; those bytes must equal the committed golden file.
 #
 # Usage: test_nocsweep.sh <nocsweep binary> <golden file>
 set -u
@@ -56,5 +56,6 @@ expect_golden workers1 --workers=1
 expect_golden workers3_cold --workers=3 --cache="$work/cache"
 expect_golden workers3_cached --workers=3 --cache="$work/cache"
 expect_golden workers1_cached --workers=1 --cache="$work/cache"
+expect_golden checked --workers=3 check_invariants=true
 
 exit $status

@@ -250,13 +250,20 @@ CurveSpec small_curve(noc::TopologyKind topo, bool stop_at_saturation) {
 
 // Warm-fork curves must be bit-identical across thread counts in both
 // sharding modes: whole-curve tasks (stop_at_saturation) and fully
-// per-point shards.
+// per-point shards. The checked copies (every invariant plus route
+// legality, on UGAL's Valiant routes too) must match the unchecked curves.
 TEST(SimBatch, WarmCurvesIdenticalAcrossPoolSizes) {
   for (const bool stop : {true, false}) {
-    const std::vector<CurveSpec> specs = {
+    std::vector<CurveSpec> specs = {
         small_curve(noc::TopologyKind::kMesh8x8, stop),
         small_curve(noc::TopologyKind::kFbfly4x4, stop),
     };
+    const std::size_t unchecked = specs.size();
+    for (std::size_t s = 0; s < unchecked; ++s) {
+      CurveSpec checked = specs[s];
+      checked.base.check_invariants = true;
+      specs.push_back(checked);
+    }
     ThreadPool serial(1);
     const auto expected = run_warm_curves(serial, specs);
     ThreadPool pool(4);
@@ -273,6 +280,19 @@ TEST(SimBatch, WarmCurvesIdenticalAcrossPoolSizes) {
         if (got[s].points[p].run) {
           expect_result_eq(got[s].points[p].result, expected[s].points[p].result,
                            where);
+        }
+      }
+    }
+    for (std::size_t s = unchecked; s < got.size(); ++s) {
+      const auto& plain = got[s - unchecked].points;
+      ASSERT_EQ(got[s].points.size(), plain.size());
+      for (std::size_t p = 0; p < plain.size(); ++p) {
+        const std::string where = "stop=" + std::to_string(stop) +
+                                  " checked curve " + std::to_string(s) +
+                                  " point " + std::to_string(p);
+        ASSERT_EQ(got[s].points[p].run, plain[p].run) << where;
+        if (plain[p].run) {
+          expect_result_eq(got[s].points[p].result, plain[p].result, where);
         }
       }
     }

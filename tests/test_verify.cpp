@@ -271,7 +271,9 @@ TEST(VerifyRuntime, VerifiedRelationRunsCleanOnTorus) {
   cfg.injection_rate = 0.2;
   cfg.check_invariants = true;
   noc::SimInstance sim(cfg);
-  attach_verified_relation(sim);
+  // A checked SimInstance arms route legality by itself.
+  ASSERT_FALSE(sim.checker().transition_relation().empty());
+  EXPECT_EQ(sim.checker().transition_relation(), relation_for_config(cfg));
   sim.checker().throw_on_violation();
   sim.run_cycles(3000);  // throws on any violation
   EXPECT_GT(sim.checker().checks_run(), 0u);
@@ -302,8 +304,7 @@ TEST(VerifyCrossCheck, BrokenTorusTripsWatchdogOnStaticallyNamedChannels) {
   ASSERT_FALSE(witnesses.empty());
 
   // Dynamic verdict: the same configuration deadlocks under simulation.
-  noc::SimInstance sim(cfg);
-  attach_verified_relation(sim);  // route-legality must stay silent
+  noc::SimInstance sim(cfg);  // its route-legality check must stay silent
   sim.checker().throw_on_violation();
   sim.checker().config().deadlock_cycles = 500;
   bool deadlocked = false;
