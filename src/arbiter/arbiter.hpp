@@ -24,8 +24,9 @@
 namespace nocalloc {
 
 /// Request vector: one byte per requester, non-zero means "requesting".
-/// The allocators' sparse kernels pick on packed single-word masks through
-/// FastArb (arbiter/fast_arb.hpp) instead, with the same winners.
+/// The allocators hold their arbiters in flat ArbiterBanks
+/// (arbiter/arbiter_bank.hpp) whose kernels pick on packed single-word
+/// masks instead, with the same winners.
 using ReqVector = std::vector<std::uint8_t>;
 
 class Arbiter {

@@ -4,7 +4,9 @@
 // cleared against all inputs and all inputs gain priority over the winner,
 // making the winner least-recently-served. This provides strong (LRS)
 // fairness at higher hardware cost than the round-robin pointer -- the paper
-// evaluates both as the /m and /rr separable-allocator variants.
+// evaluates both as the /m and /rr separable-allocator variants. The rule
+// itself is matrix_pick_bytes / matrix_update (arbiter/arbiter_bank.hpp),
+// shared with the allocators' arbiter banks.
 #pragma once
 
 #include "arbiter/arbiter.hpp"
@@ -27,28 +29,7 @@ class MatrixArbiter final : public Arbiter {
   /// Priority relation (exposed for tests): true if i beats j.
   bool has_priority(std::size_t i, std::size_t j) const;
 
-  /// Single-word pick for arbiters of width <= 64, selecting the winner
-  /// pick() selects on the equivalent byte vector: candidate i wins iff no
-  /// other requester holds priority over it, i.e. (req & ~prio_row(i)) has
-  /// no bit besides i itself. The sparse allocator kernels use this as the
-  /// packed least-recently-served selection, skipping virtual dispatch and
-  /// the byte loop.
-  int pick_word(bits::Word req) const {
-    NOCALLOC_DCHECK(wpr_ == 1);
-    bits::Word cur = req;
-    while (cur != 0) {
-      const auto i = static_cast<std::size_t>(std::countr_zero(cur));
-      cur &= cur - 1;
-      if ((req & ~prio_[i] & ~bits::bit(i)) == 0) return static_cast<int>(i);
-    }
-    return -1;
-  }
-
  private:
-  const bits::Word* prio_row(std::size_t i) const {
-    return prio_.data() + i * wpr_;
-  }
-
   std::size_t size_;
   std::size_t wpr_;  // words per priority row
   // Packed priority rows: bit j of row i set means input i has priority over

@@ -1,5 +1,6 @@
 #include "arbiter/round_robin_arbiter.hpp"
 
+#include "arbiter/arbiter_bank.hpp"
 #include "common/check.hpp"
 
 namespace nocalloc {
@@ -10,16 +11,12 @@ RoundRobinArbiter::RoundRobinArbiter(std::size_t size) : size_(size) {
 
 int RoundRobinArbiter::pick(const ReqVector& req) const {
   NOCALLOC_CHECK(req.size() == size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    const std::size_t idx = (pointer_ + i) % size_;
-    if (req[idx]) return static_cast<int>(idx);
-  }
-  return -1;
+  return rr_pick_bytes(req.data(), size_, pointer_);
 }
 
 void RoundRobinArbiter::update(int winner) {
   NOCALLOC_CHECK(winner >= 0 && static_cast<std::size_t>(winner) < size_);
-  pointer_ = (static_cast<std::size_t>(winner) + 1) % size_;
+  pointer_ = rr_next(static_cast<std::size_t>(winner), size_);
 }
 
 }  // namespace nocalloc

@@ -2,7 +2,9 @@
 // requesting input at or after the pointer position. After a successful
 // grant the pointer moves to one past the winner, giving the just-served
 // input the lowest priority in the next round (weak fairness: every
-// persistent requester is served within N rounds).
+// persistent requester is served within N rounds). The rule itself is
+// rr_pick_bytes / rr_next (arbiter/arbiter_bank.hpp), shared with the
+// allocators' arbiter banks.
 #pragma once
 
 #include "arbiter/arbiter.hpp"
@@ -17,29 +19,18 @@ class RoundRobinArbiter final : public Arbiter {
   int pick(const ReqVector& req) const override;
   void update(int winner) override;
   void reset() override { pointer_ = 0; }
+  /// No save ever writes a pointer equal to the width, so a load rejects it.
   void state(StateArchive& ar) override {
     ar.u64(pointer_);
-    if (ar.loading()) NOCALLOC_CHECK(pointer_ <= size_);
+    if (ar.loading()) NOCALLOC_CHECK(pointer_ < size_);
   }
 
-  /// Current priority pointer (exposed for tests and the allocators'
-  /// devirtualized sparse kernels).
+  /// Current priority pointer (exposed for tests).
   std::size_t pointer() const { return pointer_; }
 
  private:
   std::size_t size_;
   std::size_t pointer_ = 0;
 };
-
-/// Single-word round-robin pick for arbiters of width <= 64: the winner
-/// pick() selects on the equivalent byte vector when `ptr` is the arbiter's
-/// pointer -- the first set bit at or after `ptr`, wrapping to the lowest
-/// set bit when nothing at or above the pointer requests. The sparse
-/// allocator kernels use this to skip the virtual dispatch and byte loop.
-inline int rr_pick_word(bits::Word req, std::size_t ptr) {
-  const bits::Word at_or_after = req & ~(bits::bit(ptr) - 1);
-  const bits::Word sel = at_or_after != 0 ? at_or_after : req;
-  return sel == 0 ? -1 : static_cast<int>(std::countr_zero(sel));
-}
 
 }  // namespace nocalloc

@@ -9,10 +9,13 @@
 //
 // Priority update follows the same on-success-only protocol: update() touches
 // the group-level arbiter and the winning group's local arbiter, leaving all
-// losing groups' state untouched.
+// losing groups' state untouched. The tree is one tree of the banked form
+// the separable VC allocators hold per output VC (tree_pick_bytes /
+// tree_update / tree_state in arbiter/arbiter_bank.hpp), so G and S are each
+// at most 64.
 #pragma once
 
-#include "arbiter/arbiter.hpp"
+#include "arbiter/arbiter_bank.hpp"
 
 namespace nocalloc {
 
@@ -21,28 +24,23 @@ class TreeArbiter final : public Arbiter {
   /// groups * group_size total inputs; input i belongs to group i / group_size.
   TreeArbiter(ArbiterKind kind, std::size_t groups, std::size_t group_size);
 
-  std::size_t size() const override { return groups_ * group_size_; }
-  int pick(const ReqVector& req) const override;
-  void update(int winner) override;
-  void reset() override;
-  void state(StateArchive& ar) override {
-    top_->state(ar);
-    for (const auto& local : local_) local->state(ar);
+  std::size_t size() const override { return top_.width() * local_.width(); }
+  int pick(const ReqVector& req) const override {
+    return tree_pick_bytes(top_, local_, 0, req);
   }
+  void update(int winner) override;
+  void reset() override {
+    top_.reset();
+    local_.reset();
+  }
+  void state(StateArchive& ar) override { tree_state(ar, top_, local_, 0); }
 
-  std::size_t groups() const { return groups_; }
-  std::size_t group_size() const { return group_size_; }
-
-  /// The two arbitration levels, exposed so the allocators' sparse
-  /// kernels can drive the exact same priority state one level at a time.
-  Arbiter& top() { return *top_; }
-  Arbiter& local(std::size_t g) { return *local_[g]; }
+  std::size_t groups() const { return top_.width(); }
+  std::size_t group_size() const { return local_.width(); }
 
  private:
-  std::size_t groups_;
-  std::size_t group_size_;
-  std::vector<std::unique_ptr<Arbiter>> local_;  // one per group
-  std::unique_ptr<Arbiter> top_;                 // selects among groups
+  ArbiterBank top_;    // one G-wide arbiter
+  ArbiterBank local_;  // G arbiters, S wide
 };
 
 }  // namespace nocalloc

@@ -22,8 +22,9 @@
 // The allocator stage issues its requests in sparse single-word form (one
 // FastVcRequest per waiting head; per-port VC words plus a requested-output
 // byte per VC for SA), which every allocator family's allocate_sparse()
-// runs through its single-word kernel. Hence V = M*R*C and P must each fit
-// one 64-bit word (the allocator constructors reject wider shapes). The
+// runs through its single-word kernel over flat arbiter banks
+// (arbiter/arbiter_bank.hpp). Hence V = M*R*C and P must each fit one
+// 64-bit word (the allocator constructors reject wider shapes). The
 // per-cycle path is allocation-free in steady state: input VC buffers are
 // fixed-capacity rings and the request/grant scratch is sized once.
 //
@@ -37,7 +38,8 @@
 // ports. Allocators with cycle-rotating priority state (wavefront
 // diagonals) are caught up over cycles without an allocate() call via
 // advance_priority(), which keeps the results bit-identical to a densely
-// stepped run.
+// stepped run; a stage, or one side of a speculative switch allocator,
+// without requests is replayed the same way.
 #pragma once
 
 #include <functional>
@@ -125,9 +127,15 @@ class Router {
   std::size_t buffered_flits() const;
 
   /// Attaches a protocol checker; allocate() reports every allocation result
-  /// to it before committing, and runs the allocators even on cycles without
+  /// to it before committing, and runs the allocators -- both sides of a
+  /// speculative switch allocator included -- even on cycles without
   /// requests so a grant without a request is caught. Null detaches.
-  void set_invariant_checker(InvariantChecker* checker) { checker_ = checker; }
+  void set_invariant_checker(InvariantChecker* checker) {
+    checker_ = checker;
+    if (spec_alloc_ != nullptr) {
+      spec_alloc_->set_run_empty_sides(checker != nullptr);
+    }
+  }
 
   /// Routes every allocator through its byte-loop reference implementation
   /// (the differential oracle) instead of its single-word kernel; results

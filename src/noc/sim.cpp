@@ -134,9 +134,11 @@ SimInstance::SimInstance(const SimConfig& cfg) : cfg_(cfg) {
 
   net_ = std::make_unique<Network>(*topo_, net_cfg, factory, on_eject);
   // A checked run also audits every lookahead route against the relation
-  // the static analysis extracts from this config's routing function.
+  // the static analysis extracts from this config's routing function
+  // (extracted once per process per topology, C and dateline setting).
   if (cfg_.check_invariants) {
-    checker_.set_transition_relation(verify::relation_for_config(cfg_));
+    checker_.set_transition_relation(
+        verify::cached_relation_for_config(cfg_));
     net_->attach_invariant_checker(&checker_);
   }
 }

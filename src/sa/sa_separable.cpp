@@ -2,34 +2,11 @@
 
 namespace nocalloc {
 
-namespace {
-
-// Resolves devirtualized handles for a V:1-per-input / P:1-per-output arbiter
-// pair. Every arbiter is P or V wide, so each has a single-word pick.
-void resolve_sa_fast_arbiters(
-    const std::vector<std::unique_ptr<Arbiter>>& vc_arb,
-    const std::vector<std::unique_ptr<Arbiter>>& out_arb,
-    std::vector<FastArb>& vc_fa, std::vector<FastArb>& out_fa) {
-  for (const auto& a : vc_arb) {
-    vc_fa.push_back(FastArb::from(*a));
-    NOCALLOC_DCHECK(vc_fa.back().ok());
-  }
-  for (const auto& a : out_arb) {
-    out_fa.push_back(FastArb::from(*a));
-    NOCALLOC_DCHECK(out_fa.back().ok());
-  }
-}
-
-}  // namespace
-
 SaSeparableInputFirst::SaSeparableInputFirst(std::size_t ports,
                                              std::size_t vcs, ArbiterKind arb)
-    : SwitchAllocator(ports, vcs) {
-  for (std::size_t p = 0; p < ports; ++p)
-    vc_arb_.push_back(make_arbiter(arb, vcs));
-  for (std::size_t o = 0; o < ports; ++o)
-    out_arb_.push_back(make_arbiter(arb, ports));
-  resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_);
+    : SwitchAllocator(ports, vcs),
+      vc_(arb, ports, vcs),
+      out_(arb, ports, ports) {
   port_vc_.assign(ports, -1);
   fast_bids_.assign(ports, 0);
 }
@@ -56,7 +33,7 @@ void SaSeparableInputFirst::allocate_sparse(const bits::Word* vc_words,
       port_vc_[p] = -1;
       continue;
     }
-    const int v = vc_fa_[p].pick(w);
+    const int v = vc_.pick(p, w);
     port_vc_[p] = v;
     const std::size_t o = out_ports[p * v_count + static_cast<std::size_t>(v)];
     fast_bids_[o] |= bits::bit(p);
@@ -68,13 +45,12 @@ void SaSeparableInputFirst::allocate_sparse(const bits::Word* vc_words,
   while (out_any != 0) {
     const auto o = static_cast<std::size_t>(std::countr_zero(out_any));
     out_any &= out_any - 1;
-    const int p = out_fa_[o].pick(fast_bids_[o]);
+    const int p = out_.pick(o, fast_bids_[o]);
     fast_bids_[o] = 0;
-    grant[static_cast<std::size_t>(p)] = {port_vc_[static_cast<std::size_t>(p)],
-                                          static_cast<int>(o)};
-    out_fa_[o].update(p);
-    vc_fa_[static_cast<std::size_t>(p)].update(
-        port_vc_[static_cast<std::size_t>(p)]);
+    const auto pu = static_cast<std::size_t>(p);
+    grant[pu] = {port_vc_[pu], static_cast<int>(o)};
+    out_.update(o, p);
+    vc_.update(pu, port_vc_[pu]);
   }
 }
 
@@ -87,7 +63,7 @@ void SaSeparableInputFirst::allocate_ref(const std::vector<SwitchRequest>& req,
   for (std::size_t p = 0; p < ports(); ++p) {
     for (std::size_t v = 0; v < vcs(); ++v)
       vc_req[v] = req[p * vcs() + v].valid ? 1 : 0;
-    const int v = vc_arb_[p]->pick(vc_req);
+    const int v = vc_.pick_bytes(p, vc_req);
     if (v < 0) continue;
     port_vc[p] = v;
     port_out[p] = req[p * vcs() + static_cast<std::size_t>(v)].out_port;
@@ -103,30 +79,26 @@ void SaSeparableInputFirst::allocate_ref(const std::vector<SwitchRequest>& req,
       any = any || bid;
     }
     if (!any) continue;
-    const int p = out_arb_[o]->pick(in_req);
+    const int p = out_.pick_bytes(o, in_req);
     NOCALLOC_CHECK(p >= 0);
-    grant[static_cast<std::size_t>(p)] = {port_vc[static_cast<std::size_t>(p)],
-                                          static_cast<int>(o)};
-    out_arb_[o]->update(p);
-    vc_arb_[static_cast<std::size_t>(p)]->update(
-        port_vc[static_cast<std::size_t>(p)]);
+    const auto pu = static_cast<std::size_t>(p);
+    grant[pu] = {port_vc[pu], static_cast<int>(o)};
+    out_.update(o, p);
+    vc_.update(pu, port_vc[pu]);
   }
 }
 
 void SaSeparableInputFirst::reset() {
-  for (auto& a : vc_arb_) a->reset();
-  for (auto& a : out_arb_) a->reset();
+  vc_.reset();
+  out_.reset();
 }
 
 SaSeparableOutputFirst::SaSeparableOutputFirst(std::size_t ports,
                                                std::size_t vcs,
                                                ArbiterKind arb)
-    : SwitchAllocator(ports, vcs) {
-  for (std::size_t o = 0; o < ports; ++o)
-    out_arb_.push_back(make_arbiter(arb, ports));
-  for (std::size_t p = 0; p < ports; ++p)
-    vc_arb_.push_back(make_arbiter(arb, vcs));
-  resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_);
+    : SwitchAllocator(ports, vcs),
+      out_(arb, ports, ports),
+      vc_(arb, ports, vcs) {
   fast_cols_.assign(ports, 0);
   out_choice_.assign(ports, -1);
 }
@@ -167,7 +139,7 @@ void SaSeparableOutputFirst::allocate_sparse(const bits::Word* vc_words,
   while (scan != 0) {
     const auto o = static_cast<std::size_t>(std::countr_zero(scan));
     scan &= scan - 1;
-    const int p = out_fa_[o].pick(fast_cols_[o]);
+    const int p = out_.pick(o, fast_cols_[o]);
     fast_cols_[o] = 0;
     out_choice_[o] = p;
     port_won |= bits::bit(static_cast<std::size_t>(p));
@@ -188,12 +160,12 @@ void SaSeparableOutputFirst::allocate_sparse(const bits::Word* vc_words,
         cand |= bits::bit(v);
       }
     }
-    const int v = vc_fa_[p].pick(cand);
+    const int v = vc_.pick(p, cand);
     NOCALLOC_DCHECK(v >= 0);
     const int o = out_ports[p * v_count + static_cast<std::size_t>(v)];
     grant[p] = {v, o};
-    vc_fa_[p].update(v);
-    out_fa_[static_cast<std::size_t>(o)].update(static_cast<int>(p));
+    vc_.update(p, v);
+    out_.update(static_cast<std::size_t>(o), static_cast<int>(p));
   }
 }
 
@@ -212,7 +184,7 @@ void SaSeparableOutputFirst::allocate_ref(const std::vector<SwitchRequest>& req,
       in_req[p] = ports_req.get(p, o) ? 1 : 0;
       any = any || in_req[p];
     }
-    if (any) out_choice[o] = out_arb_[o]->pick(in_req);
+    if (any) out_choice[o] = out_.pick_bytes(o, in_req);
   }
 
   // Stage 2: per input port, arbitrate among VCs that can use any output
@@ -229,18 +201,18 @@ void SaSeparableOutputFirst::allocate_ref(const std::vector<SwitchRequest>& req,
       any = any || usable;
     }
     if (!any) continue;
-    const int v = vc_arb_[p]->pick(vc_cand);
+    const int v = vc_.pick_bytes(p, vc_cand);
     NOCALLOC_CHECK(v >= 0);
     const int o = req[p * vcs() + static_cast<std::size_t>(v)].out_port;
     grant[p] = {v, o};
-    vc_arb_[p]->update(v);
-    out_arb_[static_cast<std::size_t>(o)]->update(static_cast<int>(p));
+    vc_.update(p, v);
+    out_.update(static_cast<std::size_t>(o), static_cast<int>(p));
   }
 }
 
 void SaSeparableOutputFirst::reset() {
-  for (auto& a : out_arb_) a->reset();
-  for (auto& a : vc_arb_) a->reset();
+  out_.reset();
+  vc_.reset();
 }
 
 }  // namespace nocalloc

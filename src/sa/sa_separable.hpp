@@ -9,9 +9,12 @@
 // and forwarded; each output port's P:1 arbiter picks a winning input port;
 // then each input port arbitrates V:1 among VCs that can use any output it
 // won, discarding surplus output grants.
+//
+// Both hold their arbiters in two flat ArbiterBanks (V-wide per input port,
+// P-wide per output port) that the kernel and the byte-loop oracle share.
 #pragma once
 
-#include "arbiter/fast_arb.hpp"
+#include "arbiter/arbiter_bank.hpp"
 #include "sa/switch_allocator.hpp"
 
 namespace nocalloc {
@@ -30,20 +33,18 @@ class SaSeparableInputFirst final : public SwitchAllocator {
                        std::vector<SwitchGrant>& grant) override;
   void reset() override;
   void state(StateArchive& ar) override {
-    for (FastArb& fa : vc_fa_) fa.state(ar);
-    for (FastArb& fa : out_fa_) fa.state(ar);
+    vc_.state(ar);
+    out_.state(ar);
   }
 
  private:
   void allocate_ref(const std::vector<SwitchRequest>& req,
                     std::vector<SwitchGrant>& grant);
 
-  std::vector<std::unique_ptr<Arbiter>> vc_arb_;   // per input port, width V
-  std::vector<std::unique_ptr<Arbiter>> out_arb_;  // per output port, width P
-  // Kernel caches: devirtualized arbiter handles, stage-1 winning VC per
-  // input port and single-word bid masks per output port.
-  std::vector<FastArb> vc_fa_;         // [p]
-  std::vector<FastArb> out_fa_;        // [o]
+  ArbiterBank vc_;   // [p], V wide
+  ArbiterBank out_;  // [o], P wide
+  // Kernel scratch: stage-1 winning VC per input port and single-word bid
+  // masks per output port.
   std::vector<int> port_vc_;           // [p]
   std::vector<bits::Word> fast_bids_;  // [o], P-wide
 };
@@ -63,20 +64,18 @@ class SaSeparableOutputFirst final : public SwitchAllocator {
                        std::vector<SwitchGrant>& grant) override;
   void reset() override;
   void state(StateArchive& ar) override {
-    for (FastArb& fa : out_fa_) fa.state(ar);
-    for (FastArb& fa : vc_fa_) fa.state(ar);
+    out_.state(ar);
+    vc_.state(ar);
   }
 
  private:
   void allocate_ref(const std::vector<SwitchRequest>& req,
                     std::vector<SwitchGrant>& grant);
 
-  std::vector<std::unique_ptr<Arbiter>> out_arb_;  // per output port, width P
-  std::vector<std::unique_ptr<Arbiter>> vc_arb_;   // per input port, width V
-  // Kernel caches: devirtualized arbiter handles, single-word union
-  // columns and the stage-1 winning input port per output port.
-  std::vector<FastArb> out_fa_;        // [o]
-  std::vector<FastArb> vc_fa_;         // [p]
+  ArbiterBank out_;  // [o], P wide
+  ArbiterBank vc_;   // [p], V wide
+  // Kernel scratch: single-word union columns and the stage-1 winning input
+  // port per output port.
   std::vector<bits::Word> fast_cols_;  // [o], P-wide
   std::vector<int> out_choice_;        // [o]
 };

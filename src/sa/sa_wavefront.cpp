@@ -4,15 +4,9 @@ namespace nocalloc {
 
 SaWavefront::SaWavefront(std::size_t ports, std::size_t vcs,
                          ArbiterKind presel_arb)
-    : SwitchAllocator(ports, vcs), core_(ports, ports) {
-  for (std::size_t i = 0; i < ports * ports; ++i)
-    presel_.push_back(make_arbiter(presel_arb, vcs));
-  // Every pre-selection arbiter is V wide, so each has a single-word pick.
-  for (const auto& a : presel_) {
-    presel_fa_.push_back(FastArb::from(*a));
-    NOCALLOC_DCHECK(presel_fa_.back().ok());
-  }
-}
+    : SwitchAllocator(ports, vcs),
+      core_(ports, ports),
+      presel_(presel_arb, ports * ports, vcs) {}
 
 void SaWavefront::allocate_sparse(const bits::Word* vc_words,
                                   const std::uint8_t* out_ports,
@@ -50,11 +44,11 @@ void SaWavefront::allocate_sparse(const bits::Word* vc_words,
       w &= w - 1;
       if (out_ports[p * v_count + v] == o) cand |= bits::bit(v);
     }
-    FastArb& presel = presel_fa_[p * p_count + o];
-    const int v = presel.pick(cand);
+    const std::size_t k = p * p_count + o;
+    const int v = presel_.pick(k, cand);
     NOCALLOC_DCHECK(v >= 0);  // the core only grants requested pairs
     grant[p] = {static_cast<int>(v), static_cast<int>(o)};
-    presel.update(v);
+    presel_.update(k, v);
   });
 }
 
@@ -80,17 +74,17 @@ void SaWavefront::allocate_ref(const std::vector<SwitchRequest>& req,
       any = any || cand;
     }
     NOCALLOC_CHECK(any);  // the core only grants requested pairs
-    Arbiter& presel = *presel_[p * ports() + static_cast<std::size_t>(o)];
-    const int v = presel.pick(vc_req);
+    const std::size_t k = p * ports() + static_cast<std::size_t>(o);
+    const int v = presel_.pick_bytes(k, vc_req);
     NOCALLOC_CHECK(v >= 0);
     grant[p] = {v, o};
-    presel.update(v);
+    presel_.update(k, v);
   }
 }
 
 void SaWavefront::reset() {
   core_.reset();
-  for (auto& a : presel_) a->reset();
+  presel_.reset();
 }
 
 }  // namespace nocalloc

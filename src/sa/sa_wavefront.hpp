@@ -9,7 +9,7 @@
 #pragma once
 
 #include "alloc/wavefront_allocator.hpp"
-#include "arbiter/fast_arb.hpp"
+#include "arbiter/arbiter_bank.hpp"
 #include "sa/switch_allocator.hpp"
 
 namespace nocalloc {
@@ -33,7 +33,7 @@ class SaWavefront final : public SwitchAllocator {
   }
   void state(StateArchive& ar) override {
     core_.state(ar);
-    for (FastArb& fa : presel_fa_) fa.state(ar);
+    presel_.state(ar);
   }
 
  private:
@@ -44,11 +44,10 @@ class SaWavefront final : public SwitchAllocator {
                     std::vector<SwitchGrant>& grant);
 
   WavefrontAllocator core_;
-  // presel_[p * P + o]: V:1 arbiter pre-selecting the VC used when input
-  // port p is granted output port o.
-  std::vector<std::unique_ptr<Arbiter>> presel_;
-  // Kernel cache: devirtualized pre-selection handles.
-  std::vector<FastArb> presel_fa_;  // [p * P + o]
+  // Arbiter p * P + o: the V:1 arbiter pre-selecting the VC used when
+  // input port p is granted output port o. The kernel and the oracle share
+  // the bank.
+  ArbiterBank presel_;
 };
 
 }  // namespace nocalloc

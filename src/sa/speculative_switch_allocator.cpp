@@ -24,6 +24,20 @@ SpeculativeSwitchAllocator::SpeculativeSwitchAllocator(
   NOCALLOC_CHECK(mode != SpecMode::kNonSpeculative);
 }
 
+void SpeculativeSwitchAllocator::allocate_side(SwitchAllocator& alloc,
+                                               const bits::Word* words,
+                                               const std::uint8_t* out,
+                                               std::vector<SwitchGrant>& gnt) {
+  bits::Word any = 0;
+  for (std::size_t p = 0; p < ports(); ++p) any |= words[p];
+  if (any != 0 || run_empty_sides_ || alloc.reference_path()) {
+    alloc.allocate_sparse(words, out, gnt);
+  } else {
+    gnt.assign(ports(), SwitchGrant{});
+    alloc.advance_priority(1);
+  }
+}
+
 void SpeculativeSwitchAllocator::allocate_sparse(
     const bits::Word* ns_words, const std::uint8_t* ns_out,
     const bits::Word* sp_words, const std::uint8_t* sp_out,
@@ -32,8 +46,8 @@ void SpeculativeSwitchAllocator::allocate_sparse(
   const std::size_t v_count = vcs();
   grant.assign(p_count, SpecSwitchGrant{});
 
-  nonspec_->allocate_sparse(ns_words, ns_out, ns_gnt_);
-  spec_->allocate_sparse(sp_words, sp_out, sp_gnt_);
+  allocate_side(*nonspec_, ns_words, ns_out, ns_gnt_);
+  allocate_side(*spec_, sp_words, sp_out, sp_gnt_);
 
   // Row/column conflict summaries. For spec_gnt these are reduction-ORs over
   // the non-speculative grant matrix; for spec_req they are ORs over the

@@ -73,7 +73,13 @@ class SpeculativeSwitchAllocator {
   /// word/out_port pairs use the layout of
   /// SwitchAllocator::allocate_sparse, through which both internal
   /// allocators run; the conflict-masking policy is independent of the
-  /// underlying allocator kind.
+  /// underlying allocator kind. A side without any request word skips its
+  /// allocator: its grants are cleared and it advances by
+  /// advance_priority(1), which is what an all-empty allocation cycle does
+  /// to every architecture (wavefront diagonals rotate unconditionally,
+  /// separable arbiters and pre-selects update only on grants). Both sides
+  /// still run on every call on the reference path, which so checks the
+  /// skip, and with set_run_empty_sides(true).
   void allocate_sparse(const bits::Word* ns_words, const std::uint8_t* ns_out,
                        const bits::Word* sp_words, const std::uint8_t* sp_out,
                        std::vector<SpecSwitchGrant>& grant);
@@ -93,6 +99,11 @@ class SpeculativeSwitchAllocator {
     spec_->set_reference_path(ref);
   }
 
+  /// Runs both inner allocators on every call, requests or not. The router
+  /// sets it while an invariant checker is attached, so the checker audits
+  /// both allocators' outputs on every cycle.
+  void set_run_empty_sides(bool on) { run_empty_sides_ = on; }
+
   /// Cumulative count of speculative grants discarded by the conflict mask;
   /// used by benches to quantify the pessimistic policy's lost opportunities.
   std::uint64_t masked_spec_grants() const { return masked_; }
@@ -106,10 +117,16 @@ class SpeculativeSwitchAllocator {
   }
 
  private:
+  /// One side's allocation: `alloc` on `words`/`out` into `gnt`, or the
+  /// empty-side replay when no word is set (see allocate_sparse()).
+  void allocate_side(SwitchAllocator& alloc, const bits::Word* words,
+                     const std::uint8_t* out, std::vector<SwitchGrant>& gnt);
+
   SpecMode mode_;
   std::unique_ptr<SwitchAllocator> nonspec_;
   std::unique_ptr<SwitchAllocator> spec_;
   std::uint64_t masked_ = 0;
+  bool run_empty_sides_ = false;
   // Per-call scratch, kept as members so the per-cycle path is allocation
   // free once warm: both inner grants, and allocate()'s packed requests.
   std::vector<SwitchGrant> ns_gnt_;

@@ -93,9 +93,11 @@ class VcAllocator {
   }
 
   /// Selects the family's byte-loop reference implementation over its
-  /// kernel, for allocate() and allocate_sparse() alike. Both produce
-  /// identical grants and priority-state evolution; the reference is the
-  /// differential oracle (tests/test_mask_kernels, test_sim_equivalence).
+  /// kernel, for allocate() and allocate_sparse() alike. Both read and
+  /// write the same priority state (the separable and wavefront families'
+  /// arbiters live in one ArbiterBank per role) and produce identical
+  /// grants; the reference is the differential oracle
+  /// (tests/test_mask_kernels, test_sim_equivalence).
   void set_reference_path(bool ref) { reference_path_ = ref; }
   bool reference_path() const { return reference_path_; }
 

@@ -1,66 +1,27 @@
 #include "vc/vc_separable_allocator.hpp"
 
 namespace nocalloc {
-namespace {
-
-/// Resolves the devirtualized handles a separable kernel needs: one per
-/// input VC plus both levels of every output tree arbiter. Every arbiter is
-/// P or V wide, so each has a single-word pick.
-void resolve_fast_arbiters(
-    const std::vector<std::unique_ptr<Arbiter>>& input_arb,
-    const std::vector<std::unique_ptr<TreeArbiter>>& output_arb,
-    std::size_t ports, std::vector<FastArb>& in_fa,
-    std::vector<FastArb>& out_top_fa, std::vector<FastArb>& out_local_fa) {
-  in_fa.reserve(input_arb.size());
-  out_top_fa.reserve(output_arb.size());
-  out_local_fa.reserve(output_arb.size() * ports);
-  for (const auto& a : input_arb) {
-    in_fa.push_back(FastArb::from(*a));
-    NOCALLOC_DCHECK(in_fa.back().ok());
-  }
-  for (const auto& tree : output_arb) {
-    out_top_fa.push_back(FastArb::from(tree->top()));
-    NOCALLOC_DCHECK(out_top_fa.back().ok());
-    for (std::size_t g = 0; g < ports; ++g) {
-      out_local_fa.push_back(FastArb::from(tree->local(g)));
-      NOCALLOC_DCHECK(out_local_fa.back().ok());
-    }
-  }
-}
-
-/// The output tree arbiters' priority state in TreeArbiter::state order:
-/// each tree's top, then its P locals.
-void output_tree_state(StateArchive& ar, std::vector<FastArb>& out_top_fa,
-                       std::vector<FastArb>& out_local_fa, std::size_t ports) {
-  for (std::size_t o = 0; o < out_top_fa.size(); ++o) {
-    out_top_fa[o].state(ar);
-    for (std::size_t g = 0; g < ports; ++g) {
-      out_local_fa[o * ports + g].state(ar);
-    }
-  }
-}
-
-}  // namespace
 
 void VcSeparableInputFirstAllocator::state(StateArchive& ar) {
-  for (FastArb& fa : in_fa_) fa.state(ar);
-  output_tree_state(ar, out_top_fa_, out_local_fa_, ports());
+  in_.state(ar);
+  for (std::size_t o = 0; o < total(); ++o) {
+    tree_state(ar, out_top_, out_local_, o);
+  }
 }
 
 void VcSeparableOutputFirstAllocator::state(StateArchive& ar) {
-  output_tree_state(ar, out_top_fa_, out_local_fa_, ports());
-  for (FastArb& fa : in_fa_) fa.state(ar);
+  for (std::size_t o = 0; o < total(); ++o) {
+    tree_state(ar, out_top_, out_local_, o);
+  }
+  in_.state(ar);
 }
 
 VcSeparableInputFirstAllocator::VcSeparableInputFirstAllocator(
     std::size_t ports, std::size_t vcs, ArbiterKind arb)
-    : VcAllocator(ports, vcs) {
-  for (std::size_t i = 0; i < total(); ++i)
-    input_arb_.push_back(make_arbiter(arb, vcs));
-  for (std::size_t o = 0; o < total(); ++o)
-    output_arb_.push_back(std::make_unique<TreeArbiter>(arb, ports, vcs));
-  resolve_fast_arbiters(input_arb_, output_arb_, ports, in_fa_, out_top_fa_,
-                        out_local_fa_);
+    : VcAllocator(ports, vcs),
+      in_(arb, total(), vcs),
+      out_top_(arb, total(), ports),
+      out_local_(arb, total() * ports, vcs) {
   fast_bids_.assign(total() * ports, 0);
   fast_port_any_.assign(total(), 0);
   fast_touched_.reserve(total());
@@ -86,7 +47,7 @@ void VcSeparableInputFirstAllocator::allocate_sparse(const FastVcRequest* req,
     const bits::Word mask = req[k].vc_mask;
     if (mask == 0) continue;  // empty candidate mask
     const std::size_t i = req[k].input;
-    const int v = in_fa_[i].pick(mask);
+    const int v = in_.pick(i, mask);
     const std::size_t o =
         req[k].out_port * v_count + static_cast<std::size_t>(v);
     if (fast_port_any_[o] == 0) fast_touched_.push_back(o);
@@ -96,20 +57,15 @@ void VcSeparableInputFirstAllocator::allocate_sparse(const FastVcRequest* req,
 
   // Stage 2: tree arbitration per bid-for output VC -- a top-level pick over
   // ports with bids, a local pick within the winning port's slice, and the
-  // same on-success updates as TreeArbiter::update. Outputs are independent
-  // (every input bids on exactly one), so touch order does not matter.
+  // on-success updates of both. Outputs are independent (every input bids
+  // on exactly one), so touch order does not matter.
   for (const std::size_t o : fast_touched_) {
-    const auto g = static_cast<std::size_t>(
-        out_top_fa_[o].pick(fast_port_any_[o]));
-    FastArb& local = out_local_fa_[o * p_count + g];
-    const auto l =
-        static_cast<std::size_t>(local.pick(fast_bids_[o * p_count + g]));
-    const std::size_t winner = g * v_count + l;
+    const auto winner = static_cast<std::size_t>(tree_pick(
+        out_top_, out_local_, o, fast_port_any_[o], &fast_bids_[o * p_count]));
     grant[winner] = static_cast<int>(o);
-    out_top_fa_[o].update(static_cast<int>(g));
-    local.update(static_cast<int>(l));
+    tree_update(out_top_, out_local_, o, winner);
     // The winning input VC's stage-1 choice succeeded: advance its priority.
-    in_fa_[winner].update(static_cast<int>(o % v_count));
+    in_.update(winner, static_cast<int>(o % v_count));
     bits::for_each_set(&fast_port_any_[o], 1, [&](std::size_t p) {
       fast_bids_[o * p_count + p] = 0;
     });
@@ -126,7 +82,7 @@ void VcSeparableInputFirstAllocator::allocate_ref(
   for (std::size_t i = 0; i < total(); ++i) {
     const VcRequest& r = req[i];
     if (!r.valid) continue;
-    const int v = input_arb_[i]->pick(r.vc_mask);
+    const int v = in_.pick_bytes(i, r.vc_mask);
     if (v < 0) continue;  // empty candidate mask
     input_bid[i] = r.out_port * static_cast<int>(vcs()) + v;
   }
@@ -141,30 +97,28 @@ void VcSeparableInputFirstAllocator::allocate_ref(
       any = any || bid;
     }
     if (!any) continue;
-    const int winner = output_arb_[o]->pick(bids);
+    const int winner = tree_pick_bytes(out_top_, out_local_, o, bids);
     NOCALLOC_CHECK(winner >= 0);
-    grant[static_cast<std::size_t>(winner)] = static_cast<int>(o);
-    output_arb_[o]->update(winner);
+    const auto w = static_cast<std::size_t>(winner);
+    grant[w] = static_cast<int>(o);
+    tree_update(out_top_, out_local_, o, w);
     // The winning input VC's stage-1 choice succeeded: advance its priority.
-    input_arb_[static_cast<std::size_t>(winner)]->update(
-        static_cast<int>(o % vcs()));
+    in_.update(w, static_cast<int>(o % vcs()));
   }
 }
 
 void VcSeparableInputFirstAllocator::reset() {
-  for (auto& a : input_arb_) a->reset();
-  for (auto& a : output_arb_) a->reset();
+  in_.reset();
+  out_top_.reset();
+  out_local_.reset();
 }
 
 VcSeparableOutputFirstAllocator::VcSeparableOutputFirstAllocator(
     std::size_t ports, std::size_t vcs, ArbiterKind arb)
-    : VcAllocator(ports, vcs) {
-  for (std::size_t o = 0; o < total(); ++o)
-    output_arb_.push_back(std::make_unique<TreeArbiter>(arb, ports, vcs));
-  for (std::size_t i = 0; i < total(); ++i)
-    input_arb_.push_back(make_arbiter(arb, vcs));
-  resolve_fast_arbiters(input_arb_, output_arb_, ports, in_fa_, out_top_fa_,
-                        out_local_fa_);
+    : VcAllocator(ports, vcs),
+      out_top_(arb, total(), ports),
+      out_local_(arb, total() * ports, vcs),
+      in_(arb, total(), vcs) {
   fast_bids_.assign(total() * ports, 0);
   fast_port_any_.assign(total(), 0);
   fast_offered_.assign(total(), 0);
@@ -208,11 +162,8 @@ void VcSeparableOutputFirstAllocator::allocate_sparse(
   // the same winners as the reference's ascending scan. Each winner's
   // offered set collects the output VC at its single destination port.
   for (const std::size_t o : fast_touched_) {
-    const auto g = static_cast<std::size_t>(
-        out_top_fa_[o].pick(fast_port_any_[o]));
-    const auto l = static_cast<std::size_t>(
-        out_local_fa_[o * p_count + g].pick(fast_bids_[o * p_count + g]));
-    const std::size_t winner = g * v_count + l;
+    const auto winner = static_cast<std::size_t>(tree_pick(
+        out_top_, out_local_, o, fast_port_any_[o], &fast_bids_[o * p_count]));
     if (fast_offered_[winner] == 0) {
       fast_winners_.push_back({static_cast<std::uint32_t>(winner),
                                static_cast<std::uint32_t>(o / v_count)});
@@ -232,14 +183,12 @@ void VcSeparableOutputFirstAllocator::allocate_sparse(
   // each output to exactly one input), so processing order is immaterial.
   for (const FastWinner& fw : fast_winners_) {
     const std::size_t i = fw.input;
-    const auto v = static_cast<std::size_t>(in_fa_[i].pick(fast_offered_[i]));
+    const auto v = static_cast<std::size_t>(in_.pick(i, fast_offered_[i]));
     fast_offered_[i] = 0;
     const std::size_t o = fw.out_port * v_count + v;
     grant[i] = static_cast<int>(o);
-    in_fa_[i].update(static_cast<int>(v));
-    out_top_fa_[o].update(static_cast<int>(i / v_count));
-    out_local_fa_[o * p_count + i / v_count].update(
-        static_cast<int>(i % v_count));
+    in_.update(i, static_cast<int>(v));
+    tree_update(out_top_, out_local_, o, i);
   }
   fast_winners_.clear();
 }
@@ -259,7 +208,7 @@ void VcSeparableOutputFirstAllocator::allocate_ref(
       col[i] = full.get(i, o) ? 1 : 0;
       any = any || col[i];
     }
-    if (any) output_choice[o] = output_arb_[o]->pick(col);
+    if (any) output_choice[o] = tree_pick_bytes(out_top_, out_local_, o, col);
   }
 
   // Stage 2: each input VC picks among the output VCs (all at its single
@@ -276,18 +225,19 @@ void VcSeparableOutputFirstAllocator::allocate_ref(
       any = any || off;
     }
     if (!any) continue;
-    const int v = input_arb_[i]->pick(offered);
+    const int v = in_.pick_bytes(i, offered);
     NOCALLOC_CHECK(v >= 0);
     const std::size_t o = base + static_cast<std::size_t>(v);
     grant[i] = static_cast<int>(o);
-    input_arb_[i]->update(v);
-    output_arb_[o]->update(static_cast<int>(i));
+    in_.update(i, v);
+    tree_update(out_top_, out_local_, o, i);
   }
 }
 
 void VcSeparableOutputFirstAllocator::reset() {
-  for (auto& a : output_arb_) a->reset();
-  for (auto& a : input_arb_) a->reset();
+  out_top_.reset();
+  out_local_.reset();
+  in_.reset();
 }
 
 }  // namespace nocalloc

@@ -5,6 +5,11 @@
 // output-VC arbiters (built as tree arbiters -- P V-input arbiters in
 // parallel with a P-input selector -- as Sec. 4.1 prescribes for delay).
 //
+// Both hold their arbiters in flat ArbiterBanks: one V-wide arbiter per
+// input VC, and per output VC one tree -- a P-wide top arbiter plus P
+// V-wide locals (tree k of the top/local bank pair). The kernel and the
+// byte-loop oracle drive the same banks.
+//
 // Output-first: each input VC eagerly forwards its full candidate mask; the
 // PxV:1 output-VC arbiters pick winners; since one input VC can win several
 // output VCs, a final V:1 arbiter per input VC picks the VC actually taken,
@@ -12,8 +17,7 @@
 // this cycle -- the source of sep_of's lower matching quality).
 #pragma once
 
-#include "arbiter/fast_arb.hpp"
-#include "arbiter/tree_arbiter.hpp"
+#include "arbiter/arbiter_bank.hpp"
 #include "vc/vc_allocator.hpp"
 
 namespace nocalloc {
@@ -31,23 +35,18 @@ class VcSeparableInputFirstAllocator final : public VcAllocator {
   void allocate_sparse(const FastVcRequest* req, std::size_t n,
                        std::vector<int>& grant) override;
   void reset() override;
-  /// Saves or loads every arbiter's priority state through the resolved
-  /// handles, in the order the arbiters themselves would (each output
-  /// tree's top before its locals).
+  /// Saves or loads every arbiter's priority state: the input arbiters,
+  /// then each output tree (its top before its locals).
   void state(StateArchive& ar) override;
 
  private:
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
 
-  std::vector<std::unique_ptr<Arbiter>> input_arb_;   // per input VC, width V
-  std::vector<std::unique_ptr<TreeArbiter>> output_arb_;  // per output VC, P*V
-  // Kernel caches: devirtualized handles for the arbiters behind
-  // input_arb_ and both levels of each output tree arbiter, plus
-  // per-output-VC bid state kept as one V-wide word per input port (the
-  // tree's group slices).
-  std::vector<FastArb> in_fa_;         // [i]
-  std::vector<FastArb> out_top_fa_;    // [o]
-  std::vector<FastArb> out_local_fa_;  // [o * P + p]
+  ArbiterBank in_;         // [i], V wide
+  ArbiterBank out_top_;    // [o], P wide
+  ArbiterBank out_local_;  // [o * P + p], V wide
+  // Kernel scratch: per-output-VC bids kept as one V-wide word per input
+  // port (the tree's group slices).
   std::vector<bits::Word> fast_bids_;  // [o * P + p], V-wide
   std::vector<bits::Word> fast_port_any_;  // [o], P-wide
   std::vector<std::size_t> fast_touched_;  // outputs bid for
@@ -68,26 +67,23 @@ class VcSeparableOutputFirstAllocator final : public VcAllocator {
   void allocate_sparse(const FastVcRequest* req, std::size_t n,
                        std::vector<int>& grant) override;
   void reset() override;
-  /// Saves or loads every arbiter's priority state through the resolved
-  /// handles, in the order the arbiters themselves would (each output
-  /// tree's top before its locals).
+  /// Saves or loads every arbiter's priority state: each output tree (its
+  /// top before its locals), then the input arbiters.
   void state(StateArchive& ar) override;
 
  private:
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
 
-  std::vector<std::unique_ptr<TreeArbiter>> output_arb_;  // per output VC, P*V
-  std::vector<std::unique_ptr<Arbiter>> input_arb_;   // per input VC, width V
-  // Kernel caches: devirtualized arbiter handles, per-output-VC bid words
-  // (tree group slices), the per-input offered-VC word, and the stage-1
-  // winner list carrying each winning input's destination port.
+  ArbiterBank out_top_;    // [o], P wide
+  ArbiterBank out_local_;  // [o * P + p], V wide
+  ArbiterBank in_;         // [i], V wide
+  // Kernel scratch: per-output-VC bid words (tree group slices), the
+  // per-input offered-VC word, and the stage-1 winner list carrying each
+  // winning input's destination port.
   struct FastWinner {
     std::uint32_t input = 0;
     std::uint32_t out_port = 0;
   };
-  std::vector<FastArb> in_fa_;         // [i]
-  std::vector<FastArb> out_top_fa_;    // [o]
-  std::vector<FastArb> out_local_fa_;  // [o * P + p]
   std::vector<bits::Word> fast_bids_;  // [o * P + p], V-wide
   std::vector<bits::Word> fast_port_any_;  // [o], P-wide
   std::vector<bits::Word> fast_offered_;   // [i], V-wide offered outputs

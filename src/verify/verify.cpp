@@ -1,5 +1,9 @@
 #include "verify/verify.hpp"
 
+#include <map>
+#include <mutex>
+#include <tuple>
+
 namespace nocalloc::verify {
 namespace {
 
@@ -13,6 +17,19 @@ class ZeroOracle final : public noc::CongestionOracle {
     return 0;
   }
 };
+
+/// The fields relation_for_config() reads, and the memo keyed by them.
+using RelationKey = std::tuple<noc::TopologyKind, std::size_t, bool>;
+
+struct RelationMemo {
+  std::mutex mu;
+  std::map<RelationKey, TransitionRelation> relations;
+};
+
+RelationMemo& relation_memo() {
+  static RelationMemo memo;
+  return memo;
+}
 
 }  // namespace
 
@@ -47,6 +64,29 @@ TransitionRelation relation_for_config(const noc::SimConfig& cfg) {
       noc::partition_for(cfg.topology, cfg.vcs_per_class);
   return extract_protocol(*topo, *routing, partition.resource_classes())
       .observed;
+}
+
+const TransitionRelation& cached_relation_for_config(
+    const noc::SimConfig& cfg) {
+  const RelationKey key{cfg.topology, cfg.vcs_per_class,
+                        cfg.disable_datelines};
+  RelationMemo& memo = relation_memo();
+  {
+    const std::lock_guard<std::mutex> lock(memo.mu);
+    const auto it = memo.relations.find(key);
+    if (it != memo.relations.end()) return it->second;
+  }
+  // Extract outside the lock; if another thread stored the same key in the
+  // meantime, its (identical) relation is kept.
+  TransitionRelation rel = relation_for_config(cfg);
+  const std::lock_guard<std::mutex> lock(memo.mu);
+  return memo.relations.try_emplace(key, std::move(rel)).first->second;
+}
+
+std::size_t cached_relation_count() {
+  RelationMemo& memo = relation_memo();
+  const std::lock_guard<std::mutex> lock(memo.mu);
+  return memo.relations.size();
 }
 
 std::vector<ProtocolPoint> shipped_protocol_points() {

@@ -40,6 +40,18 @@ VerifyReport verify_sim_config(const noc::SimConfig& cfg,
 /// "route-legality" check.
 TransitionRelation relation_for_config(const noc::SimConfig& cfg);
 
+/// relation_for_config(), computed once per process for each distinct value
+/// of the config fields the extraction reads -- topology, vcs_per_class and
+/// disable_datelines (routing is enumerated exhaustively, so neither the
+/// seed nor the UGAL threshold changes the relation) -- and shared from
+/// then on. Thread-safe; the reference stays valid for the process
+/// lifetime. Every checked SimInstance takes its relation from here, so a
+/// sharded curve extracts once rather than once per load point.
+const TransitionRelation& cached_relation_for_config(const noc::SimConfig& cfg);
+
+/// Number of distinct relations cached_relation_for_config() holds.
+std::size_t cached_relation_count();
+
 /// One shipped protocol configuration for sweeps (`nocverify --all`,
 /// tests/test_verify_designs.cpp).
 struct ProtocolPoint {

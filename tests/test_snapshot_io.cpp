@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -370,6 +371,43 @@ TEST(SnapshotIoDeathTest, HashValidCorruptPayloadAbortsRestore) {
 
   // The untouched snapshot still restores.
   target.restore(reframed(cfg, snap));
+}
+
+// A hash-valid snapshot whose round-robin pointer equals its arbiter's
+// width passes the disk checks and must abort in the arbiter bank's load
+// check: no save ever writes such a pointer.
+TEST(SnapshotIoDeathTest, HashValidPointerAtWidthAbortsRestore) {
+  noc::SimConfig cfg = small_config();
+  cfg.spec = SpecMode::kNonSpeculative;
+  noc::SimInstance sim(cfg);
+  sim.warmup();
+  noc::SimSnapshot snap;
+  sim.snapshot(snap);
+  noc::SimInstance target(cfg);
+
+  // A non-speculative sep_if/rr router section ends with its switch
+  // allocator's P-wide output arbiters, so the eight bytes before router
+  // 1's section tag are router 0's last output-arbiter pointer.
+  const std::uint8_t tag[4] = {0x40, 0x7E, 0x51, 0x40};
+  const std::vector<std::uint8_t>& net = snap.network.bytes;
+  const auto first = std::search(net.begin(), net.end(), tag, tag + 4);
+  const auto second = std::search(first + 1, net.end(), tag, tag + 4);
+  ASSERT_TRUE(second != net.end());
+  const auto at = static_cast<std::size_t>(second - net.begin()) - 8;
+  const std::uint64_t width = sim.network().topology().ports();
+  std::uint64_t ptr = 0;
+  std::memcpy(&ptr, net.data() + at, sizeof ptr);
+  ASSERT_LT(ptr, width);
+
+  noc::SimSnapshot bad = snap;
+  std::memcpy(bad.network.bytes.data() + at, &width, sizeof width);
+  EXPECT_DEATH(target.restore(reframed(cfg, bad)),
+               "check failed: ptr < width_");
+
+  // The largest legal pointer still restores.
+  const std::uint64_t last = width - 1;
+  std::memcpy(bad.network.bytes.data() + at, &last, sizeof last);
+  target.restore(reframed(cfg, bad));
 }
 
 // The fingerprint must move when ANY config field moves -- that is the

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "noc/routing.hpp"
@@ -278,6 +279,62 @@ TEST(VerifyRuntime, VerifiedRelationRunsCleanOnTorus) {
   sim.run_cycles(3000);  // throws on any violation
   EXPECT_GT(sim.checker().checks_run(), 0u);
   EXPECT_EQ(sim.checker().violations_seen(), 0u);
+}
+
+// The process-wide memo must hand out exactly what a fresh extraction
+// computes, for every shipped protocol point (and its dateline-free fault
+// variant, a separate key).
+TEST(VerifyRuntime, CachedRelationMatchesFreshExtraction) {
+  for (const ProtocolPoint& p : shipped_protocol_points()) {
+    SCOPED_TRACE(p.name);
+    EXPECT_EQ(cached_relation_for_config(p.cfg), relation_for_config(p.cfg));
+    noc::SimConfig broken = p.cfg;
+    broken.disable_datelines = true;
+    EXPECT_EQ(cached_relation_for_config(broken),
+              relation_for_config(broken));
+  }
+}
+
+// Two checked instances of one curve (same design point, different load)
+// share one memo entry: the first adds it, the second extracts nothing. The
+// design point (a mesh with C = 3 and the dateline-free fault flag, which a
+// mesh ignores) is one no other test uses, so the first instance must add
+// exactly one entry.
+TEST(VerifyRuntime, CheckedInstancesOfOneCurveShareOneRelation) {
+  noc::SimConfig cfg;
+  cfg.vcs_per_class = 3;
+  cfg.disable_datelines = true;
+  cfg.check_invariants = true;
+  cfg.injection_rate = 0.1;
+  const std::size_t before = cached_relation_count();
+  noc::SimInstance low(cfg);
+  EXPECT_EQ(cached_relation_count(), before + 1);
+  cfg.injection_rate = 0.4;
+  noc::SimInstance high(cfg);
+  EXPECT_EQ(cached_relation_count(), before + 1);
+  EXPECT_EQ(&cached_relation_for_config(cfg),
+            &cached_relation_for_config(low.config()));
+  EXPECT_EQ(high.checker().transition_relation(),
+            low.checker().transition_relation());
+  EXPECT_EQ(high.checker().transition_relation(), relation_for_config(cfg));
+}
+
+// Concurrent first lookups of one key (pool threads building the checked
+// instances of one curve) all get the same entry.
+TEST(VerifyRuntime, ConcurrentLookupsShareOneEntry) {
+  noc::SimConfig cfg;
+  cfg.topology = noc::TopologyKind::kRing16;
+  cfg.vcs_per_class = 3;
+  constexpr std::size_t kThreads = 4;
+  std::vector<const TransitionRelation*> got(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back(
+        [&cfg, &got, t] { got[t] = &cached_relation_for_config(cfg); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const TransitionRelation* rel : got) EXPECT_EQ(rel, got.front());
+  EXPECT_EQ(*got.front(), relation_for_config(cfg));
 }
 
 // ---- Static-dynamic cross-check ---------------------------------------------
