@@ -37,7 +37,7 @@ void BM_Allocator(benchmark::State& state, AllocatorKind kind) {
   for (int i = 0; i < 16; ++i) reqs.push_back(random_matrix(n, 0.4, rng));
   BitMatrix gnt;
   std::size_t i = 0;
-  for (auto _ : state) {
+  for ([[maybe_unused]] auto _ : state) {
     alloc->allocate(reqs[i++ % reqs.size()], gnt);
     benchmark::DoNotOptimize(gnt);
   }
@@ -55,7 +55,7 @@ void BM_SwitchAllocator(benchmark::State& state, AllocatorKind kind) {
     r.out_port = r.valid ? static_cast<int>(rng.next_below(ports)) : -1;
   }
   std::vector<SwitchGrant> gnt;
-  for (auto _ : state) {
+  for ([[maybe_unused]] auto _ : state) {
     alloc->allocate(req, gnt);
     benchmark::DoNotOptimize(gnt);
   }
@@ -97,7 +97,7 @@ void BM_VcAllocator(benchmark::State& state, AllocatorKind kind,
   }
   std::vector<int> gnt;
   std::size_t i = 0;
-  for (auto _ : state) {
+  for ([[maybe_unused]] auto _ : state) {
     alloc->allocate(reqs[i++ % reqs.size()], gnt);
     benchmark::DoNotOptimize(gnt);
   }

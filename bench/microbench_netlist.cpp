@@ -130,7 +130,7 @@ void bm_scalar_step(benchmark::State& state, BuildFn build) {
   }
   std::size_t k = 0;
   std::uint64_t acc = 0;
-  for (auto _ : state) {
+  for ([[maybe_unused]] auto _ : state) {
     const std::vector<bool>& out = sim.step(pool[k]);
     k = (k + 1) & (kPool - 1);
     acc += out[0] ? 1 : 0;
@@ -153,7 +153,7 @@ void bm_batch_step(benchmark::State& state, BuildFn build) {
   std::vector<std::uint64_t> out(sim.num_outputs());
   std::size_t k = 0;
   std::uint64_t acc = 0;
-  for (auto _ : state) {
+  for ([[maybe_unused]] auto _ : state) {
     sim.step(pool[k], out);
     k = (k + 1) & (kPool - 1);
     acc += out[0];

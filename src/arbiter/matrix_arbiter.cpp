@@ -13,11 +13,6 @@ MatrixArbiter::MatrixArbiter(std::size_t size)
 
 void MatrixArbiter::reset() { matrix_reset(prio_.data(), size_, wpr_); }
 
-bool MatrixArbiter::has_priority(std::size_t i, std::size_t j) const {
-  NOCALLOC_CHECK(i < size_ && j < size_ && i != j);
-  return bits::test(prio_.data() + i * wpr_, j);
-}
-
 int MatrixArbiter::pick(const ReqVector& req) const {
   NOCALLOC_CHECK(req.size() == size_);
   return matrix_pick_bytes(prio_.data(), size_, wpr_, req.data());

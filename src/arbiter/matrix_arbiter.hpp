@@ -26,9 +26,6 @@ class MatrixArbiter final : public Arbiter {
     ar.pod_array(prio_.data(), prio_.size());
   }
 
-  /// Priority relation (exposed for tests): true if i beats j.
-  bool has_priority(std::size_t i, std::size_t j) const;
-
  private:
   std::size_t size_;
   std::size_t wpr_;  // words per priority row

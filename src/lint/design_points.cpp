@@ -3,36 +3,6 @@
 namespace nocalloc::hw {
 namespace {
 
-const char* short_name(AllocatorKind kind) {
-  switch (kind) {
-    case AllocatorKind::kSeparableInputFirst:
-      return "sep_if";
-    case AllocatorKind::kSeparableOutputFirst:
-      return "sep_of";
-    case AllocatorKind::kWavefront:
-      return "wf";
-    case AllocatorKind::kMaximumSize:
-      return "max";
-  }
-  return "?";
-}
-
-const char* short_name(ArbiterKind arb) {
-  return arb == ArbiterKind::kRoundRobin ? "rr" : "m";
-}
-
-const char* short_name(SpecMode spec) {
-  switch (spec) {
-    case SpecMode::kNonSpeculative:
-      return "nonspec";
-    case SpecMode::kConservative:
-      return "spec_gnt";
-    case SpecMode::kPessimistic:
-      return "spec_req";
-  }
-  return "?";
-}
-
 /// Arbiter kinds that matter for an allocator architecture: the wavefront
 /// has no internal arbiters, so only one entry is generated for it.
 std::vector<ArbiterKind> arbiters_for(AllocatorKind kind) {
@@ -76,7 +46,7 @@ std::vector<VcDesignPoint> paper_vc_design_points(bool include_large) {
             if (p.large && !include_large) continue;
             p.name = std::string("vc ") + tb.name + " 2x" +
                      (tb.ports == 5 ? "1" : "2") + "x" + std::to_string(c) +
-                     " " + short_name(kind) + "/" + short_name(arb) +
+                     " " + to_string(kind) + "/" + to_string(arb) +
                      (sparse ? " sparse" : " dense");
             points.push_back(std::move(p));
           }
@@ -112,8 +82,8 @@ std::vector<SaDesignPoint> paper_sa_design_points(bool include_large) {
                       vcs >= 16;
             if (p.large && !include_large) continue;
             p.name = "sa P" + std::to_string(ports) + " V" +
-                     std::to_string(vcs) + " " + short_name(kind) + "/" +
-                     short_name(arb) + " " + short_name(spec);
+                     std::to_string(vcs) + " " + to_string(kind) + "/" +
+                     to_string(arb) + " " + to_string(spec);
             points.push_back(std::move(p));
           }
         }

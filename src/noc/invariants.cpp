@@ -109,73 +109,33 @@ void InvariantChecker::on_vc_alloc(const Router& router, Cycle now,
   }
 }
 
-void InvariantChecker::on_sw_alloc(const Router& router, Cycle now,
-                                   const bits::Word* vc_words,
-                                   const std::uint8_t* out_ports,
-                                   const std::vector<SwitchGrant>& grant) {
-  ++checks_;
-  const std::size_t ports = router.cfg_.ports;
-  const std::size_t vcs = router.vcs_;
-
-  if (grant.size() != ports) {
-    report(InvariantViolation{now, router.id(), -1, -1, "sw-alloc",
-                              "result size does not match port/VC counts"});
-    return;
-  }
-
-  std::unordered_set<int> granted_out;
-  for (std::size_t p = 0; p < ports; ++p) {
-    const SwitchGrant& g = grant[p];
-    if (!g.granted()) continue;
-    auto violation = [&](const std::string& msg) {
-      report(InvariantViolation{now, router.id(), static_cast<int>(p), g.vc,
-                                "sw-alloc", msg});
-    };
-    if (static_cast<std::size_t>(g.vc) >= vcs) {
-      violation("winning VC index out of range");
-      continue;
-    }
-    if (g.out_port < 0 || static_cast<std::size_t>(g.out_port) >= ports) {
-      violation("granted output port out of range");
-      continue;
-    }
-    const auto v = static_cast<std::size_t>(g.vc);
-    if ((vc_words[p] & bits::bit(v)) == 0) {
-      violation("grant to a VC that made no switch request");
-    } else if (static_cast<int>(out_ports[p * vcs + v]) != g.out_port) {
-      violation("grant targets a different output port than requested");
-    }
-    if (!granted_out.insert(g.out_port).second) {
-      violation("output port granted to two input ports in one cycle");
-    }
-  }
-}
-
-void InvariantChecker::on_spec_sw_alloc(
+void InvariantChecker::on_sw_alloc(
     const Router& router, Cycle now, const bits::Word* ns_words,
     const std::uint8_t* ns_out, const bits::Word* sp_words,
-    const std::uint8_t* sp_out, const std::vector<SpecSwitchGrant>& grant,
-    SpecMode mode) {
+    const std::uint8_t* sp_out, const std::vector<SpecSwitchGrant>& grant) {
   ++checks_;
   const std::size_t ports = router.cfg_.ports;
   const std::size_t vcs = router.vcs_;
+  const SpecMode mode = router.cfg_.spec;
+  const char* check =
+      mode == SpecMode::kNonSpeculative ? "sw-alloc" : "spec-sw-alloc";
 
   if (grant.size() != ports) {
-    report(InvariantViolation{now, router.id(), -1, -1, "spec-sw-alloc",
+    report(InvariantViolation{now, router.id(), -1, -1, check,
                               "result size does not match port/VC counts"});
     return;
   }
 
   // Validate each half against its own requests and check that the union of
-  // surviving grants is still a matching.
+  // surviving grants is still a matching. A nonspec router bids nothing
+  // speculatively, so there every speculative grant lacks a request.
   std::unordered_set<int> granted_out;
   auto check_half = [&](std::size_t p, const SwitchGrant& g,
                         const bits::Word* words, const std::uint8_t* outs,
                         const char* label) {
     auto violation = [&](const std::string& msg) {
       report(InvariantViolation{now, router.id(), static_cast<int>(p), g.vc,
-                                "spec-sw-alloc",
-                                std::string(label) + ": " + msg});
+                                check, std::string(label) + ": " + msg});
     };
     if (static_cast<std::size_t>(g.vc) >= vcs) {
       violation("winning VC index out of range");
@@ -200,7 +160,7 @@ void InvariantChecker::on_spec_sw_alloc(
     const SpecSwitchGrant& g = grant[p];
     if (g.nonspec.granted() && g.spec.granted()) {
       report(InvariantViolation{now, router.id(), static_cast<int>(p), -1,
-                                "spec-sw-alloc",
+                                check,
                                 "both speculative and non-speculative grants "
                                 "survived at one input port"});
     }
@@ -228,7 +188,7 @@ void InvariantChecker::on_spec_sw_alloc(
             static_cast<int>(ns_out[q * vcs + v]) == g.out_port;
         if (same_input || same_output) {
           report(InvariantViolation{
-              now, router.id(), static_cast<int>(p), g.vc, "spec-sw-alloc",
+              now, router.id(), static_cast<int>(p), g.vc, check,
               "speculative grant survived pessimistic masking despite a "
               "conflicting non-speculative request at port " +
                   std::to_string(q)});

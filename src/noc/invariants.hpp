@@ -46,7 +46,6 @@
 #include "common/snapshot.hpp"
 #include "noc/types.hpp"
 #include "sa/speculative_switch_allocator.hpp"
-#include "sa/switch_allocator.hpp"
 #include "vc/vc_allocator.hpp"
 #include "verify/relation.hpp"
 
@@ -120,19 +119,19 @@ class InvariantChecker {
   // *before* they are committed, and by Network::step() after the receive
   // phase. Wiring happens via Network::attach_invariant_checker(). The
   // allocation hooks take the arguments of VcAllocator::allocate_sparse /
-  // SwitchAllocator::allocate_sparse / SpeculativeSwitchAllocator::
-  // allocate_sparse plus the grants those calls produced.
+  // SpeculativeSwitchAllocator::allocate_sparse plus the grants those calls
+  // produced.
 
   void on_vc_alloc(const Router& router, Cycle now, const FastVcRequest* req,
                    std::size_t n, const std::vector<int>& grant);
-  void on_sw_alloc(const Router& router, Cycle now, const bits::Word* vc_words,
-                   const std::uint8_t* out_ports,
-                   const std::vector<SwitchGrant>& grant);
-  void on_spec_sw_alloc(const Router& router, Cycle now,
-                        const bits::Word* ns_words, const std::uint8_t* ns_out,
-                        const bits::Word* sp_words, const std::uint8_t* sp_out,
-                        const std::vector<SpecSwitchGrant>& grant,
-                        SpecMode mode);
+  /// Audits the switch-allocation stage in the router's SpecMode. Check id
+  /// "sw-alloc" on a nonspec router (whose stage has no speculative side, so
+  /// any speculative grant is one without a request), "spec-sw-alloc" on a
+  /// speculative one.
+  void on_sw_alloc(const Router& router, Cycle now, const bits::Word* ns_words,
+                   const std::uint8_t* ns_out, const bits::Word* sp_words,
+                   const std::uint8_t* sp_out,
+                   const std::vector<SpecSwitchGrant>& grant);
   /// Called for every committed lookahead routing decision: a packet in
   /// resource class `from_class` was routed to `to_class` VCs at `out_port`.
   /// Validated against the transition relation installed by

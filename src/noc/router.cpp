@@ -36,7 +36,6 @@ Router::Router(int id, const RouterConfig& cfg, RoutingFunction& routing,
   NOCALLOC_CHECK(vcs_ <= bits::kWordBits && cfg.ports <= bits::kWordBits);
   for (auto& ivc : input_vcs_) ivc.buffer.reset_capacity(cfg.buffer_depth);
   for (auto& ovc : output_vcs_) ovc.credits = cfg.buffer_depth;
-  sw_grants_.reserve(cfg.ports);
   spec_grants_.reserve(cfg.ports);
 
   VcAllocatorConfig va{cfg.ports, cfg.partition, cfg.vc_alloc_kind, cfg.vc_arb,
@@ -45,22 +44,16 @@ Router::Router(int id, const RouterConfig& cfg, RoutingFunction& routing,
                                    : make_vc_allocator(va);
   NOCALLOC_CHECK(vc_alloc_ != nullptr);
 
-  SwitchAllocatorConfig sa{cfg.ports, vcs_, cfg.sw_alloc_kind, cfg.sw_arb};
-  if (cfg.spec == SpecMode::kNonSpeculative) {
-    sw_alloc_ = cfg.sw_alloc_factory ? cfg.sw_alloc_factory(sa)
-                                     : make_switch_allocator(sa);
-    NOCALLOC_CHECK(sw_alloc_ != nullptr);
-  } else {
-    spec_alloc_ = std::make_unique<SpeculativeSwitchAllocator>(sa, cfg.spec);
-  }
+  sw_stage_ = std::make_unique<SpeculativeSwitchAllocator>(
+      SwitchAllocatorConfig{cfg.ports, vcs_, cfg.sw_alloc_kind, cfg.sw_arb},
+      cfg.spec, cfg.sw_alloc_factory);
   va_rotates_ = cfg_.vc_alloc_kind == AllocatorKind::kWavefront;
   sa_rotates_ = cfg_.sw_alloc_kind == AllocatorKind::kWavefront;
 }
 
 void Router::set_reference_path(bool ref) {
   vc_alloc_->set_reference_path(ref);
-  if (sw_alloc_ != nullptr) sw_alloc_->set_reference_path(ref);
-  if (spec_alloc_ != nullptr) spec_alloc_->set_reference_path(ref);
+  sw_stage_->set_reference_path(ref);
 }
 
 void Router::attach_input(int port, Channel<Flit>* flits_in,
@@ -192,10 +185,7 @@ void Router::allocate(Cycle now) {
   if (now > next_alloc_cycle_) {
     const std::uint64_t gap = now - next_alloc_cycle_;
     if (va_rotates_) vc_alloc_->advance_priority(gap);
-    if (sa_rotates_) {
-      if (sw_alloc_ != nullptr) sw_alloc_->advance_priority(gap);
-      if (spec_alloc_ != nullptr) spec_alloc_->advance_priority(gap);
-    }
+    if (sa_rotates_) sw_stage_->advance_priority(gap);
   }
   next_alloc_cycle_ = now + 1;
 
@@ -205,7 +195,8 @@ void Router::allocate(Cycle now) {
   // --- VC allocation requests (heads still waiting for an output VC) -------
   // The candidate set (free VCs of the packet's class at the requested
   // output) is one word op against the derived allocated-mask. Waiting
-  // heads also bid speculatively for the switch in the same cycle.
+  // heads also bid speculatively for the switch in the same cycle, when the
+  // stage has a speculative side.
   std::size_t n_vreq = 0;
   bits::for_each_set(wait_mask_.data(), wait_mask_.size(), [&](std::size_t i) {
     InputVc& ivc = input_vcs_[i];
@@ -267,35 +258,18 @@ void Router::allocate(Cycle now) {
   }
 
   // --- Switch allocation and commit ----------------------------------------
-  // With no request reaching a stage (and no checker), its allocator call
+  // With no request reaching the stage (and no checker), its allocator call
   // and commit scan are no-ops on every piece of state they touch, so the
   // stage is skipped -- except for wavefront cores, whose unconditional
   // diagonal rotation is replayed via advance_priority(1).
-  if (!speculative) {
-    if (ns_any != 0 || audit) {
-      sw_alloc_->allocate_sparse(ns_words_.data(), req_out_port_.data(),
-                                 sw_grants_);
-      if (audit) {
-        checker_->on_sw_alloc(*this, now, ns_words_.data(),
-                              req_out_port_.data(), sw_grants_);
-      }
-      for (std::size_t p = 0; p < cfg_.ports; ++p) {
-        if (sw_grants_[p].granted()) {
-          commit_grant(p, static_cast<std::size_t>(sw_grants_[p].vc), now);
-        }
-      }
-      std::fill(ns_words_.begin(), ns_words_.end(), bits::Word{0});
-    } else if (sa_rotates_) {
-      sw_alloc_->advance_priority(1);
-    }
-  } else if (ns_any != 0 || n_vreq != 0 || audit) {
-    spec_alloc_->allocate_sparse(ns_words_.data(), req_out_port_.data(),
-                                 sp_words_.data(), req_out_port_.data(),
-                                 spec_grants_);
+  if (ns_any != 0 || (speculative && n_vreq != 0) || audit) {
+    sw_stage_->allocate_sparse(ns_words_.data(), req_out_port_.data(),
+                               sp_words_.data(), req_out_port_.data(),
+                               spec_grants_);
     if (audit) {
-      checker_->on_spec_sw_alloc(*this, now, ns_words_.data(),
-                                 req_out_port_.data(), sp_words_.data(),
-                                 req_out_port_.data(), spec_grants_, cfg_.spec);
+      checker_->on_sw_alloc(*this, now, ns_words_.data(),
+                            req_out_port_.data(), sp_words_.data(),
+                            req_out_port_.data(), spec_grants_);
     }
     for (std::size_t p = 0; p < cfg_.ports; ++p) {
       const SpecSwitchGrant& g = spec_grants_[p];
@@ -320,9 +294,7 @@ void Router::allocate(Cycle now) {
     std::fill(ns_words_.begin(), ns_words_.end(), bits::Word{0});
     std::fill(sp_words_.begin(), sp_words_.end(), bits::Word{0});
   } else if (sa_rotates_) {
-    // Credit-blocked cycle with no bids on either side: both inner
-    // allocators would still have run, rotating wavefront cores.
-    spec_alloc_->advance_priority(1);
+    sw_stage_->advance_priority(1);
   }
 }
 
@@ -440,8 +412,7 @@ void Router::state(StateArchive& ar) {
   ar.u64(next_alloc_cycle_);
   ar.pod(stats_);
   vc_alloc_->state(ar);
-  if (sw_alloc_ != nullptr) sw_alloc_->state(ar);
-  if (spec_alloc_ != nullptr) spec_alloc_->state(ar);
+  sw_stage_->state(ar);
 }
 
 }  // namespace nocalloc::noc

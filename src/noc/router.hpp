@@ -6,8 +6,9 @@
 // computed while a head flit traverses this one).
 //
 // Cycle protocol, driven by the Network in this order for every router:
-//   allocate(t)  -- VA for waiting heads, SA (speculative or not) for ready
-//                   flits; winners traverse the crossbar and are written
+//   allocate(t)  -- VA for waiting heads, SA for ready flits (and, on a
+//                   speculative router, for waiting heads too); winners
+//                   traverse the crossbar and are written
 //                   straight into the output channels (lookahead routes
 //                   attached to heads, freed buffer slots credited upstream)
 //   receive(t)   -- arriving flits enter input VC buffers, arriving credits
@@ -18,6 +19,11 @@
 // instead the channel latency of every router-driven link is one higher and
 // the flit is sent at t, arriving on the exact same cycle with two fewer
 // copies and no per-port staging state.
+//
+// Switch allocation is one stage on every router: a SpeculativeSwitchAllocator
+// in the configured SpecMode, which on a nonspec router has no speculative
+// side and behaves as its bare inner allocator. One call site, one commit
+// loop and one checker hook serve all three modes.
 //
 // The allocator stage issues its requests in sparse single-word form (one
 // FastVcRequest per waiting head; per-port VC words plus a requested-output
@@ -38,8 +44,8 @@
 // ports. Allocators with cycle-rotating priority state (wavefront
 // diagonals) are caught up over cycles without an allocate() call via
 // advance_priority(), which keeps the results bit-identical to a densely
-// stepped run; a stage, or one side of a speculative switch allocator,
-// without requests is replayed the same way.
+// stepped run; a stage, or one side of the switch-allocation stage, without
+// requests is replayed the same way.
 #pragma once
 
 #include <functional>
@@ -53,7 +59,6 @@
 #include "noc/routing.hpp"
 #include "noc/types.hpp"
 #include "sa/speculative_switch_allocator.hpp"
-#include "sa/switch_allocator.hpp"
 #include "vc/vc_allocator.hpp"
 #include "vc/vc_partition.hpp"
 
@@ -72,13 +77,11 @@ struct RouterConfig {
   SpecMode spec = SpecMode::kPessimistic;
   /// Optional allocator factories: when set they replace make_vc_allocator /
   /// make_switch_allocator for this router. The invariant tests use them to
-  /// inject deliberately broken allocators; the switch factory only applies
-  /// to the non-speculative path (the speculative wrapper builds its own
-  /// internal pair).
+  /// inject deliberately broken allocators; the switch factory builds every
+  /// inner allocator of the switch-allocation stage, in any SpecMode.
   std::function<std::unique_ptr<VcAllocator>(const VcAllocatorConfig&)>
       vc_alloc_factory;
-  std::function<std::unique_ptr<SwitchAllocator>(const SwitchAllocatorConfig&)>
-      sw_alloc_factory;
+  SwitchAllocatorFactory sw_alloc_factory;
 };
 
 /// Counters exposed for benches and tests.
@@ -127,29 +130,18 @@ class Router {
   std::size_t buffered_flits() const;
 
   /// Attaches a protocol checker; allocate() reports every allocation result
-  /// to it before committing, and runs the allocators -- both sides of a
-  /// speculative switch allocator included -- even on cycles without
+  /// to it before committing, and runs the allocators -- every side of the
+  /// switch-allocation stage included -- even on cycles without
   /// requests so a grant without a request is caught. Null detaches.
   void set_invariant_checker(InvariantChecker* checker) {
     checker_ = checker;
-    if (spec_alloc_ != nullptr) {
-      spec_alloc_->set_run_empty_sides(checker != nullptr);
-    }
+    sw_stage_->set_run_empty_sides(checker != nullptr);
   }
 
   /// Routes every allocator through its byte-loop reference implementation
   /// (the differential oracle) instead of its single-word kernel; results
   /// are bit-identical either way.
   void set_reference_path(bool ref);
-
-  /// The allocators behind the VA and SA stages (exposed so tests can check
-  /// which families run a kernel). switch_allocator() is null on
-  /// speculative routers, speculative_allocator() on non-speculative ones.
-  const VcAllocator& vc_allocator() const { return *vc_alloc_; }
-  const SwitchAllocator* switch_allocator() const { return sw_alloc_.get(); }
-  const SpeculativeSwitchAllocator* speculative_allocator() const {
-    return spec_alloc_.get();
-  }
 
   /// Saves or loads the router's mutable state: input VC buffers and state
   /// machines, output VC credit counters, allocator priorities, the
@@ -227,7 +219,6 @@ class Router {
   std::vector<bits::Word> ns_words_;   // [p]: SA-requesting VCs
   std::vector<bits::Word> sp_words_;   // [p]: speculative bids
   std::vector<std::uint8_t> req_out_port_;  // [p * V + v]: requested output
-  std::vector<SwitchGrant> sw_grants_;
   std::vector<SpecSwitchGrant> spec_grants_;
 
   // The cycle the next allocate() call is expected at. When the scheduler
@@ -236,8 +227,7 @@ class Router {
   Cycle next_alloc_cycle_ = 0;
 
   std::unique_ptr<VcAllocator> vc_alloc_;
-  std::unique_ptr<SwitchAllocator> sw_alloc_;               // non-speculative
-  std::unique_ptr<SpeculativeSwitchAllocator> spec_alloc_;  // speculative
+  std::unique_ptr<SpeculativeSwitchAllocator> sw_stage_;  // every SpecMode
 
   // Receive-side pending masks: bit p is raised by a send on port p's
   // incoming flit/credit channel and cleared by receive() once the channel

@@ -17,11 +17,16 @@ std::string to_string(SpecMode mode) {
 }
 
 SpeculativeSwitchAllocator::SpeculativeSwitchAllocator(
-    const SwitchAllocatorConfig& cfg, SpecMode mode)
-    : mode_(mode),
-      nonspec_(make_switch_allocator(cfg)),
-      spec_(make_switch_allocator(cfg)) {
-  NOCALLOC_CHECK(mode != SpecMode::kNonSpeculative);
+    const SwitchAllocatorConfig& cfg, SpecMode mode,
+    const SwitchAllocatorFactory& make)
+    : mode_(mode) {
+  auto build = [&] {
+    auto alloc = make ? make(cfg) : make_switch_allocator(cfg);
+    NOCALLOC_CHECK(alloc != nullptr);
+    return alloc;
+  };
+  nonspec_ = build();
+  if (mode != SpecMode::kNonSpeculative) spec_ = build();
 }
 
 void SpeculativeSwitchAllocator::allocate_side(SwitchAllocator& alloc,
@@ -47,6 +52,10 @@ void SpeculativeSwitchAllocator::allocate_sparse(
   grant.assign(p_count, SpecSwitchGrant{});
 
   allocate_side(*nonspec_, ns_words, ns_out, ns_gnt_);
+  if (spec_ == nullptr) {
+    for (std::size_t p = 0; p < p_count; ++p) grant[p].nonspec = ns_gnt_[p];
+    return;
+  }
   allocate_side(*spec_, sp_words, sp_out, sp_gnt_);
 
   // Row/column conflict summaries. For spec_gnt these are reduction-ORs over
@@ -84,27 +93,9 @@ void SpeculativeSwitchAllocator::allocate_sparse(
   }
 }
 
-void SpeculativeSwitchAllocator::allocate(
-    const std::vector<SwitchRequest>& nonspec_req,
-    const std::vector<SwitchRequest>& spec_req,
-    std::vector<SpecSwitchGrant>& grant) {
-  const std::size_t p_count = ports();
-  const std::size_t total = p_count * vcs();
-  ns_words_.resize(p_count);
-  sp_words_.resize(p_count);
-  ns_out_.resize(total);
-  sp_out_.resize(total);
-  pack_switch_requests(nonspec_req, p_count, vcs(), ns_words_.data(),
-                       ns_out_.data());
-  pack_switch_requests(spec_req, p_count, vcs(), sp_words_.data(),
-                       sp_out_.data());
-  allocate_sparse(ns_words_.data(), ns_out_.data(), sp_words_.data(),
-                  sp_out_.data(), grant);
-}
-
 void SpeculativeSwitchAllocator::reset() {
   nonspec_->reset();
-  spec_->reset();
+  if (spec_ != nullptr) spec_->reset();
   masked_ = 0;
 }
 

@@ -152,6 +152,34 @@ TEST(Invariants, BrokenSwitchAllocatorIsCaught) {
   EXPECT_GE(checker.violations_seen(), 1u);
 }
 
+// The factory builds every inner allocator of the switch-allocation stage,
+// so a speculative router runs the broken allocator on both sides. With no
+// traffic nothing masks the speculative grant, and both sides grant input
+// port 0 in the same cycle.
+TEST(Invariants, BrokenSwitchAllocatorIsCaughtOnSpeculativeRouter) {
+  NetworkConfig cfg = base_config(0.0);
+  cfg.router.spec = SpecMode::kPessimistic;
+  cfg.router.sw_alloc_factory = [](const SwitchAllocatorConfig& sa) {
+    return std::make_unique<BrokenSwitchAllocator>(sa.ports, sa.vcs);
+  };
+  Harness h(cfg);
+  InvariantChecker checker;
+  checker.throw_on_violation();
+  h.net->attach_invariant_checker(&checker);
+
+  try {
+    h.net->step();
+    FAIL() << "broken switch allocator not detected";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(e.violation().check, "spec-sw-alloc");
+    EXPECT_EQ(e.violation().port, 0);
+    EXPECT_NE(std::string(e.what()).find("both speculative and "
+                                         "non-speculative grants"),
+              std::string::npos);
+  }
+  EXPECT_GE(checker.violations_seen(), 1u);
+}
+
 TEST(Invariants, DeadlockWatchdogFiresOnStarvation) {
   // A VC allocator that never grants strands every head flit in kWaitVc:
   // flits sit buffered with no movement until the watchdog horizon expires.

@@ -25,6 +25,7 @@
 #include "lint/design_points.hpp"
 #include "sa/speculative_switch_allocator.hpp"
 #include "sa/switch_allocator.hpp"
+#include "spec_dense.hpp"
 #include "vc/vc_allocator.hpp"
 
 namespace nocalloc {
@@ -162,32 +163,11 @@ std::vector<SwitchRequest> random_sa_requests(std::size_t ports,
   return req;
 }
 
-// Runs twin non-speculative allocators -- one on its kernel, one on the
-// reference path -- on an identical request stream and requires identical
-// grants.
-void diff_sa(const SwitchAllocatorConfig& cfg, const std::string& name,
-             std::uint64_t seed, int cycles) {
-  auto fast = make_switch_allocator(cfg);
-  auto ref = make_switch_allocator(cfg);
-  ref->set_reference_path(true);
-  Rng rng(seed);
-  std::vector<SwitchGrant> fast_gnt, ref_gnt;
-  for (int cycle = 0; cycle < cycles; ++cycle) {
-    const double rate = (cycle % 10) * 0.1 + 0.05;
-    const auto req = random_sa_requests(cfg.ports, cfg.vcs, rate, rng);
-    fast->allocate(req, fast_gnt);
-    ref->allocate(req, ref_gnt);
-    ASSERT_EQ(fast_gnt.size(), ref_gnt.size());
-    for (std::size_t i = 0; i < fast_gnt.size(); ++i) {
-      ASSERT_EQ(fast_gnt[i].vc, ref_gnt[i].vc)
-          << name << " seed " << seed << " cycle " << cycle << " port " << i;
-      ASSERT_EQ(fast_gnt[i].out_port, ref_gnt[i].out_port)
-          << name << " seed " << seed << " cycle " << cycle << " port " << i;
-    }
-  }
-}
-
-void diff_spec_point(const hw::SaDesignPoint& p, std::uint64_t seed,
+// Runs twin switch-allocation stages in the point's SpecMode -- one on its
+// kernels, one on the reference path -- on an identical request stream and
+// requires identical grants and masked-grant counts. A nonspec stage ignores
+// its speculative requests.
+void diff_sa_point(const hw::SaDesignPoint& p, std::uint64_t seed,
                      int cycles) {
   const SwitchAllocatorConfig cfg{p.cfg.ports, p.cfg.vcs, p.cfg.kind,
                                   p.cfg.arb};
@@ -200,8 +180,8 @@ void diff_spec_point(const hw::SaDesignPoint& p, std::uint64_t seed,
     const double rate = (cycle % 10) * 0.1 + 0.05;
     const auto nonspec = random_sa_requests(cfg.ports, cfg.vcs, rate, rng);
     const auto spec = random_sa_requests(cfg.ports, cfg.vcs, rate * 0.5, rng);
-    fast.allocate(nonspec, spec, fast_gnt);
-    ref.allocate(nonspec, spec, ref_gnt);
+    allocate_dense(fast, nonspec, spec, fast_gnt);
+    allocate_dense(ref, nonspec, spec, ref_gnt);
     ASSERT_EQ(fast_gnt.size(), ref_gnt.size());
     for (std::size_t i = 0; i < fast_gnt.size(); ++i) {
       ASSERT_EQ(fast_gnt[i].nonspec.vc, ref_gnt[i].nonspec.vc)
@@ -223,12 +203,7 @@ void diff_spec_point(const hw::SaDesignPoint& p, std::uint64_t seed,
 TEST(KernelVsReference, AllSaDesignPointsMatchThroughDenseApi) {
   for (const hw::SaDesignPoint& p : hw::paper_sa_design_points()) {
     for (std::uint64_t seed : {1u, 42u, 9001u}) {
-      if (p.cfg.spec == SpecMode::kNonSpeculative) {
-        diff_sa({p.cfg.ports, p.cfg.vcs, p.cfg.kind, p.cfg.arb}, p.name, seed,
-                60);
-      } else {
-        diff_spec_point(p, seed, 60);
-      }
+      diff_sa_point(p, seed, 60);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
@@ -259,7 +234,7 @@ std::vector<VcRequest> random_vc_requests(std::size_t ports,
   return req;
 }
 
-// VC twin of diff_sa: one allocator on its kernel, one on the reference
+// VC twin of diff_sa_point: one allocator on its kernel, one on the reference
 // path.
 void diff_vc(const VcAllocatorConfig& cfg, const std::string& name,
              int cycles) {

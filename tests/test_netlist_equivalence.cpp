@@ -25,6 +25,7 @@
 #include "hw/wavefront_gen.hpp"
 #include "sa/sa_separable.hpp"
 #include "sa/speculative_switch_allocator.hpp"
+#include "spec_dense.hpp"
 #include "vc/vc_allocator.hpp"
 
 namespace nocalloc::hw {
@@ -429,7 +430,7 @@ TEST(SpecSaEquivalence, MaskedSpecGrantsMatchBehaviouralWrapper) {
         SwitchAllocatorConfig base{kP, kV, cfg.kind, cfg.arb};
         SpeculativeSwitchAllocator sw(base, mode);
         std::vector<SpecSwitchGrant> expected;
-        sw.allocate(nonspec[lane], spec[lane], expected);
+        allocate_dense(sw, nonspec[lane], spec[lane], expected);
 
         // Output order: nonspec xbar (PxP), nonspec vc_gnt (PxV), masked
         // spec xbar (PxP), spec vc_gnt (PxV).

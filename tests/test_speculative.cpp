@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
+#include "spec_dense.hpp"
 
 namespace nocalloc {
 namespace {
@@ -27,7 +30,7 @@ TEST(SpeculativeSwitchAllocator, SpecGrantsFlowWhenNoNonspecTraffic) {
   spec[0 * kVcs] = {true, 1};
   spec[2 * kVcs] = {true, 3};
   std::vector<SpecSwitchGrant> grant;
-  alloc.allocate(no_requests(), spec, grant);
+  allocate_dense(alloc, no_requests(), spec, grant);
   EXPECT_TRUE(grant[0].spec.granted());
   EXPECT_TRUE(grant[2].spec.granted());
   EXPECT_EQ(alloc.masked_spec_grants(), 0u);
@@ -43,7 +46,7 @@ TEST(SpeculativeSwitchAllocator, NonspecHasPriorityOnOutputConflict) {
     auto spec = no_requests();
     spec[2 * kVcs] = {true, 1};
     std::vector<SpecSwitchGrant> grant;
-    alloc.allocate(nonspec, spec, grant);
+    allocate_dense(alloc, nonspec, spec, grant);
     EXPECT_TRUE(grant[0].nonspec.granted());
     EXPECT_FALSE(grant[2].spec.granted()) << to_string(mode);
     EXPECT_EQ(alloc.masked_spec_grants(), 1u);
@@ -60,7 +63,7 @@ TEST(SpeculativeSwitchAllocator, NonspecHasPriorityOnInputConflict) {
     auto spec = no_requests();
     spec[0 * kVcs + 1] = {true, 2};
     std::vector<SpecSwitchGrant> grant;
-    alloc.allocate(nonspec, spec, grant);
+    allocate_dense(alloc, nonspec, spec, grant);
     EXPECT_TRUE(grant[0].nonspec.granted());
     EXPECT_FALSE(grant[0].spec.granted()) << to_string(mode);
   }
@@ -86,7 +89,7 @@ TEST(SpeculativeSwitchAllocator, PessimisticKillsOnLosingRequest) {
   {
     SpeculativeSwitchAllocator conv = build(SpecMode::kConservative);
     std::vector<SpecSwitchGrant> grant;
-    conv.allocate(nonspec, spec, grant);
+    allocate_dense(conv, nonspec, spec, grant);
     // Port 0 wins output 0 non-speculatively (round-robin initial state).
     ASSERT_TRUE(grant[0].nonspec.granted());
     ASSERT_FALSE(grant[1].nonspec.granted());
@@ -96,7 +99,7 @@ TEST(SpeculativeSwitchAllocator, PessimisticKillsOnLosingRequest) {
   {
     SpeculativeSwitchAllocator pess = build(SpecMode::kPessimistic);
     std::vector<SpecSwitchGrant> grant;
-    pess.allocate(nonspec, spec, grant);
+    allocate_dense(pess, nonspec, spec, grant);
     ASSERT_TRUE(grant[0].nonspec.granted());
     EXPECT_FALSE(grant[1].spec.granted())
         << "pessimistic scheme must mask on the conflicting request";
@@ -119,7 +122,7 @@ TEST(SpeculativeSwitchAllocator, CombinedGrantsFormValidMatching) {
           spec[i] = {true, static_cast<int>(rng.next_below(kPorts))};
         }
       }
-      alloc.allocate(nonspec, spec, grant);
+      allocate_dense(alloc, nonspec, spec, grant);
       std::set<int> outputs;
       for (std::size_t p = 0; p < kPorts; ++p) {
         ASSERT_FALSE(grant[p].nonspec.granted() && grant[p].spec.granted())
@@ -160,8 +163,8 @@ TEST(SpeculativeSwitchAllocator, PessimisticNeverOutperformsConventional) {
         spec[i] = {true, static_cast<int>(rng.next_below(kPorts))};
       }
     }
-    conv.allocate(nonspec, spec, cg);
-    pess.allocate(nonspec, spec, pg);
+    allocate_dense(conv, nonspec, spec, cg);
+    allocate_dense(pess, nonspec, spec, pg);
     for (std::size_t p = 0; p < kPorts; ++p) {
       conv_spec += cg[p].spec.granted() ? 1 : 0;
       pess_spec += pg[p].spec.granted() ? 1 : 0;
@@ -178,16 +181,67 @@ TEST(SpeculativeSwitchAllocator, ResetClearsCounters) {
   auto spec = no_requests();
   spec[1 * kVcs] = {true, 0};
   std::vector<SpecSwitchGrant> grant;
-  alloc.allocate(nonspec, spec, grant);
+  allocate_dense(alloc, nonspec, spec, grant);
   EXPECT_GT(alloc.masked_spec_grants(), 0u);
   alloc.reset();
   EXPECT_EQ(alloc.masked_spec_grants(), 0u);
 }
 
-TEST(SpeculativeSwitchAllocator, RejectsNonSpeculativeMode) {
-  EXPECT_DEATH(
-      SpeculativeSwitchAllocator(base_config(), SpecMode::kNonSpeculative),
-      "check failed");
+std::vector<std::uint8_t> state_bytes(
+    const std::function<void(StateArchive&)>& save) {
+  std::vector<std::uint8_t> bytes;
+  StateArchive ar = StateArchive::saving_to(bytes);
+  save(ar);
+  return bytes;
+}
+
+// A nonspec stage is its bare inner allocator: beside a make_switch_allocator
+// twin on the same random requests it must grant the same, never grant
+// speculatively (its speculative requests are ignored), mask nothing, and
+// save the same state bytes, for every family and arbiter kind.
+TEST(SpeculativeSwitchAllocator, NonSpeculativeModeIsTheBareAllocator) {
+  for (AllocatorKind kind :
+       {AllocatorKind::kSeparableInputFirst,
+        AllocatorKind::kSeparableOutputFirst, AllocatorKind::kWavefront,
+        AllocatorKind::kMaximumSize}) {
+    for (ArbiterKind arb : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
+      const SwitchAllocatorConfig cfg{kPorts, kVcs, kind, arb};
+      const std::string name = to_string(kind) + "/" + to_string(arb);
+      SpeculativeSwitchAllocator stage(cfg, SpecMode::kNonSpeculative);
+      auto bare = make_switch_allocator(cfg);
+      Rng rng(13);
+      std::vector<SpecSwitchGrant> got;
+      std::vector<SwitchGrant> want;
+      for (int cycle = 0; cycle < 300; ++cycle) {
+        const double rate = (cycle % 10) * 0.1;
+        auto nonspec = no_requests();
+        auto spec = no_requests();
+        for (std::size_t i = 0; i < kPorts * kVcs; ++i) {
+          if (rng.next_bool(rate)) {
+            nonspec[i] = {true, static_cast<int>(rng.next_below(kPorts))};
+          }
+          if (rng.next_bool(rate)) {
+            spec[i] = {true, static_cast<int>(rng.next_below(kPorts))};
+          }
+        }
+        allocate_dense(stage, nonspec, spec, got);
+        bare->allocate(nonspec, want);
+        ASSERT_EQ(got.size(), want.size()) << name;
+        for (std::size_t p = 0; p < kPorts; ++p) {
+          ASSERT_EQ(got[p].nonspec.vc, want[p].vc)
+              << name << " cycle " << cycle << " port " << p;
+          ASSERT_EQ(got[p].nonspec.out_port, want[p].out_port)
+              << name << " cycle " << cycle << " port " << p;
+          ASSERT_FALSE(got[p].spec.granted())
+              << name << " cycle " << cycle << " port " << p;
+        }
+        ASSERT_EQ(stage.masked_spec_grants(), 0u) << name;
+        ASSERT_EQ(state_bytes([&](StateArchive& ar) { stage.state(ar); }),
+                  state_bytes([&](StateArchive& ar) { bare->state(ar); }))
+            << name << " cycle " << cycle;
+      }
+    }
+  }
 }
 
 TEST(SpecModeNames, MatchPaperLabels) {
