@@ -200,7 +200,10 @@ inline double min_time() {
 inline void run_one(const Registration& reg,
                     const std::vector<std::int64_t>& args) {
   std::string name = reg.name;
-  for (std::int64_t a : args) name += "/" + std::to_string(a);
+  for (std::int64_t a : args) {
+    name += '/';
+    name += std::to_string(a);
+  }
 
   const double target = min_time();
   std::size_t iters = 1;

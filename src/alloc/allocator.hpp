@@ -18,6 +18,7 @@
 
 #include "arbiter/arbiter.hpp"
 #include "common/bit_matrix.hpp"
+#include "common/snapshot.hpp"
 
 namespace nocalloc {
 

@@ -5,14 +5,9 @@ namespace nocalloc {
 SeparableInputFirstAllocator::SeparableInputFirstAllocator(std::size_t inputs,
                                                            std::size_t outputs,
                                                            ArbiterKind arb)
-    : Allocator(inputs, outputs) {
-  input_arb_.reserve(inputs);
-  for (std::size_t i = 0; i < inputs; ++i)
-    input_arb_.push_back(make_arbiter(arb, outputs));
-  output_arb_.reserve(outputs);
-  for (std::size_t j = 0; j < outputs; ++j)
-    output_arb_.push_back(make_arbiter(arb, inputs));
-}
+    : Allocator(inputs, outputs),
+      input_arb_(arb, inputs, outputs),
+      output_arb_(arb, outputs, inputs) {}
 
 void SeparableInputFirstAllocator::allocate(const BitMatrix& req,
                                             BitMatrix& gnt) {
@@ -23,7 +18,7 @@ void SeparableInputFirstAllocator::allocate(const BitMatrix& req,
   ReqVector row(outputs(), 0);
   for (std::size_t i = 0; i < inputs(); ++i) {
     for (std::size_t j = 0; j < outputs(); ++j) row[j] = req.get(i, j) ? 1 : 0;
-    input_choice[i] = input_arb_[i]->pick(row);
+    input_choice[i] = input_arb_.pick_bytes(i, row);
   }
 
   // Stage 2: each output arbitrates among the inputs that selected it.
@@ -36,31 +31,26 @@ void SeparableInputFirstAllocator::allocate(const BitMatrix& req,
       any = any || bid;
     }
     if (!any) continue;
-    const int winner = output_arb_[j]->pick(col);
+    const int winner = output_arb_.pick_bytes(j, col);
     NOCALLOC_CHECK(winner >= 0);
     gnt.set(static_cast<std::size_t>(winner), j);
     // Second-stage grants are final: update both the output arbiter and the
     // winning input arbiter (whose stage-1 grant just succeeded).
-    output_arb_[j]->update(winner);
-    input_arb_[static_cast<std::size_t>(winner)]->update(static_cast<int>(j));
+    output_arb_.update(j, winner);
+    input_arb_.update(static_cast<std::size_t>(winner), static_cast<int>(j));
   }
 }
 
 void SeparableInputFirstAllocator::reset() {
-  for (auto& a : input_arb_) a->reset();
-  for (auto& a : output_arb_) a->reset();
+  input_arb_.reset();
+  output_arb_.reset();
 }
 
 SeparableOutputFirstAllocator::SeparableOutputFirstAllocator(
     std::size_t inputs, std::size_t outputs, ArbiterKind arb)
-    : Allocator(inputs, outputs) {
-  output_arb_.reserve(outputs);
-  for (std::size_t j = 0; j < outputs; ++j)
-    output_arb_.push_back(make_arbiter(arb, inputs));
-  input_arb_.reserve(inputs);
-  for (std::size_t i = 0; i < inputs; ++i)
-    input_arb_.push_back(make_arbiter(arb, outputs));
-}
+    : Allocator(inputs, outputs),
+      output_arb_(arb, outputs, inputs),
+      input_arb_(arb, inputs, outputs) {}
 
 void SeparableOutputFirstAllocator::allocate(const BitMatrix& req,
                                              BitMatrix& gnt) {
@@ -75,7 +65,7 @@ void SeparableOutputFirstAllocator::allocate(const BitMatrix& req,
       col[i] = req.get(i, j) ? 1 : 0;
       any = any || col[i];
     }
-    if (any) output_choice[j] = output_arb_[j]->pick(col);
+    if (any) output_choice[j] = output_arb_.pick_bytes(j, col);
   }
 
   // Stage 2: each input picks among the outputs that selected it.
@@ -88,17 +78,17 @@ void SeparableOutputFirstAllocator::allocate(const BitMatrix& req,
       any = any || offered;
     }
     if (!any) continue;
-    const int winner = input_arb_[i]->pick(row);
+    const int winner = input_arb_.pick_bytes(i, row);
     NOCALLOC_CHECK(winner >= 0);
     gnt.set(i, static_cast<std::size_t>(winner));
-    input_arb_[i]->update(winner);
-    output_arb_[static_cast<std::size_t>(winner)]->update(static_cast<int>(i));
+    input_arb_.update(i, winner);
+    output_arb_.update(static_cast<std::size_t>(winner), static_cast<int>(i));
   }
 }
 
 void SeparableOutputFirstAllocator::reset() {
-  for (auto& a : output_arb_) a->reset();
-  for (auto& a : input_arb_) a->reset();
+  output_arb_.reset();
+  input_arb_.reset();
 }
 
 }  // namespace nocalloc

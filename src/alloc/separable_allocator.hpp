@@ -11,6 +11,7 @@
 #pragma once
 
 #include "alloc/allocator.hpp"
+#include "arbiter/arbiter_bank.hpp"
 
 namespace nocalloc {
 
@@ -24,13 +25,13 @@ class SeparableInputFirstAllocator final : public Allocator {
   void allocate(const BitMatrix& req, BitMatrix& gnt) override;
   void reset() override;
   void state(StateArchive& ar) override {
-    for (const auto& a : input_arb_) a->state(ar);
-    for (const auto& a : output_arb_) a->state(ar);
+    input_arb_.state(ar);
+    output_arb_.state(ar);
   }
 
  private:
-  std::vector<std::unique_ptr<Arbiter>> input_arb_;   // one per input, width = outputs
-  std::vector<std::unique_ptr<Arbiter>> output_arb_;  // one per output, width = inputs
+  ArbiterBank input_arb_;   // arbiter i: input i's stage-1 pick, outputs wide
+  ArbiterBank output_arb_;  // arbiter j: output j's stage-2 pick, inputs wide
 };
 
 /// Output-first (sep_of, Fig. 1b): every output picks among all requesting
@@ -43,13 +44,13 @@ class SeparableOutputFirstAllocator final : public Allocator {
   void allocate(const BitMatrix& req, BitMatrix& gnt) override;
   void reset() override;
   void state(StateArchive& ar) override {
-    for (const auto& a : output_arb_) a->state(ar);
-    for (const auto& a : input_arb_) a->state(ar);
+    output_arb_.state(ar);
+    input_arb_.state(ar);
   }
 
  private:
-  std::vector<std::unique_ptr<Arbiter>> output_arb_;  // one per output, width = inputs
-  std::vector<std::unique_ptr<Arbiter>> input_arb_;   // one per input, width = outputs
+  ArbiterBank output_arb_;  // arbiter j: output j's stage-1 pick, inputs wide
+  ArbiterBank input_arb_;   // arbiter i: input i's stage-2 pick, outputs wide
 };
 
 }  // namespace nocalloc

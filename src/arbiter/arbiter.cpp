@@ -1,7 +1,5 @@
 #include "arbiter/arbiter.hpp"
 
-#include "arbiter/matrix_arbiter.hpp"
-#include "arbiter/round_robin_arbiter.hpp"
 #include "common/check.hpp"
 
 namespace nocalloc {
@@ -12,16 +10,6 @@ std::string to_string(ArbiterKind kind) {
       return "rr";
     case ArbiterKind::kMatrix:
       return "m";
-  }
-  NOCALLOC_CHECK(false);
-}
-
-std::unique_ptr<Arbiter> make_arbiter(ArbiterKind kind, std::size_t size) {
-  switch (kind) {
-    case ArbiterKind::kRoundRobin:
-      return std::make_unique<RoundRobinArbiter>(size);
-    case ArbiterKind::kMatrix:
-      return std::make_unique<MatrixArbiter>(size);
   }
   NOCALLOC_CHECK(false);
 }

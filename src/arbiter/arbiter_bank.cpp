@@ -1,6 +1,7 @@
 #include "arbiter/arbiter_bank.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace nocalloc {
 
@@ -35,12 +36,19 @@ int matrix_pick_bytes(const bits::Word* prio, std::size_t n, std::size_t wpr,
 
 ArbiterBank::ArbiterBank(ArbiterKind kind, std::size_t count,
                          std::size_t width)
-    : kind_(kind), count_(count), width_(width) {
-  NOCALLOC_CHECK(width > 0 && width <= bits::kWordBits);
+    : kind_(kind),
+      count_(count),
+      width_(width),
+      wpr_(bits::word_count(width)),
+      stride_(width * wpr_) {
+  if (width == 0 || width > kMaxWidth) {
+    fail("arbiter width " + std::to_string(width) + " is outside 1.." +
+         std::to_string(kMaxWidth) + " (round-robin pointers are one byte)");
+  }
   if (kind_ == ArbiterKind::kRoundRobin) {
     ptr_.assign(count_, 0);
   } else {
-    prio_.assign(count_ * width_, 0);
+    prio_.assign(count_ * stride_, 0);
   }
   reset();
 }
@@ -49,7 +57,8 @@ int ArbiterBank::pick_bytes(std::size_t k, const ReqVector& req) const {
   NOCALLOC_CHECK(k < count_ && req.size() == width_);
   return kind_ == ArbiterKind::kRoundRobin
              ? rr_pick_bytes(req.data(), width_, ptr_[k])
-             : matrix_pick_bytes(&prio_[k * width_], width_, 1, req.data());
+             : matrix_pick_bytes(&prio_[k * stride_], width_, wpr_,
+                                 req.data());
 }
 
 void ArbiterBank::reset() {
@@ -57,7 +66,7 @@ void ArbiterBank::reset() {
     std::fill(ptr_.begin(), ptr_.end(), std::uint8_t{0});
   } else {
     for (std::size_t k = 0; k < count_; ++k) {
-      matrix_reset(&prio_[k * width_], width_, 1);
+      matrix_reset(&prio_[k * stride_], width_, wpr_);
     }
   }
 }

@@ -3,17 +3,18 @@
 // The paper's separable allocators are built from many small arbiters: V:1
 // and P:1 arbiters per port, and output-VC trees of P V-input arbiters plus
 // one P-input selector (Sec. 2.1, 4.1). An ArbiterBank holds N arbiters of
-// one kind and one width W <= 64 in one flat array -- one pointer byte per
-// round-robin arbiter, W priority words per matrix arbiter -- so an
-// allocator's whole priority state is a few contiguous bytes instead of one
-// heap object per arbiter.
+// one kind and one width W <= 256 in one flat array -- one pointer byte per
+// round-robin arbiter, W rows of word_count(W) priority words per matrix
+// arbiter -- so an allocator's whole priority state is a few contiguous
+// bytes instead of one heap object per arbiter. The bank is the library's
+// only arbiter type.
 //
 // Every arbitration rule lives here once, as the free functions below: the
-// bank's single-word pick() (the allocators' kernels), its byte-loop
-// pick_bytes() (their reference oracles), and the standalone
-// RoundRobinArbiter / MatrixArbiter / TreeArbiter classes all call them.
-// pick() and pick_bytes() are pure and select the same winner on equivalent
-// requests; update() applies the on-success priority change.
+// bank's single-word pick() (the VC and switch allocators' kernels, W <= 64)
+// and its byte-loop pick_bytes() (their reference oracles, and the generic
+// separable allocators at any width) both call them. pick() and
+// pick_bytes() are pure and select the same winner on equivalent requests;
+// update() applies the on-success priority change.
 #pragma once
 
 #include <cstddef>
@@ -91,21 +92,27 @@ inline void matrix_update(bits::Word* prio, std::size_t n, std::size_t wpr,
 
 class ArbiterBank {
  public:
-  /// `count` arbiters of `kind`, each `width` wide (1 <= width <= 64).
+  /// Widest arbiter a bank holds: a round-robin pointer is one byte.
+  static constexpr std::size_t kMaxWidth = 256;
+
+  /// `count` arbiters of `kind`, each `width` wide (1 <= width <=
+  /// kMaxWidth); any other width aborts with a message.
   ArbiterBank(ArbiterKind kind, std::size_t count, std::size_t width);
 
   std::size_t width() const { return width_; }
 
-  /// Arbiter k's winner among the set bits of `req`, or -1; pure.
+  /// Arbiter k's winner among the set bits of `req`, or -1; pure. Single
+  /// word: width() <= 64.
   int pick(std::size_t k, bits::Word req) const {
-    NOCALLOC_DCHECK(k < count_ && (req & ~bits::low_mask(width_)) == 0);
+    NOCALLOC_DCHECK(k < count_ && width_ <= bits::kWordBits &&
+                    (req & ~bits::low_mask(width_)) == 0);
     return kind_ == ArbiterKind::kRoundRobin
                ? rr_pick_word(req, ptr_[k])
-               : matrix_pick_word(&prio_[k * width_], req);
+               : matrix_pick_word(&prio_[k * stride_], req);
   }
 
-  /// The byte-loop oracle of pick(): the same winner over a byte vector of
-  /// width() entries (non-zero means requesting).
+  /// The byte-loop oracle of pick(), at any width: the same winner over a
+  /// byte vector of width() entries (non-zero means requesting).
   int pick_bytes(std::size_t k, const ReqVector& req) const;
 
   /// On-success priority update of arbiter k. Pre: winner < width().
@@ -116,17 +123,16 @@ class ArbiterBank {
     if (kind_ == ArbiterKind::kRoundRobin) {
       ptr_[k] = static_cast<std::uint8_t>(rr_next(w, width_));
     } else {
-      matrix_update(&prio_[k * width_], width_, 1, w);
+      matrix_update(&prio_[k * stride_], width_, wpr_, w);
     }
   }
 
   /// Every arbiter back to its post-construction state.
   void reset();
 
-  /// Saves or loads arbiter k's priority state, byte for byte what
-  /// RoundRobinArbiter::state / MatrixArbiter::state write for one arbiter
-  /// of the same kind and width. A load rejects a round-robin pointer
-  /// outside [0, width).
+  /// Saves or loads arbiter k's priority state: a round-robin pointer as
+  /// one u64, a matrix as count(width * word_count(width)) and then its
+  /// row words. A load rejects a round-robin pointer outside [0, width).
   void state(StateArchive& ar, std::size_t k) {
     if (kind_ == ArbiterKind::kRoundRobin) {
       std::uint64_t ptr = ptr_[k];
@@ -136,8 +142,8 @@ class ArbiterBank {
         ptr_[k] = static_cast<std::uint8_t>(ptr);
       }
     } else {
-      ar.count(width_);
-      ar.pod_array(&prio_[k * width_], width_);
+      ar.count(stride_);
+      ar.pod_array(&prio_[k * stride_], stride_);
     }
   }
 
@@ -150,8 +156,10 @@ class ArbiterBank {
   ArbiterKind kind_;
   std::size_t count_;
   std::size_t width_;
+  std::size_t wpr_;     // words per matrix row: word_count(width)
+  std::size_t stride_;  // words per matrix arbiter: width * wpr
   std::vector<std::uint8_t> ptr_;  // [k], round robin only
-  std::vector<bits::Word> prio_;   // [k * width + row], matrix only
+  std::vector<bits::Word> prio_;   // [k * stride + row * wpr + word], matrix
 };
 
 // ---------------------------------------------------------------------------

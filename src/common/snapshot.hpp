@@ -101,9 +101,11 @@ class StateArchive {
                   "type has padding bytes; add a field-wise state() "
                   "overload instead of pod()");
     const std::size_t n = count * sizeof(T);
+    if (n == 0) return;
     if (saving()) {
-      const auto* bytes = reinterpret_cast<const std::uint8_t*>(values);
-      out_->insert(out_->end(), bytes, bytes + n);
+      const std::size_t at = out_->size();
+      out_->resize(at + n);
+      std::memcpy(out_->data() + at, values, n);
     } else {
       NOCALLOC_CHECK(n <= remaining());
       std::memcpy(values, data_ + pos_, n);

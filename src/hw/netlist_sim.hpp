@@ -3,7 +3,7 @@
 // Evaluates a generated netlist gate by gate, giving the hardware model a
 // *functional* meaning on top of its cost meaning: the equivalence tests in
 // tests/test_netlist_equivalence.cpp drive the same request vectors through
-// a generated circuit and its behavioural counterpart (RoundRobinArbiter,
+// a generated circuit and its behavioural counterpart (an ArbiterBank,
 // WavefrontAllocator, ...) and demand identical grants -- the reproduction's
 // substitute for RTL simulation of the paper's Verilog.
 //

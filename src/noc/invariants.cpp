@@ -100,7 +100,7 @@ void InvariantChecker::on_vc_alloc(const Router& router, Cycle now,
       violation(i, "granted VC is outside the request's candidate mask");
     }
     // Called pre-commit, so a legally granted output VC is still free.
-    if (router.output_vcs_[static_cast<std::size_t>(g)].allocated) {
+    if ((router.out_alloc_words_[out_port] & bits::bit(out_vc)) != 0) {
       violation(i, "granted an output VC that is already allocated");
     }
     if (!granted_out.insert(g).second) {
@@ -420,13 +420,20 @@ void InvariantChecker::check_router_state(const Router& router, Cycle now) {
                   "output VC holds " + std::to_string(ovc.credits) +
                       " credits with buffer depth " + std::to_string(depth));
       }
+      if (((router.out_credit_words_[p] & bits::bit(v)) != 0) !=
+          (ovc.credits > 0)) {
+        violation("credit-word",
+                  "credit word bit disagrees with the output VC's " +
+                      std::to_string(ovc.credits) + " credits");
+      }
+      const bool allocated = (router.out_alloc_words_[p] & bits::bit(v)) != 0;
       const int holders = owners[p * vcs + v];
-      if (ovc.allocated && holders != 1) {
+      if (allocated && holders != 1) {
         violation("vc-ownership",
                   "allocated output VC is held by " +
                       std::to_string(holders) + " input VCs");
       }
-      if (!ovc.allocated && holders != 0) {
+      if (!allocated && holders != 0) {
         violation("vc-ownership",
                   "free output VC is referenced by an active input VC");
       }

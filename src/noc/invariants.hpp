@@ -19,12 +19,14 @@
 //     requests or not, so a grant without a request is caught.
 //
 //   - step boundaries, validated after every Network::step(): per-VC input
-//     state-machine legality, per-channel credit conservation (upstream
-//     credits + in-flight flits/credits + downstream occupancy must equal
-//     the buffer depth, on router links and terminal links alike),
-//     network-wide flit conservation (injected = ejected + in flight), and
-//     a deadlock watchdog that fires when buffered flits make no progress
-//     for a configurable horizon.
+//     state-machine legality, output-VC ownership (the router's per-port
+//     allocated words against the active input VCs), the per-port credit
+//     words against the credit counters, per-channel credit conservation
+//     (upstream credits + in-flight flits/credits + downstream occupancy
+//     must equal the buffer depth, on router links and terminal links
+//     alike), network-wide flit conservation (injected = ejected + in
+//     flight), and a deadlock watchdog that fires when buffered flits make
+//     no progress for a configurable horizon.
 //
 //   - lookahead routes, validated as they commit against the resource-class
 //     transition relation the static analysis extracts from the same

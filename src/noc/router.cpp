@@ -248,9 +248,7 @@ void Router::allocate(Cycle now) {
     const std::size_t out_vc = static_cast<std::size_t>(vgrant_[i]) % vcs_;
     vgrant_[i] = -1;  // restore the all--1 contract for the next cycle
     const auto out_port = static_cast<std::size_t>(ivc.route.out_port);
-    OutputVc& ovc = output_vc(out_port, out_vc);
-    NOCALLOC_DCHECK(!ovc.allocated);
-    ovc.allocated = true;
+    NOCALLOC_DCHECK((out_alloc_words_[out_port] & bits::bit(out_vc)) == 0);
     out_alloc_words_[out_port] |= bits::bit(out_vc);
     ivc.out_vc = static_cast<int>(out_vc);
     set_vc_state(i, VcState::kActive);
@@ -347,7 +345,6 @@ void Router::commit_grant(std::size_t port, std::size_t vc, Cycle now) {
   }
 
   if (tail) {
-    ovc.allocated = false;
     out_alloc_words_[out_port] &= ~bits::bit(out_vc);
     ivc.out_vc = -1;
     if (!ivc.buffer.empty()) {
@@ -386,26 +383,29 @@ void Router::state(StateArchive& ar) {
     noc::state(ar, ivc.route);
     ar.pod(ivc.out_vc);
   }
-  for (OutputVc& ovc : output_vcs_) {
-    ar.pod(ovc.allocated);
-    ar.u64(ovc.credits);
-    if (ar.loading()) NOCALLOC_CHECK(ovc.credits <= cfg_.buffer_depth);
+  // Per output VC: its allocated bit as one byte, then its credits. A load
+  // rebuilds both per-port words from them.
+  for (std::size_t p = 0; p < cfg_.ports; ++p) {
+    if (ar.loading()) {
+      out_alloc_words_[p] = 0;
+      out_credit_words_[p] = 0;
+    }
+    for (std::size_t v = 0; v < vcs_; ++v) {
+      auto allocated =
+          static_cast<std::uint8_t>((out_alloc_words_[p] >> v) & 1);
+      ar.pod(allocated);
+      OutputVc& ovc = output_vc(p, v);
+      ar.u64(ovc.credits);
+      if (ar.loading()) {
+        NOCALLOC_CHECK(allocated <= 1 && ovc.credits <= cfg_.buffer_depth);
+        if (allocated != 0) out_alloc_words_[p] |= bits::bit(v);
+        if (ovc.credits > 0) out_credit_words_[p] |= bits::bit(v);
+      }
+    }
   }
   if (ar.loading()) {
-    // Rebuild the derived per-port words from the restored OutputVc
-    // structs. The receive-pending words are cleared here and re-marked
-    // exactly by the incoming channels' loads, which follow the routers'.
-    for (std::size_t p = 0; p < cfg_.ports; ++p) {
-      bits::Word alloc = 0;
-      bits::Word credit = 0;
-      for (std::size_t v = 0; v < vcs_; ++v) {
-        const OutputVc& ovc = output_vc(p, v);
-        if (ovc.allocated) alloc |= bits::bit(v);
-        if (ovc.credits > 0) credit |= bits::bit(v);
-      }
-      out_alloc_words_[p] = alloc;
-      out_credit_words_[p] = credit;
-    }
+    // The receive-pending words are cleared here and re-marked exactly by
+    // the incoming channels' loads, which follow the routers'.
     rx_flit_pending_ = 0;
     rx_credit_pending_ = 0;
   }

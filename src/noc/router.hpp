@@ -162,7 +162,6 @@ class Router {
   };
 
   struct OutputVc {
-    bool allocated = false;
     std::size_t credits = 0;
   };
 
@@ -245,11 +244,11 @@ class Router {
   // state changes only on grants, so both replays apply to these alone.
   bool va_rotates_ = false;
   bool sa_rotates_ = false;
-  // Derived per-output-port words mirroring the OutputVc structs (rebuilt
-  // on load): bit v of out_alloc_words_[p] mirrors
-  // output_vc(p, v).allocated, bit v of out_credit_words_[p] mirrors
-  // credits > 0. They turn the per-head candidate scan and the per-bid
-  // credit check into single word ops.
+  // Per-output-port words. Bit v of out_alloc_words_[p] is set iff output
+  // VC (p, v) is allocated to an input VC -- the only record of ownership.
+  // Bit v of out_credit_words_[p] mirrors output_vc(p, v).credits > 0
+  // (derived, rebuilt on load). They turn the per-head candidate scan and
+  // the per-bid credit check into single word ops.
   std::vector<bits::Word> out_alloc_words_;
   std::vector<bits::Word> out_credit_words_;
 

@@ -41,8 +41,6 @@ class VcWavefrontAllocator final : public VcAllocator {
     for (const auto& c : cores_) c->state(ar);
   }
 
-  bool sparse() const { return sparse_; }
-
  private:
   /// The oracle: builds each core's block request matrix, matches it with
   /// the byte-loop WavefrontAllocator::allocate_from_diagonal from the

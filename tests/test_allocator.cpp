@@ -15,6 +15,7 @@
 #include "alloc/wavefront_allocator.hpp"
 #include "common/rng.hpp"
 #include "common/snapshot.hpp"
+#include "sweep/snapshot_io.hpp"
 
 namespace nocalloc {
 namespace {
@@ -681,6 +682,113 @@ TYPED_TEST(AllocatorStateTest, AdvancePriorityEqualsEmptyCalls) {
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Separable allocators above one word: every arbiter is wider than 64
+// requesters, so picks scan several words and matrix rows span several
+// words. The grant sequence over a fixed random request stream and the
+// final state() bytes are pinned by FNV-1a hash, and a twin loaded from the
+// state saved mid-stream must grant identically from there on.
+
+struct WideSeparableParam {
+  AllocatorKind kind;
+  ArbiterKind arb;
+  std::size_t inputs;
+  std::size_t outputs;
+  std::uint64_t grant_hash;
+  std::uint64_t state_hash;
+  std::size_t state_len;
+};
+
+class WideSeparableTest : public ::testing::TestWithParam<WideSeparableParam> {
+};
+
+TEST_P(WideSeparableTest, GrantHashAndStateRoundTrip) {
+  constexpr int kCycles = 120;
+  constexpr int kSaveAt = 50;
+  const WideSeparableParam& p = GetParam();
+  auto alloc = make_allocator(p.kind, p.inputs, p.outputs, p.arb);
+  auto twin = make_allocator(p.kind, p.inputs, p.outputs, p.arb);
+  Rng rng(0x51DE);
+  std::vector<std::int32_t> grant_cols;  // per cycle and input, or -1
+  BitMatrix gnt, twin_gnt;
+  for (int c = 0; c < kCycles; ++c) {
+    const BitMatrix req =
+        random_requests(p.inputs, p.outputs, 0.01 + 0.06 * (c % 5), rng);
+    alloc->allocate(req, gnt);
+    ASSERT_TRUE(gnt.is_matching());
+    ASSERT_TRUE(gnt.is_subset_of(req));
+    for (std::size_t i = 0; i < p.inputs; ++i) {
+      std::int32_t col = -1;
+      for (std::size_t j = 0; j < p.outputs; ++j) {
+        if (gnt.get(i, j)) col = static_cast<std::int32_t>(j);
+      }
+      grant_cols.push_back(col);
+    }
+    if (c > kSaveAt) {
+      twin->allocate(req, twin_gnt);
+      ASSERT_EQ(gnt, twin_gnt) << "cycle " << c;
+    }
+    if (c == kSaveAt) {
+      std::vector<std::uint8_t> bytes;
+      StateArchive saving = StateArchive::saving_to(bytes);
+      alloc->state(saving);
+      StateArchive loading = StateArchive::loading_from(bytes);
+      twin->state(loading);
+      EXPECT_EQ(loading.remaining(), 0u);
+    }
+  }
+  std::vector<std::uint8_t> bytes;
+  StateArchive saving = StateArchive::saving_to(bytes);
+  alloc->state(saving);
+  EXPECT_EQ(sweep::fnv1a(
+                reinterpret_cast<const std::uint8_t*>(grant_cols.data()),
+                grant_cols.size() * sizeof(std::int32_t)),
+            p.grant_hash);
+  EXPECT_EQ(sweep::fnv1a(bytes.data(), bytes.size()), p.state_hash);
+  EXPECT_EQ(bytes.size(), p.state_len);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AboveOneWord, WideSeparableTest,
+    ::testing::Values(
+        WideSeparableParam{AllocatorKind::kSeparableInputFirst,
+                           ArbiterKind::kRoundRobin, 100, 100,
+                           16692974571635549645ull,
+                           13033188382501666532ull, 1600},
+        WideSeparableParam{AllocatorKind::kSeparableInputFirst,
+                           ArbiterKind::kRoundRobin, 70, 130,
+                           10902655376520859788ull,
+                           5423217326024858018ull, 1600},
+        WideSeparableParam{AllocatorKind::kSeparableInputFirst,
+                           ArbiterKind::kMatrix, 100, 100,
+                           8623293275265917613ull,
+                           14575970838711594503ull, 321600},
+        WideSeparableParam{AllocatorKind::kSeparableInputFirst,
+                           ArbiterKind::kMatrix, 70, 130,
+                           6536821208244555989ull,
+                           4011371589151718563ull, 365600},
+        WideSeparableParam{AllocatorKind::kSeparableOutputFirst,
+                           ArbiterKind::kRoundRobin, 100, 100,
+                           14213842788319783616ull,
+                           11173465381838631016ull, 1600},
+        WideSeparableParam{AllocatorKind::kSeparableOutputFirst,
+                           ArbiterKind::kRoundRobin, 70, 130,
+                           16774750738013733972ull,
+                           1824693020862434504ull, 1600},
+        WideSeparableParam{AllocatorKind::kSeparableOutputFirst,
+                           ArbiterKind::kMatrix, 100, 100,
+                           15371818447838318479ull,
+                           10123240184138117736ull, 321600},
+        WideSeparableParam{AllocatorKind::kSeparableOutputFirst,
+                           ArbiterKind::kMatrix, 70, 130,
+                           2441010625722178652ull,
+                           6114751889641198264ull, 365600}),
+    [](const ::testing::TestParamInfo<WideSeparableParam>& info) {
+      return to_string(info.param.kind) + "_" + to_string(info.param.arb) +
+             "_" + std::to_string(info.param.inputs) + "x" +
+             std::to_string(info.param.outputs);
+    });
 
 // ---------------------------------------------------------------------------
 // Quality ordering sanity: wavefront >= separable on average.

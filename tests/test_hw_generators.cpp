@@ -82,7 +82,7 @@ TEST(ArbiterGen, MatrixFasterThanRoundRobin) {
   }
 }
 
-TEST(ArbiterGen, TreeArbiterShallowerThanFlatAtLargeWidths) {
+TEST(ArbiterGen, TreeCircuitShallowerThanFlatAtLargeWidths) {
   // P V-input arbiters + P-input arbiter vs one PxV-input arbiter
   // (Sec. 4.1's delay optimization for the output stage).
   Netlist flat_nl, tree_nl;

@@ -1,15 +1,16 @@
 // Differential tests for the single-word arbiter picks and the allocator
 // kernels.
 //
-// Every ArbiterBank pick must select the same winner as a twin Arbiter
-// object, and every kernel-backed VC and switch allocator driven through
-// its dense allocate() -- which packs the requests and runs the same
-// single-word kernel the router runs -- must emit the same grants, cycle
-// after cycle, as a twin instance running the byte-loop reference path
-// (set_reference_path(true)) on the same request stream. The allocator-level
-// tests sweep all 145 paper design points (src/lint/design_points.hpp)
-// across multiple seeds and request densities. Shapes too wide for one word
-// have no kernel and no fallback: every family's constructor rejects them.
+// Every ArbiterBank single-word pick must select the same winner as the
+// bank's byte-loop pick_bytes, and every kernel-backed VC and switch
+// allocator driven through its dense allocate() -- which packs the
+// requests and runs the same single-word kernel the router runs -- must
+// emit the same grants, cycle after cycle, as a twin instance running the
+// byte-loop reference path (set_reference_path(true)) on the same request
+// stream. The allocator-level tests sweep all 145 paper design points
+// (src/lint/design_points.hpp) across multiple seeds and request
+// densities. Shapes too wide for one word have no kernel and no fallback:
+// every family's constructor rejects them.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -19,8 +20,6 @@
 #include <vector>
 
 #include "arbiter/arbiter_bank.hpp"
-#include "arbiter/round_robin_arbiter.hpp"
-#include "arbiter/tree_arbiter.hpp"
 #include "common/rng.hpp"
 #include "lint/design_points.hpp"
 #include "sa/speculative_switch_allocator.hpp"
@@ -37,21 +36,16 @@ ReqVector random_req(std::size_t n, double rate, Rng& rng) {
   return req;
 }
 
-// Every arbiter of a bank must pick, in both its single-word pick() and its
-// byte-loop pick_bytes(), the winner a twin Arbiter object picks on the
-// same requests, for both kinds across every width up to one full word,
-// with on-success updates applied to bank and twin alike so the winners are
-// compared across evolving round-robin pointers and matrix priorities. The
-// bank's state bytes for each arbiter must equal the twin's.
-TEST(ArbiterBank, PickMatchesPick) {
+// Every arbiter of a bank must pick, in its single-word pick(), the winner
+// its byte-loop pick_bytes() picks on the same requests, for both kinds
+// across every width up to one full word, with on-success updates applied
+// so the winners are compared across evolving round-robin pointers and
+// matrix priorities.
+TEST(ArbiterBank, PickMatchesPickBytes) {
   constexpr std::size_t kArbiters = 3;
   for (ArbiterKind kind : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
     for (std::size_t n = 1; n <= bits::kWordBits; ++n) {
       ArbiterBank bank(kind, kArbiters, n);
-      std::vector<std::unique_ptr<Arbiter>> twins;
-      for (std::size_t k = 0; k < kArbiters; ++k) {
-        twins.push_back(make_arbiter(kind, n));
-      }
       Rng rng(0xA0 + n);
       for (int round = 0; round < 120; ++round) {
         const std::size_t k = rng.next_below(kArbiters);
@@ -61,67 +55,46 @@ TEST(ArbiterBank, PickMatchesPick) {
         for (std::size_t i = 0; i < n; ++i) {
           if (req[i]) word |= bits::bit(i);
         }
-        const int twin_pick = twins[k]->pick(req);
-        ASSERT_EQ(bank.pick(k, word), twin_pick)
+        const int want = bank.pick_bytes(k, req);
+        ASSERT_EQ(bank.pick(k, word), want)
             << to_string(kind) << " n=" << n << " round " << round;
-        ASSERT_EQ(bank.pick_bytes(k, req), twin_pick)
-            << to_string(kind) << " n=" << n << " round " << round;
-        if (twin_pick >= 0 && rng.next_bool(0.7)) {
-          bank.update(k, twin_pick);
-          twins[k]->update(twin_pick);
-        }
-      }
-      for (std::size_t k = 0; k < kArbiters; ++k) {
-        std::vector<std::uint8_t> got;
-        std::vector<std::uint8_t> want;
-        StateArchive got_ar = StateArchive::saving_to(got);
-        StateArchive want_ar = StateArchive::saving_to(want);
-        bank.state(got_ar, k);
-        twins[k]->state(want_ar);
-        ASSERT_EQ(got, want) << to_string(kind) << " n=" << n << " k=" << k;
+        if (want >= 0 && rng.next_bool(0.7)) bank.update(k, want);
       }
     }
   }
 }
 
-// A tree over a top/local bank pair is the TreeArbiter of Sec. 4.1: the
-// same winners and the same state bytes as one TreeArbiter per tree.
-TEST(ArbiterBank, TreeMatchesTreeArbiter) {
+// The single-word tree_pick over a top/local bank pair (the output-VC trees
+// of Sec. 4.1) must pick the winner tree_pick_bytes picks on the same banks.
+TEST(ArbiterBank, TreePickMatchesTreePickBytes) {
   constexpr std::size_t kTrees = 4;
   for (ArbiterKind kind : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
     const std::size_t groups = 5;
     const std::size_t group_size = 3;
     ArbiterBank top(kind, kTrees, groups);
     ArbiterBank local(kind, kTrees * groups, group_size);
-    std::vector<TreeArbiter> twins(kTrees,
-                                   TreeArbiter(kind, groups, group_size));
     Rng rng(0x7EE);
     for (int round = 0; round < 400; ++round) {
       const std::size_t k = rng.next_below(kTrees);
       const ReqVector req =
           random_req(groups * group_size, (round % 5) * 0.1 + 0.05, rng);
-      const int want = twins[k].pick(req);
-      ASSERT_EQ(tree_pick_bytes(top, local, k, req), want)
-          << to_string(kind) << " round " << round;
-      if (want >= 0) {
-        tree_update(top, local, k, static_cast<std::size_t>(want));
-        twins[k].update(want);
+      bits::Word groups_req = 0;
+      std::vector<bits::Word> group_req(groups, 0);
+      for (std::size_t i = 0; i < req.size(); ++i) {
+        if (!req[i]) continue;
+        groups_req |= bits::bit(i / group_size);
+        group_req[i / group_size] |= bits::bit(i % group_size);
       }
-    }
-    for (std::size_t k = 0; k < kTrees; ++k) {
-      std::vector<std::uint8_t> got;
-      std::vector<std::uint8_t> want;
-      StateArchive got_ar = StateArchive::saving_to(got);
-      StateArchive want_ar = StateArchive::saving_to(want);
-      tree_state(got_ar, top, local, k);
-      twins[k].state(want_ar);
-      ASSERT_EQ(got, want) << to_string(kind) << " k=" << k;
+      const int want = tree_pick_bytes(top, local, k, req);
+      ASSERT_EQ(tree_pick(top, local, k, groups_req, group_req.data()), want)
+          << to_string(kind) << " round " << round;
+      if (want >= 0) tree_update(top, local, k, static_cast<std::size_t>(want));
     }
   }
 }
 
 // No save ever writes a round-robin pointer equal to the arbiter's width,
-// so loading one aborts, in the bank and the standalone arbiter alike.
+// so loading one aborts.
 TEST(ArbiterBankDeathTest, LoadRejectsPointerAtWidth) {
   for (const std::uint64_t ptr : {std::uint64_t{5}, std::uint64_t{6}}) {
     std::vector<std::uint8_t> bytes(sizeof ptr);
@@ -129,9 +102,6 @@ TEST(ArbiterBankDeathTest, LoadRejectsPointerAtWidth) {
     ArbiterBank bank(ArbiterKind::kRoundRobin, 2, 5);
     StateArchive ar = StateArchive::loading_from(bytes);
     EXPECT_DEATH(bank.state(ar, 1), "check failed: ptr < width_");
-    RoundRobinArbiter arb(5);
-    StateArchive ar2 = StateArchive::loading_from(bytes);
-    EXPECT_DEATH(arb.state(ar2), "check failed: pointer_ < size_");
   }
   std::uint64_t ok = 4;
   std::vector<std::uint8_t> bytes(sizeof ok);

@@ -14,9 +14,7 @@
 #include <memory>
 
 #include "alloc/wavefront_allocator.hpp"
-#include "arbiter/matrix_arbiter.hpp"
-#include "arbiter/round_robin_arbiter.hpp"
-#include "arbiter/tree_arbiter.hpp"
+#include "arbiter/arbiter_bank.hpp"
 #include "common/rng.hpp"
 #include "hw/arbiter_gen.hpp"
 #include "hw/netlist_program.hpp"
@@ -104,14 +102,13 @@ TEST_P(ArbiterEquivalenceTest, MatchesBehaviouralModelOverManyCycles) {
   for (NodeId g : circuit.gnt) nl.mark_output(g);
   BatchDiff hw(nl);
 
-  // One behavioural arbiter and one RNG stream per lane.
-  std::vector<std::unique_ptr<Arbiter>> sw;
+  // The behavioural model: arbiter `lane` of a flat bank per lane, or tree
+  // `lane` of a top/local bank pair, and one RNG stream per lane.
+  ArbiterBank flat(p.kind, kLanes, n);
+  ArbiterBank top(p.kind, kLanes, p.groups);
+  ArbiterBank local(p.kind, kLanes * p.groups, n / p.groups);
   std::vector<Rng> rng;
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    sw.push_back(p.groups == 1
-                     ? make_arbiter(p.kind, n)
-                     : std::make_unique<TreeArbiter>(p.kind, p.groups,
-                                                     n / p.groups));
     rng.emplace_back(0xE0 + p.width * kLanes + lane);
   }
 
@@ -140,9 +137,16 @@ TEST_P(ArbiterEquivalenceTest, MatchesBehaviouralModelOverManyCycles) {
           winner = static_cast<int>(i);
         }
       }
-      const int expected = sw[lane]->pick(req[lane]);
+      const int expected = p.groups == 1
+                               ? flat.pick_bytes(lane, req[lane])
+                               : tree_pick_bytes(top, local, lane, req[lane]);
       ASSERT_EQ(winner, expected) << "cycle " << cycle << " lane " << lane;
-      if (expected >= 0) sw[lane]->update(expected);
+      if (expected < 0) continue;
+      if (p.groups == 1) {
+        flat.update(lane, expected);
+      } else {
+        tree_update(top, local, lane, static_cast<std::size_t>(expected));
+      }
     }
   }
 }

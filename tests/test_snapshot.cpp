@@ -73,8 +73,11 @@ struct RestoreCase {
     std::string n = to_string(topology);
     if (alloc != AllocatorKind::kSeparableInputFirst ||
         arb != ArbiterKind::kRoundRobin || spec != SpecMode::kPessimistic) {
-      n += "_" + to_string(alloc) + "_" + to_string(arb) + "_" +
-           to_string(spec);
+      for (const std::string& part :
+           {to_string(alloc), to_string(arb), to_string(spec)}) {
+        n += '_';
+        n += part;
+      }
     }
     return n + (check ? "_checked" : "_unchecked") +
            (rate == 0.02 ? "_lowload" : "");
