@@ -4,75 +4,34 @@
 // fbfly's longest links (L = 3) a VC needs ~10 slots to stream a packet at
 // full rate -- shallower buffers throttle each VC and deeper ones buy little.
 //
-// Each (design point, depth) rate sweep is one warm-fork CurveSpec (the
-// early break at saturation keeps it one serial task inside the engine).
+// The curves (one per design point and depth) are defined in
+// sweep/paper_figures; each rate sweep is one warm-fork CurveSpec (the early
+// break at saturation keeps it one serial task inside the engine).
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "bench/curve_util.hpp"
-#include "noc/sim.hpp"
 
 using namespace nocalloc;
-using namespace nocalloc::noc;
-
-namespace {
-
-struct Config {
-  const char* label;
-  TopologyKind topo;
-  std::size_t c;
-};
-
-constexpr Config kConfigs[] = {
-    {"mesh 2x1x1", TopologyKind::kMesh8x8, 1},
-    {"fbfly 2x2x2", TopologyKind::kFbfly4x4, 2},
-};
-
-constexpr std::size_t kDepths[] = {2, 4, 8, 16, 32};
-
-sweep::CurveSpec make_spec(const Config& c, std::size_t depth) {
-  const bool fast = bench::fast_mode();
-  sweep::CurveSpec spec;
-  spec.base.topology = c.topo;
-  spec.base.vcs_per_class = c.c;
-  spec.base.buffer_depth = depth;
-  spec.base.warmup_cycles = fast ? 600 : 2000;
-  spec.base.measure_cycles = fast ? 1200 : 4000;
-  spec.base.drain_cycles = fast ? 1200 : 4000;
-  spec.rates = bench::rate_grid(0.05, 0.75, 0.1);
-  spec.fork_warmup_cycles = fast ? 400 : 1000;
-  return spec;
-}
-
-}  // namespace
 
 int main() {
   bench::heading("Ablation: input buffer depth per VC (Sec. 3.2 parameter)");
 
-  const std::size_t depths = std::size(kDepths);
-  const std::size_t total = std::size(kConfigs) * depths;
+  const bench::FigureRun run =
+      bench::run_figure(sweep::PaperFigure::kBufferDepth);
+  const std::size_t depths = run.series_per_design;
 
-  std::vector<sweep::CurveSpec> specs;
-  for (std::size_t t = 0; t < total; ++t) {
-    specs.push_back(make_spec(kConfigs[t / depths], kDepths[t % depths]));
-  }
-  const auto curves = sweep::run_warm_curves(bench::pool(), specs);
-
-  std::vector<std::string> rows(total);
-  for (std::size_t t = 0; t < total; ++t) {
-    const bench::CurveSummary s =
-        bench::summarize_curve(curves[t], /*sat_with_accepted=*/false);
-    rows[t] = bench::strprintf("  %-8zu %-14.1f %-14.3f\n", kDepths[t % depths],
-                               s.zero_load_latency, s.max_accepted);
-  }
-
-  for (std::size_t ci = 0; ci < std::size(kConfigs); ++ci) {
-    bench::subheading(kConfigs[ci].label);
+  for (std::size_t d = 0; d < run.results.size(); d += depths) {
+    bench::subheading(run.curves[d].design);
     std::printf("  %-8s %-14s %-14s\n", "depth", "zero-load lat",
                 "max accepted");
-    for (std::size_t d = 0; d < depths; ++d)
-      std::printf("%s", rows[ci * depths + d].c_str());
+    for (std::size_t t = d; t < d + depths; ++t) {
+      const bench::CurveSummary s =
+          bench::summarize_curve(run.results[t], /*sat_with_accepted=*/false);
+      std::printf("  %-8s %-14.1f %-14.3f\n", run.curves[t].series.c_str(),
+                  s.zero_load_latency, s.max_accepted);
+    }
   }
 
   bench::subheading("interpretation");

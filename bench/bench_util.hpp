@@ -2,7 +2,9 @@
 //
 // Every bench prints the data series of one paper figure as plain text
 // tables (one row per data point), followed by a summary of the headline
-// numbers the paper quotes for that figure. Environment knobs:
+// numbers the paper quotes for that figure. What a figure runs -- the six
+// design points, and the network figures' curves -- is defined in
+// sweep/paper_figures; the benches only format it. Environment knobs:
 //   NOCALLOC_BENCH_FAST=1  -- shorten simulations/trials (smoke mode)
 //   NOCALLOC_THREADS=N     -- thread count for the sweep pool (default:
 //                             hardware concurrency)
@@ -21,6 +23,9 @@
 #include <vector>
 
 #include "alloc/allocator.hpp"
+#include "noc/sim.hpp"
+#include "noc/topology.hpp"
+#include "sweep/paper_figures.hpp"
 #include "sweep/sweep.hpp"
 #include "vc/vc_partition.hpp"
 
@@ -61,8 +66,8 @@ inline void subheading(const std::string& title) {
   std::printf("\n--- %s ---\n", title.c_str());
 }
 
-/// One of the paper's six VC design points (Sec. 3): label, router radix,
-/// and the M x R x C partition.
+/// One of the paper's six VC design points (Sec. 3, sweep/paper_figures):
+/// label, router radix, and the M x R x C partition.
 struct DesignPoint {
   const char* label;
   std::size_t ports;
@@ -70,14 +75,12 @@ struct DesignPoint {
 };
 
 inline std::vector<DesignPoint> paper_design_points() {
-  return {
-      {"mesh 2x1x1", 5, VcPartition::mesh(2, 1)},
-      {"mesh 2x1x2", 5, VcPartition::mesh(2, 2)},
-      {"mesh 2x1x4", 5, VcPartition::mesh(2, 4)},
-      {"fbfly 2x2x1", 10, VcPartition::fbfly(2, 1)},
-      {"fbfly 2x2x2", 10, VcPartition::fbfly(2, 2)},
-      {"fbfly 2x2x4", 10, VcPartition::fbfly(2, 4)},
-  };
+  std::vector<DesignPoint> points;
+  for (const sweep::PaperDesignPoint& dp : sweep::paper_design_points()) {
+    points.push_back({dp.label, noc::make_topology(dp.topology)->ports(),
+                      noc::partition_for(dp.topology, dp.vcs_per_class)});
+  }
+  return points;
 }
 
 }  // namespace nocalloc::bench

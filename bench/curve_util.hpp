@@ -1,7 +1,8 @@
 // Shared glue between the network-level benches and the warm-curve sweep
-// engine (sweep/sim_batch): rate grids and the standard "rate:latency ...
-// SAT" row format the figure benches print. Splitting this out keeps each
-// bench down to its design-point table plus the paper-comparison summary.
+// engine (sweep/sim_batch): running one of the paper's figures, as
+// sweep/paper_figures defines it, and the standard "rate:latency ... SAT"
+// row format the figure benches print. Each bench keeps only its headings,
+// rows and paper-comparison summary.
 #pragma once
 
 #include <algorithm>
@@ -9,16 +10,30 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "sweep/paper_figures.hpp"
 #include "sweep/sim_batch.hpp"
 
 namespace nocalloc::bench {
 
-/// Inclusive [lo, hi] grid with the given step (ascending, as CurveSpec
-/// requires).
-inline std::vector<double> rate_grid(double lo, double hi, double step) {
-  std::vector<double> rates;
-  for (double r = lo; r <= hi + 1e-9; r += step) rates.push_back(r);
-  return rates;
+/// A figure's curves at the bench's fidelity and their results, index for
+/// index. Every design point carries the same `series_per_design` curves,
+/// consecutively.
+struct FigureRun {
+  std::vector<sweep::PaperCurve> curves;
+  std::vector<sweep::Curve> results;
+  std::size_t series_per_design = 0;
+};
+
+inline FigureRun run_figure(sweep::PaperFigure figure) {
+  FigureRun run;
+  run.curves = sweep::paper_figure_curves(figure, fast_mode());
+  std::vector<sweep::CurveSpec> specs;
+  for (const sweep::PaperCurve& curve : run.curves) {
+    specs.push_back(curve.spec);
+    if (curve.design == run.curves.front().design) ++run.series_per_design;
+  }
+  run.results = sweep::run_warm_curves(pool(), specs);
+  return run;
 }
 
 /// Headline numbers extracted from one latency-vs-load curve.

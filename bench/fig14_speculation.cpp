@@ -2,95 +2,49 @@
 // speculation policies (nonspec, conventional spec_gnt, pessimistic
 // spec_req), using a separable input-first switch allocator (Sec. 5.3.3).
 //
-// Each (design point, speculation mode) latency curve is one warm-fork
-// CurveSpec on the sweep engine; see fig13 for the sharding and determinism
-// argument.
+// The curves (one per design point and speculation mode) are defined in
+// sweep/paper_figures; this program formats them. Each is one warm-fork
+// CurveSpec on the sweep engine; see fig13 for the determinism argument.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
 #include "bench/curve_util.hpp"
-#include "noc/sim.hpp"
 
 using namespace nocalloc;
-using namespace nocalloc::noc;
-
-namespace {
-
-constexpr SpecMode kModes[] = {SpecMode::kNonSpeculative,
-                               SpecMode::kConservative,
-                               SpecMode::kPessimistic};
-
-struct Config {
-  const char* label;
-  TopologyKind topo;
-  std::size_t c;
-  double max_rate;
-};
-
-constexpr Config kConfigs[] = {
-    {"mesh 2x1x1", TopologyKind::kMesh8x8, 1, 0.45},
-    {"mesh 2x1x2", TopologyKind::kMesh8x8, 2, 0.50},
-    {"mesh 2x1x4", TopologyKind::kMesh8x8, 4, 0.50},
-    {"fbfly 2x2x1", TopologyKind::kFbfly4x4, 1, 0.60},
-    {"fbfly 2x2x2", TopologyKind::kFbfly4x4, 2, 0.70},
-    {"fbfly 2x2x4", TopologyKind::kFbfly4x4, 4, 0.80},
-};
-
-sweep::CurveSpec make_spec(TopologyKind topo, std::size_t c, SpecMode mode,
-                           double max_rate) {
-  const bool fast = bench::fast_mode();
-  sweep::CurveSpec spec;
-  spec.base.topology = topo;
-  spec.base.vcs_per_class = c;
-  spec.base.spec = mode;
-  spec.base.warmup_cycles = fast ? 600 : 2000;
-  spec.base.measure_cycles = fast ? 1200 : 5000;
-  spec.base.drain_cycles = fast ? 1200 : 5000;
-  spec.rates = bench::rate_grid(0.05, max_rate, 0.05);
-  spec.fork_warmup_cycles = fast ? 400 : 1000;
-  return spec;
-}
-
-}  // namespace
 
 int main() {
   bench::heading("Figure 14: speculative switch allocation policies");
   std::printf("(separable input-first switch allocator; entries are "
               "rate:latency, SAT = saturated)\n");
 
-  const std::size_t modes = std::size(kModes);
-  const std::size_t configs = std::size(kConfigs);
+  const bench::FigureRun run = bench::run_figure(sweep::PaperFigure::kFig14);
+  const std::size_t modes = run.series_per_design;
 
-  std::vector<sweep::CurveSpec> specs;
-  for (std::size_t t = 0; t < configs * modes; ++t) {
-    const Config& c = kConfigs[t / modes];
-    specs.push_back(make_spec(c.topo, c.c, kModes[t % modes], c.max_rate));
-  }
-  const auto curves = sweep::run_warm_curves(bench::pool(), specs);
-
-  std::vector<bench::CurveSummary> results(curves.size());
-  for (std::size_t t = 0; t < curves.size(); ++t) {
-    results[t] = bench::summarize_curve(curves[t], /*sat_with_accepted=*/true);
+  std::vector<bench::CurveSummary> results(run.results.size());
+  for (std::size_t t = 0; t < run.results.size(); ++t) {
+    results[t] =
+        bench::summarize_curve(run.results[t], /*sat_with_accepted=*/true);
   }
 
-  for (std::size_t ci = 0; ci < configs; ++ci) {
-    bench::subheading(kConfigs[ci].label);
-    for (std::size_t m = 0; m < modes; ++m) {
-      std::printf("  %s\n", to_string(kModes[m]).c_str());
-      std::printf("%s\n", results[ci * modes + m].line.c_str());
+  for (std::size_t d = 0; d < results.size(); d += modes) {
+    bench::subheading(run.curves[d].design);
+    for (std::size_t t = d; t < d + modes; ++t) {
+      std::printf("  %s\n", run.curves[t].series.c_str());
+      std::printf("%s\n", results[t].line.c_str());
     }
   }
 
+  // Series order: nonspec, spec_gnt, spec_req.
   bench::subheading("summary vs paper (Sec. 5.3.3)");
-  for (std::size_t ci = 0; ci < configs; ++ci) {
-    const bench::CurveSummary& ns = results[ci * modes + 0];
-    const bench::CurveSummary& sg = results[ci * modes + 1];
-    const bench::CurveSummary& sr = results[ci * modes + 2];
+  for (std::size_t d = 0; d < results.size(); d += modes) {
+    const bench::CurveSummary& ns = results[d + 0];
+    const bench::CurveSummary& sg = results[d + 1];
+    const bench::CurveSummary& sr = results[d + 2];
     std::printf(
         "%-12s zero-load: nonspec %5.1f, spec %5.1f (-%4.1f%%)   saturation: "
         "nonspec %.3f, spec_gnt %.3f (+%4.1f%%), spec_req %.3f (%+.1f%% vs "
         "spec_gnt)\n",
-        kConfigs[ci].label, ns.zero_load_latency, sr.zero_load_latency,
+        run.curves[d].design, ns.zero_load_latency, sr.zero_load_latency,
         100 * (1.0 - sr.zero_load_latency / ns.zero_load_latency),
         ns.max_accepted, sg.max_accepted,
         100 * (sg.max_accepted / ns.max_accepted - 1.0), sr.max_accepted,

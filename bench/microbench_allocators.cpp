@@ -3,8 +3,8 @@
 //
 // These measure *simulation* throughput (allocations per second of the C++
 // models), not hardware delay. BM_Allocator covers the generic BitMatrix
-// allocators on dense 40 % request matrices: the separable byte loops
-// (O(N^2) per call), the wavefront's sparse kernel over every set cell, and
+// allocators on dense 40 % request matrices: the separable allocators'
+// byte-row arbiter picks (O(N^2) per call), the wavefront's sparse kernel over every set cell, and
 // Hopcroft-Karp. BM_SwitchAllocator and BM_VcAllocator cover the
 // router-facing switch and VC allocators through their dense allocate()
 // entry point, which runs the router's kernels.

@@ -8,6 +8,11 @@
 // Fairness follows the iSLIP rule: a first-stage arbiter's priority advances
 // only if its grant also succeeds in the second stage; second-stage arbiters
 // advance whenever they issue a (final) grant.
+//
+// Both stages read their requests as packed BitMatrix rows; the arbiters
+// pick over byte rows (ArbiterBank::pick_bytes, any width up to 256), which
+// are filled from the set bits only and kept as members, so a call does
+// not allocate.
 #pragma once
 
 #include "alloc/allocator.hpp"
@@ -32,6 +37,9 @@ class SeparableInputFirstAllocator final : public Allocator {
  private:
   ArbiterBank input_arb_;   // arbiter i: input i's stage-1 pick, outputs wide
   ArbiterBank output_arb_;  // arbiter j: output j's stage-2 pick, inputs wide
+  BitMatrix bids_;          // outputs x inputs: the stage-1 picks
+  ReqVector input_bytes_;   // inputs wide, all zero between picks
+  ReqVector output_bytes_;  // outputs wide, all zero between picks
 };
 
 /// Output-first (sep_of, Fig. 1b): every output picks among all requesting
@@ -51,6 +59,10 @@ class SeparableOutputFirstAllocator final : public Allocator {
  private:
   ArbiterBank output_arb_;  // arbiter j: output j's stage-1 pick, inputs wide
   ArbiterBank input_arb_;   // arbiter i: input i's stage-2 pick, outputs wide
+  BitMatrix requests_by_output_;  // outputs x inputs: the request columns
+  BitMatrix offers_;              // inputs x outputs: the stage-1 picks
+  ReqVector input_bytes_;         // inputs wide, all zero between picks
+  ReqVector output_bytes_;        // outputs wide, all zero between picks
 };
 
 }  // namespace nocalloc

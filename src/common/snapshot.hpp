@@ -26,8 +26,8 @@
 //     the same state produce byte-identical buffers, so snapshots can be
 //     compared, hashed (sweep result cache keys), and persisted; and
 //   * the encoding is stable across builds on any little-endian host, which
-//     is what lets sweep/snapshot_io write snapshots to disk and mmap them
-//     back from another process.
+//     is what lets sweep/snapshot_io write snapshots to disk and read them
+//     back in another process.
 //
 // Sections start with a 32-bit tag() and structure sizes go through
 // count(); a loading archive aborts via NOCALLOC_CHECK when either differs

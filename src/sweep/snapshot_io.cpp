@@ -1,13 +1,12 @@
 #include "sweep/snapshot_io.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
+#include <sys/file.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <utility>
 
 #include "common/snapshot.hpp"
 
@@ -44,6 +43,37 @@ void field_f64(std::vector<std::uint8_t>& out, std::uint8_t id, double value) {
 std::uint64_t hash_payload(const noc::SimSnapshot& snap) {
   return fnv1a(snap.driver.data(), snap.driver.size(),
                fnv1a(snap.network.bytes.data(), snap.network.bytes.size()));
+}
+
+/// Serializes the renames that publish files in one directory, across
+/// threads and processes. flock on a dedicated lock file (never the data
+/// files: their names come and go under rename) -- advisory, but every
+/// writer is this code.
+class DirLock {
+ public:
+  explicit DirLock(const std::string& dir) {
+    fd_ = ::open((dir + "/.lock").c_str(), O_CREAT | O_RDWR, 0644);
+    if (fd_ >= 0) ::flock(fd_, LOCK_EX);
+  }
+  ~DirLock() {
+    if (fd_ >= 0) {
+      ::flock(fd_, LOCK_UN);
+      ::close(fd_);
+    }
+  }
+  DirLock(const DirLock&) = delete;
+  DirLock& operator=(const DirLock&) = delete;
+
+ private:
+  int fd_ = -1;
+};
+
+/// Unique within and across processes: pid + a process-wide counter (pool
+/// threads publish concurrently into one directory).
+std::string unique_tmp_suffix() {
+  static std::atomic<std::uint64_t> counter{0};
+  return ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
 
 void header_state(StateArchive& ar, SnapshotHeader& h) {
@@ -155,13 +185,24 @@ IoStatus decode_snapshot(const std::uint8_t* data, std::size_t size,
   return {};
 }
 
-IoStatus write_snapshot_file(const std::string& path,
-                             const noc::SimConfig& cfg,
-                             const noc::SimSnapshot& snap) {
-  std::vector<std::uint8_t> bytes;
-  encode_snapshot(cfg, snap, bytes);
+IoStatus read_file(const std::string& path, std::vector<std::uint8_t>& out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return IoStatus::failure("cannot open " + path);
+  out.clear();
+  std::uint8_t buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    out.insert(out.end(), buf, buf + n);
+  }
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) return IoStatus::failure("cannot read " + path);
+  return {};
+}
 
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+IoStatus write_file_atomic(const std::string& path,
+                           const std::vector<std::uint8_t>& bytes) {
+  const std::string tmp = path + unique_tmp_suffix();
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return IoStatus::failure("cannot open " + tmp + " for writing");
@@ -172,6 +213,8 @@ IoStatus write_snapshot_file(const std::string& path,
     std::remove(tmp.c_str());
     return IoStatus::failure("short write to " + tmp);
   }
+  const std::size_t slash = path.rfind('/');
+  DirLock lock(slash == std::string::npos ? "." : path.substr(0, slash));
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return IoStatus::failure("cannot rename " + tmp + " over " + path);
@@ -179,58 +222,20 @@ IoStatus write_snapshot_file(const std::string& path,
   return {};
 }
 
+IoStatus write_snapshot_file(const std::string& path,
+                             const noc::SimConfig& cfg,
+                             const noc::SimSnapshot& snap) {
+  std::vector<std::uint8_t> bytes;
+  encode_snapshot(cfg, snap, bytes);
+  return write_file_atomic(path, bytes);
+}
+
 IoStatus read_snapshot_file(const std::string& path, const noc::SimConfig& cfg,
                             noc::SimSnapshot& out) {
-  MappedFile file;
-  if (IoStatus status = file.open(path); !status) return status;
-  return decode_snapshot(file.data(), file.size(), config_fingerprint(cfg),
+  std::vector<std::uint8_t> bytes;
+  if (IoStatus status = read_file(path, bytes); !status) return status;
+  return decode_snapshot(bytes.data(), bytes.size(), config_fingerprint(cfg),
                          out);
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-    close();
-    data_ = other.data_;
-    size_ = other.size_;
-    other.data_ = nullptr;
-    other.size_ = 0;
-  }
-  return *this;
-}
-
-IoStatus MappedFile::open(const std::string& path) {
-  close();
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return IoStatus::failure("cannot open " + path);
-  struct stat st = {};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    return IoStatus::failure("cannot stat " + path);
-  }
-  size_ = static_cast<std::size_t>(st.st_size);
-  if (size_ == 0) {
-    // mmap rejects empty ranges; an empty file fails header validation
-    // anyway, so report it as the truncation it is.
-    ::close(fd);
-    size_ = 0;
-    return IoStatus::failure("truncated snapshot: " + path + " is empty");
-  }
-  void* map = ::mmap(nullptr, size_, PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);  // the mapping keeps its own reference
-  if (map == MAP_FAILED) {
-    size_ = 0;
-    return IoStatus::failure("cannot mmap " + path);
-  }
-  data_ = static_cast<const std::uint8_t*>(map);
-  return {};
-}
-
-void MappedFile::close() {
-  if (data_ != nullptr) {
-    ::munmap(const_cast<std::uint8_t*>(data_), size_);
-    data_ = nullptr;
-    size_ = 0;
-  }
 }
 
 }  // namespace nocalloc::sweep

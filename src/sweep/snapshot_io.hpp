@@ -11,9 +11,10 @@
 // (NEVER a crash -- cache files are runtime data, unlike in-process
 // snapshots whose mismatches are programming errors).
 //
-// read_snapshot_file() maps the file read-only (MappedFile) and
-// decode_snapshot()s it, copying the payload into the caller's private
-// state; decode_snapshot() also validates any in-memory image.
+// read_snapshot_file() reads the file (read_file) and decode_snapshot()s
+// it; decode_snapshot() also validates any in-memory image. Snapshot files
+// and the sweep cache's result records are both published through
+// write_file_atomic().
 #pragma once
 
 #include <cstdint>
@@ -80,45 +81,31 @@ struct IoStatus {
 void encode_snapshot(const noc::SimConfig& cfg, const noc::SimSnapshot& snap,
                      std::vector<std::uint8_t>& out);
 
-/// Strictly validates and decodes an encoded snapshot image (e.g. an
-/// mmapped file). `expected_fingerprint` must be config_fingerprint() of
-/// the config the caller will restore into. The payload bytes are COPIED
-/// into `out` -- callers restoring from a shared read-only mapping get
-/// private state (copy-on-restore).
+/// Strictly validates and decodes an encoded snapshot image (e.g. a file's
+/// bytes). `expected_fingerprint` must be config_fingerprint() of the
+/// config the caller will restore into. The payload bytes are copied into
+/// `out`.
 IoStatus decode_snapshot(const std::uint8_t* data, std::size_t size,
                          std::uint64_t expected_fingerprint,
                          noc::SimSnapshot& out);
 
-/// Writes atomically: encode to `path + ".tmp.<pid>"`, then rename() over
-/// `path`, so concurrent readers only ever observe complete files.
+/// Reads the whole file at `path` into `out`.
+IoStatus read_file(const std::string& path, std::vector<std::uint8_t>& out);
+
+/// Publishes `bytes` at `path` so concurrent readers only ever observe
+/// complete files: writes a temp file beside it (named uniquely across
+/// threads and processes), then renames it over `path` once, holding an
+/// exclusive flock on `<directory of path>/.lock` for the rename.
+IoStatus write_file_atomic(const std::string& path,
+                           const std::vector<std::uint8_t>& bytes);
+
+/// encode_snapshot() + write_file_atomic().
 IoStatus write_snapshot_file(const std::string& path,
                              const noc::SimConfig& cfg,
                              const noc::SimSnapshot& snap);
 
-/// Reads + decode_snapshot()s against config_fingerprint(cfg).
+/// read_file() + decode_snapshot() against config_fingerprint(cfg).
 IoStatus read_snapshot_file(const std::string& path, const noc::SimConfig& cfg,
                             noc::SimSnapshot& out);
-
-/// Read-only mmap of a file, the input side of read_snapshot_file().
-/// Movable, not copyable.
-class MappedFile {
- public:
-  MappedFile() = default;
-  ~MappedFile() { close(); }
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  MappedFile(MappedFile&& other) noexcept { *this = std::move(other); }
-  MappedFile& operator=(MappedFile&& other) noexcept;
-
-  IoStatus open(const std::string& path);
-  void close();
-
-  const std::uint8_t* data() const { return data_; }
-  std::size_t size() const { return size_; }
-
- private:
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-};
 
 }  // namespace nocalloc::sweep

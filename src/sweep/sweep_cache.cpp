@@ -1,11 +1,7 @@
 #include "sweep/sweep_cache.hpp"
 
-#include <fcntl.h>
-#include <sys/file.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -125,49 +121,6 @@ std::uint64_t derive_key(char domain, const noc::SimConfig& cfg,
   return fnv1a(bytes.data(), bytes.size());
 }
 
-/// Serializes cross-process publications in one cache directory. flock on a
-/// dedicated lock file (never the data files: their names come and go under
-/// rename) -- advisory, but every writer is this code.
-class DirLock {
- public:
-  explicit DirLock(const std::string& dir) {
-    fd_ = ::open((dir + "/.lock").c_str(), O_CREAT | O_RDWR, 0644);
-    if (fd_ >= 0) ::flock(fd_, LOCK_EX);
-  }
-  ~DirLock() {
-    if (fd_ >= 0) {
-      ::flock(fd_, LOCK_UN);
-      ::close(fd_);
-    }
-  }
-  DirLock(const DirLock&) = delete;
-  DirLock& operator=(const DirLock&) = delete;
-
- private:
-  int fd_ = -1;
-};
-
-/// Unique within and across processes: pid + a process-wide counter (pool
-/// threads store concurrently into one directory).
-std::string unique_tmp_suffix() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ".tmp." + std::to_string(::getpid()) + "." +
-         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
-}
-
-bool read_file(const std::string& path, std::vector<std::uint8_t>& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out.clear();
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.insert(out.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
 SweepCache::SweepCache(std::string dir) : dir_(std::move(dir)) {
@@ -210,18 +163,8 @@ void SweepCache::store_result(std::uint64_t key,
                               const noc::SimResult& result) const {
   std::vector<std::uint8_t> bytes;
   encode_result(key, result, bytes);
-  const std::string path = result_path(key);
-  const std::string tmp = path + unique_tmp_suffix();
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return;  // read-only cache dir: run without storing
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fclose(f) == 0;
-  if (written != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    return;
-  }
-  DirLock lock(dir_);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) std::remove(tmp.c_str());
+  // A failed store (e.g. a read-only cache dir) only costs a later miss.
+  write_file_atomic(result_path(key), bytes);
 }
 
 std::string SweepCache::snapshot_path(const noc::SimConfig& warm_cfg) const {
@@ -236,16 +179,7 @@ bool SweepCache::lookup_snapshot(const noc::SimConfig& warm_cfg,
 
 void SweepCache::store_snapshot(const noc::SimConfig& warm_cfg,
                                 const noc::SimSnapshot& snap) const {
-  const std::string path = snapshot_path(warm_cfg);
-  const std::string tmp_base = path + unique_tmp_suffix();
-  // write_snapshot_file appends its own .tmp.<pid>; give it the final tmp
-  // name as the "path" and rename under the lock ourselves for symmetry
-  // with store_result.
-  if (!write_snapshot_file(tmp_base, warm_cfg, snap)) return;
-  DirLock lock(dir_);
-  if (std::rename(tmp_base.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_base.c_str());
-  }
+  write_snapshot_file(snapshot_path(warm_cfg), warm_cfg, snap);
 }
 
 }  // namespace nocalloc::sweep

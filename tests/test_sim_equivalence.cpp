@@ -20,6 +20,7 @@
 // them with the dump program documented in DESIGN.md (simulator memory
 // model), and justify the diff in the commit message.
 #include "noc/sim.hpp"
+#include "sim_result_eq.hpp"
 
 #include <gtest/gtest.h>
 
@@ -168,23 +169,6 @@ const GoldenPoint kGoldens[] = {
      0, 11979ull},
 };
 
-void expect_same_result(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-  EXPECT_EQ(a.avg_network_latency, b.avg_network_latency);
-  EXPECT_EQ(a.p99_packet_latency, b.p99_packet_latency);
-  EXPECT_EQ(a.packets_measured, b.packets_measured);
-  EXPECT_EQ(a.offered_flit_rate, b.offered_flit_rate);
-  EXPECT_EQ(a.accepted_flit_rate, b.accepted_flit_rate);
-  EXPECT_EQ(a.saturated, b.saturated);
-  EXPECT_EQ(a.spec_grants_used, b.spec_grants_used);
-  EXPECT_EQ(a.misspeculations, b.misspeculations);
-  EXPECT_EQ(a.ugal_nonminimal_fraction, b.ugal_nonminimal_fraction);
-  EXPECT_EQ(a.cycles_simulated, b.cycles_simulated);
-  EXPECT_EQ(a.router_steps_total, b.router_steps_total);
-  EXPECT_EQ(a.router_steps_skipped, b.router_steps_skipped);
-  EXPECT_EQ(a.arena_high_water, b.arena_high_water);
-}
-
 SimResult run_with_reference_path(const SimConfig& cfg, bool ref) {
   SimInstance sim(cfg);
   sim.network().set_reference_path(ref);
@@ -245,7 +229,7 @@ TEST(SimEquivalence, KernelsMatchReferenceOracle) {
     SCOPED_TRACE(describe(pt));
     SimConfig cfg = config_for(pt);
     cfg.check_invariants = false;
-    expect_same_result(run_with_reference_path(cfg, false),
+    expect_identical(run_with_reference_path(cfg, false),
                        run_with_reference_path(cfg, true));
   }
 }
@@ -293,7 +277,7 @@ TEST(SimEquivalence, WarmSnapshotForksFromOracleOntoKernels) {
         sim.run_cycles(200);
         forks[ref ? 1 : 0] = sim.measure_and_drain();
       }
-      expect_same_result(forks[0], forks[1]);
+      expect_identical(forks[0], forks[1]);
     }
   }
 }

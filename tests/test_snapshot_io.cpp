@@ -1,6 +1,5 @@
 // On-disk snapshot encoding: round-trips must be exact (a disk-restored
-// simulation evolves bit-identically to an in-process restore, mmap
-// included), and every malformed input -- truncation, foreign magic, wrong
+// simulation evolves bit-identically to an in-process restore), and every malformed input -- truncation, foreign magic, wrong
 // version, mismatched config fingerprint, flipped payload bytes -- must be
 // rejected with a readable reason, never a crash or a silent misrestore.
 #include <gtest/gtest.h>
@@ -14,6 +13,7 @@
 
 #include "noc/sim.hpp"
 #include "sweep/snapshot_io.hpp"
+#include "sim_result_eq.hpp"
 
 namespace nocalloc::sweep {
 namespace {
@@ -28,19 +28,6 @@ noc::SimConfig small_config() {
   cfg.drain_cycles = 1500;
   cfg.seed = 0x5EED;
   return cfg;
-}
-
-void expect_identical(const noc::SimResult& got, const noc::SimResult& want) {
-  EXPECT_EQ(got.avg_packet_latency, want.avg_packet_latency);
-  EXPECT_EQ(got.avg_network_latency, want.avg_network_latency);
-  EXPECT_EQ(got.p99_packet_latency, want.p99_packet_latency);
-  EXPECT_EQ(got.packets_measured, want.packets_measured);
-  EXPECT_EQ(got.offered_flit_rate, want.offered_flit_rate);
-  EXPECT_EQ(got.accepted_flit_rate, want.accepted_flit_rate);
-  EXPECT_EQ(got.saturated, want.saturated);
-  EXPECT_EQ(got.spec_grants_used, want.spec_grants_used);
-  EXPECT_EQ(got.misspeculations, want.misspeculations);
-  EXPECT_EQ(got.cycles_simulated, want.cycles_simulated);
 }
 
 /// Fresh per-test scratch directory under the test temp root.
@@ -167,38 +154,6 @@ TEST_F(SnapshotIoTest, FileRestoreIntoDirtyInstanceMatches) {
   EXPECT_EQ(got.avg_packet_latency, want.avg_packet_latency);
   EXPECT_EQ(got.packets_measured, want.packets_measured);
   EXPECT_EQ(got.accepted_flit_rate, want.accepted_flit_rate);
-}
-
-// The multi-process path: decoding from a read-only mmap yields the same
-// snapshot as the file reader, and a simulation restored from the mapping
-// produces bit-identical results to an in-process restore (what lets
-// nocsweep workers share one warm-snapshot file).
-TEST_F(SnapshotIoTest, MmapRestoreBitIdenticalToInProcessRestore) {
-  const noc::SimConfig cfg = small_config();
-  noc::SimInstance warm(cfg);
-  warm.warmup();
-  noc::SimSnapshot snap;
-  warm.snapshot(snap);
-
-  const std::string p = path("warm.nsnp");
-  ASSERT_TRUE(write_snapshot_file(p, cfg, snap));
-
-  MappedFile map;
-  ASSERT_TRUE(map.open(p));
-  noc::SimSnapshot from_map;
-  const IoStatus status = decode_snapshot(map.data(), map.size(),
-                                          config_fingerprint(cfg), from_map);
-  ASSERT_TRUE(status) << status.error;
-  EXPECT_EQ(from_map.network.bytes, snap.network.bytes);
-  EXPECT_EQ(from_map.driver, snap.driver);
-
-  noc::SimInstance in_process(cfg);
-  in_process.restore(snap);
-  const noc::SimResult want = in_process.measure_and_drain();
-
-  noc::SimInstance via_map(cfg);
-  via_map.restore(from_map);
-  expect_identical(via_map.measure_and_drain(), want);
 }
 
 // Every malformed-file class rejects with a readable reason; none crash.

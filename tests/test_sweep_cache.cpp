@@ -16,6 +16,7 @@
 #include "noc/sim.hpp"
 #include "sweep/sim_batch.hpp"
 #include "sweep/sweep_cache.hpp"
+#include "sim_result_eq.hpp"
 
 namespace nocalloc::sweep {
 namespace {
@@ -30,23 +31,6 @@ noc::SimConfig small_config() {
   cfg.drain_cycles = 800;
   cfg.seed = 7;
   return cfg;
-}
-
-void expect_identical(const noc::SimResult& got, const noc::SimResult& want) {
-  EXPECT_EQ(got.avg_packet_latency, want.avg_packet_latency);
-  EXPECT_EQ(got.avg_network_latency, want.avg_network_latency);
-  EXPECT_EQ(got.p99_packet_latency, want.p99_packet_latency);
-  EXPECT_EQ(got.packets_measured, want.packets_measured);
-  EXPECT_EQ(got.offered_flit_rate, want.offered_flit_rate);
-  EXPECT_EQ(got.accepted_flit_rate, want.accepted_flit_rate);
-  EXPECT_EQ(got.saturated, want.saturated);
-  EXPECT_EQ(got.spec_grants_used, want.spec_grants_used);
-  EXPECT_EQ(got.misspeculations, want.misspeculations);
-  EXPECT_EQ(got.ugal_nonminimal_fraction, want.ugal_nonminimal_fraction);
-  EXPECT_EQ(got.cycles_simulated, want.cycles_simulated);
-  EXPECT_EQ(got.router_steps_total, want.router_steps_total);
-  EXPECT_EQ(got.router_steps_skipped, want.router_steps_skipped);
-  EXPECT_EQ(got.arena_high_water, want.arena_high_water);
 }
 
 /// Fresh cache directory per test, with NOCALLOC_SWEEP_CACHE pointed at it
