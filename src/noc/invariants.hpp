@@ -7,16 +7,17 @@
 // run (SimConfig::check_invariants, config key `check_invariants=true`); it
 // hooks three kinds of boundaries:
 //
-//   - allocation results, validated inside Router::allocate() every cycle
-//     in the same sparse request/grant form the allocator kernels consume
-//     and produce, so checked runs audit the code production runs take:
+//   - allocation results, validated on every allocator call
+//     Router::allocate() makes, in the same sparse request/grant form the
+//     allocator kernels consume and produce, so checked runs audit the code
+//     production runs take:
 //     VC grants must match valid requests from their candidate masks with
 //     no output VC granted twice; switch grants must form a port matching;
 //     speculative grants must obey the spec_req/spec_gnt masking rules of
 //     Sec. 5.2 (a surviving speculative grant never conflicts with
-//     non-speculative traffic on either side of the crossbar). With a
-//     checker attached the router calls the allocators on every cycle,
-//     requests or not, so a grant without a request is caught.
+//     non-speculative traffic on either side of the crossbar). Every grant
+//     is looked up in the call's own requests, so a grant without a
+//     request is caught whenever an allocator runs.
 //
 //   - step boundaries, validated after every Network::step(): per-VC input
 //     state-machine legality, output-VC ownership (the router's per-port
@@ -32,6 +33,11 @@
 //     transition relation the static analysis extracts from the same
 //     routing function (verify::relation_for_config); a checked SimInstance
 //     installs it.
+//
+// The checker only observes: it sees exactly the allocator calls and steps
+// an unchecked run makes (a stage without requests is skipped either way)
+// and attaching it changes no simulator state, so a checked run audits the
+// schedule production runs take.
 //
 // Violations are structured (cycle/router/port/VC plus a check id) and go
 // to a configurable handler: the default prints and aborts, tests install
@@ -117,7 +123,7 @@ class InvariantChecker {
   InvariantCheckerConfig& config() { return cfg_; }
 
   // ---- Hooks ---------------------------------------------------------------
-  // Called by Router::allocate() with each cycle's allocation results
+  // Called by Router::allocate() with the results of each allocator call
   // *before* they are committed, and by Network::step() after the receive
   // phase. Wiring happens via Network::attach_invariant_checker(). The
   // allocation hooks take the arguments of VcAllocator::allocate_sparse /

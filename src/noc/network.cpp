@@ -148,19 +148,18 @@ void Network::step() {
   const Cycle t = now_;
   const std::size_t nr = routers_.size();
   // Allocate pass, in ascending router order, over the active set. Only
-  // routers in the occupied set (every active router while a checker is
-  // attached) have anything to allocate; the active routers in between are
-  // counted as visited without a call, exactly as if their allocate() had
-  // returned at once. The word is re-read after each call: a send can wake
-  // a higher-index router mid-pass, and that router counts as visited in
-  // the same cycle (the sent item only becomes receivable one cycle later).
+  // routers in the occupied set have anything to allocate; the active
+  // routers in between are counted as visited without a call, exactly as if
+  // their allocate() had returned at once. The word is re-read after each
+  // call: a send can wake a higher-index router mid-pass, and that router
+  // counts as visited in the same cycle (the sent item only becomes
+  // receivable one cycle later).
   std::size_t visited = 0;
-  const bool audit = checker_ != nullptr;
   for (std::size_t w = 0; w < router_active_.size(); ++w) {
     bits::Word above = ~bits::Word{0};  // positions the pass has not passed
     while (true) {
       const bits::Word live = router_active_[w] & above;
-      const bits::Word calls = audit ? live : live & router_occupied_[w];
+      const bits::Word calls = live & router_occupied_[w];
       if (calls == 0) {
         visited += static_cast<std::size_t>(std::popcount(live));
         break;
@@ -199,7 +198,7 @@ void Network::step() {
 
   perf_.router_steps_total += nr;
   ++perf_.cycles;
-  if (audit) checker_->after_step(*this);
+  if (checker_ != nullptr) checker_->after_step(*this);
   ++now_;
 }
 

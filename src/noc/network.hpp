@@ -5,8 +5,7 @@
 // step() is traffic-proportional: each pass touches only the consumers
 // with work due, and every statistic stays bit-identical to a densely
 // stepped run (DESIGN.md, "Traffic-proportional cycle loop"). One cycle:
-//   allocate -- routers in the occupied set (a VC waiting or active), or
-//               every active router while a checker is attached;
+//   allocate -- routers in the occupied set (a VC waiting or active);
 //   generate -- every terminal polls its traffic source, ascending;
 //   inject   -- terminals in the injecting set (a packet to send),
 //               ascending, as UGAL draws from the shared routing RNG;
@@ -19,7 +18,8 @@
 // counts as visited that cycle. Active routers not visited count as
 // router_steps_skipped. The terminal active set is the terminals' inflight
 // set. Only the active sets are snapshot state; the occupied, injecting and
-// due sets are rebuilt on restore.
+// due sets are rebuilt on restore. An attached InvariantChecker observes
+// this schedule and changes none of it.
 #pragma once
 
 #include <memory>
@@ -128,7 +128,8 @@ class Network final : public CongestionOracle {
 
   /// Attaches a protocol checker: every router reports allocation results to
   /// it, and the network calls its after_step() at the end of every step().
-  /// Null detaches. The checker must outlive the network (or be detached).
+  /// Attaching one changes no network state. Null detaches. The checker
+  /// must outlive the network (or be detached).
   void attach_invariant_checker(InvariantChecker* checker);
 
   /// Routes every router's allocators through their byte-loop reference

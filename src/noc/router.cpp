@@ -47,8 +47,6 @@ Router::Router(int id, const RouterConfig& cfg, RoutingFunction& routing,
   sw_stage_ = std::make_unique<SpeculativeSwitchAllocator>(
       SwitchAllocatorConfig{cfg.ports, vcs_, cfg.sw_alloc_kind, cfg.sw_arb},
       cfg.spec, cfg.sw_alloc_factory);
-  va_rotates_ = cfg_.vc_alloc_kind == AllocatorKind::kWavefront;
-  sa_rotates_ = cfg_.sw_alloc_kind == AllocatorKind::kWavefront;
 }
 
 void Router::set_reference_path(bool ref) {
@@ -171,23 +169,21 @@ void Router::receive(Cycle now) {
 
 void Router::allocate(Cycle now) {
   // The Network calls allocate() only while a VC is waiting or active (a
-  // cycle without packets cannot produce any request), except with a
-  // checker attached: then the allocators run on every cycle, requests or
-  // not, so a broken allocator that grants without a request is caught even
-  // in an idle network. Rotating priority state is caught up here over the
-  // cycles without a call, so grant sequences stay bit-identical to a
-  // densely stepped run. (An all-empty allocation cycle is equivalent to
-  // advance_priority(1) for every allocator architecture: wavefront
-  // diagonals rotate unconditionally, separable arbiters and pre-selects
-  // update only on grants -- hence the same va_rotates_/sa_rotates_ rule as
-  // the one-cycle replays below.)
-  const bool audit = checker_ != nullptr;
+  // cycle without packets cannot produce any request). Priority state is
+  // caught up here over the cycles without a call, so grant sequences stay
+  // bit-identical to a densely stepped run. (An all-empty allocation cycle
+  // is equivalent to advance_priority(1) for every allocator architecture:
+  // wavefront diagonals rotate unconditionally, separable arbiters and
+  // pre-selects update only on grants, so theirs is a no-op. A stage
+  // without requests is replayed the same way below, except on the
+  // reference path, which runs both stages on every call.)
   if (now > next_alloc_cycle_) {
     const std::uint64_t gap = now - next_alloc_cycle_;
-    if (va_rotates_) vc_alloc_->advance_priority(gap);
-    if (sa_rotates_) sw_stage_->advance_priority(gap);
+    vc_alloc_->advance_priority(gap);
+    sw_stage_->advance_priority(gap);
   }
   next_alloc_cycle_ = now + 1;
+  const bool run_all = vc_alloc_->reference_path();
 
   const bool speculative = cfg_.spec != SpecMode::kNonSpeculative;
   const bits::Word class_span = bits::low_mask(cfg_.partition.vcs_per_class());
@@ -215,12 +211,12 @@ void Router::allocate(Cycle now) {
     }
   });
 
-  if (n_vreq != 0 || audit) {
+  if (n_vreq != 0 || run_all) {
     vc_alloc_->allocate_sparse(va_req_.data(), n_vreq, vgrant_);
-    if (audit) {
+    if (checker_ != nullptr) {
       checker_->on_vc_alloc(*this, now, va_req_.data(), n_vreq, vgrant_);
     }
-  } else if (va_rotates_) {
+  } else {
     vc_alloc_->advance_priority(1);
   }
 
@@ -256,15 +252,14 @@ void Router::allocate(Cycle now) {
   }
 
   // --- Switch allocation and commit ----------------------------------------
-  // With no request reaching the stage (and no checker), its allocator call
-  // and commit scan are no-ops on every piece of state they touch, so the
-  // stage is skipped -- except for wavefront cores, whose unconditional
-  // diagonal rotation is replayed via advance_priority(1).
-  if (ns_any != 0 || (speculative && n_vreq != 0) || audit) {
+  // With no request reaching the stage, its allocator call and commit scan
+  // are no-ops on every piece of state they touch but the wavefront
+  // diagonals, so the stage is replayed as advance_priority(1).
+  if (ns_any != 0 || (speculative && n_vreq != 0) || run_all) {
     sw_stage_->allocate_sparse(ns_words_.data(), req_out_port_.data(),
                                sp_words_.data(), req_out_port_.data(),
                                spec_grants_);
-    if (audit) {
+    if (checker_ != nullptr) {
       checker_->on_sw_alloc(*this, now, ns_words_.data(),
                             req_out_port_.data(), sp_words_.data(),
                             req_out_port_.data(), spec_grants_);
@@ -291,7 +286,7 @@ void Router::allocate(Cycle now) {
     }
     std::fill(ns_words_.begin(), ns_words_.end(), bits::Word{0});
     std::fill(sp_words_.begin(), sp_words_.end(), bits::Word{0});
-  } else if (sa_rotates_) {
+  } else {
     sw_stage_->advance_priority(1);
   }
 }

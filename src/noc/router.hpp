@@ -41,11 +41,12 @@
 // only while there is something to allocate. Per-port receive-pending words
 // hold a bit iff the port's incoming channel is non-empty, so receive() --
 // which the Network calls only on cycles with an arrival -- polls only those
-// ports. Allocators with cycle-rotating priority state (wavefront
-// diagonals) are caught up over cycles without an allocate() call via
-// advance_priority(), which keeps the results bit-identical to a densely
-// stepped run; a stage, or one side of the switch-allocation stage, without
-// requests is replayed the same way.
+// ports. Cycles without an allocate() call, and a stage (or one side of the
+// switch-allocation stage) without requests, are replayed through the
+// allocators' advance_priority(), which keeps the results bit-identical to
+// a densely stepped run. The reference path runs both stages on every call
+// instead, so diffing it against the kernels checks the stage skip too. An
+// attached InvariantChecker sees exactly the calls an unchecked run makes.
 #pragma once
 
 #include <functional>
@@ -129,18 +130,15 @@ class Router {
   /// Total flits currently buffered (used by drain checks in tests/benches).
   std::size_t buffered_flits() const;
 
-  /// Attaches a protocol checker; allocate() reports every allocation result
-  /// to it before committing, and runs the allocators -- every side of the
-  /// switch-allocation stage included -- even on cycles without
-  /// requests so a grant without a request is caught. Null detaches.
-  void set_invariant_checker(InvariantChecker* checker) {
-    checker_ = checker;
-    sw_stage_->set_run_empty_sides(checker != nullptr);
-  }
+  /// Attaches a protocol checker; allocate() reports every allocator call
+  /// it makes, with its requests and grants, before committing. It makes
+  /// the same calls with or without one. Null detaches.
+  void set_invariant_checker(InvariantChecker* checker) { checker_ = checker; }
 
   /// Routes every allocator through its byte-loop reference implementation
-  /// (the differential oracle) instead of its single-word kernel; results
-  /// are bit-identical either way.
+  /// (the differential oracle) instead of its single-word kernel, and runs
+  /// both allocation stages on every allocate() call, requests or not;
+  /// results are bit-identical either way.
   void set_reference_path(bool ref);
 
   /// Saves or loads the router's mutable state: input VC buffers and state
@@ -221,7 +219,7 @@ class Router {
   std::vector<SpecSwitchGrant> spec_grants_;
 
   // The cycle the next allocate() call is expected at. When the scheduler
-  // skipped cycles, allocate() first advances rotating allocators' priority
+  // skipped cycles, allocate() first advances the allocators' priority
   // state by the gap so results match a dense run.
   Cycle next_alloc_cycle_ = 0;
 
@@ -236,14 +234,6 @@ class Router {
   bits::Word rx_flit_pending_ = 0;
   bits::Word rx_credit_pending_ = 0;
 
-  // Allocators with cycle-rotating priority state (wavefront diagonals)
-  // rotate on every allocation cycle, requested or not; when allocate()
-  // skips a stage because no request reached it, it replays the call as
-  // advance_priority(1), and after cycles without an allocate() call it
-  // catches up with advance_priority(gap). Every other family's priority
-  // state changes only on grants, so both replays apply to these alone.
-  bool va_rotates_ = false;
-  bool sa_rotates_ = false;
   // Per-output-port words. Bit v of out_alloc_words_[p] is set iff output
   // VC (p, v) is allocated to an input VC -- the only record of ownership.
   // Bit v of out_credit_words_[p] mirrors output_vc(p, v).credits > 0

@@ -76,7 +76,7 @@ TrafficTrace TrafficTrace::parse(std::istream& in) {
 
 TrafficTrace TrafficTrace::load(const std::string& path) {
   std::ifstream file(path);
-  NOCALLOC_CHECK(file.good());
+  if (!file.good()) fail("cannot open trace file '" + path + "' for reading");
   return parse(file);
 }
 
@@ -92,8 +92,8 @@ std::string TrafficTrace::to_string() const {
 
 void TrafficTrace::save(const std::string& path) const {
   std::ofstream file(path);
-  NOCALLOC_CHECK(file.good());
-  file << to_string();
+  file << to_string() << std::flush;
+  if (!file.good()) fail("cannot write trace file '" + path + "'");
 }
 
 std::vector<TraceRecord> TrafficTrace::for_terminal(

@@ -44,10 +44,14 @@ class TrafficTrace {
   /// four; anything else aborts naming the line number and text -- a bad
   /// trace is a setup error, not a runtime condition.
   static TrafficTrace parse(std::istream& in);
+  /// parse() on the file at `path`; a file that cannot be opened aborts
+  /// naming the path.
   static TrafficTrace load(const std::string& path);
 
   /// Serializes to the parse() format.
   std::string to_string() const;
+  /// Writes to_string() to `path`; a failed open or write aborts naming
+  /// the path.
   void save(const std::string& path) const;
 
   /// Collects this trace's records for one terminal of a network with

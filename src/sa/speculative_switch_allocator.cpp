@@ -35,7 +35,7 @@ void SpeculativeSwitchAllocator::allocate_side(SwitchAllocator& alloc,
                                                std::vector<SwitchGrant>& gnt) {
   bits::Word any = 0;
   for (std::size_t p = 0; p < ports(); ++p) any |= words[p];
-  if (any != 0 || run_empty_sides_ || alloc.reference_path()) {
+  if (any != 0 || alloc.reference_path()) {
     alloc.allocate_sparse(words, out, gnt);
   } else {
     gnt.assign(ports(), SwitchGrant{});

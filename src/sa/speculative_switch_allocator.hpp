@@ -86,7 +86,7 @@ class SpeculativeSwitchAllocator {
   /// cycle does to every architecture (wavefront diagonals rotate
   /// unconditionally, separable arbiters and pre-selects update only on
   /// grants). Both sides still run on every call on the reference path,
-  /// which so checks the skip, and with set_run_empty_sides(true).
+  /// which so checks the skip.
   void allocate_sparse(const bits::Word* ns_words, const std::uint8_t* ns_out,
                        const bits::Word* sp_words, const std::uint8_t* sp_out,
                        std::vector<SpecSwitchGrant>& grant);
@@ -105,11 +105,6 @@ class SpeculativeSwitchAllocator {
     nonspec_->set_reference_path(ref);
     if (spec_ != nullptr) spec_->set_reference_path(ref);
   }
-
-  /// Runs the inner allocators on every call, requests or not. The router
-  /// sets it while an invariant checker is attached, so the checker audits
-  /// every allocator's output on every cycle.
-  void set_run_empty_sides(bool on) { run_empty_sides_ = on; }
 
   /// Cumulative count of speculative grants discarded by the conflict mask;
   /// used by benches to quantify the pessimistic policy's lost opportunities.
@@ -137,7 +132,6 @@ class SpeculativeSwitchAllocator {
   std::unique_ptr<SwitchAllocator> nonspec_;
   std::unique_ptr<SwitchAllocator> spec_;  // null on a nonspec stage
   std::uint64_t masked_ = 0;
-  bool run_empty_sides_ = false;
   // Per-call scratch for both inner grants, kept as members so the
   // per-cycle path is allocation free once warm.
   std::vector<SwitchGrant> ns_gnt_;

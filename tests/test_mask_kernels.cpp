@@ -10,7 +10,8 @@
 // stream. The allocator-level tests sweep all 145 paper design points
 // (src/lint/design_points.hpp) across multiple seeds and request
 // densities. Shapes too wide for one word have no kernel and no fallback:
-// every family's constructor rejects them.
+// every family's constructor rejects them. The EmptyCycleReplay tests pin
+// the replay the router uses for stages and cycles without requests.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -122,6 +123,15 @@ TEST(DesignPoints, CoverAll145) {
   EXPECT_EQ(vc.size() + sa.size(), 145u);
 }
 
+/// The state() bytes of an allocator or a switch-allocation stage.
+template <typename T>
+std::vector<std::uint8_t> state_bytes(T& x) {
+  std::vector<std::uint8_t> out;
+  StateArchive ar = StateArchive::saving_to(out);
+  x.state(ar);
+  return out;
+}
+
 std::vector<SwitchRequest> random_sa_requests(std::size_t ports,
                                               std::size_t vcs, double rate,
                                               Rng& rng) {
@@ -135,8 +145,10 @@ std::vector<SwitchRequest> random_sa_requests(std::size_t ports,
 
 // Runs twin switch-allocation stages in the point's SpecMode -- one on its
 // kernels, one on the reference path -- on an identical request stream and
-// requires identical grants and masked-grant counts. A nonspec stage ignores
-// its speculative requests.
+// requires identical grants, masked-grant counts and state bytes. A nonspec
+// stage ignores its speculative requests. Some cycles leave one side
+// without any request, which the kernel stage skips (replaying it as
+// advance_priority(1)) and the reference stage runs.
 void diff_sa_point(const hw::SaDesignPoint& p, std::uint64_t seed,
                      int cycles) {
   const SwitchAllocatorConfig cfg{p.cfg.ports, p.cfg.vcs, p.cfg.kind,
@@ -148,8 +160,10 @@ void diff_sa_point(const hw::SaDesignPoint& p, std::uint64_t seed,
   std::vector<SpecSwitchGrant> fast_gnt, ref_gnt;
   for (int cycle = 0; cycle < cycles; ++cycle) {
     const double rate = (cycle % 10) * 0.1 + 0.05;
-    const auto nonspec = random_sa_requests(cfg.ports, cfg.vcs, rate, rng);
-    const auto spec = random_sa_requests(cfg.ports, cfg.vcs, rate * 0.5, rng);
+    auto nonspec = random_sa_requests(cfg.ports, cfg.vcs, rate, rng);
+    auto spec = random_sa_requests(cfg.ports, cfg.vcs, rate * 0.5, rng);
+    if (cycle % 4 == 1) spec.assign(spec.size(), SwitchRequest{});
+    if (cycle % 6 == 2) nonspec.assign(nonspec.size(), SwitchRequest{});
     allocate_dense(fast, nonspec, spec, fast_gnt);
     allocate_dense(ref, nonspec, spec, ref_gnt);
     ASSERT_EQ(fast_gnt.size(), ref_gnt.size());
@@ -164,6 +178,8 @@ void diff_sa_point(const hw::SaDesignPoint& p, std::uint64_t seed,
           << p.name << " seed " << seed << " cycle " << cycle << " port " << i;
     }
     ASSERT_EQ(fast.masked_spec_grants(), ref.masked_spec_grants())
+        << p.name << " seed " << seed << " cycle " << cycle;
+    ASSERT_EQ(state_bytes(fast), state_bytes(ref))
         << p.name << " seed " << seed << " cycle " << cycle;
   }
 }
@@ -225,16 +241,116 @@ void diff_vc(const VcAllocatorConfig& cfg, const std::string& name,
   }
 }
 
+VcAllocatorConfig vc_config(const hw::VcDesignPoint& p) {
+  VcAllocatorConfig cfg;
+  cfg.ports = p.cfg.ports;
+  cfg.partition = p.cfg.partition;
+  cfg.kind = p.cfg.kind;
+  cfg.arb = p.cfg.arb;
+  cfg.sparse = p.cfg.sparse;
+  return cfg;
+}
+
 TEST(KernelVsReference, AllVcDesignPointsMatchThroughDenseApi) {
   for (const hw::VcDesignPoint& p : hw::paper_vc_design_points()) {
-    VcAllocatorConfig cfg;
-    cfg.ports = p.cfg.ports;
-    cfg.partition = p.cfg.partition;
-    cfg.kind = p.cfg.kind;
-    cfg.arb = p.cfg.arb;
-    cfg.sparse = p.cfg.sparse;
-    diff_vc(cfg, p.name, 60);
+    diff_vc(vc_config(p), p.name, 60);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// ---- Empty-cycle replay -------------------------------------------------
+// The router skips an allocation stage, or one side of the
+// switch-allocation stage, that no request reaches, and every cycle it is
+// not called at all, replaying them through advance_priority(). That is
+// exact only if k empty allocate_sparse() calls leave an allocator where
+// advance_priority(k) leaves it: the same state() bytes and the same grants
+// on any request stream that follows. Each case warms both twins on one
+// random stream first, so the replay starts from non-reset priorities, and
+// makes the empty calls on the kernel and on the reference path.
+
+constexpr std::uint64_t kEmptyRuns[] = {1, 2, 7};
+
+TEST(EmptyCycleReplay, VcAllocatorsOnAllDesignPoints) {
+  for (const hw::VcDesignPoint& p : hw::paper_vc_design_points()) {
+    const VcAllocatorConfig cfg = vc_config(p);
+    for (const bool ref : {false, true}) {
+      for (const std::uint64_t k : kEmptyRuns) {
+        SCOPED_TRACE(p.name + (ref ? " ref" : " kernel") +
+                     " k=" + std::to_string(k));
+        auto called = make_vc_allocator(cfg);
+        auto replayed = make_vc_allocator(cfg);
+        Rng rng(k);
+        std::vector<int> gnt_a, gnt_b;
+        auto same_stream = [&](int cycles) {
+          for (int cycle = 0; cycle < cycles; ++cycle) {
+            const auto req = random_vc_requests(cfg.ports, cfg.partition,
+                                                0.1 + 0.1 * (cycle % 5), rng);
+            called->allocate(req, gnt_a);
+            replayed->allocate(req, gnt_b);
+            ASSERT_EQ(gnt_a, gnt_b) << "cycle " << cycle;
+          }
+        };
+        same_stream(9);
+        called->set_reference_path(ref);
+        std::vector<int> empty(called->total(), -1);
+        const FastVcRequest none{};
+        for (std::uint64_t i = 0; i < k; ++i) {
+          called->allocate_sparse(&none, 0, empty);
+        }
+        ASSERT_EQ(empty, std::vector<int>(called->total(), -1));
+        replayed->advance_priority(k);
+        ASSERT_EQ(state_bytes(*called), state_bytes(*replayed));
+        same_stream(20);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(EmptyCycleReplay, SwitchStagesOnAllDesignPoints) {
+  for (const hw::SaDesignPoint& p : hw::paper_sa_design_points()) {
+    const SwitchAllocatorConfig cfg{p.cfg.ports, p.cfg.vcs, p.cfg.kind,
+                                    p.cfg.arb};
+    for (const bool ref : {false, true}) {
+      for (const std::uint64_t k : kEmptyRuns) {
+        SCOPED_TRACE(p.name + (ref ? " ref" : " kernel") +
+                     " k=" + std::to_string(k));
+        SpeculativeSwitchAllocator called(cfg, p.cfg.spec);
+        SpeculativeSwitchAllocator replayed(cfg, p.cfg.spec);
+        Rng rng(k);
+        std::vector<SpecSwitchGrant> gnt_a, gnt_b;
+        auto same_stream = [&](int cycles) {
+          for (int cycle = 0; cycle < cycles; ++cycle) {
+            const double rate = 0.1 + 0.1 * (cycle % 5);
+            const auto ns = random_sa_requests(cfg.ports, cfg.vcs, rate, rng);
+            const auto sp =
+                random_sa_requests(cfg.ports, cfg.vcs, rate * 0.5, rng);
+            allocate_dense(called, ns, sp, gnt_a);
+            allocate_dense(replayed, ns, sp, gnt_b);
+            for (std::size_t i = 0; i < cfg.ports; ++i) {
+              ASSERT_EQ(gnt_a[i].nonspec.vc, gnt_b[i].nonspec.vc)
+                  << "cycle " << cycle << " port " << i;
+              ASSERT_EQ(gnt_a[i].spec.vc, gnt_b[i].spec.vc)
+                  << "cycle " << cycle << " port " << i;
+            }
+          }
+          ASSERT_EQ(state_bytes(called), state_bytes(replayed));
+        };
+        same_stream(9);
+        called.set_reference_path(ref);
+        const std::vector<bits::Word> words(cfg.ports, 0);
+        const std::vector<std::uint8_t> out(cfg.ports * cfg.vcs, 0);
+        for (std::uint64_t i = 0; i < k; ++i) {
+          called.allocate_sparse(words.data(), out.data(), words.data(),
+                                 out.data(), gnt_a);
+          for (const SpecSwitchGrant& g : gnt_a) ASSERT_FALSE(g.granted());
+        }
+        replayed.advance_priority(k);
+        ASSERT_EQ(state_bytes(called), state_bytes(replayed));
+        same_stream(20);
+        if (HasFatalFailure()) return;
+      }
+    }
   }
 }
 

@@ -1,11 +1,11 @@
 // The paper's figure definitions (sweep/paper_figures): pinned specs, and
 // the fast figures run under the invariant checker.
 //
-// A checker-attached network steps every allocator on every cycle instead
-// of skipping idle sides and catching their priorities up, so a checked
-// figure run that gives the same points as the unchecked one is a
-// whole-system differential of the skip logic on exactly the paper's
-// configs.
+// The checker observes the schedule an unchecked run takes, so a checked
+// figure run must give the same points as the unchecked one; it also
+// audits the skip-and-replay schedule on exactly the paper's configs.
+// (The differential of that schedule against running every stage is the
+// reference path, in test_sim_equivalence.)
 #include <gtest/gtest.h>
 
 #include <cstring>

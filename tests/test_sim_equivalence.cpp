@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 namespace nocalloc::noc {
 namespace {
@@ -203,10 +204,9 @@ TEST(SimEquivalence, StatisticsMatchRecordedGoldens) {
 }
 
 TEST(SimEquivalence, CheckerOnAndOffAgree) {
-  // The active-set early exit takes a different code path depending on
-  // whether a checker is attached (checked runs still call the allocators on
-  // empty cycles so broken allocators are caught); both paths must yield the
-  // same statistics.
+  // The goldens above come from checked runs; unchecked runs must reproduce
+  // them too. CheckerIsAPureObserver below pins the stronger claim that the
+  // whole network state stays equal.
   for (const GoldenPoint& pt : kGoldens) {
     SCOPED_TRACE(describe(pt));
     SimConfig cfg = config_for(pt);
@@ -223,8 +223,9 @@ TEST(SimEquivalence, CheckerOnAndOffAgree) {
 TEST(SimEquivalence, KernelsMatchReferenceOracle) {
   // Every row with the allocators on their byte-loop reference path (the
   // differential oracle) against the default kernel path, every SimResult
-  // field exactly equal. Unchecked runs, so the kernels also skip the
-  // empty stages they would run under a checker.
+  // field exactly equal. The kernel path skips the stages and speculative
+  // sides without requests that the reference path runs, so this also
+  // diffs the skip-and-replay against the run-everything schedule.
   for (const GoldenPoint& pt : kGoldens) {
     SCOPED_TRACE(describe(pt));
     SimConfig cfg = config_for(pt);
@@ -282,75 +283,131 @@ TEST(SimEquivalence, WarmSnapshotForksFromOracleOntoKernels) {
   }
 }
 
+// One lock-step design point: the same arbiter kind for VA and SA.
+struct LockStepPoint {
+  TopologyKind topo;
+  std::size_t vcs_per_class;
+  AllocatorKind vc_alloc;
+  AllocatorKind sw_alloc;
+  ArbiterKind arb;
+  SpecMode spec;
+  double load;
+};
+
+constexpr auto kMesh = TopologyKind::kMesh8x8;
+constexpr auto kFbfly = TopologyKind::kFbfly4x4;
+constexpr auto kTorus = TopologyKind::kTorus8x8;
+constexpr auto kRing = TopologyKind::kRing16;
+constexpr auto kIf = AllocatorKind::kSeparableInputFirst;
+constexpr auto kOf = AllocatorKind::kSeparableOutputFirst;
+constexpr auto kWf = AllocatorKind::kWavefront;
+constexpr auto kMax = AllocatorKind::kMaximumSize;
+constexpr auto kRr = ArbiterKind::kRoundRobin;
+constexpr auto kM = ArbiterKind::kMatrix;
+constexpr auto kNonspec = SpecMode::kNonSpeculative;
+constexpr auto kSpecGnt = SpecMode::kConservative;
+constexpr auto kSpecReq = SpecMode::kPessimistic;
+
+SimConfig lock_step_config(const LockStepPoint& pt) {
+  SimConfig cfg;
+  cfg.topology = pt.topo;
+  cfg.vcs_per_class = pt.vcs_per_class;
+  cfg.vc_alloc = pt.vc_alloc;
+  cfg.sw_alloc = pt.sw_alloc;
+  cfg.vc_arb = pt.arb;
+  cfg.sw_arb = pt.arb;
+  cfg.spec = pt.spec;
+  cfg.injection_rate = pt.load;
+  return cfg;
+}
+
+std::string describe(const SimConfig& cfg) {
+  return to_string(cfg.topology) + " C=" + std::to_string(cfg.vcs_per_class) +
+         " va=" + to_string(cfg.vc_alloc) + "/" + to_string(cfg.vc_arb) +
+         " sa=" + to_string(cfg.sw_alloc) + "/" + to_string(cfg.sw_arb) +
+         " " + to_string(cfg.spec) +
+         " load=" + std::to_string(cfg.injection_rate);
+}
+
+// Steps `a` and `b` side by side for 1500 cycles and requires
+// byte-identical network snapshots every 100 cycles, locating the first
+// differing byte.
+void expect_lock_step(SimInstance& a, SimInstance& b) {
+  NetworkSnapshot sa;
+  NetworkSnapshot sb;
+  for (int cycle = 100; cycle <= 1500; cycle += 100) {
+    a.run_cycles(100);
+    b.run_cycles(100);
+    a.network().snapshot(sa);
+    b.network().snapshot(sb);
+    ASSERT_EQ(sa.bytes.size(), sb.bytes.size()) << "cycle " << cycle;
+    const auto diff =
+        std::mismatch(sa.bytes.begin(), sa.bytes.end(), sb.bytes.begin());
+    ASSERT_TRUE(diff.first == sa.bytes.end())
+        << "cycle " << cycle << ": first difference at byte "
+        << (diff.first - sa.bytes.begin()) << " of " << sa.bytes.size();
+  }
+  EXPECT_GT(a.network().flits_injected(), 0u);
+}
+
 TEST(SimEquivalence, LockStepKernelAndReferenceStateStaysEqual) {
   // A kernel network and a reference-path network stepped side by side
   // must hold byte-identical snapshots every 100 cycles: the oracle reads
   // and writes the kernels' own arbiter banks, so any divergence in grants
-  // or priority updates shows up as a state difference within 100 cycles
-  // (and is located to the first differing byte). Unchecked, so the kernel
-  // side also skips empty stages and empty speculative sides, which the
-  // reference side runs in full. The points cover every VC and switch
-  // family, both arbiter kinds, all three speculation modes and both
-  // topologies.
-  struct Point {
-    TopologyKind topo;
-    std::size_t vcs_per_class;
-    AllocatorKind vc_alloc;
-    AllocatorKind sw_alloc;
-    ArbiterKind arb;
-    SpecMode spec;
-    double load;
+  // or priority updates shows up as a state difference within 100 cycles.
+  // The kernel side skips stages and speculative sides without requests,
+  // replaying them as advance_priority(1); the reference side runs them in
+  // full, so the skip is diffed too. The points cover every VC and switch
+  // family with a kernel, both arbiter kinds, all three speculation modes
+  // and both topologies.
+  const LockStepPoint points[] = {
+      {kMesh, 1, kIf, kIf, kRr, kNonspec, 0.25},
+      {kMesh, 2, kOf, kOf, kM, kSpecGnt, 0.30},
+      {kMesh, 1, kWf, kWf, kM, kSpecReq, 0.30},
+      {kMesh, 2, kOf, kWf, kRr, kSpecReq, 0.05},
+      {kFbfly, 1, kIf, kOf, kM, kSpecReq, 0.35},
+      {kFbfly, 2, kOf, kIf, kRr, kSpecGnt, 0.30},
+      {kFbfly, 1, kWf, kWf, kRr, kNonspec, 0.40},
+      {kFbfly, 1, kIf, kWf, kM, kSpecGnt, 0.10},
   };
-  constexpr auto kMesh = TopologyKind::kMesh8x8;
-  constexpr auto kFbfly = TopologyKind::kFbfly4x4;
-  constexpr auto kIf = AllocatorKind::kSeparableInputFirst;
-  constexpr auto kOf = AllocatorKind::kSeparableOutputFirst;
-  constexpr auto kWf = AllocatorKind::kWavefront;
-  constexpr auto kRr = ArbiterKind::kRoundRobin;
-  constexpr auto kM = ArbiterKind::kMatrix;
-  const Point points[] = {
-      {kMesh, 1, kIf, kIf, kRr, SpecMode::kNonSpeculative, 0.25},
-      {kMesh, 2, kOf, kOf, kM, SpecMode::kConservative, 0.30},
-      {kMesh, 1, kWf, kWf, kM, SpecMode::kPessimistic, 0.30},
-      {kMesh, 2, kOf, kWf, kRr, SpecMode::kPessimistic, 0.05},
-      {kFbfly, 1, kIf, kOf, kM, SpecMode::kPessimistic, 0.35},
-      {kFbfly, 2, kOf, kIf, kRr, SpecMode::kConservative, 0.30},
-      {kFbfly, 1, kWf, kWf, kRr, SpecMode::kNonSpeculative, 0.40},
-      {kFbfly, 1, kIf, kWf, kM, SpecMode::kConservative, 0.10},
-  };
-  for (const Point& pt : points) {
-    SimConfig cfg;
-    cfg.topology = pt.topo;
-    cfg.vcs_per_class = pt.vcs_per_class;
-    cfg.vc_alloc = pt.vc_alloc;
-    cfg.sw_alloc = pt.sw_alloc;
-    cfg.vc_arb = pt.arb;
-    cfg.sw_arb = pt.arb;
-    cfg.spec = pt.spec;
-    cfg.injection_rate = pt.load;
-    SCOPED_TRACE(to_string(cfg.topology) + " C=" +
-                 std::to_string(cfg.vcs_per_class) +
-                 " va=" + to_string(cfg.vc_alloc) + "/" +
-                 to_string(cfg.vc_arb) + " sa=" + to_string(cfg.sw_alloc) +
-                 "/" + to_string(cfg.sw_arb) + " " + to_string(cfg.spec));
+  for (const LockStepPoint& pt : points) {
+    const SimConfig cfg = lock_step_config(pt);
+    SCOPED_TRACE(describe(cfg));
     SimInstance kernel(cfg);
     SimInstance oracle(cfg);
     oracle.network().set_reference_path(true);
-    NetworkSnapshot a;
-    NetworkSnapshot b;
-    for (int cycle = 100; cycle <= 1500; cycle += 100) {
-      kernel.run_cycles(100);
-      oracle.run_cycles(100);
-      kernel.network().snapshot(a);
-      oracle.network().snapshot(b);
-      ASSERT_EQ(a.bytes.size(), b.bytes.size()) << "cycle " << cycle;
-      const auto diff =
-          std::mismatch(a.bytes.begin(), a.bytes.end(), b.bytes.begin());
-      ASSERT_TRUE(diff.first == a.bytes.end())
-          << "cycle " << cycle << ": first difference at byte "
-          << (diff.first - a.bytes.begin()) << " of " << a.bytes.size();
-    }
-    EXPECT_GT(kernel.network().flits_injected(), 0u);
+    expect_lock_step(kernel, oracle);
+  }
+}
+
+TEST(SimEquivalence, CheckerIsAPureObserver) {
+  // A checked and an unchecked network stepped side by side must hold
+  // byte-identical snapshots every 100 cycles: the checker observes the
+  // production schedule -- the scheduler's skipped routers, the skipped
+  // allocation stages and speculative sides -- and changes no state. The
+  // points cover every topology, every VC and switch family, both arbiter
+  // kinds and all three speculation modes, at light and heavy load.
+  const LockStepPoint points[] = {
+      {kMesh, 1, kIf, kIf, kRr, kNonspec, 0.02},
+      {kMesh, 2, kOf, kOf, kM, kSpecGnt, 0.30},
+      {kMesh, 1, kWf, kWf, kM, kSpecReq, 0.10},
+      {kMesh, 2, kMax, kMax, kRr, kSpecReq, 0.15},
+      {kFbfly, 1, kWf, kWf, kRr, kSpecReq, 0.40},
+      {kFbfly, 2, kIf, kWf, kM, kSpecGnt, 0.05},
+      {kFbfly, 1, kMax, kOf, kRr, kNonspec, 0.20},
+      {kTorus, 2, kIf, kIf, kRr, kSpecReq, 0.20},
+      {kTorus, 1, kWf, kOf, kM, kNonspec, 0.05},
+      {kRing, 2, kOf, kMax, kM, kSpecGnt, 0.15},
+      {kRing, 1, kWf, kWf, kRr, kSpecReq, 0.05},
+      {kRing, 2, kIf, kOf, kRr, kNonspec, 0.30},
+  };
+  for (const LockStepPoint& pt : points) {
+    SimConfig cfg = lock_step_config(pt);
+    SCOPED_TRACE(describe(cfg));
+    SimInstance plain(cfg);
+    cfg.check_invariants = true;
+    SimInstance checked(cfg);
+    expect_lock_step(plain, checked);
   }
 }
 

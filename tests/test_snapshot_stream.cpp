@@ -2,9 +2,10 @@
 // network figures come from is forked from, and persisted as, this stream,
 // and the on-disk formats (kSnapshotFormatVersion, kResultsVersion) promise
 // that it does not move. A refactor of the state codecs must therefore
-// reproduce it byte for byte: these constants were recorded once and are
-// never re-recorded; a change that is meant to alter the stream bumps the
-// format version instead, and adds a new table beside this one.
+// reproduce it byte for byte: the unchecked rows and the file pins were
+// recorded once and are never re-recorded; a change that is meant to alter
+// the stream bumps the format version instead, and adds a new table beside
+// this one.
 //
 // Each row warms one design point for a fixed number of cycles and records
 // the FNV-1a hash and length of the network and driver parts of
@@ -16,7 +17,11 @@
 //
 // The driver part of a checked row holds the checker's check counter, so
 // its driver hash also counts the route-legality checks that every checked
-// SimInstance runs.
+// SimInstance runs. The checker only observes, so a checked row's network
+// part is the unchecked run's, byte for byte. The checked rows' hashes were
+// re-recorded twice, each time for a change to what the checker does, not
+// to the codecs: once when its counter began to count route checks, and
+// once when it stopped switching the network to a schedule of its own.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -88,13 +93,13 @@ const StreamRow kRows[] = {
      0xFEF8E29E89776CBDull, 182740, 0x55DCBE1B25743C46ull, 45},
     {"mesh_sepif_rr_specreq_checked", TopologyKind::kMesh8x8, kSepIf, kRr,
      kSepIf, kRr, kSpecReq, true,
-     0xAC3CEF7128D7DAD7ull, 182740, 0x3CCE2F08D13812CCull, 45},
+     0xFEF8E29E89776CBDull, 182740, 0x6A847B03A7EE2633ull, 45},
     {"mesh_sepof_m_nonspec", TopologyKind::kMesh8x8, kSepOf, kM, kSepOf, kM,
      kNonspec, false,
      0x9F270428DE21FAB7ull, 499546, 0x860B7F1F5D9EF035ull, 45},
     {"mesh_wf_rr_specgnt_checked", TopologyKind::kMesh8x8, kWf, kRr, kWf, kRr,
      kSpecGnt, true,
-     0x4196AFA0964205ADull, 128546, 0xB99CC9DBA77A1487ull, 45},
+     0xF9A5DF305193A6C1ull, 128546, 0x988483C88DF768C2ull, 45},
     {"mesh_wf_m_specreq", TopologyKind::kMesh8x8, kWf, kM, kWf, kM, kSpecReq,
      false,
      0xB3D44CCBBD4E5671ull, 128534, 0x8F54432442E70B08ull, 45},
@@ -103,7 +108,7 @@ const StreamRow kRows[] = {
      0x327B2DEB6FBDA4DFull, 1270940, 0x64AC521A215D6F4Dull, 45},
     {"fbfly_sepof_rr_nonspec_checked", TopologyKind::kFbfly4x4, kSepOf, kRr,
      kSepOf, kRr, kNonspec, true,
-     0xD61FCE81A6E33C3Full, 218714, 0x0870C93B17C822A1ull, 45},
+     0xD61FCE81A6E33C3Full, 218714, 0xDE6BD0FE7E064BC5ull, 45},
     {"fbfly_wf_m_specreq", TopologyKind::kFbfly4x4, kWf, kM, kWf, kM, kSpecReq,
      false,
      0x78EE1E4456E048EDull, 118860, 0x4C95E919CA640938ull, 45},
@@ -115,7 +120,7 @@ const StreamRow kRows[] = {
      0x90CB671F04D3E6E3ull, 534390, 0x62D36D6F13027763ull, 45},
     {"torus_wf_m_specgnt_checked", TopologyKind::kTorus8x8, kWf, kM, kWf, kM,
      kSpecGnt, true,
-     0xA3E64220B0F9BF1Cull, 264894, 0x55E19080F3C3299Cull, 45},
+     0xF973D142F749E13Full, 264894, 0x1F0EC08F8C450574ull, 45},
     {"torus_sepof_m_nonspec", TopologyKind::kTorus8x8, kSepOf, kM, kSepOf, kM,
      kNonspec, false,
      0x7C6BE64CE8B39E08ull, 4721200, 0x55DCBE1B25743C46ull, 45},
@@ -124,7 +129,7 @@ const StreamRow kRows[] = {
      0xAA96BAB9133D5E28ull, 174230, 0x7886C59038CF53B4ull, 45},
     {"ring_sepif_rr_specreq_checked", TopologyKind::kRing16, kSepIf, kRr,
      kSepIf, kRr, kSpecReq, true,
-     0xE572761478D56AB2ull, 62810, 0xE79D2C99A49F93B4ull, 45},
+     0x5A7818E27B7E2221ull, 62810, 0x661EC1D939751021ull, 45},
     {"ring_wf_rr_specgnt", TopologyKind::kRing16, kWf, kRr, kWf, kRr, kSpecGnt,
      false,
      0x3893FAC53E1EEDECull, 48728, 0x9192F18476EC58D9ull, 45},
@@ -143,6 +148,22 @@ TEST(SnapshotStream, WarmSnapshotBytesArePinned) {
     EXPECT_EQ(snap.network.bytes.size(), row.network_size);
     EXPECT_EQ(driver_hash, row.driver_hash);
     EXPECT_EQ(snap.driver.size(), row.driver_size);
+  }
+}
+
+TEST(SnapshotStream, CheckedRowsHoldUncheckedNetworkBytes) {
+  for (const StreamRow& row : kRows) {
+    if (!row.check) continue;
+    SCOPED_TRACE(row.name);
+    SimConfig cfg = row_config(row);
+    noc::SimSnapshot snaps[2];
+    for (const bool check : {false, true}) {
+      cfg.check_invariants = check;
+      noc::SimInstance sim(cfg);
+      sim.warmup();
+      sim.snapshot(snaps[check ? 1 : 0]);
+    }
+    EXPECT_TRUE(snaps[0].network.bytes == snaps[1].network.bytes);
   }
 }
 

@@ -61,6 +61,25 @@ TEST(TrafficTrace, RejectsTerminalsOutsideTheNetwork) {
   EXPECT_EQ(foreign_src.for_terminal(1, 17).size(), 0u);
 }
 
+TEST(TrafficTrace, SaveAndLoadRoundTrip) {
+  TrafficTrace trace;
+  trace.add({7, 2, 5, PacketType::kWriteRequest});
+  trace.add({9, 0, 1, PacketType::kReadRequest});
+  const std::string path = ::testing::TempDir() + "roundtrip.trace";
+  trace.save(path);
+  EXPECT_EQ(TrafficTrace::load(path).records(), trace.records());
+}
+
+// A file that cannot be opened or written aborts naming the path and the
+// operation, not the failed expression.
+TEST(TrafficTrace, FileErrorsNameThePath) {
+  const std::string missing = ::testing::TempDir() + "no_such_dir/x.trace";
+  EXPECT_DEATH(TrafficTrace::load(missing),
+               "cannot open trace file '" + missing + "' for reading");
+  EXPECT_DEATH(TrafficTrace().save(missing),
+               "cannot write trace file '" + missing + "'");
+}
+
 TEST(TrafficTrace, RejectsSelfTraffic) {
   TrafficTrace trace;
   EXPECT_DEATH(trace.add({0, 3, 3, PacketType::kReadRequest}), "check failed");
