@@ -2,9 +2,11 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -112,6 +114,7 @@ void canonical_config_bytes(const noc::SimConfig& cfg,
 
 std::uint64_t config_fingerprint(const noc::SimConfig& cfg) {
   std::vector<std::uint8_t> bytes;
+  bytes.reserve(kCanonicalConfigSize);
   canonical_config_bytes(cfg, bytes);
   // Seed with the format version so an encoding change invalidates every
   // existing file even for unchanged configs.
@@ -166,10 +169,12 @@ IoStatus decode_snapshot(const std::uint8_t* data, std::size_t size,
         "config fingerprint mismatch: snapshot was produced by a different "
         "(config, code version) pair");
   }
-  if (size != kSnapshotHeaderSize + h.network_size + h.driver_size) {
+  const std::uint64_t promised =
+      kSnapshotHeaderSize + h.network_size + h.driver_size;
+  if (size != promised) {
     return IoStatus::failure(
-        "truncated snapshot: header promises " +
-        std::to_string(kSnapshotHeaderSize + h.network_size + h.driver_size) +
+        std::string(size < promised ? "truncated" : "oversize") +
+        " snapshot: header promises " + std::to_string(promised) +
         " bytes, file has " + std::to_string(size));
   }
   const std::uint8_t* network = data + kSnapshotHeaderSize;
@@ -186,17 +191,29 @@ IoStatus decode_snapshot(const std::uint8_t* data, std::size_t size,
 }
 
 IoStatus read_file(const std::string& path, std::vector<std::uint8_t>& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return IoStatus::failure("cannot open " + path);
-  out.clear();
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.insert(out.end(), buf, buf + n);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return IoStatus::failure("cannot open " + path);
+  // Files are published whole by rename, so st_size is the file's length
+  // and one read normally fills `out`; loop only on a short read. A file
+  // that is not regular (e.g. a directory) or that shrank since the fstat
+  // fails to read.
+  struct stat st = {};
+  bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+  if (ok) {
+    out.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < out.size()) {
+      const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        ok = false;
+        break;
+      }
+      got += static_cast<std::size_t>(n);
+    }
   }
-  const bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed) return IoStatus::failure("cannot read " + path);
+  ::close(fd);
+  if (!ok) return IoStatus::failure("cannot read " + path);
   return {};
 }
 

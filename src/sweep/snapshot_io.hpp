@@ -11,10 +11,10 @@
 // (NEVER a crash -- cache files are runtime data, unlike in-process
 // snapshots whose mismatches are programming errors).
 //
-// read_snapshot_file() reads the file (read_file) and decode_snapshot()s
-// it; decode_snapshot() also validates any in-memory image. Snapshot files
-// and the sweep cache's result records are both published through
-// write_file_atomic().
+// read_snapshot_file() reads the file (read_file: one POSIX
+// open/fstat/read/close) and decode_snapshot()s it; decode_snapshot() also
+// validates any in-memory image. Snapshot files and the sweep cache's
+// result records are both published through write_file_atomic().
 #pragma once
 
 #include <cstdint>
@@ -60,6 +60,10 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size,
 void canonical_config_bytes(const noc::SimConfig& cfg,
                             std::vector<std::uint8_t>& out);
 
+/// Bytes canonical_config_bytes() appends: 17 fields of one id byte and
+/// eight value bytes each.
+inline constexpr std::size_t kCanonicalConfigSize = 17 * 9;
+
 /// Fingerprint of (config, snapshot format version): FNV-1a over the
 /// canonical config bytes, seeded with the format version. Two configs
 /// differing in ANY field -- topology, allocator kinds, seed, rates, phase
@@ -89,7 +93,9 @@ IoStatus decode_snapshot(const std::uint8_t* data, std::size_t size,
                          std::uint64_t expected_fingerprint,
                          noc::SimSnapshot& out);
 
-/// Reads the whole file at `path` into `out`.
+/// Reads the whole regular file at `path` into `out` with one open, fstat,
+/// read and close (POSIX, no stdio). The one reader of snapshot files and
+/// sweep-cache result records.
 IoStatus read_file(const std::string& path, std::vector<std::uint8_t>& out);
 
 /// Publishes `bytes` at `path` so concurrent readers only ever observe

@@ -2,10 +2,13 @@
 
 #include <sys/stat.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
+#include "common/check.hpp"
 #include "common/snapshot.hpp"
 #include "sweep/snapshot_io.hpp"
 
@@ -97,11 +100,19 @@ bool decode_result(const std::vector<std::uint8_t>& bytes, std::uint64_t key,
   return hash == fnv1a(bytes.data(), kResultRecordSize - 8);
 }
 
-std::string hex16(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
+/// `dir`/`stem`<16 lowercase hex digits of `value`>`ext`, built in one
+/// allocation: the file name of a cache record.
+std::string cache_file_path(const std::string& dir, std::string_view stem,
+                            std::uint64_t value, std::string_view ext) {
+  static constexpr char kHexDigits[] = "0123456789abcdef";
+  std::string path;
+  path.reserve(dir.size() + 1 + stem.size() + 16 + ext.size());
+  path.append(dir).append(1, '/').append(stem);
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    path.push_back(kHexDigits[(value >> shift) & 0xF]);
+  }
+  path.append(ext);
+  return path;
 }
 
 /// Mixes a domain tag, the results version, and extra words into a config
@@ -109,6 +120,7 @@ std::string hex16(std::uint64_t value) {
 std::uint64_t derive_key(char domain, const noc::SimConfig& cfg,
                          const std::uint64_t* extra, std::size_t n_extra) {
   std::vector<std::uint8_t> bytes;
+  bytes.reserve(1 + 8 + 8 * n_extra + kCanonicalConfigSize);
   bytes.push_back(static_cast<std::uint8_t>(domain));
   StateArchive ar = StateArchive::saving_to(bytes);
   std::uint64_t results_version = kResultsVersion;
@@ -124,7 +136,17 @@ std::uint64_t derive_key(char domain, const noc::SimConfig& cfg,
 }  // namespace
 
 SweepCache::SweepCache(std::string dir) : dir_(std::move(dir)) {
-  ::mkdir(dir_.c_str(), 0755);  // EEXIST is the common, fine case
+  // EEXIST is the common, fine case. Whatever mkdir says, the path must be
+  // a directory now: otherwise every lookup would miss and every store
+  // fail without a word.
+  const int err = ::mkdir(dir_.c_str(), 0755) == 0 ? 0 : errno;
+  struct stat st = {};
+  if (::stat(dir_.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
+    fail("sweep cache path '" + dir_ +
+         "' (NOCALLOC_SWEEP_CACHE) is not a directory and cannot be made "
+         "one: " +
+         std::strerror(err != 0 && err != EEXIST ? err : ENOTDIR));
+  }
 }
 
 std::unique_ptr<SweepCache> SweepCache::from_env() {
@@ -145,7 +167,7 @@ std::uint64_t SweepCache::curve_point_key(const noc::SimConfig& point_cfg,
 }
 
 std::string SweepCache::result_path(std::uint64_t key) const {
-  return dir_ + "/res-" + hex16(key) + ".nres";
+  return cache_file_path(dir_, "res-", key, ".nres");
 }
 
 bool SweepCache::lookup_result(std::uint64_t key, noc::SimResult& out) const {
@@ -168,7 +190,7 @@ void SweepCache::store_result(std::uint64_t key,
 }
 
 std::string SweepCache::snapshot_path(const noc::SimConfig& warm_cfg) const {
-  return dir_ + "/snap-" + hex16(config_fingerprint(warm_cfg)) + ".nsnp";
+  return cache_file_path(dir_, "snap-", config_fingerprint(warm_cfg), ".nsnp");
 }
 
 bool SweepCache::lookup_snapshot(const noc::SimConfig& warm_cfg,

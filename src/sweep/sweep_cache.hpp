@@ -20,9 +20,11 @@
 // file-lock-guarded atomic rename, so any number of threads AND processes
 // (figure benches, the benchmark, CI jobs, tools/nocsweep sharing one
 // directory) can read and write concurrently; readers only ever observe
-// complete files. A corrupt or stale record (bad magic, wrong version, key
-// or hash mismatch, truncation) is treated as a miss and recomputed -- the
-// cache can never serve wrong bytes, and because simulations are
+// complete files. A hit costs one open/fstat/read/close (read_file) and
+// no stdio: a rerun of a cached figure is a replay at syscall cost. A
+// corrupt or stale record (bad magic, wrong version, key or hash mismatch,
+// truncation, trailing bytes) is treated as a miss, deleted and recomputed
+// -- the cache can never serve wrong bytes, and because simulations are
 // deterministic a recomputed record is byte-identical to what the lost one
 // was.
 //
@@ -46,6 +48,9 @@ inline constexpr std::uint64_t kResultsVersion = 1;
 class SweepCache {
  public:
   /// Uses (and creates, one level deep) `dir` as the cache directory.
+  /// Aborts with a message naming `dir` when it is not a directory and
+  /// cannot be made one (a regular file, a missing parent); a read-only
+  /// directory is accepted, and its failed stores only cost later misses.
   explicit SweepCache(std::string dir);
 
   /// Builds a cache from NOCALLOC_SWEEP_CACHE; null when the variable is

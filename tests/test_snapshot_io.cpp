@@ -3,6 +3,7 @@
 // version, mismatched config fingerprint, flipped payload bytes -- must be
 // rejected with a readable reason, never a crash or a silent misrestore.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -219,10 +220,27 @@ TEST_F(SnapshotIoTest, RejectsMalformedFiles) {
     ASSERT_FALSE(s);
     EXPECT_NE(s.error.find("hash"), std::string::npos) << s.error;
   }
+  {  // One byte appended: the size check names both sizes.
+    std::vector<std::uint8_t> t = bytes;
+    t.push_back(0);
+    spit(path("oversize.nsnp"), t);
+    const IoStatus s = read_snapshot_file(path("oversize.nsnp"), cfg, out);
+    ASSERT_FALSE(s);
+    EXPECT_NE(s.error.find("header promises " + std::to_string(bytes.size()) +
+                           " bytes, file has " + std::to_string(t.size())),
+              std::string::npos)
+        << s.error;
+  }
   {  // Missing file.
     const IoStatus s = read_snapshot_file(path("absent.nsnp"), cfg, out);
     ASSERT_FALSE(s);
-    EXPECT_FALSE(s.error.empty());
+    EXPECT_NE(s.error.find(path("absent.nsnp")), std::string::npos) << s.error;
+  }
+  {  // A directory where the file should be: a failed read, not an abort.
+    ASSERT_EQ(::mkdir(path("dir.nsnp").c_str(), 0755), 0);
+    const IoStatus s = read_snapshot_file(path("dir.nsnp"), cfg, out);
+    ASSERT_FALSE(s);
+    EXPECT_NE(s.error.find(path("dir.nsnp")), std::string::npos) << s.error;
   }
 
   // The good file still reads after all of the above.
@@ -363,6 +381,13 @@ TEST(SnapshotIoDeathTest, HashValidPointerAtWidthAbortsRestore) {
   const std::uint64_t last = width - 1;
   std::memcpy(bad.network.bytes.data() + at, &last, sizeof last);
   target.restore(reframed(cfg, bad));
+}
+
+// The key and fingerprint buffers are reserved at this size.
+TEST_F(SnapshotIoTest, CanonicalConfigSizeMatchesEncoding) {
+  std::vector<std::uint8_t> bytes;
+  canonical_config_bytes(small_config(), bytes);
+  EXPECT_EQ(bytes.size(), kCanonicalConfigSize);
 }
 
 // The fingerprint must move when ANY config field moves -- that is the

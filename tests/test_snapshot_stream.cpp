@@ -12,8 +12,9 @@
 // SimInstance::snapshot. The rows cover every topology (mesh, fbfly with
 // UGAL, torus and ring with datelines), every allocator family with both
 // arbiter kinds, every speculation mode, and the invariant checker on and
-// off. The remaining tests pin the config fingerprint and the file bytes
-// SweepCache writes for one result record and one snapshot.
+// off. The remaining tests pin the config fingerprint, one curve-point key
+// and the file bytes SweepCache writes for one result record and one
+// snapshot.
 //
 // The driver part of a checked row holds the checker's check counter, so
 // its driver hash also counts the route-legality checks that every checked
@@ -169,6 +170,15 @@ TEST(SnapshotStream, CheckedRowsHoldUncheckedNetworkBytes) {
 
 TEST(SnapshotStream, DefaultConfigFingerprintIsPinned) {
   EXPECT_EQ(sweep::config_fingerprint(SimConfig{}), 0x0665D05AF348CB92ull);
+}
+
+// A curve-point key names the record file of every warm-fork point the
+// network figures are assembled from; recorded once, like the file pins
+// below, so that existing cache directories keep hitting.
+TEST(SnapshotStream, CurvePointKeyIsPinned) {
+  EXPECT_EQ(sweep::SweepCache::curve_point_key(row_config(kRows[7]), 0.05,
+                                               1000),
+            0xF661DABA8A3FC08Bull);
 }
 
 /// Reads a whole file; empty when it cannot be opened.

@@ -15,6 +15,7 @@
 
 #include "noc/sim.hpp"
 #include "sweep/sim_batch.hpp"
+#include "sweep/snapshot_io.hpp"
 #include "sweep/sweep_cache.hpp"
 #include "sim_result_eq.hpp"
 
@@ -280,9 +281,10 @@ TEST_F(SweepCacheTest, CorruptedEntryIsRecomputed) {
   expect_identical(hot[0], cold[0]);
 }
 
-// Record fuzz: every single-bit flip and every truncation of a result
-// record is a miss that deletes the file -- never a hit on wrong bytes and
-// never an abort -- and the intact record still hits afterwards.
+// Record fuzz: every single-bit flip, every truncation and an appended
+// byte or 4 KiB of a result record is a miss that deletes the file --
+// never a hit on wrong bytes and never an abort -- and the intact record
+// still hits afterwards.
 TEST_F(SweepCacheTest, EveryRecordBitFlipAndTruncationIsAMiss) {
   const SweepCache cache(dir_);
   noc::SimResult result;
@@ -328,11 +330,65 @@ TEST_F(SweepCacheTest, EveryRecordBitFlipAndTruncationIsAMiss) {
     write(good, len);
     expect_miss("length " + std::to_string(len));
   }
+  for (const std::size_t extra : {std::size_t{1}, std::size_t{4096}}) {
+    std::vector<std::uint8_t> longer = good;
+    longer.resize(good.size() + extra, 0xA5);
+    write(longer, longer.size());
+    expect_miss(std::to_string(extra) + " bytes appended");
+  }
 
   write(good, good.size());
   noc::SimResult out;
   ASSERT_TRUE(cache.lookup_result(key, out));
   expect_identical(out, result);
+}
+
+// A directory at a record's or snapshot's path is a miss, not an abort;
+// it is left in place, and a store over it fails without a word.
+TEST_F(SweepCacheTest, DirectoryAtRecordPathIsAMiss) {
+  const SweepCache cache(dir_);
+  const noc::SimConfig cfg = small_config();
+  const std::uint64_t key = SweepCache::batch_key(cfg);
+  char name[32];
+  std::snprintf(name, sizeof(name), "res-%016llx.nres",
+                static_cast<unsigned long long>(key));
+  ASSERT_EQ(::mkdir((dir_ + "/" + name).c_str(), 0755), 0);
+
+  noc::SimResult out;
+  EXPECT_FALSE(cache.lookup_result(key, out));
+  cache.store_result(key, out);
+  EXPECT_FALSE(cache.lookup_result(key, out));
+  struct stat st = {};
+  ASSERT_EQ(::stat((dir_ + "/" + name).c_str(), &st), 0);
+  EXPECT_TRUE(S_ISDIR(st.st_mode));
+
+  std::snprintf(name, sizeof(name), "snap-%016llx.nsnp",
+                static_cast<unsigned long long>(config_fingerprint(cfg)));
+  ASSERT_EQ(::mkdir((dir_ + "/" + name).c_str(), 0755), 0);
+  noc::SimSnapshot snap;
+  EXPECT_FALSE(cache.lookup_snapshot(cfg, snap));
+}
+
+// A cache path that cannot be a directory aborts naming the path and the
+// variable, instead of silently recomputing everything.
+using SweepCacheDeathTest = SweepCacheTest;
+
+TEST_F(SweepCacheDeathTest, PathThatIsAFileAborts) {
+  const std::string file = dir_ + "/plain-file";
+  std::FILE* f = std::fopen(file.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  ::setenv("NOCALLOC_SWEEP_CACHE", file.c_str(), 1);
+  EXPECT_DEATH(SweepCache::from_env(),
+               "sweep cache path '.*/plain-file' \\(NOCALLOC_SWEEP_CACHE\\) "
+               "is not a directory");
+}
+
+TEST_F(SweepCacheDeathTest, PathWithMissingParentAborts) {
+  ::setenv("NOCALLOC_SWEEP_CACHE", (dir_ + "/missing/cache").c_str(), 1);
+  EXPECT_DEATH(SweepCache::from_env(),
+               "sweep cache path '.*/missing/cache' "
+               "\\(NOCALLOC_SWEEP_CACHE\\) is not a directory");
 }
 
 // A record stored under one key can never answer another (the key echo in
