@@ -5,8 +5,10 @@
 // with no bias, low-load latency rises (needless Valiant detours); with too
 // much, the saturation benefit of adaptivity erodes under adversarial load.
 //
-// Every (pattern, threshold, rate) simulation is an independent batch
-// shard on the sweep pool (sweep::run_sim_batch).
+// Every (pattern, threshold, rate) simulation is an independent one-rate
+// curve with no fork warmup on the sweep pool (sweep::run_warm_curves),
+// which equals a cold run_simulation() bit for bit and is cached like
+// every other curve point.
 #include <cstdio>
 #include <vector>
 
@@ -58,20 +60,24 @@ int main() {
   const std::size_t per_pattern = thresholds * rates;
   const std::size_t total = std::size(kPatterns) * per_pattern;
 
-  std::vector<SimConfig> cfgs;
+  std::vector<sweep::CurveSpec> specs;
   for (std::size_t t = 0; t < total; ++t) {
     const std::size_t rest = t % per_pattern;
-    cfgs.push_back(make_config(kPatterns[t / per_pattern],
-                               kThresholds[rest / rates],
-                               kRates[rest % rates]));
+    sweep::CurveSpec spec;
+    spec.base = make_config(kPatterns[t / per_pattern],
+                            kThresholds[rest / rates], kRates[rest % rates]);
+    spec.rates = {spec.base.injection_rate};
+    spec.fork_warmup_cycles = 0;
+    spec.stop_at_saturation = false;
+    specs.push_back(spec);
   }
-  const auto results = sweep::run_sim_batch(bench::pool(), cfgs);
+  const auto results = sweep::run_warm_curves(bench::pool(), specs);
 
   std::vector<std::string> rows(total);
   for (std::size_t t = 0; t < total; ++t) {
     const std::size_t rest = t % per_pattern;
     rows[t] = format_row(kThresholds[rest / rates], kRates[rest % rates],
-                         results[t]);
+                         results[t].points[0].result);
   }
 
   const char* sections[] = {

@@ -1,8 +1,8 @@
-// Shared glue between the network-level benches and the warm-curve sweep
-// engine (sweep/sim_batch): running one of the paper's figures, as
-// sweep/paper_figures defines it, and the standard "rate:latency ... SAT"
-// row format the figure benches print. Each bench keeps only its headings,
-// rows and paper-comparison summary.
+// Shared glue between the figure benches and run_warm_curves
+// (sweep/sim_batch), the one cached simulation entry point: running one of
+// the paper's figures, as sweep/paper_figures defines it, and the standard
+// "rate:latency ... SAT" row format the figure benches print. Each bench
+// keeps only its headings, rows and paper-comparison summary.
 #pragma once
 
 #include <algorithm>

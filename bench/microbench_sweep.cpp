@@ -176,22 +176,19 @@ double bench_warm_vs_cold() {
   const auto warm = sweep::run_warm_curves(serial, {spec});
   const double warm_dt = wall_now() - t0;
 
-  // Cold reference: every point pays the full warmup.
+  // Cold reference, with no cache: every point pays the full warmup.
   const double t1 = wall_now();
-  std::vector<SimConfig> cold_cfgs;
   for (const double rate : spec.rates) {
     SimConfig cfg = spec.base;
     cfg.injection_rate = rate;
-    cold_cfgs.push_back(cfg);
+    noc::run_simulation(cfg);
   }
-  const auto cold = sweep::run_sim_batch(serial, cold_cfgs);
   const double cold_dt = wall_now() - t1;
 
   std::printf("  %zu-point curve: warm-fork %.3fs, cold-warmup %.3fs "
               "(%.2fx)\n",
               spec.rates.size(), warm_dt, cold_dt, cold_dt / warm_dt);
   (void)warm;
-  (void)cold;
   return cold_dt / warm_dt;
 }
 

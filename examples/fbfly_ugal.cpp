@@ -7,17 +7,33 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <string>
 
+#include "common/parse.hpp"
 #include "common/stats.hpp"
 #include "noc/network.hpp"
 
 using namespace nocalloc;
 using namespace nocalloc::noc;
 
+namespace {
+
+/// `parsed`, or exits naming the argument and its text.
+template <typename T>
+T or_exit(const std::optional<T>& parsed, const char* what, const char* text) {
+  if (parsed) return *parsed;
+  std::fprintf(stderr, "bad %s '%s'\n", what, text);
+  std::exit(1);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const double rate = argc > 1 ? std::atof(argv[1]) : 0.4;
+  const double rate =
+      argc > 1 ? or_exit(parse_rate(argv[1]), "injection_rate", argv[1]) : 0.4;
   const std::size_t threshold =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 3;
+      argc > 2 ? or_exit(parse_size(argv[2]), "ugal_threshold", argv[2]) : 3;
 
   FlattenedButterflyTopology topo(4, 4);
 

@@ -5,15 +5,25 @@
 //                     [spec: nonspec|spec_gnt|spec_req]
 // Example: ./build/examples/mesh_latency 2 wf spec_req
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <optional>
 #include <string>
 
+#include "common/parse.hpp"
 #include "noc/sim.hpp"
 
 using namespace nocalloc;
 using namespace nocalloc::noc;
 
 namespace {
+
+std::size_t parse_vcs(const std::string& s) {
+  const std::optional<std::size_t> v = parse_size(s, 1);
+  if (v) return *v;
+  std::fprintf(stderr, "bad vcs_per_class '%s' (expected an integer >= 1)\n",
+               s.c_str());
+  std::exit(1);
+}
 
 AllocatorKind parse_alloc(const std::string& s) {
   if (s == "sep_if") return AllocatorKind::kSeparableInputFirst;
@@ -36,7 +46,7 @@ SpecMode parse_spec(const std::string& s) {
 int main(int argc, char** argv) {
   SimConfig cfg;
   cfg.topology = TopologyKind::kMesh8x8;
-  cfg.vcs_per_class = argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 1;
+  cfg.vcs_per_class = argc > 1 ? parse_vcs(argv[1]) : 1;
   cfg.sw_alloc = argc > 2 ? parse_alloc(argv[2])
                           : AllocatorKind::kSeparableInputFirst;
   cfg.spec = argc > 3 ? parse_spec(argv[3]) : SpecMode::kPessimistic;

@@ -9,14 +9,24 @@
 // Usage: ring_dateline [injection_rate]
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
+#include "common/parse.hpp"
 #include "noc/sim.hpp"
 
 using namespace nocalloc;
 using namespace nocalloc::noc;
 
 int main(int argc, char** argv) {
-  const double rate = argc > 1 ? std::atof(argv[1]) : 0.15;
+  double rate = 0.15;
+  if (argc > 1) {
+    const std::optional<double> parsed = parse_rate(argv[1]);
+    if (!parsed) {
+      std::fprintf(stderr, "bad injection_rate '%s'\n", argv[1]);
+      return 1;
+    }
+    rate = *parsed;
+  }
 
   // The static transition structure sparse VC allocation exploits:
   const VcPartition part = VcPartition::dateline(2, 1);

@@ -12,8 +12,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 
+#include "common/parse.hpp"
 #include "hw/synthesis.hpp"
 #include "hw/verilog_export.hpp"
 
@@ -42,6 +44,16 @@ void write_verilog(const Netlist& nl, const std::string& module,
   }
   file << export_verilog(nl, module);
   std::printf("wrote structural Verilog to %s\n", path);
+}
+
+/// A whole integer >= 1 (parse_size), or the usage message.
+std::size_t parse_count(const char* s) {
+  const std::optional<std::size_t> v = parse_size(s, 1);
+  if (!v) {
+    std::fprintf(stderr, "bad count '%s' (expected an integer >= 1)\n", s);
+    usage();
+  }
+  return *v;
 }
 
 AllocatorKind parse_kind(const std::string& s) {
@@ -79,14 +91,16 @@ int main(int argc, char** argv) {
 
   if (mode == "vc" && (argc == 9 || argc == 10)) {
     VcAllocGenConfig cfg;
-    cfg.ports = static_cast<std::size_t>(std::atoi(argv[2]));
-    const auto m = static_cast<std::size_t>(std::atoi(argv[3]));
-    const auto r = static_cast<std::size_t>(std::atoi(argv[4]));
-    const auto c = static_cast<std::size_t>(std::atoi(argv[5]));
+    cfg.ports = parse_count(argv[2]);
+    const std::size_t m = parse_count(argv[3]);
+    const std::size_t r = parse_count(argv[4]);
+    const std::size_t c = parse_count(argv[5]);
     cfg.partition = r == 2 ? VcPartition::fbfly(m, c) : VcPartition(m, r, c);
     cfg.kind = parse_kind(argv[6]);
     cfg.arb = parse_arb(argv[7]);
-    cfg.sparse = std::string(argv[8]) == "sparse";
+    const std::string layout = argv[8];
+    if (layout != "sparse" && layout != "dense") usage();
+    cfg.sparse = layout == "sparse";
     std::printf("VC allocator: P=%zu, V=%zux%zux%zu, %s/%s, %s\n", cfg.ports,
                 m, r, c, to_string(cfg.kind).c_str(),
                 to_string(cfg.arb).c_str(), argv[8]);
@@ -101,8 +115,8 @@ int main(int argc, char** argv) {
 
   if (mode == "sa" && (argc == 7 || argc == 8)) {
     SaGenConfig cfg;
-    cfg.ports = static_cast<std::size_t>(std::atoi(argv[2]));
-    cfg.vcs = static_cast<std::size_t>(std::atoi(argv[3]));
+    cfg.ports = parse_count(argv[2]);
+    cfg.vcs = parse_count(argv[3]);
     cfg.kind = parse_kind(argv[4]);
     cfg.arb = parse_arb(argv[5]);
     const std::string spec = argv[6];

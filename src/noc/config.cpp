@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace nocalloc::noc {
 namespace {
@@ -122,25 +123,6 @@ void apply(SimConfig& cfg, const std::string& key, const std::string& value) {
 }
 
 }  // namespace
-
-std::optional<std::size_t> parse_size(const std::string& v, std::size_t min) {
-  std::istringstream in(v);
-  std::size_t out = 0;
-  in >> std::noskipws >> out;
-  if (in.fail() || !in.eof() || v.find('-') != std::string::npos ||
-      out < min) {
-    return std::nullopt;
-  }
-  return out;
-}
-
-std::optional<double> parse_rate(const std::string& v) {
-  std::istringstream in(v);
-  double out = 0;
-  in >> std::noskipws >> out;
-  if (in.fail() || !in.eof() || !(out >= 0.0)) return std::nullopt;
-  return out;
-}
 
 void apply_override(SimConfig& cfg, const std::string& assignment) {
   const auto eq = assignment.find('=');

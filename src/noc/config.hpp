@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "noc/sim.hpp"
@@ -37,15 +36,6 @@ SimConfig parse_sim_config(std::istream& in, SimConfig base = {});
 
 /// Parses a single "key=value" override (as passed on a command line).
 void apply_override(SimConfig& cfg, const std::string& assignment);
-
-/// Whole-string parse of an unsigned integer no smaller than `min`: no
-/// sign, no surrounding junk. nullopt on anything else. The config keys and
-/// the command-line tools' numeric flags share it.
-std::optional<std::size_t> parse_size(const std::string& v,
-                                      std::size_t min = 0);
-
-/// Whole-string parse of a number >= 0; nullopt on anything else.
-std::optional<double> parse_rate(const std::string& v);
 
 /// Serializes a config in the parse format (round-trips).
 std::string to_config_string(const SimConfig& cfg);

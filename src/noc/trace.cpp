@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "noc/config.hpp"
+#include "common/parse.hpp"
 
 namespace nocalloc::noc {
 

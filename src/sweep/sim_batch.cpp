@@ -1,52 +1,11 @@
 #include "sweep/sim_batch.hpp"
 
 #include <memory>
-#include <utility>
 
 #include "common/check.hpp"
 #include "sweep/sweep_cache.hpp"
 
 namespace nocalloc::sweep {
-
-namespace {
-
-/// Pre-resolves a batch against the cache: fills `results` with the hits
-/// and returns the indices still to simulate (all of them when `cache` is
-/// null). `keys` receives each config's cache key for the store-back.
-std::vector<std::size_t> resolve_batch(const SweepCache* cache,
-                                       const std::vector<noc::SimConfig>& cfgs,
-                                       std::vector<std::uint64_t>& keys,
-                                       std::vector<noc::SimResult>& results) {
-  std::vector<std::size_t> todo;
-  todo.reserve(cfgs.size());
-  keys.assign(cfgs.size(), 0);
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    if (cache != nullptr) {
-      keys[i] = SweepCache::batch_key(cfgs[i]);
-      if (cache->lookup_result(keys[i], results[i])) continue;
-    }
-    todo.push_back(i);
-  }
-  return todo;
-}
-
-}  // namespace
-
-std::vector<noc::SimResult> run_sim_batch(
-    ThreadPool& pool, const std::vector<noc::SimConfig>& cfgs) {
-  const std::unique_ptr<SweepCache> cache = SweepCache::from_env();
-  std::vector<noc::SimResult> results(cfgs.size());
-  std::vector<std::uint64_t> keys;
-  const std::vector<std::size_t> todo =
-      resolve_batch(cache.get(), cfgs, keys, results);
-
-  pool.run_indexed(todo.size(), [&](std::size_t t) {
-    const std::size_t i = todo[t];
-    results[i] = noc::run_simulation(cfgs[i]);
-    if (cache != nullptr) cache->store_result(keys[i], results[i]);
-  });
-  return results;
-}
 
 namespace {
 

@@ -1,13 +1,14 @@
-// Sharded multi-simulation engine.
+// The cached simulation engine: latency-vs-load curves on the pool.
 //
-// The paper's network figures are built from dozens of independent
-// (design point, offered load, seed) simulations. run_sim_batch runs each
-// one as its own task on the work-stealing pool; run_warm_curves goes
-// further and amortizes warmup across a latency-vs-load curve: the design
-// point is warmed once at the curve's lowest rate, the warm state is
-// captured with SimInstance::snapshot(), and every load point forks from
-// that snapshot (restore + set rate + a short fork warmup + measure)
-// instead of re-simulating thousands of cold warmup cycles.
+// The paper's network figures are built from dozens of (design point,
+// offered load, seed) simulations. run_warm_curves amortizes warmup across
+// a latency-vs-load curve: the design point is warmed once at the curve's
+// lowest rate, the warm state is captured with SimInstance::snapshot(),
+// and every load point forks from that snapshot (restore + set rate + a
+// short fork warmup + measure) instead of re-simulating thousands of cold
+// warmup cycles. A one-rate curve with no fork warmup is exactly one cold
+// run_simulation(), bit for bit, so independent single simulations (the
+// UGAL-threshold ablation) are one-rate curves too.
 //
 // Isolation and determinism: every task owns a full SimInstance -- its own
 // PacketArena, rings, allocator state, and RNG streams (seeded from the
@@ -15,13 +16,14 @@
 // shards share nothing and results are bit-identical for every thread
 // count, 1 included.
 //
-// Persistent caching: when NOCALLOC_SWEEP_CACHE names a directory, every
-// entry point consults a content-keyed result cache (sweep/sweep_cache)
-// before scheduling and stores finished shards back -- repeated figure
-// runs become cache hits, and curve warmups are served from a persistent
-// warm-snapshot store instead of re-simulated. Because shards are pure
-// functions of their configs and snapshots are canonical bytes, cached,
-// cold, and cache-disabled runs return bit-identical results.
+// Persistent caching: when NOCALLOC_SWEEP_CACHE names a directory,
+// run_warm_curves consults a content-keyed result cache
+// (sweep/sweep_cache) before scheduling and stores finished points back --
+// repeated figure runs become cache hits, and curve warmups are served
+// from a persistent warm-snapshot store instead of re-simulated. Because
+// points are pure functions of their configs and snapshots are canonical
+// bytes, cached, cold, and cache-disabled runs return bit-identical
+// results.
 #pragma once
 
 #include <cstddef>
@@ -31,11 +33,6 @@
 #include "sweep/sweep.hpp"
 
 namespace nocalloc::sweep {
-
-/// Runs every config as an independent shard on the pool; results are in
-/// input order and bit-identical across thread counts.
-std::vector<noc::SimResult> run_sim_batch(
-    ThreadPool& pool, const std::vector<noc::SimConfig>& cfgs);
 
 /// One latency-vs-load curve over a fixed design point.
 struct CurveSpec {

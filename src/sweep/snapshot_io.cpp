@@ -220,20 +220,25 @@ IoStatus read_file(const std::string& path, std::vector<std::uint8_t>& out) {
 IoStatus write_file_atomic(const std::string& path,
                            const std::vector<std::uint8_t>& bytes) {
   const std::string tmp = path + unique_tmp_suffix();
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return IoStatus::failure("cannot open " + tmp + " for writing");
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) return IoStatus::failure("cannot open " + tmp + " for writing");
+  std::size_t put = 0;
+  while (put < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + put, bytes.size() - put);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    put += static_cast<std::size_t>(n);
   }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fclose(f) == 0;
-  if (written != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
+  const bool closed = ::close(fd) == 0;
+  if (put != bytes.size() || !closed) {
+    ::unlink(tmp.c_str());
     return IoStatus::failure("short write to " + tmp);
   }
   const std::size_t slash = path.rfind('/');
   DirLock lock(slash == std::string::npos ? "." : path.substr(0, slash));
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+    ::unlink(tmp.c_str());
     return IoStatus::failure("cannot rename " + tmp + " over " + path);
   }
   return {};

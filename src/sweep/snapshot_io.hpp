@@ -100,8 +100,9 @@ IoStatus read_file(const std::string& path, std::vector<std::uint8_t>& out);
 
 /// Publishes `bytes` at `path` so concurrent readers only ever observe
 /// complete files: writes a temp file beside it (named uniquely across
-/// threads and processes), then renames it over `path` once, holding an
-/// exclusive flock on `<directory of path>/.lock` for the rename.
+/// threads and processes; POSIX open/write/close, no stdio), then renames
+/// it over `path` once, holding an exclusive flock on
+/// `<directory of path>/.lock` for the rename.
 IoStatus write_file_atomic(const std::string& path,
                            const std::vector<std::uint8_t>& bytes);
 

@@ -1,9 +1,9 @@
 #include "sweep/sweep_cache.hpp"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
@@ -115,24 +115,6 @@ std::string cache_file_path(const std::string& dir, std::string_view stem,
   return path;
 }
 
-/// Mixes a domain tag, the results version, and extra words into a config
-/// hash, so e.g. a cold-batch record can never answer a curve-point query.
-std::uint64_t derive_key(char domain, const noc::SimConfig& cfg,
-                         const std::uint64_t* extra, std::size_t n_extra) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(1 + 8 + 8 * n_extra + kCanonicalConfigSize);
-  bytes.push_back(static_cast<std::uint8_t>(domain));
-  StateArchive ar = StateArchive::saving_to(bytes);
-  std::uint64_t results_version = kResultsVersion;
-  ar.u64(results_version);
-  for (std::size_t i = 0; i < n_extra; ++i) {
-    std::uint64_t word = extra[i];
-    ar.u64(word);
-  }
-  canonical_config_bytes(cfg, bytes);
-  return fnv1a(bytes.data(), bytes.size());
-}
-
 }  // namespace
 
 SweepCache::SweepCache(std::string dir) : dir_(std::move(dir)) {
@@ -155,15 +137,24 @@ std::unique_ptr<SweepCache> SweepCache::from_env() {
   return std::make_unique<SweepCache>(dir);
 }
 
-std::uint64_t SweepCache::batch_key(const noc::SimConfig& cfg) {
-  return derive_key('B', cfg, nullptr, 0);
-}
-
 std::uint64_t SweepCache::curve_point_key(const noc::SimConfig& point_cfg,
                                           double warm_rate,
                                           std::uint64_t fork_warmup) {
-  const std::uint64_t extra[2] = {double_bits(warm_rate), fork_warmup};
-  return derive_key('C', point_cfg, extra, 2);
+  // FNV-1a over a 'C' tag byte, the results version, the warm-rate bits,
+  // the fork-warmup length and the canonical config. The tag byte is left
+  // from an older layout with a second key domain; it stays so that every
+  // key, file name and record stays unchanged.
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(1 + 3 * 8 + kCanonicalConfigSize);
+  bytes.push_back(static_cast<std::uint8_t>('C'));
+  StateArchive ar = StateArchive::saving_to(bytes);
+  std::uint64_t results_version = kResultsVersion;
+  std::uint64_t rate_bits = double_bits(warm_rate);
+  ar.u64(results_version);
+  ar.u64(rate_bits);
+  ar.u64(fork_warmup);
+  canonical_config_bytes(point_cfg, bytes);
+  return fnv1a(bytes.data(), bytes.size());
 }
 
 std::string SweepCache::result_path(std::uint64_t key) const {
@@ -177,7 +168,7 @@ bool SweepCache::lookup_result(std::uint64_t key, noc::SimResult& out) const {
   if (decode_result(bytes, key, out)) return true;
   // Corrupt or stale record: delete it so the slot heals on the next
   // store, and recompute (a miss can only cost time, never correctness).
-  std::remove(path.c_str());
+  ::unlink(path.c_str());
   return false;
 }
 

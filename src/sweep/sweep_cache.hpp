@@ -1,18 +1,18 @@
-// Content-keyed persistent cache for sweep shard results and warm
+// Content-keyed persistent cache for warm-fork curve points and warm
 // snapshots.
 //
-// Every paper figure is assembled from (design point, load, seed) shard
+// Every paper figure is assembled from (design point, load, seed)
 // simulations that are pure functions of their SimConfig -- so a finished
-// shard's SimResult can be keyed by the content that determined it and
-// reused forever: repeated figure runs become cache hits, and the warm-up
-// behind each latency curve is paid once per design point ACROSS runs and
-// processes, not per invocation.
+// curve point's SimResult can be keyed by the content that determined it
+// and reused forever: repeated figure runs become cache hits, and the
+// warm-up behind each latency curve is paid once per design point ACROSS
+// runs and processes, not per invocation.
 //
-// Keys are FNV-1a hashes over the canonical config encoding
-// (snapshot_io.hpp: every field at fixed width, doubles as raw bits --
-// seed, load point, and warm-up/measure/drain window lengths included),
-// mixed with a domain tag (cold-batch results and warm-fork curve points
-// answer different questions for the same config) and kResultsVersion,
+// A result record has one key kind, the curve point: an FNV-1a hash over
+// the canonical config encoding at the point's rate (snapshot_io.hpp: every
+// field at fixed width, doubles as raw bits -- seed, load point, and
+// warm-up/measure/drain window lengths included), the warm rate and
+// fork-warmup length that shaped the point's history, and kResultsVersion,
 // which must be bumped whenever a code change alters simulation results --
 // that is the invalidation rule; there is no TTL.
 //
@@ -20,16 +20,18 @@
 // file-lock-guarded atomic rename, so any number of threads AND processes
 // (figure benches, the benchmark, CI jobs, tools/nocsweep sharing one
 // directory) can read and write concurrently; readers only ever observe
-// complete files. A hit costs one open/fstat/read/close (read_file) and
-// no stdio: a rerun of a cached figure is a replay at syscall cost. A
+// complete files. A hit costs one open/fstat/read/close (read_file) and a
+// store one open/write/close plus the rename (write_file_atomic), with no
+// stdio on either path: a rerun of a cached figure is a replay at syscall
+// cost. A
 // corrupt or stale record (bad magic, wrong version, key or hash mismatch,
 // truncation, trailing bytes) is treated as a miss, deleted and recomputed
 // -- the cache can never serve wrong bytes, and because simulations are
 // deterministic a recomputed record is byte-identical to what the lost one
 // was.
 //
-// Opt-in: SweepCache::from_env() reads NOCALLOC_SWEEP_CACHE; when unset the
-// sweep entry points (sweep/sim_batch) run exactly as before. Cached and
+// Opt-in: SweepCache::from_env() reads NOCALLOC_SWEEP_CACHE; when unset
+// run_warm_curves (sweep/sim_batch) runs exactly as before. Cached and
 // uncached runs return bit-identical results by construction.
 #pragma once
 
@@ -61,9 +63,6 @@ class SweepCache {
 
   // ---- result records -------------------------------------------------
 
-  /// Key of a cold run_simulation() of `cfg` (run_sim_batch shards).
-  static std::uint64_t batch_key(const noc::SimConfig& cfg);
-
   /// Key of one warm-fork curve point: `point_cfg` is the curve's base
   /// config at the point's injection rate; `warm_rate` is the rate the
   /// design point was warmed at (the curve's lowest) and `fork_warmup` the
@@ -77,7 +76,7 @@ class SweepCache {
   /// store).
   bool lookup_result(std::uint64_t key, noc::SimResult& out) const;
 
-  /// Publishes a finished shard result under `key` (atomic rename behind a
+  /// Publishes a finished curve-point result under `key` (atomic rename behind a
   /// directory-wide file lock; safe across threads and processes).
   void store_result(std::uint64_t key, const noc::SimResult& result) const;
 

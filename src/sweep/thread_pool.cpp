@@ -5,13 +5,13 @@
 #include <string>
 
 #include "common/check.hpp"
-#include "noc/config.hpp"
+#include "common/parse.hpp"
 
 namespace nocalloc::sweep {
 
 std::size_t ThreadPool::default_threads() {
   if (const char* env = std::getenv("NOCALLOC_THREADS")) {
-    const std::optional<std::size_t> v = noc::parse_size(env, 1);
+    const std::optional<std::size_t> v = parse_size(env, 1);
     if (!v) {
       fail("bad value '" + std::string(env) +
            "' for NOCALLOC_THREADS (expected an integer >= 1)");

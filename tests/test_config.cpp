@@ -6,6 +6,8 @@
 #include <sstream>
 #include <utility>
 
+#include "common/parse.hpp"
+
 namespace nocalloc::noc {
 namespace {
 
@@ -122,12 +124,16 @@ TEST(NumericParse, AcceptsWholeNumbersOnly) {
   EXPECT_EQ(parse_size("42"), std::optional<std::size_t>(42));
   EXPECT_EQ(parse_size("1", 1), std::optional<std::size_t>(1));
   EXPECT_EQ(parse_size("0", 1), std::nullopt);
-  for (const char* bad : {"", "abc", "2abc", "-1", " 3", "3 ", "1.5"}) {
+  EXPECT_EQ(parse_size("18446744073709551615"),
+            std::optional<std::size_t>(18446744073709551615ull));
+  for (const char* bad : {"", "abc", "2abc", "-1", "-0", "+2", " 3", "3 ",
+                          "1.5", "18446744073709551616"}) {
     EXPECT_EQ(parse_size(bad), std::nullopt) << "'" << bad << "'";
   }
   EXPECT_EQ(parse_rate("0.05"), std::optional<double>(0.05));
   EXPECT_EQ(parse_rate("0"), std::optional<double>(0.0));
-  for (const char* bad : {"", "abc", "0.2x", "-0.2", " 0.1", "nan", "0.1,"}) {
+  for (const char* bad : {"", "abc", "0.2x", "-0.2", "+0.2", " 0.1", "nan",
+                          "inf", "1e999", "0.1,"}) {
     EXPECT_EQ(parse_rate(bad), std::nullopt) << "'" << bad << "'";
   }
 }

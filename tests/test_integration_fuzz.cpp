@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "noc/config.hpp"
+#include "sim_result_eq.hpp"
 
 namespace nocalloc::noc {
 namespace {
@@ -70,10 +71,8 @@ TEST(IntegrationFuzz, RandomConfigurationsAreDeterministic) {
     const SimConfig cfg = random_config(rng);
     const SimResult a = run_simulation(cfg);
     const SimResult b = run_simulation(cfg);
-    ASSERT_EQ(a.packets_measured, b.packets_measured) << to_config_string(cfg);
-    ASSERT_DOUBLE_EQ(a.avg_packet_latency, b.avg_packet_latency)
-        << to_config_string(cfg);
-    ASSERT_EQ(a.misspeculations, b.misspeculations) << to_config_string(cfg);
+    SCOPED_TRACE(to_config_string(cfg));
+    expect_identical(a, b);
   }
 }
 

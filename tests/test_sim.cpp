@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim_result_eq.hpp"
+
 namespace nocalloc::noc {
 namespace {
 
@@ -94,8 +96,7 @@ TEST(Simulation, PessimisticMatchesConventionalAtLowLoad) {
 TEST(Simulation, DeterministicForSameSeed) {
   const SimResult a = run_simulation(quick(TopologyKind::kMesh8x8, 0.1));
   const SimResult b = run_simulation(quick(TopologyKind::kMesh8x8, 0.1));
-  EXPECT_EQ(a.packets_measured, b.packets_measured);
-  EXPECT_DOUBLE_EQ(a.avg_packet_latency, b.avg_packet_latency);
+  expect_identical(a, b);
 }
 
 TEST(Simulation, SeedChangesResults) {

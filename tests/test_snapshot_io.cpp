@@ -383,6 +383,21 @@ TEST(SnapshotIoDeathTest, HashValidPointerAtWidthAbortsRestore) {
   target.restore(reframed(cfg, bad));
 }
 
+// A store whose directory is missing fails with a message naming the temp
+// file it could not open, and creates nothing.
+TEST_F(SnapshotIoTest, WriteIntoMissingDirectoryFails) {
+  const std::string target = path("missing/record.bin");
+  const IoStatus status = write_file_atomic(target, {1, 2, 3});
+  EXPECT_FALSE(status);
+  EXPECT_EQ(status.error.rfind("cannot open " + target + ".tmp.", 0), 0u)
+      << status.error;
+  EXPECT_NE(status.error.find(" for writing"), std::string::npos)
+      << status.error;
+  struct stat st = {};
+  EXPECT_NE(::stat(path("missing").c_str(), &st), 0);
+  EXPECT_NE(::stat(path(".lock").c_str(), &st), 0);
+}
+
 // The key and fingerprint buffers are reserved at this size.
 TEST_F(SnapshotIoTest, CanonicalConfigSizeMatchesEncoding) {
   std::vector<std::uint8_t> bytes;

@@ -230,7 +230,9 @@ TEST(SnapshotStream, CacheFileBytesArePinned) {
   result.router_steps_skipped = 4321;
   result.arena_high_water = 640;
   const SimConfig cfg = row_config(kRows[5]);
-  const std::uint64_t key = sweep::SweepCache::batch_key(cfg);
+  // The record's key is a literal, the one its pinned bytes were recorded
+  // under (they echo it); the key derivation has its own pin above.
+  const std::uint64_t key = 0xDB7ABE520AF70B51ull;
   cache.store_result(key, result);
   const std::vector<std::uint8_t> nres =
       file_bytes(dir + "/res-" + hex16(key) + ".nres");

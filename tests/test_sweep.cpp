@@ -16,6 +16,7 @@
 #include "quality/quality.hpp"
 #include "sweep/sim_batch.hpp"
 #include "sweep/sweep.hpp"
+#include "sim_result_eq.hpp"
 
 namespace nocalloc::sweep {
 namespace {
@@ -186,52 +187,53 @@ TEST(SimSweep, ParallelSimulationsDeterministicUnderInvariantChecker) {
   const auto got = parallel_map(pool, 6, sim_point);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].avg_packet_latency, expected[i].avg_packet_latency)
-        << "point " << i;
-    EXPECT_EQ(got[i].p99_packet_latency, expected[i].p99_packet_latency)
-        << "point " << i;
-    EXPECT_EQ(got[i].packets_measured, expected[i].packets_measured)
-        << "point " << i;
-    EXPECT_EQ(got[i].accepted_flit_rate, expected[i].accepted_flit_rate)
-        << "point " << i;
+    SCOPED_TRACE("point " + std::to_string(i));
+    noc::expect_identical(got[i], expected[i]);
   }
 }
 
-void expect_result_eq(const noc::SimResult& got, const noc::SimResult& want,
-                      const std::string& where) {
-  EXPECT_EQ(got.avg_packet_latency, want.avg_packet_latency) << where;
-  EXPECT_EQ(got.p99_packet_latency, want.p99_packet_latency) << where;
-  EXPECT_EQ(got.packets_measured, want.packets_measured) << where;
-  EXPECT_EQ(got.accepted_flit_rate, want.accepted_flit_rate) << where;
-  EXPECT_EQ(got.saturated, want.saturated) << where;
-  EXPECT_EQ(got.spec_grants_used, want.spec_grants_used) << where;
-}
-
-// run_sim_batch is the sharded engine's flat entry point: a mixed bag of
-// design points, seeded by task_seed, must produce identical results on 1
-// and N threads.
-TEST(SimBatch, BatchIdenticalAcrossPoolSizes) {
-  std::vector<noc::SimConfig> cfgs;
-  for (std::size_t i = 0; i < 6; ++i) {
-    noc::SimConfig cfg;
-    cfg.topology = (i % 2) == 0 ? noc::TopologyKind::kMesh8x8
-                                : noc::TopologyKind::kFbfly4x4;
-    cfg.sw_alloc = (i / 2) == 0 ? AllocatorKind::kSeparableInputFirst
-                                : AllocatorKind::kWavefront;
-    cfg.injection_rate = 0.05 + 0.05 * static_cast<double>(i % 3);
-    cfg.warmup_cycles = 200;
-    cfg.measure_cycles = 400;
-    cfg.drain_cycles = 1000;
-    cfg.seed = task_seed(0xFACE, i);
-    cfgs.push_back(cfg);
+// A one-rate curve with no fork warmup -- warm at the rate, snapshot,
+// restore into a fresh instance, measure -- is one cold run_simulation(),
+// bit for bit, on every topology, checked or not, for any pool size. The
+// UGAL-threshold ablation runs its independent simulations this way.
+TEST(SimBatch, OneRateCurveEqualsColdSimulation) {
+  const noc::TopologyKind topologies[] = {
+      noc::TopologyKind::kMesh8x8, noc::TopologyKind::kFbfly4x4,
+      noc::TopologyKind::kRing16, noc::TopologyKind::kTorus8x8};
+  std::vector<CurveSpec> specs;
+  for (const bool checked : {false, true}) {
+    for (std::size_t i = 0; i < std::size(topologies); ++i) {
+      CurveSpec spec;
+      spec.base.topology = topologies[i];
+      spec.base.sw_alloc = (i % 2) == 0 ? AllocatorKind::kSeparableInputFirst
+                                        : AllocatorKind::kWavefront;
+      spec.base.injection_rate = 0.05 + 0.05 * static_cast<double>(i % 3);
+      spec.base.warmup_cycles = 200;
+      spec.base.measure_cycles = 400;
+      spec.base.drain_cycles = 1000;
+      spec.base.seed = task_seed(0xFACE, i);
+      spec.base.check_invariants = checked;
+      spec.rates = {spec.base.injection_rate};
+      spec.fork_warmup_cycles = 0;
+      spec.stop_at_saturation = false;
+      specs.push_back(spec);
+    }
   }
-  ThreadPool serial(1);
-  const auto expected = run_sim_batch(serial, cfgs);
-  ThreadPool pool(4);
-  const auto got = run_sim_batch(pool, cfgs);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    expect_result_eq(got[i], expected[i], "point " + std::to_string(i));
+  std::vector<noc::SimResult> cold;
+  for (const CurveSpec& spec : specs) {
+    cold.push_back(noc::run_simulation(spec.base));
+  }
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    const std::vector<Curve> curves = run_warm_curves(pool, specs);
+    ASSERT_EQ(curves.size(), specs.size());
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " spec " +
+                   std::to_string(s));
+      ASSERT_EQ(curves[s].points.size(), 1u);
+      ASSERT_TRUE(curves[s].points[0].run);
+      noc::expect_identical(curves[s].points[0].result, cold[s]);
+    }
   }
 }
 
@@ -278,8 +280,9 @@ TEST(SimBatch, WarmCurvesIdenticalAcrossPoolSizes) {
         EXPECT_EQ(got[s].points[p].rate, expected[s].points[p].rate) << where;
         ASSERT_EQ(got[s].points[p].run, expected[s].points[p].run) << where;
         if (got[s].points[p].run) {
-          expect_result_eq(got[s].points[p].result, expected[s].points[p].result,
-                           where);
+          SCOPED_TRACE(where);
+          noc::expect_identical(got[s].points[p].result,
+                                expected[s].points[p].result);
         }
       }
     }
@@ -292,7 +295,8 @@ TEST(SimBatch, WarmCurvesIdenticalAcrossPoolSizes) {
                                   " point " + std::to_string(p);
         ASSERT_EQ(got[s].points[p].run, plain[p].run) << where;
         if (plain[p].run) {
-          expect_result_eq(got[s].points[p].result, plain[p].result, where);
+          SCOPED_TRACE(where);
+          noc::expect_identical(got[s].points[p].result, plain[p].result);
         }
       }
     }
@@ -314,9 +318,9 @@ TEST(SimBatch, ShardingModesAgreeBelowSaturation) {
   for (std::size_t p = 0; p < serial_mode[0].points.size(); ++p) {
     ASSERT_TRUE(serial_mode[0].points[p].run);
     ASSERT_TRUE(sharded_mode[0].points[p].run);
-    expect_result_eq(sharded_mode[0].points[p].result,
-                     serial_mode[0].points[p].result,
-                     "point " + std::to_string(p));
+    SCOPED_TRACE("point " + std::to_string(p));
+    noc::expect_identical(sharded_mode[0].points[p].result,
+                          serial_mode[0].points[p].result);
   }
 }
 

@@ -34,6 +34,21 @@ noc::SimConfig small_config() {
   return cfg;
 }
 
+/// A one-rate curve with no fork warmup: one cold simulation of `cfg`.
+CurveSpec one_point(const noc::SimConfig& cfg) {
+  CurveSpec spec;
+  spec.base = cfg;
+  spec.rates = {cfg.injection_rate};
+  spec.fork_warmup_cycles = 0;
+  spec.stop_at_saturation = false;
+  return spec;
+}
+
+/// The cache key of `cfg` run as one_point(cfg).
+std::uint64_t one_point_key(const noc::SimConfig& cfg) {
+  return SweepCache::curve_point_key(cfg, cfg.injection_rate, 0);
+}
+
 /// Fresh cache directory per test, with NOCALLOC_SWEEP_CACHE pointed at it
 /// for the duration (the sweep entry points read it per call, so flipping
 /// it between calls takes effect immediately).
@@ -97,7 +112,7 @@ TEST_F(SweepCacheTest, FromEnvHonorsVariable) {
 
 TEST_F(SweepCacheTest, ResultRecordRoundTrips) {
   const SweepCache cache(dir_);
-  const std::uint64_t key = SweepCache::batch_key(small_config());
+  const std::uint64_t key = one_point_key(small_config());
 
   noc::SimResult miss;
   EXPECT_FALSE(cache.lookup_result(key, miss));
@@ -110,76 +125,78 @@ TEST_F(SweepCacheTest, ResultRecordRoundTrips) {
 }
 
 // Every input that shapes a result must move its key: seed, load, window
-// lengths, design-point structure -- and the curve-point key additionally
-// the warm rate and fork-warmup length.
+// lengths, design-point structure, the warm rate and the fork-warmup
+// length.
 TEST_F(SweepCacheTest, KeysSensitiveToEveryResultShapingInput) {
   const noc::SimConfig base = small_config();
-  const std::uint64_t key = SweepCache::batch_key(base);
+  const auto key_of = [](const noc::SimConfig& cfg) {
+    return SweepCache::curve_point_key(cfg, 0.05, 1000);
+  };
+  const std::uint64_t key = key_of(base);
 
   noc::SimConfig c = base;
   c.seed += 1;
-  EXPECT_NE(SweepCache::batch_key(c), key);
+  EXPECT_NE(key_of(c), key);
 
   c = base;
   c.injection_rate = 0.2;
-  EXPECT_NE(SweepCache::batch_key(c), key);
+  EXPECT_NE(key_of(c), key);
 
   c = base;
   c.measure_cycles += 1;
-  EXPECT_NE(SweepCache::batch_key(c), key);
+  EXPECT_NE(key_of(c), key);
 
   c = base;
   c.warmup_cycles += 1;
-  EXPECT_NE(SweepCache::batch_key(c), key);
+  EXPECT_NE(key_of(c), key);
 
   c = base;
   c.sw_arb = ArbiterKind::kMatrix;
-  EXPECT_NE(SweepCache::batch_key(c), key);
+  EXPECT_NE(key_of(c), key);
 
   c = base;
   c.buffer_depth += 1;
-  EXPECT_NE(SweepCache::batch_key(c), key);
+  EXPECT_NE(key_of(c), key);
 
-  // Same config, different question: a cold-batch record must never
-  // answer a warm-fork curve-point query.
-  EXPECT_NE(SweepCache::curve_point_key(base, base.injection_rate, 1000), key);
-  // Curve-point keys move with the fork history too.
-  EXPECT_NE(SweepCache::curve_point_key(base, 0.05, 1000),
-            SweepCache::curve_point_key(base, 0.06, 1000));
-  EXPECT_NE(SweepCache::curve_point_key(base, 0.05, 1000),
-            SweepCache::curve_point_key(base, 0.05, 1001));
+  // The point's fork history moves it too.
+  EXPECT_NE(SweepCache::curve_point_key(base, 0.06, 1000), key);
+  EXPECT_NE(SweepCache::curve_point_key(base, 0.05, 1001), key);
   // And identical inputs agree (stability across processes).
-  EXPECT_EQ(SweepCache::curve_point_key(base, 0.05, 1000),
-            SweepCache::curve_point_key(base, 0.05, 1000));
+  EXPECT_EQ(SweepCache::curve_point_key(base, 0.05, 1000), key);
 }
 
-// Cold, warm, and disabled batch runs are bit-identical, and the warm run
+// Cold, warm, and disabled runs of independent one-rate curves (the
+// UGAL-threshold ablation's shape) are bit-identical, and the warm run
 // creates no new cache files (everything was served).
 TEST_F(SweepCacheTest, BatchColdWarmDisabledIdentity) {
-  std::vector<noc::SimConfig> cfgs;
+  std::vector<CurveSpec> specs;
   for (std::uint64_t s = 0; s < 4; ++s) {
     noc::SimConfig cfg = small_config();
     cfg.seed = 100 + s;
-    cfgs.push_back(cfg);
+    specs.push_back(one_point(cfg));
   }
   ThreadPool pool(2);
 
   disable();
-  const std::vector<noc::SimResult> plain = run_sim_batch(pool, cfgs);
+  const std::vector<Curve> plain = run_warm_curves(pool, specs);
 
   enable();
-  const std::vector<noc::SimResult> cold = run_sim_batch(pool, cfgs);
+  const std::vector<Curve> cold = run_warm_curves(pool, specs);
   const std::vector<std::string> after_cold = entries();
-  EXPECT_EQ(after_cold.size(), cfgs.size());
+  EXPECT_EQ(after_cold.size(), 2 * specs.size());  // record + snapshot each
 
-  const std::vector<noc::SimResult> hot = run_sim_batch(pool, cfgs);
+  const std::vector<Curve> hot = run_warm_curves(pool, specs);
   EXPECT_EQ(entries().size(), after_cold.size());
 
+  ASSERT_EQ(plain.size(), specs.size());
   ASSERT_EQ(cold.size(), plain.size());
   ASSERT_EQ(hot.size(), plain.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
-    expect_identical(cold[i], plain[i]);
-    expect_identical(hot[i], plain[i]);
+    ASSERT_EQ(plain[i].points.size(), 1u);
+    ASSERT_EQ(cold[i].points.size(), 1u);
+    ASSERT_EQ(hot[i].points.size(), 1u);
+    expect_identical(cold[i].points[0].result, plain[i].points[0].result);
+    expect_identical(hot[i].points[0].result, plain[i].points[0].result);
   }
 }
 
@@ -260,25 +277,32 @@ TEST_F(SweepCacheTest, PartiallyCachedShardedCurveSimulatesOnlyMisses) {
   }
 }
 
-// A corrupted cache entry is detected, recomputed, and healed -- results
-// stay identical to the pristine run.
+// A corrupted result record is detected, recomputed, and healed --
+// results stay identical to the pristine run.
 TEST_F(SweepCacheTest, CorruptedEntryIsRecomputed) {
-  std::vector<noc::SimConfig> cfgs = {small_config()};
+  const std::vector<CurveSpec> specs = {one_point(small_config())};
+  const std::uint64_t key = one_point_key(small_config());
   ThreadPool pool(1);
 
-  const std::vector<noc::SimResult> cold = run_sim_batch(pool, cfgs);
-  std::vector<std::string> files = entries();
-  ASSERT_EQ(files.size(), 1u);
+  const std::vector<Curve> cold = run_warm_curves(pool, specs);
+  ASSERT_EQ(entries().size(), 2u);  // the record and the warm snapshot
+  char record[32];
+  std::snprintf(record, sizeof(record), "res-%016llx.nres",
+                static_cast<unsigned long long>(key));
 
-  corrupt(files[0], 40);  // flip a payload bit
-  const std::vector<noc::SimResult> healed = run_sim_batch(pool, cfgs);
-  expect_identical(healed[0], cold[0]);
+  corrupt(record, 40);  // flip a payload bit
+  const std::vector<Curve> healed = run_warm_curves(pool, specs);
+  expect_identical(healed[0].points[0].result, cold[0].points[0].result);
 
   // The record was rewritten and validates again: a further run hits
   // without creating anything new.
-  ASSERT_EQ(entries().size(), 1u);
-  const std::vector<noc::SimResult> hot = run_sim_batch(pool, cfgs);
-  expect_identical(hot[0], cold[0]);
+  ASSERT_EQ(entries().size(), 2u);
+  noc::SimResult stored;
+  ASSERT_TRUE(SweepCache(dir_).lookup_result(key, stored));
+  expect_identical(stored, cold[0].points[0].result);
+  const std::vector<Curve> hot = run_warm_curves(pool, specs);
+  expect_identical(hot[0].points[0].result, cold[0].points[0].result);
+  EXPECT_EQ(entries().size(), 2u);
 }
 
 // Record fuzz: every single-bit flip, every truncation and an appended
@@ -292,7 +316,7 @@ TEST_F(SweepCacheTest, EveryRecordBitFlipAndTruncationIsAMiss) {
   result.packets_measured = 4096;
   result.saturated = true;
   result.arena_high_water = 77;
-  const std::uint64_t key = SweepCache::batch_key(small_config());
+  const std::uint64_t key = one_point_key(small_config());
   cache.store_result(key, result);
   const std::vector<std::string> files = entries();
   ASSERT_EQ(files.size(), 1u);
@@ -348,7 +372,7 @@ TEST_F(SweepCacheTest, EveryRecordBitFlipAndTruncationIsAMiss) {
 TEST_F(SweepCacheTest, DirectoryAtRecordPathIsAMiss) {
   const SweepCache cache(dir_);
   const noc::SimConfig cfg = small_config();
-  const std::uint64_t key = SweepCache::batch_key(cfg);
+  const std::uint64_t key = one_point_key(cfg);
   char name[32];
   std::snprintf(name, sizeof(name), "res-%016llx.nres",
                 static_cast<unsigned long long>(key));
@@ -396,14 +420,14 @@ TEST_F(SweepCacheDeathTest, PathWithMissingParentAborts) {
 TEST_F(SweepCacheTest, RecordBoundToItsKey) {
   const SweepCache cache(dir_);
   const noc::SimResult result = noc::run_simulation(small_config());
-  const std::uint64_t key = SweepCache::batch_key(small_config());
+  const std::uint64_t key = one_point_key(small_config());
   cache.store_result(key, result);
 
   std::vector<std::string> files = entries();
   ASSERT_EQ(files.size(), 1u);
   noc::SimConfig other = small_config();
   other.seed += 1;
-  const std::uint64_t other_key = SweepCache::batch_key(other);
+  const std::uint64_t other_key = one_point_key(other);
   ASSERT_EQ(std::rename((dir_ + "/" + files[0]).c_str(),
                         (dir_ + "/res-" +
                          [&] {

@@ -3,7 +3,8 @@
 // Usage:
 //   noclint --all [--skip-large] [--errors-only] [--dead-cells]
 //   noclint vc [ports=N] [vcs_per_class=C] [partition=mesh|fbfly]
-//              [kind=sep_if|sep_of|wf] [arb=rr|m] [sparse=0|1] [options]
+//              [kind=sep_if|sep_of|wf] [arb=rr|m]
+//              [sparse=0|1|true|false] [options]
 //   noclint sa [ports=N] [vcs=V] [kind=sep_if|sep_of|wf] [arb=rr|m]
 //              [spec=nonspec|spec_req|spec_gnt] [options]
 //
@@ -11,10 +12,12 @@
 // forms lint a single configuration, defaulting to the mesh testbed. Exits
 // nonzero iff any linted netlist contains errors.
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "hw/netlist.hpp"
 #include "hw/sa_gen.hpp"
 #include "hw/vc_alloc_gen.hpp"
@@ -32,8 +35,8 @@ struct Options {
   bool skip_large = false;
 };
 
-[[noreturn]] void usage_error(const char* msg) {
-  std::fprintf(stderr, "noclint: %s\n", msg);
+[[noreturn]] void usage_error(const std::string& msg) {
+  std::fprintf(stderr, "noclint: %s\n", msg.c_str());
   std::fprintf(
       stderr,
       "usage:\n"
@@ -65,13 +68,21 @@ SpecMode parse_spec(const std::string& v) {
   usage_error("unknown spec mode (want nonspec|spec_req|spec_gnt)");
 }
 
-std::size_t parse_size(const std::string& v) {
-  char* end = nullptr;
-  const unsigned long out = std::strtoul(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || out == 0) {
-    usage_error("expected a positive integer value");
+/// A whole positive integer (parse_size), or a usage error naming `key`.
+std::size_t positive_size(const std::string& key, const std::string& v) {
+  const std::optional<std::size_t> out = parse_size(v, 1);
+  if (!out) {
+    usage_error("bad value '" + v + "' for " + key +
+                " (expected a positive integer)");
   }
-  return static_cast<std::size_t>(out);
+  return *out;
+}
+
+bool parse_sparse(const std::string& v) {
+  if (v == "1" || v == "true") return true;
+  if (v == "0" || v == "false") return false;
+  usage_error("bad value '" + v +
+              "' for sparse (expected 0, 1, true or false)");
 }
 
 /// Lints one netlist and prints its findings. Returns true if error-free.
@@ -126,9 +137,9 @@ bool run_vc(const std::vector<std::pair<std::string, std::string>>& kv,
   cfg.sparse = true;
   for (const auto& [key, value] : kv) {
     if (key == "ports") {
-      ports = parse_size(value);
+      ports = positive_size(key, value);
     } else if (key == "vcs_per_class") {
-      vcs_per_class = parse_size(value);
+      vcs_per_class = positive_size(key, value);
     } else if (key == "partition") {
       partition = value;
     } else if (key == "kind") {
@@ -136,7 +147,7 @@ bool run_vc(const std::vector<std::pair<std::string, std::string>>& kv,
     } else if (key == "arb") {
       cfg.arb = parse_arb(value);
     } else if (key == "sparse") {
-      cfg.sparse = value == "1" || value == "true";
+      cfg.sparse = parse_sparse(value);
     } else {
       usage_error("unknown vc key");
     }
@@ -162,9 +173,9 @@ bool run_sa(const std::vector<std::pair<std::string, std::string>>& kv,
   cfg.vcs = 2;
   for (const auto& [key, value] : kv) {
     if (key == "ports") {
-      cfg.ports = parse_size(value);
+      cfg.ports = positive_size(key, value);
     } else if (key == "vcs") {
-      cfg.vcs = parse_size(value);
+      cfg.vcs = positive_size(key, value);
     } else if (key == "kind") {
       cfg.kind = parse_kind(value);
     } else if (key == "arb") {
